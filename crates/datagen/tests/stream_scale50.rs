@@ -3,10 +3,34 @@
 //! which desynchronizes any code that assumes one arena slot per record.
 //! The scale-500 unit tests never hit that case, so this test pins the
 //! streamed planner's record/artifact equivalence at the exact config the
-//! committed EXPERIMENTS.md and BENCH_pipeline.json are generated from.
+//! committed EXPERIMENTS.md and BENCH_pipeline.json are generated from,
+//! and pins that config's dataset fingerprint so the corpus has an oracle
+//! independent of any batch-vs-streamed comparison.
 
-use idnre_datagen::{generate_streamed, Ecosystem, EcosystemConfig};
+use idnre_datagen::{
+    dataset_fingerprint, generate_streamed, render_dataset, Ecosystem, EcosystemConfig,
+};
 use idnre_telemetry::NoopRecorder;
+
+/// `idnre-dataset/2` fingerprint of `repro --scale 50` (default seed,
+/// attack scale and brand list) — the value `BENCH_pipeline.json` reports.
+const SCALE50_FINGERPRINT: u64 = 0xa304_79ee_d80c_6bdf;
+
+#[test]
+fn scale50_dataset_fingerprint_is_pinned() {
+    let eco = Ecosystem::generate(&EcosystemConfig {
+        scale: 50,
+        ..EcosystemConfig::default()
+    });
+    let rendered = render_dataset(&eco);
+    assert_eq!(
+        dataset_fingerprint(&rendered),
+        SCALE50_FINGERPRINT,
+        "scale-50 dataset bytes changed (new fingerprint {:#018x}, {} bytes)",
+        dataset_fingerprint(&rendered),
+        rendered.len(),
+    );
+}
 
 #[test]
 fn streamed_matches_batch_at_reference_scale() {
