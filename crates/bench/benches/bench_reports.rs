@@ -3,15 +3,20 @@
 //! pre-pass), so it gets its own per-record throughput measurement here.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use idnre_bench::{reports, ReproContext};
+use idnre_bench::{reports, ReproContext, RunSpec};
 use idnre_datagen::EcosystemConfig;
 
 fn context() -> ReproContext {
-    ReproContext::build(&EcosystemConfig {
+    let config = EcosystemConfig {
         scale: 500,
         attack_scale: 10,
         ..EcosystemConfig::default()
-    })
+    };
+    ReproContext::build(
+        &config,
+        &RunSpec::default(),
+        std::sync::Arc::new(idnre_telemetry::NoopRecorder),
+    )
 }
 
 fn bench_table1(c: &mut Criterion) {

@@ -100,9 +100,11 @@
 //! (`analyze.pass.pair_mine`). The report gains a "Portfolio mining"
 //! section; every other section's bytes are unchanged, and the mined
 //! output is byte-identical across `--threads` and `--shard-size`
-//! settings. Not combinable with `--faults`. Combined with `--stream`,
-//! the index folds over regenerated shards — packed symbol handles only —
-//! so mining stays inside the streamed memory budget at any scale.
+//! settings. Combined with `--stream`, the index folds over regenerated
+//! shards — packed symbol handles only — so mining stays inside the
+//! streamed memory budget at any scale. Combined with `--faults`, the
+//! section lands just before "Run health" and the exit code is the
+//! unmined faulted run's: the miner never touches the error budget.
 //!
 //! `--epochs N` (requires `--stream`) runs the incremental zone-diff
 //! loop: the streamed build's fold leaves its per-(shard, pass) partials
@@ -127,7 +129,7 @@
 //! byte-identical across runs and thread counts; with `--write PATH` it
 //! also lands in `PATH.metrics.det.json` so CI can `cmp` two runs.
 
-use idnre_bench::{reports, validate_flags, CliFlags, FaultSetup, ReproContext};
+use idnre_bench::{reports, validate_flags, CliFlags, FaultSetup, ReproContext, RunSpec};
 use idnre_datagen::EcosystemConfig;
 use idnre_fault::FaultPlan;
 use idnre_sched::{RateConfig, SchedConfig};
@@ -412,22 +414,19 @@ fn main() {
         );
         run.final_report
     } else {
-        let built = match &faults {
-            Some(setup) => {
-                eprintln!(
-                    "fault schedule: profile `{}`, seed {:#x}",
-                    setup.plan.profile().name,
-                    setup.plan.seed()
-                );
-                ReproContext::build_faulted(&config, setup, recorder)
-            }
-            None if stream && mine_portfolios => {
-                ReproContext::build_streamed_mined(&config, shard_size, recorder)
-            }
-            None if stream => ReproContext::build_streamed(&config, shard_size, recorder),
-            None if mine_portfolios => ReproContext::build_mined(&config, recorder),
-            None => ReproContext::build_recorded(&config, recorder),
+        if let Some(setup) = &faults {
+            eprintln!(
+                "fault schedule: profile `{}`, seed {:#x}",
+                setup.plan.profile().name,
+                setup.plan.seed()
+            );
+        }
+        let spec = RunSpec {
+            shard_size: stream.then_some(shard_size),
+            mine: mine_portfolios,
+            faults,
         };
+        let built = ReproContext::build(&config, &spec, recorder);
         eprintln!(
             "ecosystem ready: {} IDNs, {} non-IDNs, {} homograph findings, {} semantic findings",
             built.outputs.idn_len,

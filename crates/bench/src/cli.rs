@@ -75,10 +75,6 @@ pub const FLAG_CONFLICTS: &[(&str, &str)] = &[
     ("--slo", "--faults"),
     ("--crawl-sched", "--stream"),
     ("--crawl-sched", "--bench"),
-    // Mining follows --stream's rule: a faulted run's exit code belongs to
-    // its error budget, and its report to the health section — no report
-    // extensions on top.
-    ("--mine-portfolios", "--faults"),
     // Epochs re-fold resident partials; a fault schedule corrupts the very
     // corpus the partial cache assumes immutable-under-regeneration, and
     // mining's bucket-index pass is one-shot by design (no Merge removal).
@@ -161,10 +157,15 @@ mod tests {
         ] {
             assert_eq!(validate_flags(&with(&[name])), Ok(()), "{name} alone");
         }
-        // Mining composes with the streamed build (bounded-memory mining)
-        // and with --bench (which mines both legs anyway).
+        // Mining composes with the streamed build (bounded-memory mining),
+        // with a fault schedule (the miner and the faulted surveys touch
+        // disjoint stages) and with --bench (which mines both legs anyway).
         assert_eq!(
             validate_flags(&with(&["--mine-portfolios", "--stream"])),
+            Ok(())
+        );
+        assert_eq!(
+            validate_flags(&with(&["--mine-portfolios", "--faults"])),
             Ok(())
         );
         assert_eq!(
@@ -246,18 +247,6 @@ mod tests {
     #[test]
     fn crawl_sched_conflicts_with_bench() {
         assert_conflict("--crawl-sched", "--bench");
-    }
-
-    #[test]
-    fn mine_portfolios_conflicts_with_faults() {
-        assert_conflict("--mine-portfolios", "--faults");
-        // Conflict-table order: the stream×faults row predates the
-        // mine-portfolios×faults row, so with all three set the older
-        // message wins.
-        assert_eq!(
-            validate_flags(&with(&["--mine-portfolios", "--faults", "--stream"])),
-            Err("--stream cannot be combined with --faults".into())
-        );
     }
 
     #[test]

@@ -357,11 +357,15 @@ mod tests {
     #[test]
     fn cold_epoch_matches_the_streamed_one_shot_build() {
         // Epoch 0 with no deltas is the ordinary streamed pipeline: the
-        // epoch engine's report must equal ReproContext::build_streamed's
-        // byte for byte.
+        // epoch engine's report must equal the streamed build's byte for
+        // byte.
         let cfg = config(4000);
         let run = run_epochs(&cfg, 64, 0, 20, Arc::new(NoopRecorder));
-        let ctx = ReproContext::build_streamed(&cfg, 64, Arc::new(NoopRecorder));
+        let spec = crate::RunSpec {
+            shard_size: Some(64),
+            ..crate::RunSpec::default()
+        };
+        let ctx = ReproContext::build(&cfg, &spec, Arc::new(NoopRecorder));
         assert_eq!(run.final_report, ctx.full_report());
         assert_eq!(run.initial.refolded, run.initial.total_shards);
         assert!(run.epochs.is_empty());

@@ -616,7 +616,12 @@ pub struct ScanPlan<'p> {
 impl<'p> ScanPlan<'p> {
     /// Registers every pass in a fixed order (the order telemetry spans and
     /// counters are pinned in). `threads` sizes the homograph pass's
-    /// skeleton precompute over the interned label columns.
+    /// skeleton precompute over the interned label columns. With `mining`
+    /// set, the portfolio miner's pass A — the skeleton-LSH
+    /// [`BucketIndexPass`] — is fused onto the same traversal, registered
+    /// last so the default nine passes keep their telemetry positions; the
+    /// folded index comes back from [`ScanPlan::run_at`].
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         homograph: &'p HomographDetector,
         semantic: &'p SemanticDetector,
@@ -625,6 +630,7 @@ impl<'p> ScanPlan<'p> {
         table3_wanted: HashSet<String>,
         fig6_candidates: HashSet<String>,
         threads: usize,
+        mining: Option<&'p MiningPlan>,
     ) -> Self {
         Self::build(
             ColumnedHomographPass::new(homograph, columns, threads),
@@ -633,7 +639,7 @@ impl<'p> ScanPlan<'p> {
             pdns,
             table3_wanted,
             fig6_candidates,
-            None,
+            mining,
         )
     }
 
@@ -658,32 +664,6 @@ impl<'p> ScanPlan<'p> {
             table3_wanted,
             fig6_candidates,
             None,
-        )
-    }
-
-    /// [`ScanPlan::new`] plus the portfolio-mining pass A: the
-    /// skeleton-LSH [`BucketIndexPass`] is fused onto the same traversal,
-    /// registered last so the default nine passes keep their telemetry
-    /// positions. The folded index comes back from [`ScanPlan::run_at`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_mined(
-        homograph: &'p HomographDetector,
-        semantic: &'p SemanticDetector,
-        columns: &'p CorpusColumns,
-        pdns: &'p PdnsStore,
-        table3_wanted: HashSet<String>,
-        fig6_candidates: HashSet<String>,
-        threads: usize,
-        mining: &'p MiningPlan,
-    ) -> Self {
-        Self::build(
-            ColumnedHomographPass::new(homograph, columns, threads),
-            semantic,
-            columns,
-            pdns,
-            table3_wanted,
-            fig6_candidates,
-            Some(mining),
         )
     }
 
@@ -745,7 +725,7 @@ impl<'p> ScanPlan<'p> {
 
     /// Runs the fused traversal and redeems every handle. The fourth
     /// element is the folded skeleton-LSH bucket index — `Some` only on
-    /// plans built with [`ScanPlan::new_mined`].
+    /// plans built with a [`MiningPlan`].
     pub fn run(
         self,
         source: &dyn RecordSource,

@@ -72,16 +72,18 @@
 //! stage spans come from a second timed run whose report the harness
 //! asserts byte-identical to the batch one).
 //!
-//! `records` is the number of domains (or zone lines, report bytes) the
+//! `records` is the number of domains (or zone lines, dataset bytes) the
 //! stage processed; `ns_per_record` is the per-domain throughput the
-//! ISSUE's trajectory tracks. Wall times are measurements, not part of
-//! the byte-identical report contract. A thread sweep
+//! perf trajectory tracks. Stages that record wall time only — the
+//! `report.*` generators — carry their call count instead, so their
+//! `ns_per_record` is the wall per call. Wall times are measurements, not
+//! part of the byte-identical report contract. A thread sweep
 //! ([`run_pipeline_sweep`]) concatenates the per-thread-count entries into
 //! one result — each entry carries the worker count it ran at — after
 //! asserting the report bytes and the `idnre-dataset/2` fingerprint are
 //! identical across every count.
 
-use crate::ReproContext;
+use crate::{ReproContext, RunSpec};
 use idnre_analyze::SliceSource;
 use idnre_datagen::EcosystemConfig;
 use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
@@ -130,7 +132,8 @@ pub struct BenchEntry {
     pub threads: usize,
     /// Wall time of the stage, in nanoseconds.
     pub wall_ns: u64,
-    /// Records the stage processed (domains, zone lines, report bytes).
+    /// Records the stage processed (domains, zone lines, dataset bytes),
+    /// or its call count for wall-only stages.
     pub records: u64,
 }
 
@@ -423,7 +426,11 @@ pub fn run_pipeline_bench(config: &EcosystemConfig) -> PipelineBench {
 /// reports; the report and dataset bytes do not depend on it.
 pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -> PipelineBench {
     let registry = Arc::new(Registry::new());
-    let ctx = ReproContext::build_mined(config, registry.clone());
+    let mined = RunSpec {
+        mine: true,
+        ..RunSpec::default()
+    };
+    let ctx = ReproContext::build(config, &mined, registry.clone());
     let report = ctx.full_report();
     let mining = ctx.mining.as_ref().map(|m| MiningSummary {
         candidate_pairs: m.candidate_pairs,
@@ -718,8 +725,11 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
     // `streamed` entries (including `datagen.peak_resident_records`-backed
     // shard regeneration inside `build.ecosystem`).
     let streamed_registry = Arc::new(Registry::new());
-    let streamed_ctx =
-        ReproContext::build_streamed_mined(config, shard_size, streamed_registry.clone());
+    let streamed = RunSpec {
+        shard_size: Some(shard_size),
+        ..mined
+    };
+    let streamed_ctx = ReproContext::build(config, &streamed, streamed_registry.clone());
     let streamed_report = streamed_ctx.full_report();
     assert_eq!(
         report, streamed_report,
@@ -1106,11 +1116,18 @@ mod tests {
             ..EcosystemConfig::default()
         };
         let bench = run_pipeline_bench(&config);
-        let plain = crate::ReproContext::build_mined(&config, Arc::new(NoopRecorder)).full_report();
+        let mined = crate::RunSpec {
+            mine: true,
+            ..crate::RunSpec::default()
+        };
+        let plain =
+            crate::ReproContext::build(&config, &mined, Arc::new(NoopRecorder)).full_report();
         assert_eq!(bench.report, plain, "--bench must not perturb the report");
         // The unmined report is a byte-prefix of the mined one: mining
         // only ever appends its section.
-        let unmined = crate::ReproContext::build(&config).full_report();
+        let unmined =
+            crate::ReproContext::build(&config, &crate::RunSpec::default(), Arc::new(NoopRecorder))
+                .full_report();
         assert!(bench.report.starts_with(&unmined));
     }
 

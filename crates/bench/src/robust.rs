@@ -11,6 +11,8 @@
 //! time and stateless hashes, so a fixed fault spec replays byte-for-byte
 //! across runs *and* across worker-thread counts.
 
+use crate::CorpusView;
+use idnre_analyze::{Population, SliceSource};
 use idnre_crawler::{
     Crawler, FaultContext, ResolutionOutcome, UsageCategory, ATTEMPTS_HISTOGRAM, FAULT_COUNTERS,
     OUTCOME_COUNTERS, RETRY_COUNTERS, SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, USAGE_COUNTERS,
@@ -392,6 +394,71 @@ pub fn ingest_zones_faulted_at(
     (salvaged, stats)
 }
 
+/// Runs the faulted surveys of a [`crate::RunSpec::faults`] build over
+/// the materialized corpus: the zones round-trip through lenient ingest
+/// with seeded corruption, the WHOIS crawl sees corrupted transfers, and
+/// the crawl survey (synchronous, or through the event-driven scheduler
+/// when [`FaultSetup::sched`] is set) runs the full retry schedule against
+/// the salvaged zones. The damage lands in one [`ErrorBudget`], whose
+/// verdict the returned [`RunHealth`] carries.
+pub(crate) fn faulted_surveys(
+    eco: &Ecosystem,
+    setup: &FaultSetup,
+    threads: usize,
+    recorder: &dyn Recorder,
+) -> RunHealth {
+    let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
+    let (zones, zone_stats) = ingest_zones_faulted_at(
+        &eco.zones,
+        &setup.plan,
+        &budget,
+        threads,
+        recorder,
+        SpanCtx::ROOT,
+    );
+    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+    let whois_stats = whois_survey_view(
+        &CorpusView::resident(&source),
+        eco,
+        Some(&setup.plan),
+        Some(&budget),
+        recorder,
+        SpanCtx::ROOT,
+    );
+    let (survey, sched) = match &setup.sched {
+        Some(sched_config) => {
+            let (survey, sched_stats) = crawl_survey_scheduled_at(
+                eco,
+                &zones,
+                &setup.plan,
+                sched_config,
+                setup.threads,
+                &budget,
+                recorder,
+                SpanCtx::ROOT,
+            );
+            (survey, Some(sched_stats))
+        }
+        None => {
+            let ctx = FaultContext {
+                plan: setup.plan,
+                policy: setup.policy,
+            };
+            let survey = crawl_survey_faulted_at(
+                eco,
+                &zones,
+                &ctx,
+                setup.threads,
+                &budget,
+                recorder,
+                SpanCtx::ROOT,
+            );
+            (survey, None)
+        }
+    };
+    RunHealth::with_sched(setup, zone_stats, whois_stats, survey, &budget, sched)
+}
+
 /// Replays the paper's WHOIS collection over the registered IDN corpus so
 /// the ≈50% coverage story is *observable*: registrations the generator
 /// covered serve well-formed responses; uncovered ones split between
@@ -406,23 +473,18 @@ pub fn whois_survey(
     budget: Option<&ErrorBudget>,
     recorder: &dyn Recorder,
 ) -> CrawlStats {
-    whois_survey_view(
-        &crate::CorpusView::Batch(eco),
-        eco,
-        plan,
-        budget,
-        recorder,
-        SpanCtx::NONE,
-    )
+    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+    let view = CorpusView::resident(&source);
+    whois_survey_view(&view, eco, plan, budget, recorder, SpanCtx::NONE)
 }
 
-/// [`whois_survey`] over an arbitrary corpus view: the batch view crawls
-/// the whole IDN population as one batch; the streamed view crawls one
+/// [`whois_survey`] over an arbitrary corpus view: a resident view crawls
+/// the whole IDN population as one batch; a streamed view crawls one
 /// regenerated shard at a time against the same (stateful) crawler, which
 /// is exactly additive — the stats, counters and budget are identical to
 /// the batch run.
 pub(crate) fn whois_survey_view(
-    view: &crate::CorpusView<'_>,
+    view: &CorpusView<'_>,
     eco: &Ecosystem,
     plan: Option<&FaultPlan>,
     budget: Option<&ErrorBudget>,
@@ -447,7 +509,7 @@ pub(crate) fn whois_survey_view(
     let covered: std::collections::HashSet<&str> =
         eco.whois.iter().map(|r| r.domain.as_str()).collect();
     let mut stats = CrawlStats::default();
-    view.for_each_idn_shard(&mut |records| {
+    view.for_each_shard(Population::Idn, &mut |records| {
         let batch: Vec<(&str, String)> = records
             .iter()
             .map(|reg| {

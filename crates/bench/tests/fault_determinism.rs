@@ -4,7 +4,7 @@
 //! accounted instead of aborting.
 
 use idnre_bench::robust::{self, FaultSetup, RunHealth};
-use idnre_bench::ReproContext;
+use idnre_bench::{ReproContext, RunSpec};
 use idnre_crawler::FaultContext;
 use idnre_datagen::{Ecosystem, EcosystemConfig};
 use idnre_fault::{ErrorBudget, FaultPlan, FaultProfile, RetryPolicy};
@@ -107,8 +107,8 @@ fn corrupt_corpus_completes_leniently() {
     assert_eq!(health.status, idnre_fault::RunStatus::BudgetExceeded);
 }
 
-/// The full context path: two `build_faulted` runs with the same spec
-/// produce byte-identical `EXPERIMENTS.md` documents, Run health section
+/// The full context path: two faulted builds with the same spec produce
+/// byte-identical `EXPERIMENTS.md` documents, Run health section
 /// included.
 #[test]
 fn full_reports_replay_byte_identically() {
@@ -121,9 +121,13 @@ fn full_reports_replay_byte_identically() {
     let setup = FaultSetup::from_plan(FaultPlan::from_spec("smoke").unwrap());
     let report = |threads| {
         let setup = FaultSetup { threads, ..setup };
-        ReproContext::build_faulted(
+        let spec = RunSpec {
+            faults: Some(setup),
+            ..RunSpec::default()
+        };
+        ReproContext::build(
             &config,
-            &setup,
+            &spec,
             std::sync::Arc::new(idnre_telemetry::NoopRecorder),
         )
         .full_report()

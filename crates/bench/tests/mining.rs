@@ -10,13 +10,21 @@
 
 use idnre_analyze::{fold_is_associative, SliceSource};
 use idnre_arena::ColumnsBuilder;
-use idnre_bench::{mine, passes, ReproContext};
+use idnre_bench::{mine, passes, ReproContext, RunSpec};
 use idnre_core::{HomographDetector, SemanticDetector};
 use idnre_datagen::{Ecosystem, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 use idnre_unicode::homoglyphs_of;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+fn mined(shard_size: Option<usize>) -> RunSpec {
+    RunSpec {
+        shard_size,
+        mine: true,
+        ..RunSpec::default()
+    }
+}
 
 fn config(threads: usize) -> EcosystemConfig {
     EcosystemConfig {
@@ -33,16 +41,16 @@ fn config(threads: usize) -> EcosystemConfig {
 /// batch build anchors the grid.
 #[test]
 fn mined_report_is_byte_identical_across_threads_and_shards() {
-    let batch = ReproContext::build_mined(&config(4), Arc::new(NoopRecorder)).full_report();
+    let batch = ReproContext::build(&config(4), &mined(None), Arc::new(NoopRecorder)).full_report();
     assert!(
         batch.contains("## Portfolio mining"),
         "mined build lost its report section"
     );
     for threads in [1usize, 2, 8] {
         for shard_size in [64usize, 1024] {
-            let streamed = ReproContext::build_streamed_mined(
+            let streamed = ReproContext::build(
                 &config(threads),
-                shard_size,
+                &mined(Some(shard_size)),
                 Arc::new(NoopRecorder),
             )
             .full_report();
@@ -74,7 +82,7 @@ fn mining_merges_are_associative_at_chunk_97() {
         SpanCtx::NONE,
     );
     let mining_plan = mine::MiningPlan::new(&columns, 4);
-    let plan = passes::ScanPlan::new_mined(
+    let plan = passes::ScanPlan::new(
         &detector,
         &semantic_detector,
         &columns,
@@ -82,13 +90,13 @@ fn mining_merges_are_associative_at_chunk_97() {
         passes::table3_wanted(&eco.whois),
         passes::fig6_candidates(eco.brands.top(30)),
         4,
-        &mining_plan,
+        Some(&mining_plan),
     );
     plan.check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
 
     // Pass B over the real non-singleton buckets of the same corpus.
-    let plan = passes::ScanPlan::new_mined(
+    let plan = passes::ScanPlan::new(
         &detector,
         &semantic_detector,
         &columns,
@@ -96,7 +104,7 @@ fn mining_merges_are_associative_at_chunk_97() {
         passes::table3_wanted(&eco.whois),
         passes::fig6_candidates(eco.brands.top(30)),
         4,
-        &mining_plan,
+        Some(&mining_plan),
     );
     let (_, _, _, index) = plan.run(&source, 1024, 4, &NoopRecorder);
     let index = index.expect("mined plan returns the bucket index");
@@ -117,8 +125,9 @@ fn mining_merges_are_associative_at_chunk_97() {
 /// one, so `--mine-portfolios` can never perturb a published number.
 #[test]
 fn mining_only_appends_to_the_report() {
-    let plain = ReproContext::build(&config(4)).full_report();
-    let mined = ReproContext::build_mined(&config(4), Arc::new(NoopRecorder)).full_report();
+    let plain =
+        ReproContext::build(&config(4), &RunSpec::default(), Arc::new(NoopRecorder)).full_report();
+    let mined = ReproContext::build(&config(4), &mined(None), Arc::new(NoopRecorder)).full_report();
     assert!(
         mined.starts_with(&plain),
         "mining altered existing sections"
@@ -132,12 +141,13 @@ fn mining_only_appends_to_the_report() {
 /// --scale 50 all` and re-pin deliberately if that was intended.
 #[test]
 fn scale_50_mined_counts_are_pinned() {
-    let ctx = ReproContext::build_mined(
+    let ctx = ReproContext::build(
         &EcosystemConfig {
             scale: 50,
             threads: 4,
             ..EcosystemConfig::default()
         },
+        &mined(None),
         Arc::new(NoopRecorder),
     );
     let mining = ctx.mining.as_ref().expect("mined build carries outputs");

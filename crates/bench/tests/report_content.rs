@@ -1,7 +1,7 @@
 //! Content-level tests over the regenerated tables and figures: each report
 //! must carry the canonical rows/markers the paper's version carries.
 
-use idnre_bench::{reports, ReproContext};
+use idnre_bench::{reports, ReproContext, RunSpec};
 use idnre_datagen::EcosystemConfig;
 use std::sync::OnceLock;
 
@@ -10,11 +10,16 @@ fn ctx() -> &'static ReproContext {
     CTX.get_or_init(|| {
         // Scale 1:100 keeps the Table III bulk clusters larger than the
         // brand-protective registrations injected with the attack sets.
-        ReproContext::build(&EcosystemConfig {
+        let config = EcosystemConfig {
             scale: 100,
             attack_scale: 2,
             ..EcosystemConfig::default()
-        })
+        };
+        ReproContext::build(
+            &config,
+            &RunSpec::default(),
+            std::sync::Arc::new(idnre_telemetry::NoopRecorder),
+        )
     })
 }
 

@@ -47,6 +47,7 @@ fn instrumented_scan_stays_within_five_percent_of_uninstrumented() {
             passes::table3_wanted(&eco.whois),
             passes::fig6_candidates(eco.brands.top(30)),
             config.threads,
+            None,
         );
         plan.run(&source, 1024, config.threads, recorder)
     };

@@ -5,7 +5,7 @@
 //! instead of exceeding its budget.
 
 use idnre_bench::robust::{self, FaultSetup, RunHealth};
-use idnre_bench::ReproContext;
+use idnre_bench::{ReproContext, RunSpec};
 use idnre_datagen::{Ecosystem, EcosystemConfig};
 use idnre_fault::{ErrorBudget, FaultPlan, FaultProfile, RetryPolicy, RunStatus};
 use idnre_sched::SchedConfig;
@@ -194,9 +194,9 @@ fn clean_runs_never_shed() {
     assert_eq!(health.status, RunStatus::Clean, "exit code 0 contract");
 }
 
-/// The full context path: two scheduled `build_faulted` runs with the
-/// same spec produce byte-identical `EXPERIMENTS.md` documents, scheduler
-/// paragraph included, at any thread count.
+/// The full context path: two scheduled faulted builds with the same spec
+/// produce byte-identical `EXPERIMENTS.md` documents, scheduler paragraph
+/// included, at any thread count.
 #[test]
 fn scheduled_reports_replay_byte_identically() {
     // The storm-smoke scale: the scheduler's "**degraded**" verdict is
@@ -210,9 +210,13 @@ fn scheduled_reports_replay_byte_identically() {
         .with_sched(SchedConfig::default());
     let report = |threads| {
         let setup = FaultSetup { threads, ..setup };
-        ReproContext::build_faulted(
+        let spec = RunSpec {
+            faults: Some(setup),
+            ..RunSpec::default()
+        };
+        ReproContext::build(
             &config,
-            &setup,
+            &spec,
             std::sync::Arc::new(idnre_telemetry::NoopRecorder),
         )
         .full_report()

@@ -6,7 +6,7 @@
 //! directly rather than trusted.
 
 use idnre_analyze::{SliceSource, SCAN_SPAN};
-use idnre_bench::{passes, ReproContext};
+use idnre_bench::{passes, ReproContext, RunSpec};
 use idnre_core::{HomographDetector, SemanticDetector};
 use idnre_datagen::{Ecosystem, EcosystemConfig, PEAK_RESIDENT_RECORDS};
 use idnre_telemetry::{NoopRecorder, Registry};
@@ -24,17 +24,28 @@ fn config(threads: usize) -> EcosystemConfig {
     }
 }
 
+fn streamed(shard_size: usize) -> RunSpec {
+    RunSpec {
+        shard_size: Some(shard_size),
+        ..RunSpec::default()
+    }
+}
+
 /// The headline guarantee: streamed report bytes equal batch report bytes
 /// across a grid of shard sizes and thread counts. Shard boundaries and
 /// scheduling must be invisible in the output.
 #[test]
 fn streamed_report_is_byte_identical_to_batch() {
-    let batch = ReproContext::build_recorded(&config(4), Arc::new(NoopRecorder)).full_report();
+    let batch =
+        ReproContext::build(&config(4), &RunSpec::default(), Arc::new(NoopRecorder)).full_report();
     for threads in [1usize, 2, 8] {
         for shard_size in [64usize, 1024, 8192] {
-            let streamed =
-                ReproContext::build_streamed(&config(threads), shard_size, Arc::new(NoopRecorder))
-                    .full_report();
+            let streamed = ReproContext::build(
+                &config(threads),
+                &streamed(shard_size),
+                Arc::new(NoopRecorder),
+            )
+            .full_report();
             assert_eq!(
                 batch, streamed,
                 "streamed report diverged at threads={threads} shard_size={shard_size}"
@@ -69,6 +80,7 @@ fn every_pass_merge_is_associative() {
         passes::table3_wanted(&eco.whois),
         passes::fig6_candidates(eco.brands.top(30)),
         4,
+        None,
     );
     plan.check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
@@ -80,7 +92,7 @@ fn every_pass_merge_is_associative() {
 #[test]
 fn full_report_traverses_the_corpus_once() {
     let registry = Arc::new(Registry::new());
-    let ctx = ReproContext::build_recorded(&config(4), registry.clone());
+    let ctx = ReproContext::build(&config(4), &RunSpec::default(), registry.clone());
     let _ = ctx.full_report();
     let corpus = ctx.outputs.idn_len + ctx.outputs.non_idn_len;
     let scan = registry
@@ -101,7 +113,7 @@ fn full_report_traverses_the_corpus_once() {
 fn streamed_peak_residency_is_bounded_by_shard_size() {
     let (threads, shard_size) = (4usize, 64usize);
     let registry = Arc::new(Registry::new());
-    let ctx = ReproContext::build_streamed(&config(threads), shard_size, registry.clone());
+    let ctx = ReproContext::build(&config(threads), &streamed(shard_size), registry.clone());
     let peak = registry.gauge_peak(PEAK_RESIDENT_RECORDS);
     assert!(peak > 0, "gauge never recorded");
     // The gauge is first-class in the snapshot: its own section, with the

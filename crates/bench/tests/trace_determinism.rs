@@ -5,7 +5,7 @@
 //! order is `(name, index)`, never completion order. Only timings may
 //! differ between runs.
 
-use idnre_bench::ReproContext;
+use idnre_bench::{ReproContext, RunSpec};
 use idnre_datagen::EcosystemConfig;
 use idnre_telemetry::Registry;
 use proptest::prelude::*;
@@ -24,12 +24,19 @@ fn config(threads: usize) -> EcosystemConfig {
     }
 }
 
+fn streamed(shard_size: usize) -> RunSpec {
+    RunSpec {
+        shard_size: Some(shard_size),
+        ..RunSpec::default()
+    }
+}
+
 /// Runs the streamed pipeline under a tracing registry and returns the
 /// timing-free trace skeleton plus the `analyze.pass.*` stage names in
 /// snapshot (i.e. registration) order.
 fn traced_run(threads: usize, shard_size: usize) -> (String, Vec<String>) {
     let registry = Arc::new(Registry::with_trace());
-    let _ctx = ReproContext::build_streamed(&config(threads), shard_size, registry.clone());
+    let _ctx = ReproContext::build(&config(threads), &streamed(shard_size), registry.clone());
     let structure = registry
         .trace_snapshot()
         .expect("tracing registry")
@@ -85,10 +92,13 @@ proptest! {
 #[test]
 fn trace_tree_has_the_documented_shape() {
     let registry = Arc::new(Registry::with_trace());
-    let ctx = ReproContext::build_streamed(&config(2), 1024, registry.clone());
+    let ctx = ReproContext::build(&config(2), &streamed(1024), registry.clone());
     // Tracing is observational: the report bytes match an untraced build.
-    let untraced =
-        ReproContext::build_streamed(&config(2), 1024, Arc::new(idnre_telemetry::NoopRecorder));
+    let untraced = ReproContext::build(
+        &config(2),
+        &streamed(1024),
+        Arc::new(idnre_telemetry::NoopRecorder),
+    );
     assert_eq!(
         ctx.full_report(),
         untraced.full_report(),
