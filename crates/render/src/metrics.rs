@@ -60,6 +60,15 @@ pub fn ssim(a: &GrayImage, b: &GrayImage) -> Result<f64, DimensionMismatch> {
 /// Per-window SSIM values (the intermediate the paper's Table XII threshold
 /// analysis needs; exposing it avoids recomputation — C-INTERMEDIATE).
 ///
+/// A window whose pixels are equal in both images scores exactly 1.0, so
+/// its moments are not computed. With equal inputs `μa = μb` and
+/// `var_a = var_b = cov` bitwise; `2·μa·μb` and `μa² + μb²` are then both
+/// the exact doubling of one rounded product, as are `2·cov` and
+/// `var_a + var_b`, so the numerator equals the denominator. A lookalike
+/// differs from its brand in a cell or two, so most of its windows take
+/// this path; the values, and their order, are what the full computation
+/// returns.
+///
 /// # Errors
 ///
 /// Returns [`DimensionMismatch`] when the images differ in size.
@@ -78,7 +87,11 @@ pub fn ssim_windows(a: &GrayImage, b: &GrayImage) -> Result<Vec<f64>, DimensionM
         let mut x = 0;
         loop {
             let x0 = x.min(w.saturating_sub(WINDOW));
-            out.push(window_ssim(a, b, x0, y0));
+            out.push(if window_equal(a, b, x0, y0) {
+                1.0
+            } else {
+                window_ssim(a, b, x0, y0)
+            });
             if x0 + WINDOW >= w {
                 break;
             }
@@ -90,6 +103,17 @@ pub fn ssim_windows(a: &GrayImage, b: &GrayImage) -> Result<Vec<f64>, DimensionM
         y += STRIDE;
     }
     Ok(out)
+}
+
+/// Whether the 8×8 windows anchored at `(x0, y0)` hold equal pixels in
+/// both images (of equal dimensions). Reads past an edge are 0.0 in both,
+/// so only the in-bounds rows and columns are compared.
+fn window_equal(a: &GrayImage, b: &GrayImage, x0: usize, y0: usize) -> bool {
+    let w = a.width();
+    let x1 = (x0 + WINDOW).min(w);
+    let y1 = (y0 + WINDOW).min(a.height());
+    let (pa, pb) = (a.pixels(), b.pixels());
+    (y0..y1).all(|y| pa[y * w + x0..y * w + x1] == pb[y * w + x0..y * w + x1])
 }
 
 /// SSIM of one 8×8 window anchored at `(x0, y0)`.
