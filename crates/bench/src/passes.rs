@@ -19,10 +19,10 @@ use idnre_analyze::{
 use idnre_arena::{BucketIndex, ColumnsBuilder, CorpusColumns, Symbol};
 use idnre_blacklist::{BlacklistSet, Source};
 use idnre_core::{
-    AvailabilityEnumerator, ColumnedHomographPass, HomographDetector, HomographFinding,
-    Semantic1Pass, Semantic2Pass, SemanticDetector, SemanticFinding, SkeletonCache,
+    ColumnedHomographPass, HomographDetector, HomographFinding, Semantic1Pass, Semantic2Pass,
+    SemanticDetector, SemanticFinding, SkeletonCache,
 };
-use idnre_datagen::{Brand, ContentCategory};
+use idnre_datagen::ContentCategory;
 use idnre_langid::{Classifier, Language};
 use idnre_pdns::{ActivityAnalytics, PdnsStore};
 use idnre_telemetry::{Recorder, SpanCtx};
@@ -475,7 +475,8 @@ pub struct Fig6Pass {
 }
 
 impl Fig6Pass {
-    /// Checks membership against `candidates` (see [`fig6_candidates`]).
+    /// Checks membership against `candidates` (see
+    /// [`crate::CandidateSurvey::fig6_pool`]).
     pub fn new(candidates: HashSet<String>) -> Self {
         Fig6Pass { candidates }
     }
@@ -514,17 +515,6 @@ pub fn table3_wanted(whois: &[WhoisRecord]) -> HashSet<String> {
         wanted.extend(analytics.domains_of(&email).iter().cloned());
     }
     wanted
-}
-
-/// Figure 6's candidate pool: every one-character homographic lookalike of
-/// the top-30 brand domains.
-pub fn fig6_candidates(brands: &[Brand]) -> HashSet<String> {
-    let enumerator = AvailabilityEnumerator::new();
-    brands
-        .iter()
-        .flat_map(|b| enumerator.homographic(&b.domain()))
-        .map(|c| c.ace)
-        .collect()
 }
 
 /// Builds the struct-of-arrays corpus columns the report passes read:

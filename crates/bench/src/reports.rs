@@ -2,7 +2,7 @@
 
 use crate::ReproContext;
 use idnre_certs::{CertProblem, Validator};
-use idnre_core::{AbuseAnalysis, AvailabilityEnumerator};
+use idnre_core::AbuseAnalysis;
 use idnre_datagen::ContentCategory;
 use idnre_langid::Language;
 use idnre_pdns::{ActivityAnalytics, PopulationClass, TrafficModel};
@@ -778,31 +778,28 @@ pub fn fig5(ctx: &ReproContext) -> String {
 
 /// Figure 6 — queries to registered vs unregistered homographic IDNs.
 pub fn fig6(ctx: &ReproContext) -> String {
-    // Unregistered candidates: enumerate for the top brands, drop the ones
-    // that are actually registered, and sample their residual traffic.
-    let enumerator = AvailabilityEnumerator::new();
-    // The fused scan intersected the candidate pool with the registered
-    // corpus ([`crate::passes::Fig6Pass`]); only candidates are ever
+    // Unregistered candidates: the top brands' homographic candidates,
+    // minus the ones that are actually registered, with their residual
+    // traffic sampled in enumeration order. The fused scan intersected
+    // the candidate pool with the registered corpus
+    // ([`crate::passes::Fig6Pass`]); only candidates are ever
     // membership-tested, so the intersection decides identically.
     let registered = &ctx.outputs.fig6_registered;
-    let top: Vec<String> = ctx.eco.brands.top(30).iter().map(|b| b.domain()).collect();
     let mut unregistered = 0u64;
     let mut observed = 0u64;
     let mut total_queries = 0u64;
     let model = TrafficModel::for_class(PopulationClass::UnregisteredHomographic);
     let mut rng =
         <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(ctx.eco.config.seed ^ 0xF16);
-    for brand in &top {
-        for candidate in enumerator.homographic(brand) {
-            if registered.contains(candidate.ace.as_str()) {
-                continue;
-            }
-            unregistered += 1;
-            let sample = model.sample(&mut rng);
-            if sample.query_count > 0 {
-                observed += 1;
-                total_queries += sample.query_count;
-            }
+    for ace in &ctx.candidates.fig6 {
+        if registered.contains(ace.as_str()) {
+            continue;
+        }
+        unregistered += 1;
+        let sample = model.sample(&mut rng);
+        if sample.query_count > 0 {
+            observed += 1;
+            total_queries += sample.query_count;
         }
     }
     let registered_homograph_queries: u64 = ctx
@@ -830,9 +827,7 @@ pub fn fig6(ctx: &ReproContext) -> String {
 
 /// Figure 7 — homographic candidates per top-100 brand.
 pub fn fig7(ctx: &ReproContext) -> String {
-    let enumerator = AvailabilityEnumerator::new();
-    let brands: Vec<String> = ctx.eco.brands.top(100).iter().map(|b| b.domain()).collect();
-    let reports = enumerator.survey(brands.iter().map(String::as_str));
+    let reports = &ctx.candidates.singles;
     let generated: usize = reports.iter().map(|r| r.generated).sum();
     let homographic: usize = reports.iter().map(|r| r.homographic).sum();
     let mut bars: Vec<(String, u64)> = reports
@@ -891,8 +886,6 @@ pub fn table14(ctx: &ReproContext) -> String {
 /// sits relative to the ASCII baselines.
 pub fn ext_squatting(ctx: &ReproContext) -> String {
     use idnre_core::squatting::{self, SquattingClass};
-    let enumerator = AvailabilityEnumerator::new();
-    let brands: Vec<&idnre_datagen::Brand> = ctx.eco.brands.top(10).iter().collect();
     let mut table = Table::new(
         vec![
             "Brand",
@@ -918,8 +911,10 @@ pub fn ext_squatting(ctx: &ReproContext) -> String {
         ],
     );
     let mut totals = [0usize; 8];
-    for brand in &brands {
-        let homograph = enumerator.homographic(&brand.domain()).len();
+    // The survey's one-character pools are in rank order, so the top 10
+    // brands are its first 10 rows.
+    for (brand, singles) in ctx.eco.brands.top(10).iter().zip(&ctx.candidates.singles) {
+        let homograph = singles.homographic;
         let pools = squatting::pool_sizes(&brand.sld);
         let mut row = vec![brand.domain(), homograph.to_string()];
         totals[0] += homograph;
@@ -997,7 +992,6 @@ pub fn ext_bypass(ctx: &ReproContext) -> String {
 /// one letter was replaced". This extension measures the next rung: the
 /// two-character substitution pool for the top brands (capped enumeration).
 pub fn ext_multichar(ctx: &ReproContext) -> String {
-    let enumerator = AvailabilityEnumerator::new();
     let mut table = Table::new(
         vec![
             "Brand",
@@ -1014,18 +1008,14 @@ pub fn ext_multichar(ctx: &ReproContext) -> String {
             Align::Right,
         ],
     );
-    for brand in ctx.eco.brands.top(5) {
-        let domain = brand.domain();
-        let singles = enumerator.generate(&domain);
-        let singles_pass = singles.iter().filter(|c| c.ssim >= 0.95).count();
-        let pairs = enumerator.generate_pairs(&domain, 3_000);
-        let pairs_pass = pairs.iter().filter(|c| c.ssim >= 0.95).count();
+    let survey = &ctx.candidates;
+    for (singles, pairs) in survey.singles.iter().zip(&survey.pairs) {
         table.row(vec![
-            domain,
-            singles.len().to_string(),
-            singles_pass.to_string(),
-            pairs.len().to_string(),
-            pairs_pass.to_string(),
+            pairs.brand.clone(),
+            singles.generated.to_string(),
+            singles.homographic.to_string(),
+            pairs.generated.to_string(),
+            pairs.homographic.to_string(),
         ]);
     }
     section(

@@ -16,6 +16,7 @@ use idnre_analyze::{
 use idnre_arena::CorpusColumns;
 use idnre_bench::epochs::grow_columns;
 use idnre_bench::passes::{self, ScanOutputs, ScanPlan};
+use idnre_bench::CandidateSurvey;
 use idnre_core::{
     HomographDetector, HomographFinding, SemanticDetector, SemanticFinding, SkeletonCache,
 };
@@ -26,6 +27,7 @@ use idnre_datagen::{
 use idnre_telemetry::{
     NoopRecorder, Recorder, Registry, SpanCtx, EPOCH_RESIDENT_PARTIALS, EPOCH_SHARD_COUNTERS,
 };
+use std::collections::HashSet;
 
 const SHARD: usize = 64;
 const THREADS: usize = 2;
@@ -43,11 +45,12 @@ type Fold = (Vec<HomographFinding>, Vec<SemanticFinding>, ScanOutputs);
 
 /// Detector state shared across every fold of one test — the epoch
 /// contract the driver also relies on: passes are rebuilt per epoch, the
-/// detectors and skeleton cache are not.
+/// detectors, the Figure 6 candidate pool and the skeleton cache are not.
 struct Engine<'e> {
     eco: &'e Ecosystem,
     detector: HomographDetector,
     semantic: SemanticDetector,
+    fig6_pool: HashSet<String>,
 }
 
 impl<'e> Engine<'e> {
@@ -57,6 +60,7 @@ impl<'e> Engine<'e> {
             eco,
             detector: HomographDetector::new(&brands, 0.95),
             semantic: SemanticDetector::new(&brands),
+            fig6_pool: CandidateSurvey::build(&eco.brands, THREADS, &NoopRecorder).fig6_pool(),
         }
     }
 
@@ -67,7 +71,7 @@ impl<'e> Engine<'e> {
             columns,
             &self.eco.pdns,
             passes::table3_wanted(&self.eco.whois),
-            passes::fig6_candidates(self.eco.brands.top(30)),
+            self.fig6_pool.clone(),
             cache,
         )
     }

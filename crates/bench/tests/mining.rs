@@ -10,7 +10,7 @@
 
 use idnre_analyze::{fold_is_associative, SliceSource};
 use idnre_arena::ColumnsBuilder;
-use idnre_bench::{mine, passes, ReproContext, RunSpec};
+use idnre_bench::{mine, passes, CandidateSurvey, ReproContext, RunSpec};
 use idnre_core::{HomographDetector, SemanticDetector};
 use idnre_datagen::{Ecosystem, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, SpanCtx};
@@ -82,13 +82,14 @@ fn mining_merges_are_associative_at_chunk_97() {
         SpanCtx::NONE,
     );
     let mining_plan = mine::MiningPlan::new(&columns, 4);
+    let fig6_pool = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder).fig6_pool();
     let plan = passes::ScanPlan::new(
         &detector,
         &semantic_detector,
         &columns,
         &eco.pdns,
         passes::table3_wanted(&eco.whois),
-        passes::fig6_candidates(eco.brands.top(30)),
+        fig6_pool.clone(),
         4,
         Some(&mining_plan),
     );
@@ -102,7 +103,7 @@ fn mining_merges_are_associative_at_chunk_97() {
         &columns,
         &eco.pdns,
         passes::table3_wanted(&eco.whois),
-        passes::fig6_candidates(eco.brands.top(30)),
+        fig6_pool.clone(),
         4,
         Some(&mining_plan),
     );

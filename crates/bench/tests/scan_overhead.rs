@@ -6,7 +6,7 @@
 //! uninstrumented wall at CI's smoke scale (1:50).
 
 use idnre_analyze::SliceSource;
-use idnre_bench::passes;
+use idnre_bench::{passes, CandidateSurvey};
 use idnre_core::{HomographDetector, SemanticDetector};
 use idnre_datagen::{Ecosystem, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, Recorder, Registry};
@@ -38,6 +38,7 @@ fn instrumented_scan_stays_within_five_percent_of_uninstrumented() {
         &NoopRecorder,
         idnre_telemetry::SpanCtx::NONE,
     );
+    let fig6_pool = CandidateSurvey::build(&eco.brands, config.threads, &NoopRecorder).fig6_pool();
     let scan_once = |recorder: &dyn Recorder| {
         let plan = passes::ScanPlan::new(
             &detector,
@@ -45,7 +46,7 @@ fn instrumented_scan_stays_within_five_percent_of_uninstrumented() {
             &columns,
             &eco.pdns,
             passes::table3_wanted(&eco.whois),
-            passes::fig6_candidates(eco.brands.top(30)),
+            fig6_pool.clone(),
             config.threads,
             None,
         );

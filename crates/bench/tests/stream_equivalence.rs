@@ -6,7 +6,7 @@
 //! directly rather than trusted.
 
 use idnre_analyze::{SliceSource, SCAN_SPAN};
-use idnre_bench::{passes, ReproContext, RunSpec};
+use idnre_bench::{passes, CandidateSurvey, ReproContext, RunSpec};
 use idnre_core::{HomographDetector, SemanticDetector};
 use idnre_datagen::{Ecosystem, EcosystemConfig, PEAK_RESIDENT_RECORDS};
 use idnre_telemetry::{NoopRecorder, Registry};
@@ -78,7 +78,7 @@ fn every_pass_merge_is_associative() {
         &columns,
         &eco.pdns,
         passes::table3_wanted(&eco.whois),
-        passes::fig6_candidates(eco.brands.top(30)),
+        CandidateSurvey::build(&eco.brands, 4, &NoopRecorder).fig6_pool(),
         4,
         None,
     );

@@ -109,6 +109,7 @@ fn trace_tree_has_the_documented_shape() {
     assert_eq!(root.name, "run");
     for phase in [
         "build.ecosystem",
+        "report.candidates",
         "analyze.scan",
         "crawl.survey",
         "whois.survey",

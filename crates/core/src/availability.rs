@@ -57,6 +57,11 @@ impl AvailabilityEnumerator {
         AvailabilityEnumerator { threshold }
     }
 
+    /// The SSIM score a candidate must reach to count as homographic.
+    pub fn threshold(&self) -> f64 {
+        self.threshold
+    }
+
     /// Generates every one-character substitution of `brand`'s SLD from the
     /// homoglyph table ("to reduce the computation overhead, only one
     /// character was replaced at a time").
@@ -76,9 +81,10 @@ impl AvailabilityEnumerator {
                     continue;
                 };
                 let image = render_text(&unicode_sld);
-                // A substitution that changes the rendered width (e.g. a
-                // full-width homoglyph) cannot be a visual match; skip it
-                // rather than panic on the dimension mismatch.
+                // `render_text` sizes the image by character count, so a
+                // one-for-one substitution keeps the brand's width and
+                // this arm never fires; a mismatch would be skipped
+                // rather than unwrapped.
                 let Ok(score) = ssim(&brand_image, &image) else {
                     continue;
                 };
