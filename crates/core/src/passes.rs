@@ -316,8 +316,27 @@ impl<'d> Semantic1Pass<'d> {
     }
 }
 
+/// Shard partial of [`Semantic1Pass`]: findings in corpus order plus
+/// counter tallies (indexed like [`SEMANTIC_COUNTERS`]), flushed once per
+/// shard.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Semantic1Partial {
+    findings: Vec<SemanticFinding>,
+    tallies: [u64; SEMANTIC_COUNTERS.len()],
+}
+
+impl Merge for Semantic1Partial {
+    fn merge(mut self, mut later: Self) -> Self {
+        self.findings.append(&mut later.findings);
+        for (mine, theirs) in self.tallies.iter_mut().zip(later.tallies) {
+            *mine += theirs;
+        }
+        self
+    }
+}
+
 impl AnalysisPass for Semantic1Pass<'_> {
-    type Partial = Vec<SemanticFinding>;
+    type Partial = Semantic1Partial;
     type Output = Vec<SemanticFinding>;
 
     fn name(&self) -> &'static str {
@@ -329,26 +348,34 @@ impl AnalysisPass for Semantic1Pass<'_> {
     }
 
     fn empty(&self) -> Self::Partial {
-        Vec::new()
+        Semantic1Partial::default()
     }
 
-    fn observe(&self, partial: &mut Self::Partial, rec: &Observed<'_>, recorder: &dyn Recorder) {
+    fn observe(&self, partial: &mut Self::Partial, rec: &Observed<'_>, _: &dyn Recorder) {
         if rec.population != Population::Idn {
             return;
         }
-        recorder.incr("semantic.candidates");
-        let finding = self.detector.detect_type1(&rec.reg.domain);
-        recorder.incr(match &finding {
-            Some(_) => "semantic.findings",
-            None => "semantic.skip.no_brand_match",
-        });
-        if let Some(finding) = finding {
-            partial.push(finding);
+        partial.tallies[0] += 1; // semantic.candidates
+        match self.detector.detect_type1(&rec.reg.domain) {
+            Some(finding) => {
+                partial.tallies[1] += 1; // semantic.findings
+                partial.findings.push(finding);
+            }
+            None => partial.tallies[2] += 1, // semantic.skip.no_brand_match
+        }
+    }
+
+    fn shard_end(&self, partial: &mut Self::Partial, recorder: &dyn Recorder) {
+        for (name, tally) in SEMANTIC_COUNTERS.iter().zip(partial.tallies.iter_mut()) {
+            if *tally > 0 {
+                recorder.add(name, *tally);
+                *tally = 0;
+            }
         }
     }
 
     fn finish(&self, partial: Self::Partial) -> Self::Output {
-        partial
+        partial.findings
     }
 }
 
