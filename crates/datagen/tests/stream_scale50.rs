@@ -1,11 +1,13 @@
-//! Regression grid at the paper's reference denominator (scale 50): this
+//! Regression grid at the benchmark's trajectory point (scale 50): this
 //! corpus volume is where bulk registrants first draw duplicate domains,
 //! which desynchronizes any code that assumes one arena slot per record.
 //! The scale-500 unit tests never hit that case, so this test pins the
-//! streamed planner's record/artifact equivalence at the exact config the
-//! committed EXPERIMENTS.md and BENCH_pipeline.json are generated from,
-//! and pins that config's dataset fingerprint so the corpus has an oracle
-//! independent of any batch-vs-streamed comparison.
+//! streamed planner's record/artifact equivalence at the config the
+//! committed BENCH_pipeline.json is generated from, and pins that
+//! config's dataset fingerprint so the corpus has an oracle independent
+//! of any batch-vs-streamed comparison. (EXPERIMENTS.md is `repro all` at
+//! the default config, scale 100 and attack scale 1; the
+//! `experiments_pin` test in `idnre-bench` pins it.)
 
 use idnre_datagen::{
     dataset_fingerprint, generate_streamed, render_dataset, Ecosystem, EcosystemConfig,
