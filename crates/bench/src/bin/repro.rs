@@ -37,7 +37,7 @@
 //! schedule with retry/backoff, the report gains a "Run health" section,
 //! and the exit code follows the error-budget contract: 0 clean, 3
 //! degraded (errors within budget), 4 budget exceeded. A fixed spec
-//! replays the same schedule byte-for-byte.
+//! replays the same schedule byte-for-byte, batch or `--stream`.
 //!
 //! `--threads N` pins the worker count of every parallel stage; the report
 //! bytes are identical at every setting, only wall time changes.
@@ -47,8 +47,9 @@
 //! (default 1024) and the fused analysis scan and surveys walk the shards,
 //! so peak resident records stay ≈ `shard_size × threads` at any scale
 //! (reported as the `datagen.peak_resident_records` counter under
-//! `--metrics`). The report bytes are identical to the batch build.
-//! `--stream` cannot be combined with `--faults` or `--dump-dataset`;
+//! `--metrics`). The report bytes are identical to the batch build, with
+//! or without `--faults` and `--crawl-sched`: the faulted surveys walk
+//! the same shards. `--stream` cannot be combined with `--dump-dataset`;
 //! with `--bench` it selects the streamed bench leg's shard size.
 //!
 //! `--bench` runs the whole pipeline once under timing, prints the stage
@@ -303,9 +304,6 @@ fn main() {
     }
     if let Some(n) = threads {
         config.threads = n;
-        if let Some(setup) = &mut faults {
-            setup.threads = n;
-        }
     }
 
     let flags = CliFlags {

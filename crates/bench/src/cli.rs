@@ -66,14 +66,12 @@ impl CliFlags {
 /// message ("A cannot be combined with B"), so the flag a user is most
 /// likely to have just added goes first.
 pub const FLAG_CONFLICTS: &[(&str, &str)] = &[
-    ("--stream", "--faults"),
     ("--stream", "--dump-dataset"),
     ("--bench", "--faults"),
     ("--bench", "--metrics"),
     ("--bench", "--trace"),
     ("--bench", "--slo"),
     ("--slo", "--faults"),
-    ("--crawl-sched", "--stream"),
     ("--crawl-sched", "--bench"),
     // Epochs re-fold resident partials; a fault schedule corrupts the very
     // corpus the partial cache assumes immutable-under-regeneration, and
@@ -180,6 +178,14 @@ mod tests {
             validate_flags(&with(&["--crawl-sched", "--faults"])),
             Ok(())
         );
+        // The faulted surveys walk the streamed corpus view like the clean
+        // ones, so a fault schedule (scheduled or not) composes with
+        // --stream.
+        assert_eq!(validate_flags(&with(&["--stream", "--faults"])), Ok(()));
+        assert_eq!(
+            validate_flags(&with(&["--crawl-sched", "--faults", "--stream"])),
+            Ok(())
+        );
         assert_eq!(validate_flags(&with(&["--epochs", "--stream"])), Ok(()));
         assert_eq!(
             validate_flags(&with(&["--churn-per-mille", "--epochs", "--stream"])),
@@ -196,11 +202,6 @@ mod tests {
 
     /// One test body per conflict pair, driven off the table itself so a
     /// new entry cannot ship untested.
-    #[test]
-    fn stream_conflicts_with_faults() {
-        assert_conflict("--stream", "--faults");
-    }
-
     #[test]
     fn stream_conflicts_with_dump_dataset() {
         assert_conflict("--stream", "--dump-dataset");
@@ -232,19 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn crawl_sched_conflicts_with_stream() {
-        // --crawl-sched needs --faults to be a valid set at all, so pin
-        // it and check the stream conflict still fires first.
-        let flags = with(&["--crawl-sched", "--faults", "--stream"]);
-        assert_eq!(
-            validate_flags(&flags),
-            Err("--stream cannot be combined with --faults".into()),
-            "conflict table order: stream×faults is listed before crawl-sched×stream"
-        );
-        assert_conflict("--crawl-sched", "--stream");
-    }
-
-    #[test]
     fn crawl_sched_conflicts_with_bench() {
         assert_conflict("--crawl-sched", "--bench");
     }
@@ -252,12 +240,11 @@ mod tests {
     #[test]
     fn epochs_conflicts_with_faults() {
         // --epochs needs --stream to be a valid set at all; pin --stream
-        // and observe that the older stream×faults row fires first, then
-        // check the bare pair.
+        // and observe that the epochs×faults row fires, then check the
+        // bare pair.
         assert_eq!(
             validate_flags(&with(&["--epochs", "--stream", "--faults"])),
-            Err("--stream cannot be combined with --faults".into()),
-            "conflict table order: stream×faults is listed before epochs×faults"
+            Err("--epochs cannot be combined with --faults".into())
         );
         assert_conflict("--epochs", "--faults");
     }

@@ -50,10 +50,9 @@ pub use slo::{slo_profile, SLO_PROFILES};
 
 use idnre_analyze::{Population, RecordSource, SliceSource, StreamSource};
 use idnre_core::{HomographDetector, HomographFinding, SemanticDetector, SemanticFinding};
-use idnre_crawler::{AuthBehavior, Crawler, Page, PageKind, OUTCOME_COUNTERS};
-use idnre_datagen::{ContentCategory, DomainRegistration, Ecosystem, EcosystemConfig};
+use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig};
 use idnre_telemetry::{Recorder, SpanCtx};
-use std::net::Ipv4Addr;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Default shard size of the fused corpus traversal (and of `--stream`).
@@ -67,9 +66,9 @@ pub const DEFAULT_SHARD_SIZE: usize = 1024;
 pub struct RunSpec {
     /// `Some(n)` streams the corpus (`--stream --shard-size n`): the
     /// registration vectors are never materialized, and the column build,
-    /// the fused scan and the clean surveys regenerate `n`-record shards
-    /// on demand. `None` materializes the corpus and scans it in
-    /// [`DEFAULT_SHARD_SIZE`] shards.
+    /// the fused scan and the surveys (clean or faulted) regenerate
+    /// `n`-record shards on demand. `None` materializes the corpus and
+    /// scans it in [`DEFAULT_SHARD_SIZE`] shards.
     pub shard_size: Option<usize>,
     /// Runs the two-pass skeleton-LSH portfolio miner
     /// (`--mine-portfolios`): pass A folds the bucket index on the fused
@@ -80,8 +79,9 @@ pub struct RunSpec {
     /// corpus round-trips through lenient ingest with seeded corruption,
     /// the WHOIS crawl sees corrupted transfers, and the crawl survey runs
     /// the full retry schedule; [`ReproContext::health`] carries the
-    /// verdict. The faulted surveys read the materialized vectors, so this
-    /// requires `shard_size: None`.
+    /// verdict. The faulted surveys walk the same [`CorpusView`] as the
+    /// clean ones, so a streamed faulted build reports the batch faulted
+    /// build's bytes.
     pub faults: Option<FaultSetup>,
 }
 
@@ -133,15 +133,7 @@ impl ReproContext {
     /// to `recorder`; the built context, and therefore every report, is
     /// byte-identical for any recorder, thread count and
     /// [`RunSpec::shard_size`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `spec` asks for faults on a streamed build.
     pub fn build(config: &EcosystemConfig, spec: &RunSpec, recorder: Arc<dyn Recorder>) -> Self {
-        assert!(
-            spec.faults.is_none() || spec.shard_size.is_none(),
-            "faulted surveys read the materialized corpus; they cannot run on a streamed build"
-        );
         let shard_size = spec.shard_size.unwrap_or(DEFAULT_SHARD_SIZE);
         let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
         let (eco, corpus) = match spec.shard_size {
@@ -190,11 +182,20 @@ impl ReproContext {
         );
         let health = match &spec.faults {
             None => {
-                crawl_survey(&view, &eco, &*recorder, SpanCtx::ROOT);
-                robust::whois_survey_view(&view, &eco, None, None, &*recorder, SpanCtx::ROOT);
+                robust::crawl_survey(
+                    &view,
+                    &eco.zones,
+                    None,
+                    config.threads,
+                    None,
+                    &*recorder,
+                    SpanCtx::ROOT,
+                );
+                robust::whois_survey(&view, &eco, None, None, &*recorder, SpanCtx::ROOT);
                 None
             }
             Some(setup) => Some(robust::faulted_surveys(
+                &view,
                 &eco,
                 setup,
                 config.threads,
@@ -282,20 +283,21 @@ impl ReproContext {
 }
 
 /// How the surveys walk the registration corpus: a [`RecordSource`] read
-/// `walk` records at a time. Over the resident vectors the walk is one
-/// slice per population; over a streaming source it regenerates bounded
-/// shards. Both walk the populations in the same order (IDN first), so
-/// everything fed from a view is byte-identical across the two modes.
-pub(crate) struct CorpusView<'a> {
+/// at most `walk` records at a time, in corpus order (the IDN population
+/// first, then the non-IDN one). Over the resident vectors the walk is
+/// one slice per population; over a streaming source it regenerates
+/// bounded shards. Both modes hand the same records in the same order,
+/// so everything fed from a view is byte-identical across them.
+pub struct CorpusView<'a> {
     /// The records.
     pub(crate) source: &'a dyn RecordSource,
-    /// Records handed to the callback per call.
+    /// Most records handed to a callback per call.
     pub(crate) walk: usize,
 }
 
 impl<'a> CorpusView<'a> {
     /// Walks resident vectors whole: one call per population.
-    pub(crate) fn resident(source: &'a SliceSource<'a>) -> Self {
+    pub fn resident(source: &'a SliceSource<'a>) -> Self {
         CorpusView {
             source,
             walk: usize::MAX,
@@ -303,33 +305,36 @@ impl<'a> CorpusView<'a> {
     }
 
     /// Records in both populations.
-    fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.source.population_len(Population::Idn) + self.source.population_len(Population::NonIdn)
     }
 
-    /// Calls `f` with consecutive slices covering `population`, in corpus
-    /// order.
+    /// Calls `f` with consecutive slices covering positions `range` of the
+    /// corpus order. A range may straddle the two populations; no slice
+    /// does.
     pub(crate) fn for_each_shard(
         &self,
-        population: Population,
+        range: Range<u64>,
         f: &mut dyn FnMut(&[DomainRegistration]),
     ) {
-        let total = self.source.population_len(population);
+        let idn_len = self.source.population_len(Population::Idn);
         let walk = self.walk.max(1) as u64;
-        let mut start = 0u64;
-        while start < total {
-            let len = (total - start).min(walk) as usize;
-            self.source.with_shard(population, start, len, f);
-            start += len as u64;
+        for (population, offset) in [(Population::Idn, 0), (Population::NonIdn, idn_len)] {
+            let total = self.source.population_len(population);
+            let end = range.end.saturating_sub(offset).min(total);
+            let mut start = range.start.saturating_sub(offset).min(end);
+            while start < end {
+                let len = (end - start).min(walk) as usize;
+                self.source.with_shard(population, start, len, f);
+                start += len as u64;
+            }
         }
     }
 
-    /// Calls `f` once per record, in corpus order (IDN population
-    /// first).
-    pub(crate) fn for_each(&self, f: &mut dyn FnMut(&DomainRegistration)) {
-        for population in [Population::Idn, Population::NonIdn] {
-            self.for_each_shard(population, &mut |records| records.iter().for_each(&mut *f));
-        }
+    /// Calls `f` once per record at positions `range` of the corpus
+    /// order.
+    pub(crate) fn for_each(&self, range: Range<u64>, f: &mut dyn FnMut(&DomainRegistration)) {
+        self.for_each_shard(range, &mut |records| records.iter().for_each(&mut *f));
     }
 }
 
@@ -393,93 +398,10 @@ fn run_scan(
     (homographs, semantic, outputs, mining)
 }
 
-/// Replays the paper's Section IV-D measurement front-end over the whole
-/// registered population: builds a [`Crawler`] from the generated TLD zones
-/// and each registration's content category, then resolves and crawls every
-/// domain, reporting per-outcome DNS counters, usage-category counters and
-/// resolve/crawl latency histograms to `recorder`. Purely observational —
-/// nothing feeds back into report data.
-fn crawl_survey(view: &CorpusView<'_>, eco: &Ecosystem, recorder: &dyn Recorder, parent: SpanCtx) {
-    let mut span = recorder.span_at("crawl.survey", parent, 0);
-    let mut crawler = Crawler::new();
-    for zone in &eco.zones {
-        crawler.add_zone(zone);
-    }
-    view.for_each(&mut |reg| {
-        let (behavior, page) = host_model(reg);
-        if let Some(behavior) = behavior {
-            crawler.set_host(&reg.domain, behavior, page);
-        }
-    });
-    // Pin the full outcome-counter set so a snapshot always carries all
-    // five, even for outcomes this population never produced.
-    recorder.preregister(&OUTCOME_COUNTERS);
-    let mut crawled = 0u64;
-    view.for_each(&mut |reg| {
-        let _ = crawler.crawl_recorded(&reg.domain, recorder);
-        crawled += 1;
-    });
-    span.add_records(crawled);
-}
-
-/// Derives a deterministic authoritative-server model from a registration's
-/// ground-truth content category. The unresolved population spreads over
-/// REFUSED, SERVFAIL, timeouts and explicit lame delegations.
-fn host_model(reg: &DomainRegistration) -> (Option<AuthBehavior>, Option<Page>) {
-    let hash = fnv1a(reg.domain.as_bytes());
-    let ip = Ipv4Addr::new(203, 0, 113, (hash % 254 + 1) as u8);
-    match reg.content {
-        ContentCategory::NotResolved => {
-            // The paper: "all resolution errors come from name servers" —
-            // spread the failure modes over the unresolved population.
-            let behavior = match hash % 4 {
-                0 => Some(AuthBehavior::Refuse),
-                1 => Some(AuthBehavior::ServFail),
-                2 => Some(AuthBehavior::Timeout),
-                _ => Some(AuthBehavior::Lame),
-            };
-            (behavior, None)
-        }
-        ContentCategory::Error => (Some(AuthBehavior::Answer(ip)), None),
-        ContentCategory::Empty => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(200, "", PageKind::Empty)),
-        ),
-        ContentCategory::Parked => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(200, "Domain parked", PageKind::Parking)),
-        ),
-        ContentCategory::ForSale => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(200, "Domain for sale", PageKind::ForSale)),
-        ),
-        ContentCategory::Redirected => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(
-                200,
-                "Redirecting",
-                PageKind::Redirect("https://destination.example/".to_string()),
-            )),
-        ),
-        _ => (
-            Some(AuthBehavior::Answer(ip)),
-            Some(Page::new(200, &reg.unicode, PageKind::Content)),
-        ),
-    }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idnre_crawler::OUTCOME_COUNTERS;
     use idnre_telemetry::NoopRecorder;
 
     fn config() -> EcosystemConfig {

@@ -646,45 +646,36 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
     // (wheel, rate limits, breakers). `crawl.survey.sched` vs
     // `crawl.survey.sync` read from the JSON is the scheduler's overhead
     // on a clean run — the throughput floor CI's storm-smoke job gates.
-    let clean_plan = idnre_fault::FaultPlan::new(config.seed, idnre_fault::FaultProfile::none());
-    let fault_ctx = idnre_crawler::FaultContext {
-        plan: clean_plan,
-        policy: idnre_fault::RetryPolicy::default(),
-    };
-    let survey_domains = corpus_len;
-    let started = Instant::now();
-    let _ = crate::robust::crawl_survey_faulted(
-        &ctx.eco,
-        &ctx.eco.zones,
-        &fault_ctx,
-        threads,
-        &idnre_fault::ErrorBudget::new(0),
-        &NoopRecorder,
-    );
-    entries.push(BenchEntry {
-        stage: "crawl.survey.sync".to_string(),
-        mode: "batch",
-        threads,
-        wall_ns: elapsed_ns(started),
-        records: survey_domains,
-    });
-    let started = Instant::now();
-    let _ = crate::robust::crawl_survey_scheduled(
-        &ctx.eco,
-        &ctx.eco.zones,
-        &clean_plan,
-        &idnre_sched::SchedConfig::default(),
-        threads,
-        &idnre_fault::ErrorBudget::new(0),
-        &NoopRecorder,
-    );
-    entries.push(BenchEntry {
-        stage: "crawl.survey.sched".to_string(),
-        mode: "batch",
-        threads,
-        wall_ns: elapsed_ns(started),
-        records: survey_domains,
-    });
+    let clean = crate::FaultSetup::from_plan(idnre_fault::FaultPlan::new(
+        config.seed,
+        idnre_fault::FaultProfile::none(),
+    ));
+    let view = crate::CorpusView::resident(&probe_source);
+    for (stage, setup) in [
+        ("crawl.survey.sync", clean),
+        (
+            "crawl.survey.sched",
+            clean.with_sched(idnre_sched::SchedConfig::default()),
+        ),
+    ] {
+        let started = Instant::now();
+        let _ = crate::robust::crawl_survey(
+            &view,
+            &ctx.eco.zones,
+            Some(&setup),
+            threads,
+            Some(&idnre_fault::ErrorBudget::new(0)),
+            &NoopRecorder,
+            SpanCtx::NONE,
+        );
+        entries.push(BenchEntry {
+            stage: stage.to_string(),
+            mode: "batch",
+            threads,
+            wall_ns: elapsed_ns(started),
+            records: corpus_len,
+        });
+    }
 
     // The incremental-epoch probe: a short zone-diff loop on its own
     // shard grid. run_epochs shadow-rebuilds every epoch and asserts the

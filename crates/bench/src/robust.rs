@@ -1,5 +1,7 @@
-//! Degrade-and-continue: fault-injected ingest and survey harnesses, the
-//! error budget that grades the run, and the "Run health" report section.
+//! The corpus surveys and degrade-and-continue: the crawl and WHOIS
+//! surveys (one implementation each, clean or fault-injected), lenient
+//! zone ingest, the error budget that grades a faulted run, and the "Run
+//! health" report section.
 //!
 //! The strict pipeline treats every input as pristine and every query as
 //! answered; this module is the other half of the reproduction story. A
@@ -12,29 +14,32 @@
 //! across runs *and* across worker-thread counts.
 
 use crate::CorpusView;
-use idnre_analyze::{Population, SliceSource};
+use idnre_analyze::Population;
+use idnre_arena::fnv1a;
 use idnre_crawler::{
-    Crawler, FaultContext, ResolutionOutcome, UsageCategory, ATTEMPTS_HISTOGRAM, FAULT_COUNTERS,
-    OUTCOME_COUNTERS, RETRY_COUNTERS, SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, USAGE_COUNTERS,
+    sched_slice_span, survey_slice_span, AuthBehavior, Crawler, FaultContext, Page, PageKind,
+    ResolutionOutcome, UsageCategory, ATTEMPTS_HISTOGRAM, CRAWL_STAGES, FAULT_COUNTERS,
+    OUTCOME_COUNTERS, RETRY_COUNTERS, SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, SCHED_SLICE_SPAN,
+    SURVEY_SLICE_RECORDS, SURVEY_SLICE_SPAN, USAGE_COUNTERS,
 };
-use idnre_datagen::Ecosystem;
+use idnre_datagen::{ContentCategory, DomainRegistration, Ecosystem};
 use idnre_fault::{ErrorBudget, FaultPlan, RetryPolicy, RunStatus, SimClock};
 use idnre_sched::{SchedConfig, SchedStats};
 use idnre_telemetry::{Recorder, SpanCtx};
 use idnre_whois::{CrawlStats, ServerPolicy, WhoisCrawler, CRAWL_COUNTERS};
 use idnre_zonefile::{parse_zone_lenient, write_zone, Zone};
+use std::net::Ipv4Addr;
 
 /// How a faulted run is configured: the fault schedule, the retry
-/// discipline, and how many survey worker threads to use (the results are
-/// identical for any thread count; threads only change wall time).
+/// discipline, and whether the crawl survey runs through the scheduler.
+/// The surveys run on [`idnre_datagen::EcosystemConfig::threads`] workers
+/// like every other stage; the results are identical for any count.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultSetup {
     /// Which attempts and records fail, and how often.
     pub plan: FaultPlan,
     /// Attempts, backoff and deadline per crawl target.
     pub policy: RetryPolicy,
-    /// Survey worker threads (clamped to 1..=64).
-    pub threads: usize,
     /// When set, the crawl survey runs through the event-driven
     /// scheduler (bounded window, rate limits, breakers, load shedding)
     /// instead of the per-domain synchronous schedules.
@@ -42,13 +47,11 @@ pub struct FaultSetup {
 }
 
 impl FaultSetup {
-    /// A setup with the default retry policy, on the machine's available
-    /// parallelism.
+    /// A setup with the default retry policy and the synchronous survey.
     pub fn from_plan(plan: FaultPlan) -> Self {
         FaultSetup {
             plan,
             policy: RetryPolicy::default(),
-            threads: idnre_par::default_threads(),
             sched: None,
         }
     }
@@ -185,45 +188,6 @@ pub struct RunHealth {
 }
 
 impl RunHealth {
-    /// Folds the per-stage accounting and the budget's verdict into the
-    /// run's terminal health.
-    pub fn new(
-        setup: &FaultSetup,
-        zones: IngestStats,
-        whois: CrawlStats,
-        survey: SurveyStats,
-        budget: &ErrorBudget,
-    ) -> Self {
-        Self::with_sched(setup, zones, whois, survey, budget, None)
-    }
-
-    /// [`RunHealth::new`] with the scheduler's accounting attached (the
-    /// scheduled-survey path).
-    pub fn with_sched(
-        setup: &FaultSetup,
-        zones: IngestStats,
-        whois: CrawlStats,
-        survey: SurveyStats,
-        budget: &ErrorBudget,
-        sched: Option<SchedStats>,
-    ) -> Self {
-        RunHealth {
-            profile: setup.plan.profile().name,
-            seed: setup.plan.seed(),
-            policy: setup.policy,
-            zones,
-            whois,
-            survey,
-            ok: budget.ok(),
-            errors: budget.errors(),
-            shed: budget.shed(),
-            allowed_per_mille: budget.allowed_per_mille(),
-            error_per_mille: budget.error_per_mille(),
-            sched,
-            status: budget.status(),
-        }
-    }
-
     /// Renders the "Run health" markdown section appended to faulted
     /// reports. Deterministic for a fixed fault spec: every number comes
     /// from seeded hashes and virtual clocks.
@@ -330,24 +294,15 @@ fn per_mille_pct(per_mille: u64) -> String {
 /// Round-trips the generated zones through master-file text with seeded
 /// line corruption, then re-ingests them leniently: corrupted lines are
 /// skipped and accounted (`zone.lenient.skipped`, the error budget), and
-/// the salvaged zones feed the crawl survey. Strict parsing would abort
-/// on the first corrupt line; this is the degrade-and-continue path.
+/// the salvaged zones are what the faulted crawl survey loads (no crawl
+/// outcome depends on them; see [`crawl_survey`]). Strict parsing would
+/// abort on the first corrupt line; this is the degrade-and-continue
+/// path.
 ///
 /// Each zone is one shard on the work-queue executor: corruption is a
 /// stateless hash of `(origin, line)` and the salvaged zones come back in
 /// input order, so the result is byte-identical for every `threads`.
-pub fn ingest_zones_faulted(
-    zones: &[Zone],
-    plan: &FaultPlan,
-    budget: &ErrorBudget,
-    threads: usize,
-    recorder: &dyn Recorder,
-) -> (Vec<Zone>, IngestStats) {
-    ingest_zones_faulted_at(zones, plan, budget, threads, recorder, SpanCtx::NONE)
-}
-
-/// [`ingest_zones_faulted`], parented at `parent` in the span tree.
-pub fn ingest_zones_faulted_at(
+fn ingest_zones_faulted(
     zones: &[Zone],
     plan: &FaultPlan,
     budget: &ErrorBudget,
@@ -395,20 +350,22 @@ pub fn ingest_zones_faulted_at(
 }
 
 /// Runs the faulted surveys of a [`crate::RunSpec::faults`] build over
-/// the materialized corpus: the zones round-trip through lenient ingest
-/// with seeded corruption, the WHOIS crawl sees corrupted transfers, and
-/// the crawl survey (synchronous, or through the event-driven scheduler
-/// when [`FaultSetup::sched`] is set) runs the full retry schedule against
-/// the salvaged zones. The damage lands in one [`ErrorBudget`], whose
-/// verdict the returned [`RunHealth`] carries.
-pub(crate) fn faulted_surveys(
+/// `view`, on `threads` workers: the zones round-trip through lenient
+/// ingest with seeded corruption, the WHOIS crawl sees corrupted
+/// transfers, and the crawl survey (synchronous, or through the
+/// event-driven scheduler when [`FaultSetup::sched`] is set) runs the full
+/// retry schedule. The damage lands in one [`ErrorBudget`], whose verdict
+/// the returned [`RunHealth`] carries. Every view over the same corpus —
+/// resident or streamed, at any walk size — yields the same health.
+pub fn faulted_surveys(
+    view: &CorpusView<'_>,
     eco: &Ecosystem,
     setup: &FaultSetup,
     threads: usize,
     recorder: &dyn Recorder,
 ) -> RunHealth {
     let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
-    let (zones, zone_stats) = ingest_zones_faulted_at(
+    let (zones, zone_stats) = ingest_zones_faulted(
         &eco.zones,
         &setup.plan,
         &budget,
@@ -416,47 +373,38 @@ pub(crate) fn faulted_surveys(
         recorder,
         SpanCtx::ROOT,
     );
-    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-    let whois_stats = whois_survey_view(
-        &CorpusView::resident(&source),
+    let whois = whois_survey(
+        view,
         eco,
         Some(&setup.plan),
         Some(&budget),
         recorder,
         SpanCtx::ROOT,
     );
-    let (survey, sched) = match &setup.sched {
-        Some(sched_config) => {
-            let (survey, sched_stats) = crawl_survey_scheduled_at(
-                eco,
-                &zones,
-                &setup.plan,
-                sched_config,
-                setup.threads,
-                &budget,
-                recorder,
-                SpanCtx::ROOT,
-            );
-            (survey, Some(sched_stats))
-        }
-        None => {
-            let ctx = FaultContext {
-                plan: setup.plan,
-                policy: setup.policy,
-            };
-            let survey = crawl_survey_faulted_at(
-                eco,
-                &zones,
-                &ctx,
-                setup.threads,
-                &budget,
-                recorder,
-                SpanCtx::ROOT,
-            );
-            (survey, None)
-        }
-    };
-    RunHealth::with_sched(setup, zone_stats, whois_stats, survey, &budget, sched)
+    let (survey, sched) = crawl_survey(
+        view,
+        &zones,
+        Some(setup),
+        threads,
+        Some(&budget),
+        recorder,
+        SpanCtx::ROOT,
+    );
+    RunHealth {
+        profile: setup.plan.profile().name,
+        seed: setup.plan.seed(),
+        policy: setup.policy,
+        zones: zone_stats,
+        whois,
+        survey,
+        ok: budget.ok(),
+        errors: budget.errors(),
+        shed: budget.shed(),
+        allowed_per_mille: budget.allowed_per_mille(),
+        error_per_mille: budget.error_per_mille(),
+        sched,
+        status: budget.status(),
+    }
 }
 
 /// Replays the paper's WHOIS collection over the registered IDN corpus so
@@ -467,23 +415,12 @@ pub(crate) fn faulted_surveys(
 /// corrupted — those parse failures are the fault layer's damage and feed
 /// the error budget. Telemetry lands in [`CRAWL_COUNTERS`]
 /// (`whois.parse.failed` among them) plus `whois.coverage.per_mille`.
-pub fn whois_survey(
-    eco: &Ecosystem,
-    plan: Option<&FaultPlan>,
-    budget: Option<&ErrorBudget>,
-    recorder: &dyn Recorder,
-) -> CrawlStats {
-    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-    let view = CorpusView::resident(&source);
-    whois_survey_view(&view, eco, plan, budget, recorder, SpanCtx::NONE)
-}
-
-/// [`whois_survey`] over an arbitrary corpus view: a resident view crawls
-/// the whole IDN population as one batch; a streamed view crawls one
-/// regenerated shard at a time against the same (stateful) crawler, which
-/// is exactly additive — the stats, counters and budget are identical to
-/// the batch run.
-pub(crate) fn whois_survey_view(
+///
+/// A resident view crawls the whole IDN population as one batch; a
+/// streamed view crawls one regenerated shard at a time against the same
+/// (stateful) crawler, which is exactly additive — the stats, counters
+/// and budget are identical to the batch run.
+pub(crate) fn whois_survey(
     view: &CorpusView<'_>,
     eco: &Ecosystem,
     plan: Option<&FaultPlan>,
@@ -509,7 +446,8 @@ pub(crate) fn whois_survey_view(
     let covered: std::collections::HashSet<&str> =
         eco.whois.iter().map(|r| r.domain.as_str()).collect();
     let mut stats = CrawlStats::default();
-    view.for_each_shard(Population::Idn, &mut |records| {
+    let idn = 0..view.source.population_len(Population::Idn);
+    view.for_each_shard(idn, &mut |records| {
         let batch: Vec<(&str, String)> = records
             .iter()
             .map(|reg| {
@@ -541,7 +479,7 @@ pub(crate) fn whois_survey_view(
                 } else {
                     // The generator withheld WHOIS here; attribute the gap to
                     // the paper's two reasons (blocks dominate).
-                    let roll = crate::fnv1a(domain.as_bytes()) % 5;
+                    let roll = fnv1a(domain.as_bytes()) % 5;
                     if roll < 3 {
                         ("blocking-registrar", format!("Domain Name: {domain}\n"))
                     } else {
@@ -568,227 +506,250 @@ pub(crate) fn whois_survey_view(
     stats
 }
 
-/// The fault-injected counterpart of the plain crawl survey: builds the
-/// crawler from the (salvaged) zones, then crawls every registered domain
-/// under the retry schedule on `threads` workers. Each domain gets its
-/// own virtual clock and a stateless slice of the fault plan, so the
-/// aggregate — and every counter — is identical for any thread count.
-/// Domains whose terminal verdict was fault-made count against `budget`.
-pub fn crawl_survey_faulted(
-    eco: &Ecosystem,
-    zones: &[Zone],
-    ctx: &FaultContext,
-    threads: usize,
-    budget: &ErrorBudget,
-    recorder: &dyn Recorder,
-) -> SurveyStats {
-    crawl_survey_faulted_at(eco, zones, ctx, threads, budget, recorder, SpanCtx::NONE)
+/// What one crawl-survey window runs per domain.
+#[derive(Clone, Copy)]
+enum SurveyMode<'a> {
+    /// The clean crawl: recorded, never faulted.
+    Clean,
+    /// The synchronous retry schedule, one virtual clock per domain.
+    Faulted(FaultContext),
+    /// One event-driven scheduler instance per window.
+    Scheduled(&'a FaultPlan, &'a SchedConfig),
 }
 
-/// [`crawl_survey_faulted`], parented at `parent` in the span tree. The
-/// population is split into fixed-size slices
-/// ([`idnre_crawler::SURVEY_SLICE_RECORDS`] domains each) rather than
-/// thread-derived chunks, and every slice runs under its own
-/// [`idnre_crawler::survey_slice_span`] — so the survey's subtree has the
-/// same shape at any worker count.
-pub fn crawl_survey_faulted_at(
-    eco: &Ecosystem,
-    zones: &[Zone],
-    ctx: &FaultContext,
-    threads: usize,
-    budget: &ErrorBudget,
-    recorder: &dyn Recorder,
-    parent: SpanCtx,
-) -> SurveyStats {
-    let mut span = recorder.span_at("crawl.survey.faulted", parent, 0);
-    let mut crawler = Crawler::new();
-    for zone in zones {
-        crawler.add_zone(zone);
-    }
-    let population: Vec<&idnre_datagen::DomainRegistration> = eco
-        .idn_registrations
-        .iter()
-        .chain(&eco.non_idn_registrations)
-        .collect();
-    for reg in &population {
-        let (behavior, page) = crate::host_model(reg);
-        if let Some(behavior) = behavior {
-            crawler.set_host(&reg.domain, behavior, page);
-        }
-    }
-    // Pre-register every counter and the attempts histogram so snapshot
-    // ordering cannot depend on which worker thread touches a name first.
-    recorder.preregister_groups(&[
-        &OUTCOME_COUNTERS[..],
-        &RETRY_COUNTERS[..],
-        &FAULT_COUNTERS[..],
-        &USAGE_COUNTERS[..],
-    ]);
-    recorder.preregister_stages(&[ATTEMPTS_HISTOGRAM, idnre_crawler::SURVEY_SLICE_SPAN]);
-
-    let crawler = &crawler;
-    let survey_ctx = span.ctx();
-    let per_chunk = idnre_par::par_chunks(
-        &population,
-        threads,
-        idnre_crawler::SURVEY_SLICE_RECORDS,
-        |slice_index, chunk| {
-            let mut slice_span =
-                idnre_crawler::survey_slice_span(recorder, survey_ctx, slice_index as u64);
-            slice_span.add_records(chunk.len() as u64);
-            let mut local = SurveyStats::default();
-            for reg in chunk {
-                let mut clock = SimClock::new();
-                let crawl = crawler.crawl_faulted(&reg.domain, ctx, &mut clock, recorder);
-                local.domains += 1;
-                local.attempts += u64::from(crawl.resolution.attempts);
-                local.retries += u64::from(crawl.resolution.retries)
-                    + u64::from(crawl.http_attempts.saturating_sub(1));
-                local.exhausted += u64::from(crawl.resolution.exhausted);
-                local.deadline_hit += u64::from(crawl.resolution.deadline_hit);
-                local.faults_injected += u64::from(crawl.faults_injected);
-                local.terminal_faulted += u64::from(crawl.terminal_faulted);
-                local.backoff_nanos += crawl.resolution.backoff_nanos;
-                local.elapsed_nanos += crawl.elapsed_nanos;
-                local.outcomes[outcome_index(crawl.resolution.outcome)] += 1;
-                local.usage[usage_index(crawl.category)] += 1;
-                if crawl.terminal_faulted {
-                    budget.record_error(1);
-                } else {
-                    budget.record_ok(1);
-                }
-            }
-            local
-        },
-    );
-    let mut stats = SurveyStats::default();
-    for local in &per_chunk {
-        stats.merge(local);
-    }
-    span.add_records(stats.domains);
-    stats
-}
-
-/// The event-driven counterpart of [`crawl_survey_faulted`]: the same
-/// population, fault plan and host model, but each fixed-size slice runs
-/// one deterministic scheduler instance (`idnre-sched`) — shared virtual
-/// timeline, bounded in-flight window, per-nameserver rate limits and
-/// circuit breakers, and priority-classed load shedding.
+/// Replays the paper's Section IV-D measurement front end (resolve →
+/// fetch → classify) over every registered domain of `view`. This is the
+/// one implementation of it: the clean survey, the retry schedule and
+/// the event-driven scheduler differ only in what runs per window.
 ///
-/// Accounting splits three ways on the error budget: executed domains
-/// whose terminal verdict was fault-made are errors, other executed
-/// domains are ok, and shed domains are recorded as shed (lost coverage
-/// that never counts as error). Slices are fixed-size and each scheduler
-/// is single-threaded, so the survey replays byte-identically across
-/// worker-thread counts.
-pub fn crawl_survey_scheduled(
-    eco: &Ecosystem,
+/// Builds one [`Crawler`] from `zones` plus each record's modelled host,
+/// then walks the corpus order (IDN population first) in fixed
+/// [`SURVEY_SLICE_RECORDS`]-domain windows on `threads` workers, each
+/// under its own slice span. A window may straddle the population
+/// boundary; it is fetched through the view at most `view.walk` records
+/// at a time, so a streamed build holds one shard per worker. Per
+/// window:
+///
+/// * `faults: None` — span `crawl.survey`: [`Crawler::crawl_recorded`]
+///   per domain (outcome and usage counters, `crawler.crawl` and
+///   `crawler.resolve` latency). Purely observational; the returned
+///   stats count domains only.
+/// * a [`FaultSetup`] without `sched` — span `crawl.survey.faulted`:
+///   [`Crawler::crawl_faulted`] per domain on its own virtual clock; a
+///   fault-made terminal verdict is an error on `budget`.
+/// * with `sched` — span `crawl.survey.sched`: one deterministic
+///   scheduler per window ([`Crawler::crawl_slice_scheduled`]); shed
+///   domains count as shed on `budget`, never as errors.
+///
+/// The windows never depend on `threads` (the scheduler's verdicts depend
+/// on which domains share one) and merge in window order, so the stats,
+/// the counters and the budget are identical at any worker count and for
+/// any view over the same corpus.
+///
+/// No crawl outcome depends on `zones`: every record gets a modelled
+/// host behaviour, and setting one marks the name delegated
+/// ([`idnre_crawler::Resolver::set_behavior`]), so a zone line lost to
+/// lenient ingest changes nothing. The zones are loaded for fidelity to
+/// the paper's front end only.
+pub(crate) fn crawl_survey(
+    view: &CorpusView<'_>,
     zones: &[Zone],
-    plan: &FaultPlan,
-    config: &SchedConfig,
+    faults: Option<&FaultSetup>,
     threads: usize,
-    budget: &ErrorBudget,
-    recorder: &dyn Recorder,
-) -> (SurveyStats, SchedStats) {
-    crawl_survey_scheduled_at(
-        eco,
-        zones,
-        plan,
-        config,
-        threads,
-        budget,
-        recorder,
-        SpanCtx::NONE,
-    )
-}
-
-/// [`crawl_survey_scheduled`], parented at `parent` in the span tree.
-#[allow(clippy::too_many_arguments)]
-pub fn crawl_survey_scheduled_at(
-    eco: &Ecosystem,
-    zones: &[Zone],
-    plan: &FaultPlan,
-    config: &SchedConfig,
-    threads: usize,
-    budget: &ErrorBudget,
+    budget: Option<&ErrorBudget>,
     recorder: &dyn Recorder,
     parent: SpanCtx,
-) -> (SurveyStats, SchedStats) {
-    let mut span = recorder.span_at("crawl.survey.sched", parent, 0);
+) -> (SurveyStats, Option<SchedStats>) {
+    let mode = match faults {
+        None => SurveyMode::Clean,
+        Some(FaultSetup {
+            plan,
+            sched: Some(config),
+            ..
+        }) => SurveyMode::Scheduled(plan, config),
+        Some(setup) => SurveyMode::Faulted(FaultContext {
+            plan: setup.plan,
+            policy: setup.policy,
+        }),
+    };
+    let name = match mode {
+        SurveyMode::Clean => "crawl.survey",
+        SurveyMode::Faulted(_) => "crawl.survey.faulted",
+        SurveyMode::Scheduled(..) => "crawl.survey.sched",
+    };
+    let mut span = recorder.span_at(name, parent, 0);
+    let total = view.len();
     let mut crawler = Crawler::new();
     for zone in zones {
         crawler.add_zone(zone);
     }
-    let population: Vec<&idnre_datagen::DomainRegistration> = eco
-        .idn_registrations
-        .iter()
-        .chain(&eco.non_idn_registrations)
-        .collect();
-    for reg in &population {
-        let (behavior, page) = crate::host_model(reg);
-        if let Some(behavior) = behavior {
-            crawler.set_host(&reg.domain, behavior, page);
+    view.for_each(0..total, &mut |reg| {
+        let (behavior, page) = host_model(reg);
+        crawler.set_host(&reg.domain, behavior, page);
+    });
+    // Pre-register every counter and stage the workers touch, so snapshot
+    // order cannot depend on which worker reaches a name first; the full
+    // outcome set leads, so a snapshot always carries all five.
+    match mode {
+        SurveyMode::Clean => {
+            recorder.preregister_groups(&[&OUTCOME_COUNTERS[..], &USAGE_COUNTERS[..]]);
+            recorder.preregister_stages(&[CRAWL_STAGES[0], CRAWL_STAGES[1], SURVEY_SLICE_SPAN]);
+        }
+        SurveyMode::Faulted(_) => {
+            recorder.preregister_groups(&[
+                &OUTCOME_COUNTERS[..],
+                &RETRY_COUNTERS[..],
+                &FAULT_COUNTERS[..],
+                &USAGE_COUNTERS[..],
+            ]);
+            recorder.preregister_stages(&[ATTEMPTS_HISTOGRAM, SURVEY_SLICE_SPAN]);
+        }
+        SurveyMode::Scheduled(..) => {
+            recorder.preregister_groups(&[
+                &OUTCOME_COUNTERS[..],
+                &RETRY_COUNTERS[..],
+                &FAULT_COUNTERS[..],
+                &USAGE_COUNTERS[..],
+                &SCHED_COUNTERS[..],
+            ]);
+            recorder.preregister_stages(&[
+                ATTEMPTS_HISTOGRAM,
+                SCHED_LATENCY_HISTOGRAM,
+                SCHED_SLICE_SPAN,
+            ]);
         }
     }
-    recorder.preregister_groups(&[
-        &OUTCOME_COUNTERS[..],
-        &RETRY_COUNTERS[..],
-        &FAULT_COUNTERS[..],
-        &USAGE_COUNTERS[..],
-        &SCHED_COUNTERS[..],
-    ]);
-    recorder.preregister_stages(&[
-        ATTEMPTS_HISTOGRAM,
-        SCHED_LATENCY_HISTOGRAM,
-        idnre_crawler::SCHED_SLICE_SPAN,
-    ]);
 
+    let window_starts: Vec<u64> = (0..total).step_by(SURVEY_SLICE_RECORDS).collect();
     let crawler = &crawler;
     let survey_ctx = span.ctx();
-    let per_chunk = idnre_par::par_chunks(
-        &population,
-        threads,
-        idnre_crawler::SURVEY_SLICE_RECORDS,
-        |slice_index, chunk| {
-            let mut slice_span =
-                idnre_crawler::sched_slice_span(recorder, survey_ctx, slice_index as u64);
-            slice_span.add_records(chunk.len() as u64);
-            let domains: Vec<&str> = chunk.iter().map(|reg| reg.domain.as_str()).collect();
-            let out = crawler.crawl_slice_scheduled(&domains, plan, config, recorder);
-            let mut local = SurveyStats::default();
-            for crawl in &out.crawls {
-                local.domains += 1;
-                local.attempts += u64::from(crawl.attempts);
-                local.retries += u64::from(crawl.retries);
-                local.exhausted += u64::from(crawl.exhausted);
-                local.deadline_hit += u64::from(crawl.deadline_hit);
-                local.faults_injected += u64::from(crawl.faults_injected);
-                local.terminal_faulted += u64::from(crawl.terminal_faulted);
-                local.backoff_nanos += crawl.backoff_nanos;
-                local.elapsed_nanos += crawl.latency_nanos;
-                if let Some(outcome) = crawl.dns_outcome {
-                    local.outcomes[outcome_index(outcome)] += 1;
-                }
-                if let Some(category) = crawl.category {
-                    local.usage[usage_index(category)] += 1;
-                }
-                if crawl.shed.is_some() {
-                    budget.record_shed(1);
-                } else if crawl.terminal_faulted {
-                    budget.record_error(1);
-                } else {
-                    budget.record_ok(1);
-                }
+    let per_window = idnre_par::par_chunks(&window_starts, threads, 1, |index, start| {
+        let window = start[0]..total.min(start[0] + SURVEY_SLICE_RECORDS as u64);
+        let mut slice_span = match mode {
+            SurveyMode::Scheduled(..) => sched_slice_span(recorder, survey_ctx, index as u64),
+            _ => survey_slice_span(recorder, survey_ctx, index as u64),
+        };
+        slice_span.add_records(window.end - window.start);
+        let mut local = SurveyStats::default();
+        let sched = match mode {
+            SurveyMode::Clean => {
+                view.for_each(window, &mut |reg| {
+                    let _ = crawler.crawl_recorded(&reg.domain, recorder);
+                    local.domains += 1;
+                });
+                None
             }
-            (local, out.stats)
-        },
-    );
+            SurveyMode::Faulted(ctx) => {
+                view.for_each(window, &mut |reg| {
+                    let mut clock = SimClock::new();
+                    let crawl = crawler.crawl_faulted(&reg.domain, &ctx, &mut clock, recorder);
+                    local.domains += 1;
+                    local.attempts += u64::from(crawl.resolution.attempts);
+                    local.retries += u64::from(crawl.resolution.retries)
+                        + u64::from(crawl.http_attempts.saturating_sub(1));
+                    local.exhausted += u64::from(crawl.resolution.exhausted);
+                    local.deadline_hit += u64::from(crawl.resolution.deadline_hit);
+                    local.faults_injected += u64::from(crawl.faults_injected);
+                    local.terminal_faulted += u64::from(crawl.terminal_faulted);
+                    local.backoff_nanos += crawl.resolution.backoff_nanos;
+                    local.elapsed_nanos += crawl.elapsed_nanos;
+                    local.outcomes[outcome_index(crawl.resolution.outcome)] += 1;
+                    local.usage[usage_index(crawl.category)] += 1;
+                    charge(budget, false, crawl.terminal_faulted);
+                });
+                None
+            }
+            SurveyMode::Scheduled(plan, config) => {
+                let mut domains = Vec::with_capacity(SURVEY_SLICE_RECORDS);
+                view.for_each(window, &mut |reg| domains.push(reg.domain.clone()));
+                let out = crawler.crawl_slice_scheduled(&domains, plan, config, recorder);
+                for crawl in &out.crawls {
+                    local.domains += 1;
+                    local.attempts += u64::from(crawl.attempts);
+                    local.retries += u64::from(crawl.retries);
+                    local.exhausted += u64::from(crawl.exhausted);
+                    local.deadline_hit += u64::from(crawl.deadline_hit);
+                    local.faults_injected += u64::from(crawl.faults_injected);
+                    local.terminal_faulted += u64::from(crawl.terminal_faulted);
+                    local.backoff_nanos += crawl.backoff_nanos;
+                    local.elapsed_nanos += crawl.latency_nanos;
+                    if let Some(outcome) = crawl.dns_outcome {
+                        local.outcomes[outcome_index(outcome)] += 1;
+                    }
+                    if let Some(category) = crawl.category {
+                        local.usage[usage_index(category)] += 1;
+                    }
+                    charge(budget, crawl.shed.is_some(), crawl.terminal_faulted);
+                }
+                Some(out.stats)
+            }
+        };
+        (local, sched)
+    });
     let mut stats = SurveyStats::default();
-    let mut sched = SchedStats::default();
-    for (local, slice_sched) in &per_chunk {
+    let mut sched = matches!(mode, SurveyMode::Scheduled(..)).then(SchedStats::default);
+    for (local, window_sched) in &per_window {
         stats.merge(local);
-        sched.merge(slice_sched);
+        if let (Some(sched), Some(window_sched)) = (&mut sched, window_sched) {
+            sched.merge(window_sched);
+        }
     }
     span.add_records(stats.domains);
     (stats, sched)
+}
+
+/// Charges one surveyed domain to `budget`: shed (lost coverage, never an
+/// error), an error when its terminal verdict was fault-made, else ok.
+fn charge(budget: Option<&ErrorBudget>, shed: bool, terminal_faulted: bool) {
+    match budget {
+        Some(budget) if shed => budget.record_shed(1),
+        Some(budget) if terminal_faulted => budget.record_error(1),
+        Some(budget) => budget.record_ok(1),
+        None => {}
+    }
+}
+
+/// Derives a deterministic authoritative-server model from a registration's
+/// ground-truth content category; every record gets a behaviour. The
+/// unresolved population spreads over REFUSED, SERVFAIL, timeouts and
+/// explicit lame delegations.
+fn host_model(reg: &DomainRegistration) -> (AuthBehavior, Option<Page>) {
+    let hash = fnv1a(reg.domain.as_bytes());
+    let ip = Ipv4Addr::new(203, 0, 113, (hash % 254 + 1) as u8);
+    let answer = AuthBehavior::Answer(ip);
+    match reg.content {
+        ContentCategory::NotResolved => {
+            // The paper: "all resolution errors come from name servers" —
+            // spread the failure modes over the unresolved population.
+            let behavior = match hash % 4 {
+                0 => AuthBehavior::Refuse,
+                1 => AuthBehavior::ServFail,
+                2 => AuthBehavior::Timeout,
+                _ => AuthBehavior::Lame,
+            };
+            (behavior, None)
+        }
+        ContentCategory::Error => (answer, None),
+        ContentCategory::Empty => (answer, Some(Page::new(200, "", PageKind::Empty))),
+        ContentCategory::Parked => (
+            answer,
+            Some(Page::new(200, "Domain parked", PageKind::Parking)),
+        ),
+        ContentCategory::ForSale => (
+            answer,
+            Some(Page::new(200, "Domain for sale", PageKind::ForSale)),
+        ),
+        ContentCategory::Redirected => (
+            answer,
+            Some(Page::new(
+                200,
+                "Redirecting",
+                PageKind::Redirect("https://destination.example/".to_string()),
+            )),
+        ),
+        _ => (
+            answer,
+            Some(Page::new(200, &reg.unicode, PageKind::Content)),
+        ),
+    }
 }

@@ -3,14 +3,15 @@
 //! corrupted corpus still completes in lenient mode with the damage
 //! accounted instead of aborting.
 
+use idnre_analyze::SliceSource;
 use idnre_bench::robust::{self, FaultSetup, RunHealth};
-use idnre_bench::{ReproContext, RunSpec};
-use idnre_crawler::FaultContext;
+use idnre_bench::{CorpusView, ReproContext, RunSpec};
+use idnre_crawler::{SURVEY_SLICE_RECORDS, SURVEY_SLICE_SPAN};
 use idnre_datagen::{Ecosystem, EcosystemConfig};
-use idnre_fault::{ErrorBudget, FaultPlan, FaultProfile, RetryPolicy};
-use idnre_telemetry::Registry;
+use idnre_fault::{FaultPlan, FaultProfile};
+use idnre_telemetry::{NoopRecorder, Registry};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// One small ecosystem shared across cases: generation dominates the cost
 /// and is independent of the fault layer under test.
@@ -23,6 +24,30 @@ fn eco() -> &'static Ecosystem {
             brand_count: 50,
             ..EcosystemConfig::default()
         })
+    })
+}
+
+/// Scale 1000: 5,346 records, 4,146 of them IDNs, so the crawl survey
+/// runs three windows and the third straddles the IDN/non-IDN boundary.
+/// Every other input here fits one window.
+fn multi_window_config(threads: usize) -> EcosystemConfig {
+    EcosystemConfig {
+        scale: 1000,
+        threads,
+        ..EcosystemConfig::default()
+    }
+}
+
+fn multi_window_eco() -> &'static Ecosystem {
+    static ECO: OnceLock<Ecosystem> = OnceLock::new();
+    ECO.get_or_init(|| {
+        let eco = Ecosystem::generate(&multi_window_config(4));
+        let idn = eco.idn_registrations.len();
+        assert!(
+            (2 * SURVEY_SLICE_RECORDS..3 * SURVEY_SLICE_RECORDS).contains(&idn),
+            "{idn} IDNs: the third window no longer straddles the boundary"
+        );
+        eco
     })
 }
 
@@ -39,24 +64,15 @@ fn profile(index: u8) -> FaultProfile {
 /// retried crawl survey) and returns everything observable: the health
 /// verdict and the deterministic slice of the telemetry snapshot.
 fn faulted_run(seed: u64, profile_index: u8, threads: usize) -> (RunHealth, String) {
-    let eco = eco();
-    let setup = FaultSetup {
-        plan: FaultPlan::new(seed, profile(profile_index)),
-        policy: RetryPolicy::default(),
-        threads,
-        sched: None,
-    };
+    let setup = FaultSetup::from_plan(FaultPlan::new(seed, profile(profile_index)));
+    faulted_run_on(eco(), &setup, threads)
+}
+
+fn faulted_run_on(eco: &Ecosystem, setup: &FaultSetup, threads: usize) -> (RunHealth, String) {
     let registry = Registry::new();
-    let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
-    let (zones, zone_stats) =
-        robust::ingest_zones_faulted(&eco.zones, &setup.plan, &budget, threads, &registry);
-    let whois_stats = robust::whois_survey(eco, Some(&setup.plan), Some(&budget), &registry);
-    let ctx = FaultContext {
-        plan: setup.plan,
-        policy: setup.policy,
-    };
-    let survey = robust::crawl_survey_faulted(eco, &zones, &ctx, setup.threads, &budget, &registry);
-    let health = RunHealth::new(&setup, zone_stats, whois_stats, survey, &budget);
+    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+    let view = CorpusView::resident(&source);
+    let health = robust::faulted_surveys(&view, eco, setup, threads, &registry);
     let metrics = registry.snapshot().render_deterministic_json();
     (health, metrics)
 }
@@ -109,32 +125,100 @@ fn corrupt_corpus_completes_leniently() {
 
 /// The full context path: two faulted builds with the same spec produce
 /// byte-identical `EXPERIMENTS.md` documents, Run health section
-/// included.
+/// included — at any thread count, and streamed at any shard size.
 #[test]
 fn full_reports_replay_byte_identically() {
-    let config = EcosystemConfig {
-        scale: 8000,
-        attack_scale: 100,
-        brand_count: 50,
-        ..EcosystemConfig::default()
-    };
     let setup = FaultSetup::from_plan(FaultPlan::from_spec("smoke").unwrap());
-    let report = |threads| {
-        let setup = FaultSetup { threads, ..setup };
-        let spec = RunSpec {
-            faults: Some(setup),
-            ..RunSpec::default()
+    let report = |threads, shard_size| {
+        let config = EcosystemConfig {
+            scale: 8000,
+            attack_scale: 100,
+            brand_count: 50,
+            threads,
+            ..EcosystemConfig::default()
         };
-        ReproContext::build(
-            &config,
-            &spec,
-            std::sync::Arc::new(idnre_telemetry::NoopRecorder),
-        )
-        .full_report()
+        faulted_report(&config, &setup, shard_size)
     };
-    let first = report(4);
-    assert_eq!(first, report(4), "same spec, same bytes");
-    assert_eq!(first, report(1), "thread count leaked into the report");
+    let first = report(4, None);
+    assert_eq!(first, report(4, None), "same spec, same bytes");
+    assert_eq!(
+        first,
+        report(1, None),
+        "thread count leaked into the report"
+    );
+    for shard_size in [64, 1024] {
+        assert_eq!(
+            first,
+            report(4, Some(shard_size)),
+            "streamed faulted report diverged at shard size {shard_size}"
+        );
+    }
     assert!(first.contains("## Run health"));
     assert!(first.contains("**degraded**"));
+}
+
+fn faulted_report(
+    config: &EcosystemConfig,
+    setup: &FaultSetup,
+    shard_size: Option<usize>,
+) -> String {
+    let spec = RunSpec {
+        shard_size,
+        faults: Some(*setup),
+        ..RunSpec::default()
+    };
+    ReproContext::build(config, &spec, Arc::new(NoopRecorder)).full_report()
+}
+
+/// Thread count stays invisible once the crawl survey fans out over
+/// several windows: the health and every counter of the synchronous
+/// faulted surveys match at 1 and 4 workers.
+#[test]
+fn multi_window_surveys_replay_across_thread_counts() {
+    for spec in ["smoke", "storm"] {
+        let setup = FaultSetup::from_plan(FaultPlan::from_spec(spec).unwrap());
+        let single = faulted_run_on(multi_window_eco(), &setup, 1);
+        assert!(single.0.survey.domains > 2 * SURVEY_SLICE_RECORDS as u64);
+        assert_eq!(
+            single,
+            faulted_run_on(multi_window_eco(), &setup, 4),
+            "{spec}"
+        );
+    }
+}
+
+/// Over several windows, the clean build's counters and stage totals
+/// are thread-invariant, and the streamed faulted report equals the batch
+/// faulted report at any thread count.
+#[test]
+fn multi_window_builds_replay_across_modes_and_threads() {
+    let clean_metrics = |threads| {
+        let registry = Arc::new(Registry::new());
+        let _ = ReproContext::build(
+            &multi_window_config(threads),
+            &RunSpec::default(),
+            registry.clone(),
+        );
+        assert_eq!(
+            registry.stage(SURVEY_SLICE_SPAN).calls(),
+            3,
+            "survey windows"
+        );
+        registry.snapshot().render_deterministic_json()
+    };
+    assert_eq!(
+        clean_metrics(1),
+        clean_metrics(4),
+        "clean build metrics diverged"
+    );
+
+    let setup = FaultSetup::from_plan(FaultPlan::from_spec("smoke").unwrap());
+    let batch = faulted_report(&multi_window_config(4), &setup, None);
+    for threads in [1, 4] {
+        assert_eq!(
+            batch,
+            faulted_report(&multi_window_config(threads), &setup, Some(64)),
+            "streamed faulted report diverged at {threads} threads"
+        );
+    }
 }

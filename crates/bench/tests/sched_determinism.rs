@@ -4,10 +4,12 @@
 //! wheel tick, and a storm run degrades (sheds, trips breakers, exits 3)
 //! instead of exceeding its budget.
 
+use idnre_analyze::SliceSource;
 use idnre_bench::robust::{self, FaultSetup, RunHealth};
-use idnre_bench::{ReproContext, RunSpec};
+use idnre_bench::{CorpusView, ReproContext, RunSpec};
+use idnre_crawler::SURVEY_SLICE_RECORDS;
 use idnre_datagen::{Ecosystem, EcosystemConfig};
-use idnre_fault::{ErrorBudget, FaultPlan, FaultProfile, RetryPolicy, RunStatus};
+use idnre_fault::{FaultPlan, FaultProfile, RunStatus};
 use idnre_sched::SchedConfig;
 use idnre_telemetry::Registry;
 use proptest::prelude::*;
@@ -41,6 +43,25 @@ fn smoke_eco() -> &'static Ecosystem {
     })
 }
 
+/// Scale 1000: 5,346 records, 4,146 of them IDNs — three scheduler
+/// windows, the third straddling the IDN/non-IDN boundary. Every other
+/// input here fits one window.
+fn multi_window_eco() -> &'static Ecosystem {
+    static ECO: OnceLock<Ecosystem> = OnceLock::new();
+    ECO.get_or_init(|| {
+        let eco = Ecosystem::generate(&EcosystemConfig {
+            scale: 1000,
+            ..EcosystemConfig::default()
+        });
+        let idn = eco.idn_registrations.len();
+        assert!(
+            (2 * SURVEY_SLICE_RECORDS..3 * SURVEY_SLICE_RECORDS).contains(&idn),
+            "{idn} IDNs: the third window no longer straddles the boundary"
+        );
+        eco
+    })
+}
+
 fn profile(index: u8) -> FaultProfile {
     match index % 3 {
         0 => FaultProfile::none(),
@@ -62,35 +83,18 @@ fn scheduled_run_on(
     profile_index: u8,
     threads: usize,
 ) -> (RunHealth, String) {
-    let config = SchedConfig::default();
-    let setup = FaultSetup {
-        plan: FaultPlan::new(seed, profile(profile_index)),
-        policy: RetryPolicy::default(),
-        threads,
-        sched: Some(config),
-    };
+    let setup = FaultSetup::from_plan(FaultPlan::new(seed, profile(profile_index)))
+        .with_sched(SchedConfig::default());
+    surveys_on(eco, &setup, threads)
+}
+
+/// Runs the faulted surveys over `eco`'s resident corpus and returns the
+/// health verdict plus the deterministic slice of the telemetry snapshot.
+fn surveys_on(eco: &Ecosystem, setup: &FaultSetup, threads: usize) -> (RunHealth, String) {
     let registry = Registry::new();
-    let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
-    let (zones, zone_stats) =
-        robust::ingest_zones_faulted(&eco.zones, &setup.plan, &budget, threads, &registry);
-    let whois_stats = robust::whois_survey(eco, Some(&setup.plan), Some(&budget), &registry);
-    let (survey, sched) = robust::crawl_survey_scheduled(
-        eco,
-        &zones,
-        &setup.plan,
-        &config,
-        threads,
-        &budget,
-        &registry,
-    );
-    let health = RunHealth::with_sched(
-        &setup,
-        zone_stats,
-        whois_stats,
-        survey,
-        &budget,
-        Some(sched),
-    );
+    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+    let view = CorpusView::resident(&source);
+    let health = robust::faulted_surveys(&view, eco, setup, threads, &registry);
     let metrics = registry.snapshot().render_deterministic_json();
     (health, metrics)
 }
@@ -196,21 +200,23 @@ fn clean_runs_never_shed() {
 
 /// The full context path: two scheduled faulted builds with the same spec
 /// produce byte-identical `EXPERIMENTS.md` documents, scheduler paragraph
-/// included, at any thread count.
+/// included, at any thread count — and streamed at any shard size, since
+/// the streamed survey walks the same windows.
 #[test]
 fn scheduled_reports_replay_byte_identically() {
-    // The storm-smoke scale: the scheduler's "**degraded**" verdict is
-    // part of the asserted bytes.
-    let config = EcosystemConfig {
-        scale: 2000,
-        attack_scale: 25,
-        ..EcosystemConfig::default()
-    };
     let setup = FaultSetup::from_plan(FaultPlan::from_spec("storm").unwrap())
         .with_sched(SchedConfig::default());
-    let report = |threads| {
-        let setup = FaultSetup { threads, ..setup };
+    let report = |threads, shard_size| {
+        // The storm-smoke scale: the scheduler's "**degraded**" verdict is
+        // part of the asserted bytes.
+        let config = EcosystemConfig {
+            scale: 2000,
+            attack_scale: 25,
+            threads,
+            ..EcosystemConfig::default()
+        };
         let spec = RunSpec {
+            shard_size,
             faults: Some(setup),
             ..RunSpec::default()
         };
@@ -221,32 +227,39 @@ fn scheduled_reports_replay_byte_identically() {
         )
         .full_report()
     };
-    let first = report(4);
-    assert_eq!(first, report(4), "same spec, same bytes");
-    assert_eq!(first, report(1), "thread count leaked into the report");
+    let first = report(4, None);
+    assert_eq!(first, report(4, None), "same spec, same bytes");
+    assert_eq!(
+        first,
+        report(1, None),
+        "thread count leaked into the report"
+    );
+    for shard_size in [64, 1024] {
+        assert_eq!(
+            first,
+            report(4, Some(shard_size)),
+            "streamed scheduled report diverged at shard size {shard_size}"
+        );
+    }
     assert!(first.contains("## Run health"));
     assert!(first.contains("Crawl scheduler:"));
     assert!(first.contains("**degraded**"));
 }
 
 fn sync_run(eco: &Ecosystem, seed: u64, threads: usize) -> (RunHealth, String) {
-    let setup = FaultSetup {
-        plan: FaultPlan::new(seed, FaultProfile::storm()),
-        policy: RetryPolicy::default(),
-        threads,
-        sched: None,
-    };
-    let registry = Registry::new();
-    let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
-    let (zones, zone_stats) =
-        robust::ingest_zones_faulted(&eco.zones, &setup.plan, &budget, threads, &registry);
-    let whois_stats = robust::whois_survey(eco, Some(&setup.plan), Some(&budget), &registry);
-    let ctx = idnre_crawler::FaultContext {
-        plan: setup.plan,
-        policy: setup.policy,
-    };
-    let survey = robust::crawl_survey_faulted(eco, &zones, &ctx, setup.threads, &budget, &registry);
-    let health = RunHealth::new(&setup, zone_stats, whois_stats, survey, &budget);
-    let metrics = registry.snapshot().render_deterministic_json();
-    (health, metrics)
+    let setup = FaultSetup::from_plan(FaultPlan::new(seed, FaultProfile::storm()));
+    surveys_on(eco, &setup, threads)
+}
+
+/// Thread count stays invisible once the scheduled survey runs several
+/// windows: the storm's health, scheduler accounting and every counter
+/// match at 1 and 4 workers.
+#[test]
+fn multi_window_schedules_replay_across_thread_counts() {
+    let setup = FaultSetup::from_plan(FaultPlan::from_spec("storm").unwrap())
+        .with_sched(SchedConfig::default());
+    let single = surveys_on(multi_window_eco(), &setup, 1);
+    assert!(single.0.survey.domains > 2 * SURVEY_SLICE_RECORDS as u64);
+    assert!(single.0.sched.expect("scheduled run").shed_total() > 0);
+    assert_eq!(single, surveys_on(multi_window_eco(), &setup, 4));
 }

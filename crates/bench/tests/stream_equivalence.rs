@@ -6,7 +6,7 @@
 //! directly rather than trusted.
 
 use idnre_analyze::{SliceSource, SCAN_SPAN};
-use idnre_bench::{passes, CandidateSurvey, ReproContext, RunSpec};
+use idnre_bench::{passes, CandidateSurvey, FaultSetup, ReproContext, RunSpec};
 use idnre_core::{HomographDetector, SemanticDetector};
 use idnre_datagen::{Ecosystem, EcosystemConfig, PEAK_RESIDENT_RECORDS};
 use idnre_telemetry::{NoopRecorder, Registry};
@@ -108,12 +108,24 @@ fn full_report_traverses_the_corpus_once() {
 /// The streamed build's resident-set gauge stays proportional to
 /// shard_size × workers, never to the corpus: at most one live shard per
 /// worker per pipelined stage (generation, scan, surveys), with a 4×
-/// allowance for handoff overlap.
+/// allowance for handoff overlap. The faulted surveys walk the same
+/// bounded shards as the clean ones.
 #[test]
 fn streamed_peak_residency_is_bounded_by_shard_size() {
-    let (threads, shard_size) = (4usize, 64usize);
+    let smoke = FaultSetup::from_plan(idnre_fault::FaultPlan::from_spec("smoke").unwrap());
+    for faults in [None, Some(smoke)] {
+        assert_peak_residency_is_bounded(RunSpec {
+            faults,
+            ..streamed(64)
+        });
+    }
+}
+
+fn assert_peak_residency_is_bounded(spec: RunSpec) {
+    let threads = 4usize;
+    let shard_size = spec.shard_size.expect("a streamed build");
     let registry = Arc::new(Registry::new());
-    let ctx = ReproContext::build(&config(threads), &streamed(shard_size), registry.clone());
+    let ctx = ReproContext::build(&config(threads), &spec, registry.clone());
     let peak = registry.gauge_peak(PEAK_RESIDENT_RECORDS);
     assert!(peak > 0, "gauge never recorded");
     // The gauge is first-class in the snapshot: its own section, with the

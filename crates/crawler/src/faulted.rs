@@ -46,21 +46,22 @@ pub const FAULT_COUNTERS: [&str; 5] = [
 /// how many attempts each target needed.
 pub const ATTEMPTS_HISTOGRAM: &str = "crawler.retry.attempts";
 
-/// Stage name of one faulted-survey slice: a batch of crawl schedules
-/// executed together by a survey worker.
+/// Stage name of one crawl-survey slice: a batch of domains crawled
+/// together by a survey worker (clean or under the retry schedule).
 pub const SURVEY_SLICE_SPAN: &str = "crawler.survey.slice";
 
-/// How many domains one faulted-survey slice covers. The slice size is a
+/// How many domains one crawl-survey slice covers. The slice size is a
 /// constant (never derived from the worker count), so the slice spans —
 /// and therefore the trace tree's structure — are identical across
 /// thread counts for a given population.
 pub const SURVEY_SLICE_RECORDS: usize = 2_048;
 
-/// Opens the timed span for faulted-survey slice `index`, parented under
+/// Opens the timed span for crawl-survey slice `index`, parented under
 /// the survey's own span. Per-*domain* spans would swamp a trace (and a
 /// schedule costs nanoseconds, far below span resolution), so the slice
-/// is the unit of span parenting for the faulted survey: coarse enough
-/// to stay readable, fine enough to show worker-level cost spread.
+/// is the unit of span parenting for the clean and faulted surveys:
+/// coarse enough to stay readable, fine enough to show worker-level cost
+/// spread.
 pub fn survey_slice_span(recorder: &dyn Recorder, parent: SpanCtx, index: u64) -> Span {
     recorder.span_at(SURVEY_SLICE_SPAN, parent, index)
 }

@@ -58,6 +58,11 @@ use idnre_telemetry::Recorder;
 use idnre_zonefile::Zone;
 use std::collections::HashMap;
 
+/// Stage names of the per-domain spans [`Crawler::crawl_recorded`] opens,
+/// in first-use order (`crawler.crawl` wraps `crawler.resolve`). Exposed
+/// so multi-threaded harnesses can pre-register both.
+pub const CRAWL_STAGES: [&str; 2] = ["crawler.crawl", "crawler.resolve"];
+
 /// Counter names for each [`ResolutionOutcome`], used by
 /// [`Crawler::resolve_recorded`]. Exposed so harnesses can pre-register
 /// the full set (a counter that never fires still shows up at zero).
@@ -148,7 +153,7 @@ impl Crawler {
     /// [`Crawler::resolve`] with a `crawler.resolve` latency span and a
     /// per-outcome counter (`crawler.outcome.*`) reported to `recorder`.
     pub fn resolve_recorded(&self, domain: &str, recorder: &dyn Recorder) -> ResolutionOutcome {
-        let mut span = recorder.span("crawler.resolve");
+        let mut span = recorder.span(CRAWL_STAGES[1]);
         let outcome = self.resolver.resolve(domain);
         span.add_records(1);
         drop(span);
@@ -160,7 +165,7 @@ impl Crawler {
     /// counters and per-category usage counters (`crawler.usage.*`)
     /// reported to `recorder`.
     pub fn crawl_recorded(&self, domain: &str, recorder: &dyn Recorder) -> UsageCategory {
-        let mut span = recorder.span("crawler.crawl");
+        let mut span = recorder.span(CRAWL_STAGES[0]);
         let resolution = self.resolve_recorded(domain, recorder);
         let outcome = fetch(&resolution, self.pages.get(&domain.to_ascii_lowercase()));
         let category = classify(&outcome);
