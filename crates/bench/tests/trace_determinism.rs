@@ -6,6 +6,7 @@
 //! differ between runs.
 
 use idnre_bench::{ReproContext, RunSpec};
+use idnre_crawler::{SURVEY_SLICE_RECORDS, SURVEY_SLICE_SPAN};
 use idnre_datagen::EcosystemConfig;
 use idnre_telemetry::Registry;
 use proptest::prelude::*;
@@ -88,7 +89,8 @@ proptest! {
 
 /// The tree has the documented shape: pipeline phases under the run root,
 /// one group per registered pass under `analyze.scan` with one child span
-/// per shard, and generation sub-stages under `build.ecosystem`.
+/// per shard, generation sub-stages under `build.ecosystem`, and one slice
+/// span per survey window under `crawl.survey`.
 #[test]
 fn trace_tree_has_the_documented_shape() {
     let registry = Arc::new(Registry::with_trace());
@@ -122,6 +124,15 @@ fn trace_tree_has_the_documented_shape() {
     let build = root.child("build.ecosystem").unwrap();
     assert!(build.child("datagen.stream.plan").is_some());
     assert!(build.child("datagen.stream.artifacts").is_some());
+
+    // The crawl survey runs fixed-size windows, one slice span each.
+    let survey = root.child("crawl.survey").unwrap();
+    let corpus = ctx.outputs.idn_len + ctx.outputs.non_idn_len;
+    assert_eq!(
+        survey.children.len() as u64,
+        corpus.div_ceil(SURVEY_SLICE_RECORDS as u64)
+    );
+    assert!(survey.children.iter().all(|s| s.name == SURVEY_SLICE_SPAN));
 
     let scan = root.child("analyze.scan").unwrap();
     // 3 detector passes + 6 report aggregation passes, each a group whose
