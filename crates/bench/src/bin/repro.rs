@@ -27,13 +27,14 @@
 //! repro --stream --epochs 5 --churn-per-mille 20 all  # ~2% churn per epoch
 //! ```
 //!
-//! With `--metrics`, every pipeline stage (generation, detector scans, the
-//! crawl survey, each report generator) is timed through
-//! [`idnre_telemetry::Registry`] and the snapshot is rendered to stderr, so
-//! stdout stays a clean report stream. `--write PATH` combined with
+//! With `--metrics`, every pipeline stage (generation, the fused scan's
+//! passes — Table V's sample crawl among them — each report generator) is
+//! timed through [`idnre_telemetry::Registry`] and the snapshot is
+//! rendered to stderr, so stdout stays a clean report stream. `--write PATH` combined with
 //! `--metrics json` also writes the snapshot to `PATH.metrics.json`.
 //!
-//! With `--faults`, ingest and the crawl survey run under a seeded fault
+//! With `--faults`, the run adds the corpus-wide surveys: lenient zone
+//! ingest, the WHOIS crawl and the crawl survey run under a seeded fault
 //! schedule with retry/backoff, the report gains a "Run health" section,
 //! and the exit code follows the error-budget contract: 0 clean, 3
 //! degraded (errors within budget), 4 budget exceeded. A fixed spec
@@ -44,10 +45,10 @@
 //!
 //! With `--stream`, the registration corpus is never materialized whole:
 //! the streaming generator regenerates `--shard-size N` records at a time
-//! (default 1024) and the fused analysis scan and surveys walk the shards,
-//! so peak resident records stay ≈ `shard_size × threads` at any scale
-//! (reported as the `datagen.peak_resident_records` counter under
-//! `--metrics`). The report bytes are identical to the batch build, with
+//! (default 1024) and the fused analysis scan (and any faulted survey)
+//! walks the shards, so peak resident records stay ≈ `shard_size ×
+//! threads` at any scale (reported as the `datagen.peak_resident_records`
+//! counter under `--metrics`). The report bytes are identical to the batch build, with
 //! or without `--faults` and `--crawl-sched`: the faulted surveys walk
 //! the same shards. `--stream` cannot be combined with `--dump-dataset`;
 //! with `--bench` it selects the streamed bench leg's shard size.

@@ -178,9 +178,8 @@ mod tests {
             validate_flags(&with(&["--crawl-sched", "--faults"])),
             Ok(())
         );
-        // The faulted surveys walk the streamed corpus view like the clean
-        // ones, so a fault schedule (scheduled or not) composes with
-        // --stream.
+        // The faulted surveys walk the streamed corpus view like the scan,
+        // so a fault schedule (scheduled or not) composes with --stream.
         assert_eq!(validate_flags(&with(&["--stream", "--faults"])), Ok(()));
         assert_eq!(
             validate_flags(&with(&["--crawl-sched", "--faults", "--stream"])),

@@ -66,7 +66,7 @@ pub const DEFAULT_SHARD_SIZE: usize = 1024;
 pub struct RunSpec {
     /// `Some(n)` streams the corpus (`--stream --shard-size n`): the
     /// registration vectors are never materialized, and the column build,
-    /// the fused scan and the surveys (clean or faulted) regenerate
+    /// the fused scan and (under `faults`) the surveys regenerate
     /// `n`-record shards on demand. `None` materializes the corpus and
     /// scans it in [`DEFAULT_SHARD_SIZE`] shards.
     pub shard_size: Option<usize>,
@@ -75,13 +75,14 @@ pub struct RunSpec {
     /// scan, pass B verifies and clusters the non-singleton buckets, and
     /// [`ReproContext::mining`] carries the result.
     pub mine: bool,
-    /// Runs the surveys under a fault schedule (`--faults`): the zone
-    /// corpus round-trips through lenient ingest with seeded corruption,
-    /// the WHOIS crawl sees corrupted transfers, and the crawl survey runs
-    /// the full retry schedule; [`ReproContext::health`] carries the
-    /// verdict. The faulted surveys walk the same [`CorpusView`] as the
-    /// clean ones, so a streamed faulted build reports the batch faulted
-    /// build's bytes.
+    /// Runs the corpus-wide surveys under a fault schedule (`--faults`):
+    /// the zone corpus round-trips through lenient ingest with seeded
+    /// corruption, the WHOIS crawl sees corrupted transfers, and the crawl
+    /// survey runs the full retry schedule; [`ReproContext::health`]
+    /// carries the verdict. A clean build runs no survey: Table V's only
+    /// crawl is its 500-domain samples, inside the fused scan. The faulted
+    /// surveys walk the same [`CorpusView`] as the scan, so a streamed
+    /// faulted build reports the batch faulted build's bytes.
     pub faults: Option<FaultSetup>,
 }
 
@@ -127,9 +128,10 @@ impl std::fmt::Debug for ReproContext {
 
 impl ReproContext {
     /// Generates the ecosystem, enumerates the [`CandidateSurvey`], runs
-    /// the fused analysis scan (both detectors, every report aggregator
-    /// and, under [`RunSpec::mine`], the miner), then the crawl and WHOIS
-    /// surveys — clean, or under [`RunSpec::faults`]. Every stage reports
+    /// the fused analysis scan (both detectors, every report aggregator —
+    /// Table V's sample crawl among them — and, under [`RunSpec::mine`],
+    /// the miner), then, under [`RunSpec::faults`] only, the crawl and
+    /// WHOIS surveys. Every stage reports
     /// to `recorder`; the built context, and therefore every report, is
     /// byte-identical for any recorder, thread count and
     /// [`RunSpec::shard_size`].
@@ -180,30 +182,13 @@ impl ReproContext {
             &*recorder,
             SpanCtx::ROOT,
         );
-        let health = match &spec.faults {
-            None => {
-                robust::crawl_survey(
-                    &view,
-                    &eco.zones,
-                    None,
-                    config.threads,
-                    None,
-                    &*recorder,
-                    SpanCtx::ROOT,
-                );
-                robust::whois_survey(&view, &eco, None, None, &*recorder, SpanCtx::ROOT);
-                None
-            }
-            Some(setup) => Some(robust::faulted_surveys(
-                &view,
-                &eco,
-                setup,
-                config.threads,
-                &*recorder,
-            )),
-        };
+        let health = spec
+            .faults
+            .as_ref()
+            .map(|setup| robust::faulted_surveys(&view, &eco, setup, config.threads, &*recorder));
         if let Some(corpus) = &corpus {
-            // Recorded last so the gauge covers the surveys' shard walks too.
+            // Recorded last so the gauge covers the faulted surveys' shard
+            // walks too.
             recorder.gauge_max(idnre_datagen::PEAK_RESIDENT_RECORDS, corpus.gauge().peak());
         }
         ReproContext {
@@ -467,14 +452,86 @@ mod tests {
         for stage in &snapshot.stages {
             assert!(stage.calls > 0, "{} never called", stage.name);
         }
+        let json = snapshot.render_json();
+        assert!(json.starts_with(&format!("{{\"schema\":\"{}\"", idnre_telemetry::SCHEMA)));
+
+        // Only a faulted build surveys the corpus, and its crawl survey
+        // pre-registers the full outcome set.
+        let plan = idnre_fault::FaultPlan::from_spec("smoke").expect("known profile");
+        let spec = RunSpec {
+            faults: Some(FaultSetup::from_plan(plan)),
+            ..RunSpec::default()
+        };
+        let registry = Arc::new(idnre_telemetry::Registry::new());
+        let _ = ReproContext::build(&config(), &spec, registry.clone());
+        let snapshot = registry.snapshot();
         for name in OUTCOME_COUNTERS {
             assert!(
                 snapshot.counters.iter().any(|c| c.name == name),
                 "missing pre-registered counter {name}"
             );
         }
-        let json = snapshot.render_json();
-        assert!(json.starts_with(&format!("{{\"schema\":\"{}\"", idnre_telemetry::SCHEMA)));
+    }
+
+    /// Table V is a measurement: the content pass crawls its sample
+    /// through `robust::host_model`'s hosts. Over every record of both
+    /// populations the crawl recovers the generator's category, so the
+    /// crawled-vs-ground-truth confusion matrix is exactly diagonal, and
+    /// the folded counts equal the ground-truth tally of each population's
+    /// first [`passes::CONTENT_SAMPLE`] records. The sample crawl records
+    /// nothing: a clean build registers no `crawler.*` counter or stage.
+    #[test]
+    fn table_v_crawl_recovers_the_ground_truth() {
+        use idnre_crawler::UsageCategory;
+        let registry = Arc::new(idnre_telemetry::Registry::new());
+        let ctx = ReproContext::build(&config(), &RunSpec::default(), registry.clone());
+        let mut confusion = [[0u64; UsageCategory::ALL.len()]; UsageCategory::ALL.len()];
+        let mut truth = passes::ContentCounts {
+            idn: [0; UsageCategory::ALL.len()],
+            non_idn: [0; UsageCategory::ALL.len()],
+        };
+        for (registrations, sample) in [
+            (&ctx.eco.idn_registrations, &mut truth.idn),
+            (&ctx.eco.non_idn_registrations, &mut truth.non_idn),
+        ] {
+            for (i, reg) in registrations.iter().enumerate() {
+                let expected = robust::usage_index(reg.content);
+                confusion[expected][robust::usage_index(robust::sample_crawl(reg))] += 1;
+                if (i as u64) < passes::CONTENT_SAMPLE {
+                    sample[expected] += 1;
+                }
+            }
+        }
+        for (expected, row) in confusion.iter().enumerate() {
+            for (crawled, &count) in row.iter().enumerate() {
+                if crawled == expected {
+                    assert!(
+                        count > 0,
+                        "{:?} never crawled",
+                        UsageCategory::ALL[expected]
+                    );
+                } else {
+                    assert_eq!(
+                        count,
+                        0,
+                        "{:?} crawled as {:?}",
+                        UsageCategory::ALL[expected],
+                        UsageCategory::ALL[crawled]
+                    );
+                }
+            }
+        }
+        assert_eq!(ctx.outputs.content, truth);
+
+        let snapshot = registry.snapshot();
+        assert!(snapshot
+            .stages
+            .iter()
+            .all(|s| !s.name.starts_with("crawler.") && !s.name.starts_with("crawl.")));
+        assert!(snapshot
+            .counters
+            .iter()
+            .all(|c| !c.name.starts_with("crawler.")));
     }
 
     /// The candidate survey is enumerated once per build; rendering the

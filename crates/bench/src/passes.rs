@@ -4,14 +4,15 @@
 //!
 //! Every aggregate a report table used to rescan the corpus for is folded
 //! here instead: per-TLD blacklist tallies (Table I), the language mix
-//! (Table II), content-category samples (Table V), the three passive-DNS
-//! activity populations (Figures 2–4), Type-2 semantic findings (Table X),
-//! the top-registrant unicode portfolio (Table III) and the
-//! registered-lookalike set (Figure 6). The partials are [`Merge`]-able and
-//! merged in shard order, so the outputs are byte-identical across thread
-//! counts and shard sizes.
+//! (Table II), the crawled content-category samples (Table V), the three
+//! passive-DNS activity populations (Figures 2–4), Type-2 semantic
+//! findings (Table X), the top-registrant unicode portfolio (Table III)
+//! and the registered-lookalike set (Figure 6). The partials are
+//! [`Merge`]-able and merged in shard order, so the outputs are
+//! byte-identical across thread counts and shard sizes.
 
 use crate::mine::{BucketIndexPass, MiningPlan};
+use crate::robust::{sample_crawl, usage_index};
 use idnre_analyze::{
     AnalysisPass, DeltaStream, EpochState, EpochStats, KeyedTally, Merge, Observed, PassHandle,
     Population, RecordSource, ScanResult, ShardedScan,
@@ -22,7 +23,7 @@ use idnre_core::{
     ColumnedHomographPass, HomographDetector, HomographFinding, Semantic1Pass, Semantic2Pass,
     SemanticDetector, SemanticFinding, SkeletonCache,
 };
-use idnre_datagen::ContentCategory;
+use idnre_crawler::UsageCategory;
 use idnre_langid::{Classifier, Language};
 use idnre_pdns::{ActivityAnalytics, PdnsStore};
 use idnre_telemetry::{Recorder, SpanCtx};
@@ -279,14 +280,14 @@ impl AnalysisPass for LanguagePass<'_> {
     }
 }
 
-/// Table V's sampled content-category counts, one bucket per
-/// [`ContentCategory::ALL`] entry and population.
+/// Table V's crawled content-category counts, one bucket per
+/// [`UsageCategory::ALL`] entry and population.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentCounts {
-    /// IDN sample counts in [`ContentCategory::ALL`] order.
-    pub idn: [u64; ContentCategory::ALL.len()],
-    /// Non-IDN sample counts in [`ContentCategory::ALL`] order.
-    pub non_idn: [u64; ContentCategory::ALL.len()],
+    /// IDN sample counts in [`UsageCategory::ALL`] order.
+    pub idn: [u64; UsageCategory::ALL.len()],
+    /// Non-IDN sample counts in [`UsageCategory::ALL`] order.
+    pub non_idn: [u64; UsageCategory::ALL.len()],
 }
 
 impl Merge for ContentCounts {
@@ -301,8 +302,10 @@ impl Merge for ContentCounts {
     }
 }
 
-/// Counts content categories over the first [`CONTENT_SAMPLE`] records of
-/// each population (the paper samples 500 domains per population).
+/// Table V's measurement: crawls the first [`CONTENT_SAMPLE`] records of
+/// each population (the paper samples 500 domains per population) through
+/// resolve → fetch → classify, and counts the categories the crawler
+/// reports.
 #[derive(Debug, Clone, Copy)]
 pub struct ContentPass;
 
@@ -316,8 +319,8 @@ impl AnalysisPass for ContentPass {
 
     fn empty(&self) -> Self::Partial {
         ContentCounts {
-            idn: [0; ContentCategory::ALL.len()],
-            non_idn: [0; ContentCategory::ALL.len()],
+            idn: [0; UsageCategory::ALL.len()],
+            non_idn: [0; UsageCategory::ALL.len()],
         }
     }
 
@@ -325,12 +328,7 @@ impl AnalysisPass for ContentPass {
         if rec.index >= CONTENT_SAMPLE {
             return;
         }
-        let Some(bucket) = ContentCategory::ALL
-            .iter()
-            .position(|&c| c == rec.reg.content)
-        else {
-            return;
-        };
+        let bucket = usage_index(sample_crawl(rec.reg));
         match rec.population {
             Population::Idn => partial.idn[bucket] += 1,
             Population::NonIdn => partial.non_idn[bucket] += 1,

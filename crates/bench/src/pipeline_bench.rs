@@ -6,13 +6,14 @@
 //!
 //! 1. **Telemetry spans.** The pipeline runs once under a
 //!    [`Registry`]; every stage span it records (generation sub-stages,
-//!    the detector scans, the surveys, each report generator) becomes one
-//!    entry with its measured wall time and record count.
+//!    the fused scan's passes, each report generator) becomes one entry
+//!    with its measured wall time and record count.
 //! 2. **Explicit probes.** Stages whose cost the spans do not isolate are
 //!    re-measured directly: punycode decode over the IDN corpus, lenient
-//!    zone ingest over the emitted zones, and the homograph scan in both
-//!    its indexed and exhaustive forms over several corpus sizes — the
-//!    indexed-vs-exhaustive pair is the regression gate CI holds every
+//!    zone ingest over the emitted zones, the corpus-wide crawl survey
+//!    (synchronous and scheduled, fault-free), and the homograph scan in
+//!    both its indexed and exhaustive forms over several corpus sizes —
+//!    the indexed-vs-exhaustive pair is the regression gate CI holds every
 //!    future change to.
 //!
 //! # Schema (`idnre-bench-pipeline/6`)
@@ -662,9 +663,9 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         let _ = crate::robust::crawl_survey(
             &view,
             &ctx.eco.zones,
-            Some(&setup),
+            &setup,
             threads,
-            Some(&idnre_fault::ErrorBudget::new(0)),
+            &idnre_fault::ErrorBudget::new(0),
             &NoopRecorder,
             SpanCtx::NONE,
         );

@@ -3,7 +3,7 @@
 use crate::ReproContext;
 use idnre_certs::{CertProblem, Validator};
 use idnre_core::AbuseAnalysis;
-use idnre_datagen::ContentCategory;
+use idnre_crawler::UsageCategory;
 use idnre_langid::Language;
 use idnre_pdns::{ActivityAnalytics, PopulationClass, TrafficModel};
 use idnre_stats::plot::{bar_chart, ecdf_plot, Series};
@@ -427,7 +427,7 @@ pub fn table5(ctx: &ReproContext) -> String {
     let counts = &ctx.outputs.content;
     let idn_total = sample.min(ctx.outputs.idn_len);
     let non_total = sample.min(ctx.outputs.non_idn_len);
-    for (i, category) in ContentCategory::ALL.iter().enumerate() {
+    for (i, category) in UsageCategory::ALL.iter().enumerate() {
         let a = counts.idn[i];
         let b = counts.non_idn[i];
         table.row(vec![

@@ -1,28 +1,30 @@
-//! The corpus surveys and degrade-and-continue: the crawl and WHOIS
-//! surveys (one implementation each, clean or fault-injected), lenient
-//! zone ingest, the error budget that grades a faulted run, and the "Run
-//! health" report section.
+//! The crawl front end and degrade-and-continue: the host model behind
+//! every crawl, the fault-injected crawl and WHOIS surveys of a
+//! `--faults` run, lenient zone ingest, the error budget that grades a
+//! faulted run, and the "Run health" report section.
 //!
-//! The strict pipeline treats every input as pristine and every query as
-//! answered; this module is the other half of the reproduction story. A
-//! seeded [`FaultPlan`] corrupts a slice of the zone and WHOIS corpora and
-//! makes a slice of crawl attempts fail; the lenient parsers and the retry
-//! executor absorb what they can; whatever is genuinely lost lands in an
-//! [`ErrorBudget`] whose verdict — clean, degraded, budget-exceeded —
-//! becomes the process exit code. Everything here is driven by virtual
-//! time and stateless hashes, so a fixed fault spec replays byte-for-byte
-//! across runs *and* across worker-thread counts.
+//! A clean run crawls only Table V's sample, one record at a time inside
+//! the content pass (`sample_crawl`); it runs no corpus-wide survey. The
+//! strict pipeline treats every input as pristine and every query as
+//! answered; the faulted surveys are the other half of the reproduction
+//! story. A seeded [`FaultPlan`] corrupts a slice of the zone and WHOIS
+//! corpora and makes a slice of crawl attempts fail; the lenient parsers
+//! and the retry executor absorb what they can; whatever is genuinely
+//! lost lands in an [`ErrorBudget`] whose verdict — clean, degraded,
+//! budget-exceeded — becomes the process exit code. Everything here is
+//! driven by virtual time and stateless hashes, so a fixed fault spec
+//! replays byte-for-byte across runs *and* across worker-thread counts.
 
 use crate::CorpusView;
 use idnre_analyze::Population;
 use idnre_arena::fnv1a;
 use idnre_crawler::{
     sched_slice_span, survey_slice_span, AuthBehavior, Crawler, FaultContext, Page, PageKind,
-    ResolutionOutcome, UsageCategory, ATTEMPTS_HISTOGRAM, CRAWL_STAGES, FAULT_COUNTERS,
-    OUTCOME_COUNTERS, RETRY_COUNTERS, SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, SCHED_SLICE_SPAN,
+    ResolutionOutcome, UsageCategory, ATTEMPTS_HISTOGRAM, FAULT_COUNTERS, OUTCOME_COUNTERS,
+    RETRY_COUNTERS, SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, SCHED_SLICE_SPAN,
     SURVEY_SLICE_RECORDS, SURVEY_SLICE_SPAN, USAGE_COUNTERS,
 };
-use idnre_datagen::{ContentCategory, DomainRegistration, Ecosystem};
+use idnre_datagen::{DomainRegistration, Ecosystem};
 use idnre_fault::{ErrorBudget, FaultPlan, RetryPolicy, RunStatus, SimClock};
 use idnre_sched::{SchedConfig, SchedStats};
 use idnre_telemetry::{Recorder, SpanCtx};
@@ -146,7 +148,8 @@ fn outcome_index(outcome: ResolutionOutcome) -> usize {
     }
 }
 
-fn usage_index(category: UsageCategory) -> usize {
+/// Position of `category` in [`UsageCategory::ALL`] (Table V row order).
+pub(crate) fn usage_index(category: UsageCategory) -> usize {
     UsageCategory::ALL
         .iter()
         .position(|&c| c == category)
@@ -373,20 +376,13 @@ pub fn faulted_surveys(
         recorder,
         SpanCtx::ROOT,
     );
-    let whois = whois_survey(
-        view,
-        eco,
-        Some(&setup.plan),
-        Some(&budget),
-        recorder,
-        SpanCtx::ROOT,
-    );
+    let whois = whois_survey(view, eco, &setup.plan, &budget, recorder, SpanCtx::ROOT);
     let (survey, sched) = crawl_survey(
         view,
         &zones,
-        Some(setup),
+        setup,
         threads,
-        Some(&budget),
+        &budget,
         recorder,
         SpanCtx::ROOT,
     );
@@ -411,9 +407,9 @@ pub fn faulted_surveys(
 /// the ≈50% coverage story is *observable*: registrations the generator
 /// covered serve well-formed responses; uncovered ones split between
 /// registrar blocks and unparseable dialects (the paper's two loss
-/// reasons). With a fault plan, a slice of the covered responses arrives
-/// corrupted — those parse failures are the fault layer's damage and feed
-/// the error budget. Telemetry lands in [`CRAWL_COUNTERS`]
+/// reasons). A slice of the covered responses arrives corrupted under
+/// `plan` — those parse failures are the fault layer's damage and feed the
+/// error budget. Telemetry lands in [`CRAWL_COUNTERS`]
 /// (`whois.parse.failed` among them) plus `whois.coverage.per_mille`.
 ///
 /// A resident view crawls the whole IDN population as one batch; a
@@ -423,8 +419,8 @@ pub fn faulted_surveys(
 pub(crate) fn whois_survey(
     view: &CorpusView<'_>,
     eco: &Ecosystem,
-    plan: Option<&FaultPlan>,
-    budget: Option<&ErrorBudget>,
+    plan: &FaultPlan,
+    budget: &ErrorBudget,
     recorder: &dyn Recorder,
     parent: SpanCtx,
 ) -> CrawlStats {
@@ -453,21 +449,15 @@ pub(crate) fn whois_survey(
             .map(|reg| {
                 let domain = reg.domain.as_str();
                 if covered.contains(domain) {
-                    let corrupted = plan.is_some_and(|p| p.corrupts("whois", domain));
-                    if let Some(budget) = budget {
-                        if corrupted {
-                            budget.record_error(1);
-                        } else {
-                            budget.record_ok(1);
-                        }
-                    }
-                    if corrupted {
+                    if plan.corrupts("whois", domain) {
+                        budget.record_error(1);
                         // A mangled transfer: no parseable field survives.
                         (
                             "open-registrar",
                             "@@ %% corrupted transfer %% @@\n".to_string(),
                         )
                     } else {
+                        budget.record_ok(1);
                         (
                             "open-registrar",
                             format!(
@@ -509,8 +499,6 @@ pub(crate) fn whois_survey(
 /// What one crawl-survey window runs per domain.
 #[derive(Clone, Copy)]
 enum SurveyMode<'a> {
-    /// The clean crawl: recorded, never faulted.
-    Clean,
     /// The synchronous retry schedule, one virtual clock per domain.
     Faulted(FaultContext),
     /// One event-driven scheduler instance per window.
@@ -518,9 +506,9 @@ enum SurveyMode<'a> {
 }
 
 /// Replays the paper's Section IV-D measurement front end (resolve →
-/// fetch → classify) over every registered domain of `view`. This is the
-/// one implementation of it: the clean survey, the retry schedule and
-/// the event-driven scheduler differ only in what runs per window.
+/// fetch → classify) under `setup`'s fault schedule over every registered
+/// domain of `view`: the retry schedule and the event-driven scheduler
+/// differ only in what runs per window.
 ///
 /// Builds one [`Crawler`] from `zones` plus each record's modelled host,
 /// then walks the corpus order (IDN population first) in fixed
@@ -530,16 +518,12 @@ enum SurveyMode<'a> {
 /// at a time, so a streamed build holds one shard per worker. Per
 /// window:
 ///
-/// * `faults: None` — span `crawl.survey`: [`Crawler::crawl_recorded`]
-///   per domain (outcome and usage counters, `crawler.crawl` and
-///   `crawler.resolve` latency). Purely observational; the returned
-///   stats count domains only.
-/// * a [`FaultSetup`] without `sched` — span `crawl.survey.faulted`:
+/// * without [`FaultSetup::sched`] — span `crawl.survey.faulted`:
 ///   [`Crawler::crawl_faulted`] per domain on its own virtual clock; a
 ///   fault-made terminal verdict is an error on `budget`.
-/// * with `sched` — span `crawl.survey.sched`: one deterministic
-///   scheduler per window ([`Crawler::crawl_slice_scheduled`]); shed
-///   domains count as shed on `budget`, never as errors.
+/// * with it — span `crawl.survey.sched`: one deterministic scheduler per
+///   window ([`Crawler::crawl_slice_scheduled`]); shed domains count as
+///   shed on `budget`, never as errors.
 ///
 /// The windows never depend on `threads` (the scheduler's verdicts depend
 /// on which domains share one) and merge in window order, so the stats,
@@ -554,26 +538,20 @@ enum SurveyMode<'a> {
 pub(crate) fn crawl_survey(
     view: &CorpusView<'_>,
     zones: &[Zone],
-    faults: Option<&FaultSetup>,
+    setup: &FaultSetup,
     threads: usize,
-    budget: Option<&ErrorBudget>,
+    budget: &ErrorBudget,
     recorder: &dyn Recorder,
     parent: SpanCtx,
 ) -> (SurveyStats, Option<SchedStats>) {
-    let mode = match faults {
-        None => SurveyMode::Clean,
-        Some(FaultSetup {
-            plan,
-            sched: Some(config),
-            ..
-        }) => SurveyMode::Scheduled(plan, config),
-        Some(setup) => SurveyMode::Faulted(FaultContext {
+    let mode = match &setup.sched {
+        Some(config) => SurveyMode::Scheduled(&setup.plan, config),
+        None => SurveyMode::Faulted(FaultContext {
             plan: setup.plan,
             policy: setup.policy,
         }),
     };
     let name = match mode {
-        SurveyMode::Clean => "crawl.survey",
         SurveyMode::Faulted(_) => "crawl.survey.faulted",
         SurveyMode::Scheduled(..) => "crawl.survey.sched",
     };
@@ -591,10 +569,6 @@ pub(crate) fn crawl_survey(
     // order cannot depend on which worker reaches a name first; the full
     // outcome set leads, so a snapshot always carries all five.
     match mode {
-        SurveyMode::Clean => {
-            recorder.preregister_groups(&[&OUTCOME_COUNTERS[..], &USAGE_COUNTERS[..]]);
-            recorder.preregister_stages(&[CRAWL_STAGES[0], CRAWL_STAGES[1], SURVEY_SLICE_SPAN]);
-        }
         SurveyMode::Faulted(_) => {
             recorder.preregister_groups(&[
                 &OUTCOME_COUNTERS[..],
@@ -626,19 +600,12 @@ pub(crate) fn crawl_survey(
     let per_window = idnre_par::par_chunks(&window_starts, threads, 1, |index, start| {
         let window = start[0]..total.min(start[0] + SURVEY_SLICE_RECORDS as u64);
         let mut slice_span = match mode {
+            SurveyMode::Faulted(_) => survey_slice_span(recorder, survey_ctx, index as u64),
             SurveyMode::Scheduled(..) => sched_slice_span(recorder, survey_ctx, index as u64),
-            _ => survey_slice_span(recorder, survey_ctx, index as u64),
         };
         slice_span.add_records(window.end - window.start);
         let mut local = SurveyStats::default();
         let sched = match mode {
-            SurveyMode::Clean => {
-                view.for_each(window, &mut |reg| {
-                    let _ = crawler.crawl_recorded(&reg.domain, recorder);
-                    local.domains += 1;
-                });
-                None
-            }
             SurveyMode::Faulted(ctx) => {
                 view.for_each(window, &mut |reg| {
                     let mut clock = SimClock::new();
@@ -700,25 +667,40 @@ pub(crate) fn crawl_survey(
 
 /// Charges one surveyed domain to `budget`: shed (lost coverage, never an
 /// error), an error when its terminal verdict was fault-made, else ok.
-fn charge(budget: Option<&ErrorBudget>, shed: bool, terminal_faulted: bool) {
-    match budget {
-        Some(budget) if shed => budget.record_shed(1),
-        Some(budget) if terminal_faulted => budget.record_error(1),
-        Some(budget) => budget.record_ok(1),
-        None => {}
+fn charge(budget: &ErrorBudget, shed: bool, terminal_faulted: bool) {
+    if shed {
+        budget.record_shed(1);
+    } else if terminal_faulted {
+        budget.record_error(1);
+    } else {
+        budget.record_ok(1);
     }
+}
+
+/// Crawls one record of Table V's sample: resolve → fetch → classify
+/// through a one-host [`Crawler`] serving the record's [`host_model`]
+/// host. Records nothing, so the sample crawl never mixes into the
+/// faulted survey's `crawler.*` counters; its cost shows up in the
+/// content pass's shard spans.
+pub(crate) fn sample_crawl(reg: &DomainRegistration) -> UsageCategory {
+    let (behavior, page) = host_model(reg);
+    let mut crawler = Crawler::new();
+    crawler.set_host(&reg.domain, behavior, page);
+    crawler.crawl(&reg.domain)
 }
 
 /// Derives a deterministic authoritative-server model from a registration's
 /// ground-truth content category; every record gets a behaviour. The
 /// unresolved population spreads over REFUSED, SERVFAIL, timeouts and
-/// explicit lame delegations.
+/// explicit lame delegations. It is the pipeline's only reader of
+/// `reg.content`: every crawl, sampled or faulted, measures the category
+/// through the host this returns.
 fn host_model(reg: &DomainRegistration) -> (AuthBehavior, Option<Page>) {
     let hash = fnv1a(reg.domain.as_bytes());
     let ip = Ipv4Addr::new(203, 0, 113, (hash % 254 + 1) as u8);
     let answer = AuthBehavior::Answer(ip);
     match reg.content {
-        ContentCategory::NotResolved => {
+        UsageCategory::NotResolved => {
             // The paper: "all resolution errors come from name servers" —
             // spread the failure modes over the unresolved population.
             let behavior = match hash % 4 {
@@ -729,17 +711,17 @@ fn host_model(reg: &DomainRegistration) -> (AuthBehavior, Option<Page>) {
             };
             (behavior, None)
         }
-        ContentCategory::Error => (answer, None),
-        ContentCategory::Empty => (answer, Some(Page::new(200, "", PageKind::Empty))),
-        ContentCategory::Parked => (
+        UsageCategory::Error => (answer, None),
+        UsageCategory::Empty => (answer, Some(Page::new(200, "", PageKind::Empty))),
+        UsageCategory::Parked => (
             answer,
             Some(Page::new(200, "Domain parked", PageKind::Parking)),
         ),
-        ContentCategory::ForSale => (
+        UsageCategory::ForSale => (
             answer,
             Some(Page::new(200, "Domain for sale", PageKind::ForSale)),
         ),
-        ContentCategory::Redirected => (
+        UsageCategory::Redirected => (
             answer,
             Some(Page::new(
                 200,

@@ -25,9 +25,10 @@ pub fn slo_profile(name: &str) -> Option<SloSpec> {
     }
 }
 
-/// Generous bounds a healthy run clears with wide margin: the four
-/// stages every build mode records must exist and finish inside ten
-/// minutes per call, and no pass shard may median above a minute.
+/// Generous bounds a healthy run clears with wide margin: the three
+/// stages every build mode records (generation, the fused scan and its
+/// Table V sample crawl) must exist and finish inside ten minutes per
+/// call, and no pass shard may median above a minute.
 fn smoke() -> SloSpec {
     const MINUTE: u64 = 60_000_000_000;
     SloSpec::new("smoke")
@@ -42,12 +43,7 @@ fn smoke() -> SloSpec {
                 .max_nanos(10 * MINUTE),
         )
         .rule(
-            SloRule::stage("crawl.survey")
-                .p50_max_nanos(5 * MINUTE)
-                .max_nanos(10 * MINUTE),
-        )
-        .rule(
-            SloRule::stage("whois.survey")
+            SloRule::stage("analyze.pass.content")
                 .p50_max_nanos(5 * MINUTE)
                 .max_nanos(10 * MINUTE),
         )
@@ -72,15 +68,11 @@ mod tests {
 
     fn fast_run_snapshot() -> idnre_telemetry::MetricsSnapshot {
         let registry = Registry::new();
-        for stage in [
-            "build.ecosystem",
-            "analyze.scan",
-            "crawl.survey",
-            "whois.survey",
-        ] {
+        for stage in ["build.ecosystem", "analyze.scan"] {
             registry.record_nanos(stage, 1_000_000);
         }
         registry.record_nanos("analyze.pass.homograph", 50_000);
+        registry.record_nanos("analyze.pass.content", 50_000);
         registry.snapshot()
     }
 

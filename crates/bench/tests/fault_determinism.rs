@@ -187,9 +187,9 @@ fn multi_window_surveys_replay_across_thread_counts() {
     }
 }
 
-/// Over several windows, the clean build's counters and stage totals
-/// are thread-invariant, and the streamed faulted report equals the batch
-/// faulted report at any thread count.
+/// The clean build's counters and stage totals are thread-invariant; the
+/// smoke-faulted build's crawl survey runs three windows, and its streamed
+/// report equals the batch faulted report at any thread count.
 #[test]
 fn multi_window_builds_replay_across_modes_and_threads() {
     let clean_metrics = |threads| {
@@ -198,11 +198,6 @@ fn multi_window_builds_replay_across_modes_and_threads() {
             &multi_window_config(threads),
             &RunSpec::default(),
             registry.clone(),
-        );
-        assert_eq!(
-            registry.stage(SURVEY_SLICE_SPAN).calls(),
-            3,
-            "survey windows"
         );
         registry.snapshot().render_deterministic_json()
     };
@@ -213,7 +208,17 @@ fn multi_window_builds_replay_across_modes_and_threads() {
     );
 
     let setup = FaultSetup::from_plan(FaultPlan::from_spec("smoke").unwrap());
-    let batch = faulted_report(&multi_window_config(4), &setup, None);
+    let registry = Arc::new(Registry::new());
+    let spec = RunSpec {
+        faults: Some(setup),
+        ..RunSpec::default()
+    };
+    let batch = ReproContext::build(&multi_window_config(4), &spec, registry.clone()).full_report();
+    assert_eq!(
+        registry.stage(SURVEY_SLICE_SPAN).calls(),
+        3,
+        "survey windows"
+    );
     for threads in [1, 4] {
         assert_eq!(
             batch,

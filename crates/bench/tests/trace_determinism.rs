@@ -5,9 +5,10 @@
 //! order is `(name, index)`, never completion order. Only timings may
 //! differ between runs.
 
-use idnre_bench::{ReproContext, RunSpec};
+use idnre_bench::{FaultSetup, ReproContext, RunSpec};
 use idnre_crawler::{SURVEY_SLICE_RECORDS, SURVEY_SLICE_SPAN};
 use idnre_datagen::EcosystemConfig;
+use idnre_fault::FaultPlan;
 use idnre_telemetry::Registry;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -89,8 +90,9 @@ proptest! {
 
 /// The tree has the documented shape: pipeline phases under the run root,
 /// one group per registered pass under `analyze.scan` with one child span
-/// per shard, generation sub-stages under `build.ecosystem`, and one slice
-/// span per survey window under `crawl.survey`.
+/// per shard, and generation sub-stages under `build.ecosystem`. A clean
+/// build runs no corpus survey (Table V's sample crawl rides the content
+/// pass); a faulted build's crawl survey has one slice span per window.
 #[test]
 fn trace_tree_has_the_documented_shape() {
     let registry = Arc::new(Registry::with_trace());
@@ -109,24 +111,32 @@ fn trace_tree_has_the_documented_shape() {
     let snapshot = registry.trace_snapshot().expect("tracing registry");
     let root = &snapshot.root;
     assert_eq!(root.name, "run");
-    for phase in [
-        "build.ecosystem",
-        "report.candidates",
-        "analyze.scan",
-        "crawl.survey",
-        "whois.survey",
-    ] {
+    for phase in ["build.ecosystem", "report.candidates", "analyze.scan"] {
         assert!(
             root.child(phase).is_some(),
             "missing top-level span {phase}"
         );
     }
+    for survey in ["crawl.survey", "whois.survey"] {
+        assert!(root.child(survey).is_none(), "clean build ran {survey}");
+    }
     let build = root.child("build.ecosystem").unwrap();
     assert!(build.child("datagen.stream.plan").is_some());
     assert!(build.child("datagen.stream.artifacts").is_some());
 
-    // The crawl survey runs fixed-size windows, one slice span each.
-    let survey = root.child("crawl.survey").unwrap();
+    // The faulted crawl survey runs fixed-size windows, one slice span each.
+    let faulted_registry = Arc::new(Registry::with_trace());
+    let smoke = FaultSetup::from_plan(FaultPlan::from_spec("smoke").unwrap());
+    let faulted = RunSpec {
+        faults: Some(smoke),
+        ..streamed(1024)
+    };
+    let _ = ReproContext::build(&config(2), &faulted, faulted_registry.clone());
+    let faulted_snapshot = faulted_registry.trace_snapshot().expect("tracing registry");
+    let survey = faulted_snapshot
+        .root
+        .child("crawl.survey.faulted")
+        .expect("faulted crawl survey span");
     let corpus = ctx.outputs.idn_len + ctx.outputs.non_idn_len;
     assert_eq!(
         survey.children.len() as u64,

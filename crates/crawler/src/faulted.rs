@@ -47,7 +47,7 @@ pub const FAULT_COUNTERS: [&str; 5] = [
 pub const ATTEMPTS_HISTOGRAM: &str = "crawler.retry.attempts";
 
 /// Stage name of one crawl-survey slice: a batch of domains crawled
-/// together by a survey worker (clean or under the retry schedule).
+/// together by a survey worker under the retry schedule.
 pub const SURVEY_SLICE_SPAN: &str = "crawler.survey.slice";
 
 /// How many domains one crawl-survey slice covers. The slice size is a
@@ -59,9 +59,8 @@ pub const SURVEY_SLICE_RECORDS: usize = 2_048;
 /// Opens the timed span for crawl-survey slice `index`, parented under
 /// the survey's own span. Per-*domain* spans would swamp a trace (and a
 /// schedule costs nanoseconds, far below span resolution), so the slice
-/// is the unit of span parenting for the clean and faulted surveys:
-/// coarse enough to stay readable, fine enough to show worker-level cost
-/// spread.
+/// is the unit of span parenting for the faulted survey: coarse enough
+/// to stay readable, fine enough to show worker-level cost spread.
 pub fn survey_slice_span(recorder: &dyn Recorder, parent: SpanCtx, index: u64) -> Span {
     recorder.span_at(SURVEY_SLICE_SPAN, parent, index)
 }

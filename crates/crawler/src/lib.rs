@@ -54,18 +54,12 @@ pub use sched::{
     SCHED_LATENCY_HISTOGRAM, SCHED_QUEUE_DEPTH_GAUGE, SCHED_SLICE_SPAN,
 };
 
-use idnre_telemetry::Recorder;
 use idnre_zonefile::Zone;
 use std::collections::HashMap;
 
-/// Stage names of the per-domain spans [`Crawler::crawl_recorded`] opens,
-/// in first-use order (`crawler.crawl` wraps `crawler.resolve`). Exposed
-/// so multi-threaded harnesses can pre-register both.
-pub const CRAWL_STAGES: [&str; 2] = ["crawler.crawl", "crawler.resolve"];
-
-/// Counter names for each [`ResolutionOutcome`], used by
-/// [`Crawler::resolve_recorded`]. Exposed so harnesses can pre-register
-/// the full set (a counter that never fires still shows up at zero).
+/// Counter names for each [`ResolutionOutcome`], used by the faulted and
+/// scheduled crawls. Exposed so harnesses can pre-register the full set (a
+/// counter that never fires still shows up at zero).
 pub const OUTCOME_COUNTERS: [&str; 5] = [
     "crawler.outcome.resolved",
     "crawler.outcome.nxdomain",
@@ -85,9 +79,10 @@ pub(crate) fn outcome_counter(outcome: ResolutionOutcome) -> &'static str {
 }
 
 /// Counter names for each [`UsageCategory`], in [`UsageCategory::ALL`]
-/// order, used by [`Crawler::crawl_recorded`]. Exposed so multi-threaded
-/// harnesses can pre-register the full set — snapshot ordering is
-/// insertion order, so counters must exist before workers race to them.
+/// order, used by the faulted and scheduled crawls. Exposed so
+/// multi-threaded harnesses can pre-register the full set — snapshot
+/// ordering is insertion order, so counters must exist before workers race
+/// to them.
 pub const USAGE_COUNTERS: [&str; 7] = [
     "crawler.usage.not_resolved",
     "crawler.usage.error",
@@ -149,31 +144,6 @@ impl Crawler {
         let outcome = fetch(&resolution, self.pages.get(&domain.to_ascii_lowercase()));
         classify(&outcome)
     }
-
-    /// [`Crawler::resolve`] with a `crawler.resolve` latency span and a
-    /// per-outcome counter (`crawler.outcome.*`) reported to `recorder`.
-    pub fn resolve_recorded(&self, domain: &str, recorder: &dyn Recorder) -> ResolutionOutcome {
-        let mut span = recorder.span(CRAWL_STAGES[1]);
-        let outcome = self.resolver.resolve(domain);
-        span.add_records(1);
-        drop(span);
-        recorder.incr(outcome_counter(outcome));
-        outcome
-    }
-
-    /// [`Crawler::crawl`] with `crawler.crawl` latency, per-outcome DNS
-    /// counters and per-category usage counters (`crawler.usage.*`)
-    /// reported to `recorder`.
-    pub fn crawl_recorded(&self, domain: &str, recorder: &dyn Recorder) -> UsageCategory {
-        let mut span = recorder.span(CRAWL_STAGES[0]);
-        let resolution = self.resolve_recorded(domain, recorder);
-        let outcome = fetch(&resolution, self.pages.get(&domain.to_ascii_lowercase()));
-        let category = classify(&outcome);
-        span.add_records(1);
-        drop(span);
-        recorder.incr(usage_counter(category));
-        category
-    }
 }
 
 #[cfg(test)]
@@ -204,40 +174,6 @@ mod tests {
         assert_eq!(crawler.crawl("b.com"), UsageCategory::NotResolved);
         assert_eq!(crawler.crawl("c.com"), UsageCategory::NotResolved);
         assert_eq!(crawler.crawl("nx.com"), UsageCategory::NotResolved);
-    }
-
-    #[test]
-    fn recorded_crawl_matches_plain_and_counts_outcomes() {
-        let zone = parse_zone("com", "a IN NS ns1.a.com.\nb IN NS ns1.b.com.\n").unwrap();
-        let mut crawler = Crawler::new();
-        crawler.add_zone(&zone);
-        crawler.set_host(
-            "a.com",
-            AuthBehavior::Answer("203.0.113.9".parse().unwrap()),
-            Some(Page::new(200, "Site", PageKind::Content)),
-        );
-        crawler.set_host("b.com", AuthBehavior::Refuse, None);
-
-        let registry = idnre_telemetry::Registry::new();
-        for name in OUTCOME_COUNTERS {
-            registry.add(name, 0);
-        }
-        for domain in ["a.com", "b.com", "nx.com"] {
-            assert_eq!(
-                crawler.crawl_recorded(domain, &registry),
-                crawler.crawl(domain),
-                "{domain}"
-            );
-        }
-        assert_eq!(registry.counter_value("crawler.outcome.resolved"), 1);
-        assert_eq!(registry.counter_value("crawler.outcome.refused"), 1);
-        assert_eq!(registry.counter_value("crawler.outcome.nxdomain"), 1);
-        assert_eq!(registry.counter_value("crawler.outcome.servfail"), 0);
-        assert_eq!(registry.counter_value("crawler.usage.meaningful"), 1);
-        assert_eq!(registry.counter_value("crawler.usage.not_resolved"), 2);
-        let resolve = registry.stage("crawler.resolve");
-        assert_eq!(resolve.calls(), 3);
-        assert_eq!(resolve.histogram().count(), 3);
     }
 
     #[test]

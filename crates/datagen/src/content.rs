@@ -1,83 +1,36 @@
-//! Website content categories (Table V) and their sampling distributions.
+//! Table V's content-category distributions: the generator's ground truth
+//! for what a visitor finds behind a domain, in the crawler's
+//! [`UsageCategory`] taxonomy.
 
+use idnre_crawler::UsageCategory;
 use rand::Rng;
 
-/// What a visitor finds behind a domain — the Table V taxonomy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[non_exhaustive]
-pub enum ContentCategory {
-    /// DNS resolution fails (name-server misconfiguration).
-    NotResolved,
-    /// Resolution succeeds but HTTP errors out.
-    Error,
-    /// An empty page.
-    Empty,
-    /// A parking page with ads.
-    Parked,
-    /// A "domain for sale" lander.
-    ForSale,
-    /// Redirects to another domain.
-    Redirected,
-    /// A real website with meaningful content.
-    Meaningful,
+/// Table V's measured IDN distribution (per mille), in
+/// [`UsageCategory::ALL`] order.
+const IDN_WEIGHTS: [u32; 7] = [456, 130, 32, 112, 16, 56, 198];
+/// Table V's measured non-IDN distribution (per mille).
+const NON_IDN_WEIGHTS: [u32; 7] = [152, 148, 86, 214, 32, 32, 336];
+
+/// Samples a category for an IDN website.
+pub(crate) fn sample_idn<R: Rng + ?Sized>(rng: &mut R) -> UsageCategory {
+    weighted(rng, &IDN_WEIGHTS)
 }
 
-impl ContentCategory {
-    /// All categories in Table V row order.
-    pub const ALL: [ContentCategory; 7] = [
-        ContentCategory::NotResolved,
-        ContentCategory::Error,
-        ContentCategory::Empty,
-        ContentCategory::Parked,
-        ContentCategory::ForSale,
-        ContentCategory::Redirected,
-        ContentCategory::Meaningful,
-    ];
-
-    /// Table V's measured IDN distribution (per mille).
-    const IDN_WEIGHTS: [u32; 7] = [456, 130, 32, 112, 16, 56, 198];
-    /// Table V's measured non-IDN distribution (per mille).
-    const NON_IDN_WEIGHTS: [u32; 7] = [152, 148, 86, 214, 32, 32, 336];
-
-    /// Samples a category for an IDN website.
-    pub fn sample_idn<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        weighted(rng, &Self::IDN_WEIGHTS)
-    }
-
-    /// Samples a category for a non-IDN website.
-    pub fn sample_non_idn<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        weighted(rng, &Self::NON_IDN_WEIGHTS)
-    }
-
-    /// Whether the domain resolves in DNS at all.
-    pub fn resolves(self) -> bool {
-        self != ContentCategory::NotResolved
-    }
-
-    /// Table V row label.
-    pub fn label(self) -> &'static str {
-        match self {
-            ContentCategory::NotResolved => "Not resolved",
-            ContentCategory::Error => "Error",
-            ContentCategory::Empty => "Empty",
-            ContentCategory::Parked => "Parked",
-            ContentCategory::ForSale => "For sale",
-            ContentCategory::Redirected => "Redirected",
-            ContentCategory::Meaningful => "Meaningful content",
-        }
-    }
+/// Samples a category for a non-IDN website.
+pub(crate) fn sample_non_idn<R: Rng + ?Sized>(rng: &mut R) -> UsageCategory {
+    weighted(rng, &NON_IDN_WEIGHTS)
 }
 
-fn weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[u32; 7]) -> ContentCategory {
+fn weighted<R: Rng + ?Sized>(rng: &mut R, weights: &[u32; 7]) -> UsageCategory {
     let total: u32 = weights.iter().sum();
     let mut pick = rng.gen_range(0..total);
-    for (category, &w) in ContentCategory::ALL.iter().zip(weights) {
+    for (category, &w) in UsageCategory::ALL.iter().zip(weights) {
         if pick < w {
             return *category;
         }
         pick -= w;
     }
-    ContentCategory::Meaningful
+    UsageCategory::Meaningful
 }
 
 #[cfg(test)]
@@ -86,12 +39,12 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn frequencies(sampler: fn(&mut StdRng) -> ContentCategory, n: usize) -> Vec<f64> {
+    fn frequencies(sampler: fn(&mut StdRng) -> UsageCategory, n: usize) -> Vec<f64> {
         let mut rng = StdRng::seed_from_u64(11);
         let mut counts = [0usize; 7];
         for _ in 0..n {
             let c = sampler(&mut rng);
-            let idx = ContentCategory::ALL.iter().position(|&x| x == c).unwrap();
+            let idx = UsageCategory::ALL.iter().position(|&x| x == c).unwrap();
             counts[idx] += 1;
         }
         counts.iter().map(|&c| c as f64 / n as f64).collect()
@@ -99,14 +52,14 @@ mod tests {
 
     #[test]
     fn idn_distribution_matches_table_v() {
-        let freq = frequencies(ContentCategory::sample_idn, 50_000);
+        let freq = frequencies(sample_idn, 50_000);
         assert!((freq[0] - 0.456).abs() < 0.01, "not-resolved {}", freq[0]);
         assert!((freq[6] - 0.198).abs() < 0.01, "meaningful {}", freq[6]);
     }
 
     #[test]
     fn non_idn_distribution_matches_table_v() {
-        let freq = frequencies(ContentCategory::sample_non_idn, 50_000);
+        let freq = frequencies(sample_non_idn, 50_000);
         assert!((freq[0] - 0.152).abs() < 0.01, "not-resolved {}", freq[0]);
         assert!((freq[6] - 0.336).abs() < 0.01, "meaningful {}", freq[6]);
     }
@@ -114,15 +67,9 @@ mod tests {
     #[test]
     fn idn_less_meaningful_than_non_idn() {
         // Finding 8's contrast must hold in expectation.
-        let idn = frequencies(ContentCategory::sample_idn, 20_000);
-        let non = frequencies(ContentCategory::sample_non_idn, 20_000);
+        let idn = frequencies(sample_idn, 20_000);
+        let non = frequencies(sample_non_idn, 20_000);
         assert!(idn[0] > non[0] * 2.0); // unresolved gap
         assert!(idn[6] < non[6]); // meaningful gap
-    }
-
-    #[test]
-    fn resolves_logic() {
-        assert!(!ContentCategory::NotResolved.resolves());
-        assert!(ContentCategory::Parked.resolves());
     }
 }

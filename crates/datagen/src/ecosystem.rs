@@ -22,7 +22,7 @@
 use crate::attacks::AttackDomain;
 use crate::brands::BrandList;
 use crate::config::{EcosystemConfig, TABLE_I};
-use crate::content::ContentCategory;
+use crate::content;
 use crate::hosting::HostingProfile;
 use crate::labels;
 use crate::registration::{
@@ -32,6 +32,7 @@ use crate::registration::{
 use crate::stream;
 use idnre_blacklist::BlacklistSet;
 use idnre_certs::Certificate;
+use idnre_crawler::UsageCategory;
 use idnre_langid::Language;
 use idnre_pdns::{DomainAggregate, PdnsStore, PopulationClass, TrafficModel};
 use idnre_rng::{Key, StageId};
@@ -316,7 +317,7 @@ pub(crate) fn finish_idn<R: Rng + ?Sized>(
     tld: &str,
     email: Option<String>,
 ) -> DomainRegistration {
-    let content = ContentCategory::sample_idn(rng);
+    let content = content::sample_idn(rng);
     let hosting = HostingProfile::sample(rng, content);
     let privacy = email.is_none();
     DomainRegistration {
@@ -364,7 +365,7 @@ pub(crate) fn build_non_idn<R: Rng + ?Sized>(
 ) -> DomainRegistration {
     let sld = format!("{}{}", pronounceable(rng), index);
     let (email, privacy) = sample_registrant(rng, index);
-    let content = ContentCategory::sample_non_idn(rng);
+    let content = content::sample_non_idn(rng);
     let hosting = HostingProfile::sample(rng, content);
     DomainRegistration {
         domain: format!("{sld}.{tld}"),
@@ -430,7 +431,7 @@ pub(crate) fn attack_registration<R: Rng + ?Sized>(
     } else {
         (None, true)
     };
-    let content = ContentCategory::sample_idn(rng);
+    let content = content::sample_idn(rng);
     let hosting = HostingProfile::sample(rng, content);
     DomainRegistration {
         domain: attack.domain.clone(),
@@ -494,7 +495,7 @@ pub(crate) fn traffic_for(
     is_idn: bool,
     snapshot_day: i64,
 ) -> Option<DomainAggregate> {
-    if !reg.content.resolves() {
+    if reg.content == UsageCategory::NotResolved {
         return None;
     }
     let class = match (is_idn, reg.malicious) {

@@ -2,8 +2,8 @@
 //! (if any) its server presents. Drives Figure 4's IP concentration and
 //! Tables VI/VII's certificate findings.
 
-use crate::content::ContentCategory;
 use idnre_certs::Certificate;
+use idnre_crawler::UsageCategory;
 use rand::Rng;
 use std::net::Ipv4Addr;
 
@@ -46,16 +46,15 @@ const SHARED_HOSTS: [(&str, u32); 5] = [
 impl HostingProfile {
     /// Samples a hosting profile consistent with the domain's content
     /// category.
-    pub fn sample<R: Rng + ?Sized>(rng: &mut R, content: ContentCategory) -> Option<Self> {
-        if !content.resolves() {
+    pub fn sample<R: Rng + ?Sized>(rng: &mut R, content: UsageCategory) -> Option<Self> {
+        if content == UsageCategory::NotResolved {
             return None;
         }
         Some(match content {
-            ContentCategory::Parked | ContentCategory::ForSale => HostingProfile::Parked {
+            UsageCategory::Parked | UsageCategory::ForSale => HostingProfile::Parked {
                 provider: pick(rng, &PARKING),
             },
-            ContentCategory::Meaningful | ContentCategory::Redirected => match rng.gen_range(0..10)
-            {
+            UsageCategory::Meaningful | UsageCategory::Redirected => match rng.gen_range(0..10) {
                 0..=4 => HostingProfile::SharedHosting {
                     provider: pick(rng, &SHARED_HOSTS),
                 },
@@ -190,7 +189,7 @@ mod tests {
     fn unresolved_domains_have_no_hosting() {
         let mut rng = StdRng::seed_from_u64(1);
         assert_eq!(
-            HostingProfile::sample(&mut rng, ContentCategory::NotResolved),
+            HostingProfile::sample(&mut rng, UsageCategory::NotResolved),
             None
         );
     }
@@ -198,7 +197,7 @@ mod tests {
     #[test]
     fn parked_content_parks() {
         let mut rng = StdRng::seed_from_u64(2);
-        match HostingProfile::sample(&mut rng, ContentCategory::Parked).unwrap() {
+        match HostingProfile::sample(&mut rng, UsageCategory::Parked).unwrap() {
             HostingProfile::Parked { .. } => {}
             other => panic!("expected parked, got {other:?}"),
         }

@@ -51,7 +51,6 @@ pub mod stream;
 
 pub use brands::{Brand, BrandList};
 pub use config::{EcosystemConfig, TldSpec, TABLE_I};
-pub use content::ContentCategory;
 pub use dataset::{dataset_fingerprint, render_dataset, DATASET_SCHEMA};
 pub use ecosystem::Ecosystem;
 pub use epoch::{DaySimulator, EpochCorpus, EpochDelta, EpochDeltaKind};

@@ -1,8 +1,8 @@
 //! The per-domain registration record the generator emits, and the
 //! registrar/registrant/timeline models behind it.
 
-use crate::content::ContentCategory;
 use crate::hosting::HostingProfile;
+use idnre_crawler::UsageCategory;
 use idnre_langid::Language;
 use idnre_whois::Date;
 use rand::Rng;
@@ -46,7 +46,7 @@ pub struct DomainRegistration {
     /// Whether (and why) the domain is malicious; None for benign.
     pub malicious: Option<MaliciousKind>,
     /// What its website serves.
-    pub content: ContentCategory,
+    pub content: UsageCategory,
     /// How it is hosted (None when unresolved).
     pub hosting: Option<HostingProfile>,
     /// Whether the host has HTTPS on port 443.

@@ -3,7 +3,7 @@
 //! paper's Section IV-D methodology as an executable loop.
 
 use idn_reexamination::crawler::{AuthBehavior, Crawler, Page, PageKind, UsageCategory};
-use idn_reexamination::datagen::{ContentCategory, DomainRegistration, Ecosystem, EcosystemConfig};
+use idn_reexamination::datagen::{DomainRegistration, Ecosystem, EcosystemConfig};
 
 /// Builds the crawler world implied by a registration's ground truth.
 fn host_setup(reg: &DomainRegistration) -> (AuthBehavior, Option<Page>) {
@@ -11,27 +11,27 @@ fn host_setup(reg: &DomainRegistration) -> (AuthBehavior, Option<Page>) {
     match reg.content {
         // The zone has NS records, so failures come from the name servers
         // themselves — REFUSED or a lame delegation (paper, Finding 8).
-        ContentCategory::NotResolved => {
+        UsageCategory::NotResolved => {
             if reg.domain.len().is_multiple_of(2) {
                 (AuthBehavior::Refuse, None)
             } else {
                 (AuthBehavior::Timeout, None)
             }
         }
-        ContentCategory::Error => (AuthBehavior::Answer(ip), None),
-        ContentCategory::Empty => (
+        UsageCategory::Error => (AuthBehavior::Answer(ip), None),
+        UsageCategory::Empty => (
             AuthBehavior::Answer(ip),
             Some(Page::new(200, "", PageKind::Empty)),
         ),
-        ContentCategory::Parked => (
+        UsageCategory::Parked => (
             AuthBehavior::Answer(ip),
             Some(Page::new(200, "Domain parked", PageKind::Parking)),
         ),
-        ContentCategory::ForSale => (
+        UsageCategory::ForSale => (
             AuthBehavior::Answer(ip),
             Some(Page::new(200, "This domain is for sale", PageKind::ForSale)),
         ),
-        ContentCategory::Redirected => (
+        UsageCategory::Redirected => (
             AuthBehavior::Answer(ip),
             Some(Page::new(
                 301,
@@ -39,24 +39,12 @@ fn host_setup(reg: &DomainRegistration) -> (AuthBehavior, Option<Page>) {
                 PageKind::Redirect("https://elsewhere.example/".into()),
             )),
         ),
-        // `ContentCategory` is non_exhaustive; treat anything future as a
+        // `UsageCategory` is non_exhaustive; treat anything future as a
         // plain website.
         _ => (
             AuthBehavior::Answer(ip),
             Some(Page::new(200, "Welcome", PageKind::Content)),
         ),
-    }
-}
-
-fn expected(category: ContentCategory) -> UsageCategory {
-    match category {
-        ContentCategory::NotResolved => UsageCategory::NotResolved,
-        ContentCategory::Error => UsageCategory::Error,
-        ContentCategory::Empty => UsageCategory::Empty,
-        ContentCategory::Parked => UsageCategory::Parked,
-        ContentCategory::ForSale => UsageCategory::ForSale,
-        ContentCategory::Redirected => UsageCategory::Redirected,
-        _ => UsageCategory::Meaningful,
     }
 }
 
@@ -76,13 +64,7 @@ fn crawl_classification_recovers_ground_truth() {
         crawler.set_host(&reg.domain, behavior, page);
     }
     for reg in &eco.idn_registrations {
-        assert_eq!(
-            crawler.crawl(&reg.domain),
-            expected(reg.content),
-            "{} ({:?})",
-            reg.domain,
-            reg.content
-        );
+        assert_eq!(crawler.crawl(&reg.domain), reg.content, "{}", reg.domain);
     }
 }
 
