@@ -917,7 +917,7 @@ mod tests {
             ..EcosystemConfig::default()
         };
         let batch = Ecosystem::generate(&config);
-        let (_, corpus) = idnre_datagen::generate_streamed(&config, 128, &NoopRecorder);
+        let (_, corpus, _) = idnre_datagen::generate_streamed(&config, 128, &NoopRecorder);
         let slice = SliceSource::new(&batch.idn_registrations, &batch.non_idn_registrations);
         let stream = StreamSource::new(&corpus);
 

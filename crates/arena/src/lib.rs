@@ -479,27 +479,22 @@ impl CorpusColumns {
     /// supplies the classifier id for the row's label; it is a pure
     /// function of the label string, so re-invoking it per appended row
     /// broadcasts exactly the ids a batch [`ColumnsBuilder::finish`] would.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push_row(
-        &mut self,
-        sld: &str,
-        tld: &str,
-        malicious: bool,
-        organic: bool,
-        vt: bool,
-        q: bool,
-        b: bool,
-        lang_of: impl FnOnce(&str) -> u8,
-    ) {
-        self.sld.push(self.labels.intern(sld));
-        let tld_sym = self.tlds.intern(tld);
+    pub fn push_row(&mut self, row: ColumnRow<'_>, lang_of: impl FnOnce(&str) -> u8) {
+        self.append(row);
+        self.lang.push(lang_of(row.sld));
+    }
+
+    /// Interns `row`'s label and TLD and pushes every column but the
+    /// language id.
+    fn append(&mut self, row: ColumnRow<'_>) {
+        self.sld.push(self.labels.intern(row.sld));
+        let tld_sym = self.tlds.intern(row.tld);
         self.tld.push(tld_sym.index() as u16);
-        self.lang.push(lang_of(sld));
-        self.malicious.push(malicious);
-        self.organic.push(organic);
-        self.vt.push(vt);
-        self.q.push(q);
-        self.b.push(b);
+        self.malicious.push(row.malicious);
+        self.organic.push(row.organic);
+        self.vt.push(row.vt);
+        self.q.push(row.q);
+        self.b.push(row.b);
     }
 
     /// Overwrites row `i`'s malicious bit — how a blacklist listing that
@@ -549,6 +544,68 @@ impl ColumnsMark {
     }
 }
 
+/// One IDN record's column values before interning: its Unicode SLD
+/// label, its TLD, and the five per-record bits.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ColumnRow<'a> {
+    /// The Unicode SLD label (the registered name up to its first dot).
+    pub sld: &'a str,
+    /// The TLD name.
+    pub tld: &'a str,
+    /// The registration carries a malicious flag.
+    pub malicious: bool,
+    /// The ground-truth language is known (the organic population).
+    pub organic: bool,
+    /// Listed by VirusTotal.
+    pub vt: bool,
+    /// Listed by Qihoo 360.
+    pub q: bool,
+    /// Listed by Baidu.
+    pub b: bool,
+}
+
+/// An owned run of [`ColumnRow`]s, carried from the worker that derived
+/// them to the sequential interning loop. Every row's label and TLD share
+/// one text buffer, so a run costs two allocations however many rows it
+/// holds.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ColumnRows {
+    text: String,
+    /// Per row: end of its label in `text`, end of its TLD, and its
+    /// malicious, organic, vt, q and b bits.
+    rows: Vec<(usize, usize, [bool; 5])>,
+}
+
+impl ColumnRows {
+    /// Copies `row` onto the end of the run.
+    pub fn push(&mut self, row: ColumnRow<'_>) {
+        self.text.push_str(row.sld);
+        let sld_end = self.text.len();
+        self.text.push_str(row.tld);
+        let bits = [row.malicious, row.organic, row.vt, row.q, row.b];
+        self.rows.push((sld_end, self.text.len(), bits));
+    }
+
+    /// The rows, in push order.
+    pub fn iter(&self) -> impl Iterator<Item = ColumnRow<'_>> {
+        let mut start = 0usize;
+        self.rows.iter().map(move |&(sld_end, tld_end, bits)| {
+            let [malicious, organic, vt, q, b] = bits;
+            let row = ColumnRow {
+                sld: &self.text[start..sld_end],
+                tld: &self.text[sld_end..tld_end],
+                malicious,
+                organic,
+                vt,
+                q,
+                b,
+            };
+            start = tld_end;
+            row
+        })
+    }
+}
+
 /// Row-at-a-time builder for [`CorpusColumns`].
 ///
 /// Rows must be pushed in corpus order (the caller walks shards
@@ -567,27 +624,10 @@ impl ColumnsBuilder {
         ColumnsBuilder::default()
     }
 
-    /// Appends one record's row.
-    #[allow(clippy::too_many_arguments)]
-    pub fn push(
-        &mut self,
-        sld: &str,
-        tld: &str,
-        malicious: bool,
-        organic: bool,
-        vt: bool,
-        q: bool,
-        b: bool,
-    ) {
-        let cols = &mut self.cols;
-        cols.sld.push(cols.labels.intern(sld));
-        let tld_sym = cols.tlds.intern(tld);
-        cols.tld.push(tld_sym.index() as u16);
-        cols.malicious.push(malicious);
-        cols.organic.push(organic);
-        cols.vt.push(vt);
-        cols.q.push(q);
-        cols.b.push(b);
+    /// Appends one record's row: the one interning loop every column
+    /// build runs, sequentially and in corpus order.
+    pub fn push(&mut self, row: ColumnRow<'_>) {
+        self.cols.append(row);
     }
 
     /// Finalizes the columns. `classify` receives the distinct labels (in
@@ -766,9 +806,27 @@ mod tests {
     #[test]
     fn columns_builder_broadcasts_label_classes() {
         let mut builder = ColumnsBuilder::new();
-        builder.push("彩票", "com", false, true, false, false, false);
-        builder.push("news", "net", true, true, true, true, false);
-        builder.push("彩票", "com", false, false, false, false, true);
+        builder.push(ColumnRow {
+            sld: "彩票",
+            tld: "com",
+            organic: true,
+            ..ColumnRow::default()
+        });
+        builder.push(ColumnRow {
+            sld: "news",
+            tld: "net",
+            malicious: true,
+            organic: true,
+            vt: true,
+            q: true,
+            ..ColumnRow::default()
+        });
+        builder.push(ColumnRow {
+            sld: "彩票",
+            tld: "com",
+            b: true,
+            ..ColumnRow::default()
+        });
         let cols = builder.finish(|labels| {
             labels
                 .iter()
@@ -813,15 +871,41 @@ mod tests {
     #[test]
     fn push_row_grows_append_only_and_keeps_symbols_stable() {
         let mut builder = ColumnsBuilder::new();
-        builder.push("彩票", "com", false, true, false, false, false);
-        builder.push("news", "net", false, true, false, false, false);
+        builder.push(ColumnRow {
+            sld: "彩票",
+            tld: "com",
+            organic: true,
+            ..ColumnRow::default()
+        });
+        builder.push(ColumnRow {
+            sld: "news",
+            tld: "net",
+            organic: true,
+            ..ColumnRow::default()
+        });
         let mut cols = builder.finish(|labels| vec![7; labels.len()]);
         let before = cols.mark();
         let sym0 = cols.sld_symbol(0);
         // Appending a duplicate label re-uses its symbol; a fresh one
         // extends the interner past the mark.
-        cols.push_row("彩票", "net", true, false, false, true, false, |_| 7);
-        cols.push_row("neu", "org", false, false, false, false, false, |_| 3);
+        cols.push_row(
+            ColumnRow {
+                sld: "彩票",
+                tld: "net",
+                malicious: true,
+                q: true,
+                ..ColumnRow::default()
+            },
+            |_| 7,
+        );
+        cols.push_row(
+            ColumnRow {
+                sld: "neu",
+                tld: "org",
+                ..ColumnRow::default()
+            },
+            |_| 3,
+        );
         let after = cols.mark();
         assert!(before.grew_monotonically_to(&after));
         assert_eq!(after.rows, 4);
@@ -842,7 +926,12 @@ mod tests {
     fn set_malicious_flips_one_row_only() {
         let mut builder = ColumnsBuilder::new();
         for _ in 0..3 {
-            builder.push("标签", "com", false, true, false, false, false);
+            builder.push(ColumnRow {
+                sld: "标签",
+                tld: "com",
+                organic: true,
+                ..ColumnRow::default()
+            });
         }
         let mut cols = builder.finish(|labels| vec![0; labels.len()]);
         cols.set_malicious(1, true);
@@ -851,6 +940,37 @@ mod tests {
         assert!(!cols.is_malicious(2));
         cols.set_malicious(1, false);
         assert!(!cols.is_malicious(1));
+    }
+
+    #[test]
+    fn column_rows_round_trip_every_row() {
+        let rows = [
+            ColumnRow {
+                sld: "彩票",
+                tld: "com",
+                organic: true,
+                vt: true,
+                ..ColumnRow::default()
+            },
+            ColumnRow {
+                sld: "",
+                tld: "公司",
+                malicious: true,
+                b: true,
+                ..ColumnRow::default()
+            },
+            ColumnRow {
+                sld: "neu",
+                tld: "",
+                q: true,
+                ..ColumnRow::default()
+            },
+        ];
+        let mut run = ColumnRows::default();
+        for row in rows {
+            run.push(row);
+        }
+        assert!(run.iter().eq(rows));
     }
 
     mod properties {

@@ -24,12 +24,11 @@ use crate::passes::{self, ScanPlan};
 use crate::{CandidateSurvey, ReproContext};
 use idnre_analyze::{DeltaStream, EpochSource, EpochState, EpochStats};
 use idnre_arena::CorpusColumns;
-use idnre_blacklist::Source;
 use idnre_core::{HomographDetector, SemanticDetector, SkeletonCache};
 use idnre_datagen::{
-    DaySimulator, EcosystemConfig, Ecosystem, EpochCorpus, EpochDelta, EpochDeltaKind,
+    column_row, DaySimulator, Ecosystem, EcosystemConfig, EpochCorpus, EpochDelta, EpochDeltaKind,
 };
-use idnre_langid::{Classifier, Language};
+use idnre_langid::Classifier;
 use idnre_telemetry::{NoopRecorder, Recorder, SpanCtx};
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,10 +116,10 @@ impl EpochRun {
 }
 
 /// Appends this epoch's new registrations to the interned columns and
-/// flips the malicious bit for lagged blacklist listings, exactly
-/// mirroring what [`passes::build_columns`] would have derived for the
-/// same records: same label split, same blacklist verdict bits, same
-/// per-label language classification. Columns only ever grow — the
+/// flips the malicious bit for lagged blacklist listings. Each row comes
+/// from [`column_row`], the emitter every column build shares, and each
+/// label gets the same classification [`passes::build_columns`] gives
+/// it. Columns only ever grow — the
 /// [`idnre_arena::ColumnsMark`] taken before the epoch must report
 /// monotonic growth after it. Public so adversarial delta-stream tests
 /// can drive the engine with hand-built overlays.
@@ -134,19 +133,9 @@ pub fn grow_columns(
     let have = columns.mark().rows;
     debug_assert!(have >= base, "columns shorter than the base corpus");
     for reg in &overlay.appended()[have - base..] {
-        let sld_len = reg.unicode.find('.').unwrap_or(reg.unicode.len());
-        let sld = &reg.unicode[..sld_len];
-        let verdict = eco.blacklist.verdict(&reg.domain);
-        columns.push_row(
-            sld,
-            &reg.tld,
-            reg.malicious.is_some(),
-            reg.language != Language::Unknown,
-            verdict.contains(&Source::VirusTotal),
-            verdict.contains(&Source::Qihoo360),
-            verdict.contains(&Source::Baidu),
-            |label| Classifier::global().classify(label).id(),
-        );
+        columns.push_row(column_row(reg, &eco.blacklist), |label| {
+            Classifier::global().classify(label).id()
+        });
     }
     for delta in deltas {
         if delta.kind == EpochDeltaKind::Blacklist {
@@ -204,7 +193,7 @@ pub fn run_epochs(
 ) -> EpochRun {
     let threads = config.threads;
     let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
-    let (eco, corpus) =
+    let (eco, corpus, rows) =
         idnre_datagen::generate_streamed_traced(config, shard_size, &*recorder, span.ctx());
     span.add_records(corpus.idn_len() + corpus.non_idn_len());
     drop(span);
@@ -220,21 +209,12 @@ pub fn run_epochs(
     let candidates = CandidateSurvey::build(&eco.brands, threads, &*recorder);
     let fig6_candidates = candidates.fig6_pool();
 
-    // Columns and skeletons are built once over the base corpus and then
-    // only ever extended past their high-water marks; both the
-    // incremental and the shadow legs borrow the same instances, so the
-    // speedup below measures the fold, not detector precompute.
-    let mut columns = {
-        let source = EpochSource::new(&overlay);
-        passes::build_columns(
-            &source,
-            &eco.blacklist,
-            shard_size,
-            threads,
-            &*recorder,
-            SpanCtx::ROOT,
-        )
-    };
+    // Columns and skeletons are built once over the base corpus (its rows
+    // came out of the artifact traversal) and then only ever extended past
+    // their high-water marks; both the incremental and the shadow legs
+    // borrow the same instances, so the speedup below measures the fold,
+    // not detector precompute.
+    let mut columns = passes::finish_columns(rows, threads, &*recorder, SpanCtx::ROOT);
     let mut skeletons = SkeletonCache::build(&columns, threads);
 
     // Epoch 0: cold fold. Every shard misses the cache; the fold is the
@@ -260,6 +240,10 @@ pub fn run_epochs(
         )
     };
     recorder.gauge_max(idnre_datagen::PEAK_RESIDENT_RECORDS, corpus.gauge().peak());
+    recorder.add(
+        idnre_datagen::SHARDS_REGENERATED,
+        corpus.shards_regenerated(),
+    );
 
     let mut ctx = ReproContext {
         eco,
@@ -271,7 +255,9 @@ pub fn run_epochs(
         health: None,
         mining: None,
     };
-    let mut final_report = ctx.full_report();
+    // Each warm epoch's report supersedes the last, so epoch 0's renders
+    // only when it is the final one.
+    let mut final_report = None;
     let mut per_epoch = Vec::with_capacity(epochs as usize);
 
     for epoch in 1..=epochs {
@@ -334,14 +320,14 @@ pub fn run_epochs(
             incremental_ns,
             rebuild_ns,
         });
-        final_report = incremental_report;
+        final_report = Some(incremental_report);
     }
 
     EpochRun {
         shard_size,
         initial,
         epochs: per_epoch,
-        final_report,
+        final_report: final_report.unwrap_or_else(|| ctx.full_report()),
     }
 }
 
@@ -374,8 +360,8 @@ mod tests {
         assert!(run.epochs.is_empty());
     }
 
-    /// One survey serves all five reports two epochs render (epoch 0,
-    /// then an incremental and a shadow report per epoch).
+    /// One survey serves all four reports two epochs render (an
+    /// incremental and a shadow report per epoch).
     #[test]
     fn candidates_are_enumerated_once_across_epochs() {
         let registry = Arc::new(idnre_telemetry::Registry::new());

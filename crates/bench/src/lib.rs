@@ -49,6 +49,7 @@ pub use robust::{FaultSetup, IngestStats, RunHealth, SurveyStats};
 pub use slo::{slo_profile, SLO_PROFILES};
 
 use idnre_analyze::{Population, RecordSource, SliceSource, StreamSource};
+use idnre_arena::CorpusColumns;
 use idnre_core::{HomographDetector, HomographFinding, SemanticDetector, SemanticFinding};
 use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig};
 use idnre_telemetry::{Recorder, SpanCtx};
@@ -138,19 +139,19 @@ impl ReproContext {
     pub fn build(config: &EcosystemConfig, spec: &RunSpec, recorder: Arc<dyn Recorder>) -> Self {
         let shard_size = spec.shard_size.unwrap_or(DEFAULT_SHARD_SIZE);
         let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
-        let (eco, corpus) = match spec.shard_size {
+        let (eco, corpus, rows) = match spec.shard_size {
             None => {
                 let eco = Ecosystem::generate_traced(config, &*recorder, span.ctx());
-                (eco, None)
+                (eco, None, None)
             }
             Some(_) => {
-                let (eco, corpus) = idnre_datagen::generate_streamed_traced(
+                let (eco, corpus, rows) = idnre_datagen::generate_streamed_traced(
                     config,
                     shard_size,
                     &*recorder,
                     span.ctx(),
                 );
-                (eco, Some(corpus))
+                (eco, Some(corpus), Some(rows))
             }
         };
         let slice_source;
@@ -172,8 +173,20 @@ impl ReproContext {
         drop(span);
 
         let candidates = CandidateSurvey::build(&eco.brands, config.threads, &*recorder);
+        let columns = match rows {
+            // The streamed traversal already interned the rows.
+            Some(rows) => passes::finish_columns(rows, config.threads, &*recorder, SpanCtx::ROOT),
+            None => passes::build_columns(
+                &eco.idn_registrations,
+                &eco.blacklist,
+                config.threads,
+                &*recorder,
+                SpanCtx::ROOT,
+            ),
+        };
         let (homographs, semantic, outputs, mining) = run_scan(
             &eco,
+            &columns,
             view.source,
             shard_size,
             config.threads,
@@ -187,9 +200,13 @@ impl ReproContext {
             .as_ref()
             .map(|setup| robust::faulted_surveys(&view, &eco, setup, config.threads, &*recorder));
         if let Some(corpus) = &corpus {
-            // Recorded last so the gauge covers the faulted surveys' shard
-            // walks too.
+            // Recorded last so the gauge and the counter cover the faulted
+            // surveys' shard walks too.
             recorder.gauge_max(idnre_datagen::PEAK_RESIDENT_RECORDS, corpus.gauge().peak());
+            recorder.add(
+                idnre_datagen::SHARDS_REGENERATED,
+                corpus.shards_regenerated(),
+            );
         }
         ReproContext {
             eco,
@@ -323,15 +340,17 @@ impl<'a> CorpusView<'a> {
     }
 }
 
-/// Builds both detectors and the full report-aggregator roster, then runs
-/// the one fused traversal every corpus-derived number comes from; Figure
-/// 6's pass tests the corpus against `candidates`. With `mine` set, the
+/// Builds both detectors and the full report-aggregator roster over
+/// `columns`, then runs the one fused traversal every corpus-derived
+/// number comes from; Figure 6's pass tests the corpus against
+/// `candidates`. With `mine` set, the
 /// skeleton-LSH bucket index folds on the same traversal (pass A) and the
 /// pair miner (pass B) runs over its non-singleton buckets afterwards,
 /// under the same parent span.
 #[allow(clippy::too_many_arguments)]
 fn run_scan(
     eco: &Ecosystem,
+    columns: &CorpusColumns,
     source: &dyn RecordSource,
     shard_size: usize,
     threads: usize,
@@ -348,19 +367,11 @@ fn run_scan(
     let brand_domains: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
     let detector = HomographDetector::new(&brand_domains, 0.95);
     let semantic_detector = SemanticDetector::new(&brand_domains);
-    let columns = passes::build_columns(
-        source,
-        &eco.blacklist,
-        shard_size,
-        threads,
-        recorder,
-        parent,
-    );
-    let mining_plan = mine.then(|| mine::MiningPlan::new(&columns, threads));
+    let mining_plan = mine.then(|| mine::MiningPlan::new(columns, threads));
     let plan = passes::ScanPlan::new(
         &detector,
         &semantic_detector,
-        &columns,
+        columns,
         &eco.pdns,
         passes::table3_wanted(&eco.whois),
         candidates.fig6_pool(),
@@ -370,15 +381,7 @@ fn run_scan(
     let (homographs, semantic, outputs, index) =
         plan.run_at(source, shard_size, threads, recorder, parent);
     let mining = index.zip(mining_plan.as_ref()).map(|(index, mining_plan)| {
-        mine::mine_portfolios(
-            &index,
-            &columns,
-            mining_plan,
-            eco,
-            threads,
-            recorder,
-            parent,
-        )
+        mine::mine_portfolios(&index, columns, mining_plan, eco, threads, recorder, parent)
     });
     (homographs, semantic, outputs, mining)
 }
@@ -532,6 +535,29 @@ mod tests {
             .counters
             .iter()
             .all(|c| !c.name.starts_with("crawler.")));
+    }
+
+    /// A clean streamed build regenerates every shard exactly twice: once
+    /// in the artifact traversal, which also emits the column rows, and
+    /// once in the fused scan.
+    #[test]
+    fn clean_streamed_build_regenerates_each_shard_twice() {
+        for shard_size in [64usize, 1024] {
+            let registry = Arc::new(idnre_telemetry::Registry::new());
+            let spec = RunSpec {
+                shard_size: Some(shard_size),
+                ..RunSpec::default()
+            };
+            let ctx = ReproContext::build(&config(), &spec, registry.clone());
+            let size = shard_size as u64;
+            let shards =
+                ctx.outputs.idn_len.div_ceil(size) + ctx.outputs.non_idn_len.div_ceil(size);
+            assert_eq!(
+                registry.counter_value(idnre_datagen::SHARDS_REGENERATED),
+                2 * shards,
+                "shard size {shard_size}"
+            );
+        }
     }
 
     /// The candidate survey is enumerated once per build; rendering the

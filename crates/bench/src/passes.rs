@@ -18,15 +18,16 @@ use idnre_analyze::{
     Population, RecordSource, ScanResult, ShardedScan,
 };
 use idnre_arena::{BucketIndex, ColumnsBuilder, CorpusColumns, Symbol};
-use idnre_blacklist::{BlacklistSet, Source};
+use idnre_blacklist::BlacklistSet;
 use idnre_core::{
     ColumnedHomographPass, HomographDetector, HomographFinding, Semantic1Pass, Semantic2Pass,
     SemanticDetector, SemanticFinding, SkeletonCache,
 };
 use idnre_crawler::UsageCategory;
+use idnre_datagen::{column_row, DomainRegistration};
 use idnre_langid::{Classifier, Language};
 use idnre_pdns::{ActivityAnalytics, PdnsStore};
-use idnre_telemetry::{Recorder, SpanCtx};
+use idnre_telemetry::{Recorder, Span, SpanCtx};
 use idnre_whois::analytics::RegistrationAnalytics;
 use idnre_whois::WhoisRecord;
 use std::collections::{HashMap, HashSet};
@@ -515,63 +516,52 @@ pub fn table3_wanted(whois: &[WhoisRecord]) -> HashSet<String> {
     wanted
 }
 
-/// Builds the struct-of-arrays corpus columns the report passes read:
-/// interned SLD labels, TLD ids, language ids, and the per-record
-/// malicious/organic/blacklist bits.
+/// Builds the struct-of-arrays corpus columns the report passes read
+/// from the resident IDN records of a batch build: interned SLD labels,
+/// TLD ids, language ids, and the per-record malicious/organic/blacklist
+/// bits.
 ///
-/// The IDN population is walked sequentially in corpus order (shard by
-/// shard, so a streaming source materializes at most `shard_size` records
-/// at a time), which makes every symbol and column deterministic by
-/// construction — independent of thread count. Language classification
-/// runs once per **distinct** label, parallelized over the interner, and
-/// is broadcast to the per-record column; since the classifier is a pure
-/// function of the label string, the broadcast ids equal a per-record
-/// classification exactly.
+/// Each record's row comes from [`column_row`], the same emitter the
+/// streamed artifact traversal runs per shard, and is interned
+/// sequentially in corpus order, so every symbol and column is
+/// deterministic by construction. Classification then runs as in
+/// [`finish_columns`].
 pub fn build_columns(
-    source: &dyn RecordSource,
+    idn: &[DomainRegistration],
     blacklist: &BlacklistSet,
-    shard_size: usize,
     threads: usize,
     recorder: &dyn Recorder,
     parent: SpanCtx,
 ) -> CorpusColumns {
-    let mut span = recorder.span_at("analyze.columns", parent, 0);
-    let total = source.population_len(Population::Idn);
-    let shard_size = shard_size.max(1);
+    let span = recorder.span_at("analyze.columns", parent, 0);
     let mut builder = ColumnsBuilder::new();
-    let mut start = 0u64;
-    while start < total {
-        let len = (total - start).min(shard_size as u64) as usize;
-        source.with_shard(Population::Idn, start, len, &mut |records| {
-            // The per-record string work (label split, blacklist verdict)
-            // is precomputed on the worker pool; only the intern loop below
-            // stays sequential, so symbol assignment remains corpus-ordered
-            // and the columns stay byte-identical across thread counts.
-            let rows = idnre_par::par_map(records, threads, |reg| {
-                let sld_len = reg.unicode.find('.').unwrap_or(reg.unicode.len());
-                let verdict = blacklist.verdict(&reg.domain);
-                (
-                    sld_len,
-                    verdict.contains(&Source::VirusTotal),
-                    verdict.contains(&Source::Qihoo360),
-                    verdict.contains(&Source::Baidu),
-                )
-            });
-            for (reg, (sld_len, vt, q, b)) in records.iter().zip(rows) {
-                let sld = &reg.unicode[..sld_len];
-                builder.push(
-                    sld,
-                    &reg.tld,
-                    reg.malicious.is_some(),
-                    reg.language != Language::Unknown,
-                    vt,
-                    q,
-                    b,
-                );
-            }
-        });
-        start += len as u64;
+    for reg in idn {
+        builder.push(column_row(reg, blacklist));
     }
+    classify_labels(builder, threads, span)
+}
+
+/// Finishes the columns a streamed build interned during its artifact
+/// traversal ([`idnre_datagen::generate_streamed`]): the classification
+/// half of [`build_columns`], under the same `analyze.columns` span.
+pub fn finish_columns(
+    builder: ColumnsBuilder,
+    threads: usize,
+    recorder: &dyn Recorder,
+    parent: SpanCtx,
+) -> CorpusColumns {
+    classify_labels(
+        builder,
+        threads,
+        recorder.span_at("analyze.columns", parent, 0),
+    )
+}
+
+/// Classifies each **distinct** label once, parallelized over the
+/// interner, and broadcasts the ids to the per-record column. The
+/// classifier is a pure function of the label string, so the broadcast
+/// ids equal a per-record classification exactly, at any thread count.
+fn classify_labels(builder: ColumnsBuilder, threads: usize, mut span: Span) -> CorpusColumns {
     let columns = builder.finish(|labels| {
         let clf = Classifier::global();
         let indices: Vec<u32> = (0..labels.len() as u32).collect();
@@ -580,7 +570,7 @@ pub fn build_columns(
                 .id()
         })
     });
-    span.add_records(total);
+    span.add_records(columns.len() as u64);
     columns
 }
 

@@ -557,9 +557,8 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
     // confusable corpora, pinned by the proptest oracle-equivalence test.
     let probe_source = SliceSource::new(&ctx.eco.idn_registrations, &ctx.eco.non_idn_registrations);
     let columns = crate::passes::build_columns(
-        &probe_source,
+        &ctx.eco.idn_registrations,
         &ctx.eco.blacklist,
-        crate::DEFAULT_SHARD_SIZE,
         threads,
         &NoopRecorder,
         SpanCtx::NONE,
@@ -607,6 +606,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         let started = Instant::now();
         let _ = crate::run_scan(
             &ctx.eco,
+            &columns,
             &probe_source,
             crate::DEFAULT_SHARD_SIZE,
             threads,
@@ -619,6 +619,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         let started = Instant::now();
         let _ = crate::run_scan(
             &ctx.eco,
+            &columns,
             &probe_source,
             crate::DEFAULT_SHARD_SIZE,
             threads,

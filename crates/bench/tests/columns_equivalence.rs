@@ -1,26 +1,41 @@
 //! Determinism of the struct-of-arrays corpus layout: building
 //! [`CorpusColumns`] from the same corpus must yield identical symbol
-//! ids, TLD ids, language ids and verdict bits for every worker count and
-//! shard size — the interner's insertion order (and therefore every
-//! `Symbol(u32)`) is part of the deterministic contract, not an artifact
-//! of scheduling.
+//! ids, TLD ids, language ids and verdict bits for every worker count,
+//! shard size and build mode — the interner's insertion order (and
+//! therefore every `Symbol(u32)`) is part of the deterministic contract,
+//! not an artifact of scheduling.
 
-use idnre_analyze::SliceSource;
 use idnre_arena::CorpusColumns;
 use idnre_bench::passes;
-use idnre_datagen::{Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_streamed, Ecosystem, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 
-fn build(eco: &Ecosystem, shard_size: usize, threads: usize) -> CorpusColumns {
-    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+fn config(threads: usize) -> EcosystemConfig {
+    EcosystemConfig {
+        scale: 2000,
+        attack_scale: 25,
+        brand_count: 200,
+        threads,
+        ..EcosystemConfig::default()
+    }
+}
+
+/// The batch build: rows derived from the resident IDN vector.
+fn build(eco: &Ecosystem, threads: usize) -> CorpusColumns {
     passes::build_columns(
-        &source,
+        &eco.idn_registrations,
         &eco.blacklist,
-        shard_size,
         threads,
         &NoopRecorder,
         SpanCtx::NONE,
     )
+}
+
+/// The streamed build: rows emitted and interned by the artifact
+/// traversal, then classified.
+fn build_streamed(threads: usize, shard_size: usize) -> CorpusColumns {
+    let (_, _, rows) = generate_streamed(&config(threads), shard_size, &NoopRecorder);
+    passes::finish_columns(rows, threads, &NoopRecorder, SpanCtx::NONE)
 }
 
 fn assert_identical(a: &CorpusColumns, b: &CorpusColumns, what: &str) {
@@ -62,29 +77,28 @@ fn assert_identical(a: &CorpusColumns, b: &CorpusColumns, what: &str) {
     }
 }
 
-/// Same corpus → same columns, for every (threads, shard_size) pair the
-/// report-byte grid exercises. The thread count only parallelizes the
-/// per-distinct-label language classification; the shard size only bounds
-/// how many records are pushed per callback.
+/// Same corpus → same columns, for every thread count of the batch
+/// build and every (threads, shard_size) cell of the streamed one. The
+/// thread count only parallelizes the per-shard row emission and the
+/// per-distinct-label language classification; the shard size only
+/// decides which rows travel together to the sequential intern loop.
 #[test]
 fn columns_are_identical_across_threads_and_shards() {
-    let eco = Ecosystem::generate(&EcosystemConfig {
-        scale: 2000,
-        attack_scale: 25,
-        brand_count: 200,
-        threads: 4,
-        ..EcosystemConfig::default()
-    });
-    let reference = build(&eco, 1024, 4);
+    let eco = Ecosystem::generate(&config(4));
+    let reference = build(&eco, 4);
     assert!(reference.len() > 500, "corpus too small to be meaningful");
     assert!(reference.labels().len() > 50);
     for threads in [1usize, 2, 8] {
-        for shard_size in [64usize, 1024] {
-            let other = build(&eco, shard_size, threads);
+        assert_identical(
+            &reference,
+            &build(&eco, threads),
+            &format!("batch threads={threads}"),
+        );
+        for shard_size in [7usize, 64, 1024] {
             assert_identical(
                 &reference,
-                &other,
-                &format!("threads={threads} shard_size={shard_size}"),
+                &build_streamed(threads, shard_size),
+                &format!("streamed threads={threads} shard_size={shard_size}"),
             );
         }
     }

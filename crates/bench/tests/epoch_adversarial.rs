@@ -32,13 +32,17 @@ use std::collections::HashSet;
 const SHARD: usize = 64;
 const THREADS: usize = 2;
 
-fn fixture() -> (Ecosystem, KeyedCorpus) {
+/// The streamed base corpus and its columns, as the epoch driver builds
+/// them: the rows come out of the artifact traversal.
+fn fixture() -> (Ecosystem, KeyedCorpus, CorpusColumns) {
     let config = EcosystemConfig {
         scale: 8000,
         threads: THREADS,
         ..EcosystemConfig::default()
     };
-    idnre_datagen::generate_streamed(&config, SHARD, &NoopRecorder)
+    let (eco, corpus, rows) = idnre_datagen::generate_streamed(&config, SHARD, &NoopRecorder);
+    let columns = passes::finish_columns(rows, THREADS, &NoopRecorder, SpanCtx::NONE);
+    (eco, corpus, columns)
 }
 
 type Fold = (Vec<HomographFinding>, Vec<SemanticFinding>, ScanOutputs);
@@ -113,18 +117,6 @@ impl<'e> Engine<'e> {
     }
 }
 
-fn build_columns(overlay: &EpochCorpus<'_>, eco: &Ecosystem) -> CorpusColumns {
-    let source = EpochSource::new(overlay);
-    passes::build_columns(
-        &source,
-        &eco.blacklist,
-        SHARD,
-        THREADS,
-        &NoopRecorder,
-        SpanCtx::NONE,
-    )
-}
-
 /// Regenerates one live base record from the overlay.
 fn clone_record(overlay: &EpochCorpus<'_>, index: u64) -> DomainRegistration {
     let mut out = None;
@@ -154,10 +146,9 @@ fn gauge(registry: &Registry, name: &str) -> u64 {
 
 #[test]
 fn removing_a_nonexistent_record_dirties_nothing() {
-    let (eco, corpus) = fixture();
+    let (eco, corpus, columns) = fixture();
     let overlay = EpochCorpus::new(&corpus);
     let engine = Engine::new(&eco);
-    let columns = build_columns(&overlay, &eco);
     let cache = SkeletonCache::build(&columns, THREADS);
     let mut state = EpochState::new(SHARD);
 
@@ -201,10 +192,9 @@ fn removing_a_nonexistent_record_dirties_nothing() {
 
 #[test]
 fn add_then_expire_in_one_epoch_leaves_a_stable_hole() {
-    let (eco, corpus) = fixture();
+    let (eco, corpus, mut columns) = fixture();
     let mut overlay = EpochCorpus::new(&corpus);
     let engine = Engine::new(&eco);
-    let mut columns = build_columns(&overlay, &eco);
     let mut cache = SkeletonCache::build(&columns, THREADS);
     let mut state = EpochState::new(SHARD);
 
@@ -256,10 +246,9 @@ fn add_then_expire_in_one_epoch_leaves_a_stable_hole() {
 
 #[test]
 fn duplicate_bulk_adds_share_the_interned_label() {
-    let (eco, corpus) = fixture();
+    let (eco, corpus, mut columns) = fixture();
     let mut overlay = EpochCorpus::new(&corpus);
     let engine = Engine::new(&eco);
-    let mut columns = build_columns(&overlay, &eco);
     let mut cache = SkeletonCache::build(&columns, THREADS);
     let mut state = EpochState::new(SHARD);
 
@@ -311,10 +300,9 @@ fn duplicate_bulk_adds_share_the_interned_label() {
 
 #[test]
 fn lagged_blacklist_listings_straddle_epoch_boundaries() {
-    let (eco, corpus) = fixture();
+    let (eco, corpus, mut columns) = fixture();
     let mut overlay = EpochCorpus::new(&corpus);
     let engine = Engine::new(&eco);
-    let mut columns = build_columns(&overlay, &eco);
     let mut cache = SkeletonCache::build(&columns, THREADS);
     let mut state = EpochState::new(SHARD);
     // Heavy churn so every epoch schedules at least one lagged listing.

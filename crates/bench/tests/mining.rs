@@ -9,7 +9,7 @@
 //! corpora, and a pinned scale-50 regression for the mined counts.
 
 use idnre_analyze::{fold_is_associative, SliceSource};
-use idnre_arena::ColumnsBuilder;
+use idnre_arena::{ColumnRow, ColumnsBuilder};
 use idnre_bench::{mine, passes, CandidateSurvey, ReproContext, RunSpec};
 use idnre_core::{HomographDetector, SemanticDetector};
 use idnre_datagen::{Ecosystem, EcosystemConfig};
@@ -74,9 +74,8 @@ fn mining_merges_are_associative_at_chunk_97() {
     let semantic_detector = SemanticDetector::new(&brand_domains);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
     let columns = passes::build_columns(
-        &source,
+        &eco.idn_registrations,
         &eco.blacklist,
-        1024,
         4,
         &NoopRecorder,
         SpanCtx::NONE,
@@ -178,7 +177,11 @@ fn scale_50_mined_counts_are_pinned() {
 fn forged_columns(slds: &[String]) -> idnre_arena::CorpusColumns {
     let mut builder = ColumnsBuilder::new();
     for sld in slds {
-        builder.push(sld, "com", false, false, false, false, false);
+        builder.push(ColumnRow {
+            sld,
+            tld: "com",
+            ..ColumnRow::default()
+        });
     }
     builder.finish(|labels| vec![0; labels.len()])
 }

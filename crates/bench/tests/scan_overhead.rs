@@ -31,9 +31,8 @@ fn instrumented_scan_stays_within_five_percent_of_uninstrumented() {
     let detector = HomographDetector::new(&brand_domains, 0.95);
     let semantic_detector = SemanticDetector::new(&brand_domains);
     let columns = passes::build_columns(
-        &source,
+        &eco.idn_registrations,
         &eco.blacklist,
-        1024,
         config.threads,
         &NoopRecorder,
         idnre_telemetry::SpanCtx::NONE,

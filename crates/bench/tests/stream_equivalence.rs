@@ -65,9 +65,8 @@ fn every_pass_merge_is_associative() {
     let semantic_detector = SemanticDetector::new(&brand_domains);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
     let columns = passes::build_columns(
-        &source,
+        &eco.idn_registrations,
         &eco.blacklist,
-        1024,
         4,
         &NoopRecorder,
         idnre_telemetry::SpanCtx::NONE,

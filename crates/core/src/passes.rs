@@ -499,16 +499,12 @@ mod tests {
     fn columns_of(eco: &Ecosystem) -> idnre_arena::CorpusColumns {
         let mut builder = idnre_arena::ColumnsBuilder::new();
         for reg in &eco.idn_registrations {
-            let sld = reg.unicode.split('.').next().unwrap_or("");
-            builder.push(
-                sld,
-                &reg.tld,
-                reg.malicious.is_some(),
-                false,
-                false,
-                false,
-                false,
-            );
+            builder.push(idnre_arena::ColumnRow {
+                sld: reg.unicode.split('.').next().unwrap_or(""),
+                tld: &reg.tld,
+                malicious: reg.malicious.is_some(),
+                ..idnre_arena::ColumnRow::default()
+            });
         }
         builder.finish(|labels| vec![0; labels.len()])
     }

@@ -17,7 +17,8 @@
 //! every planned record is regenerated into the resident vectors, and the
 //! batch emitters below derive stages 6–9 (WHOIS, pDNS, certificates,
 //! zones) from those vectors. The per-record emitters are shared with the
-//! streamed build's fused artifact pass.
+//! streamed build's fused artifact pass, which also emits each IDN
+//! record's [`column_row`].
 
 use crate::attacks::AttackDomain;
 use crate::brands::BrandList;
@@ -30,7 +31,8 @@ use crate::registration::{
     DomainRegistration, MaliciousKind,
 };
 use crate::stream;
-use idnre_blacklist::BlacklistSet;
+use idnre_arena::ColumnRow;
+use idnre_blacklist::{BlacklistSet, Source};
 use idnre_certs::Certificate;
 use idnre_crawler::UsageCategory;
 use idnre_langid::Language;
@@ -585,6 +587,24 @@ pub(crate) fn ns_record_for(reg: &DomainRegistration) -> Option<ResourceRecord> 
         ttl: 86_400,
         rdata: RData::Ns(ns),
     })
+}
+
+/// One IDN registration's column row: its Unicode SLD label, TLD,
+/// malicious and organic bits, and per-source blacklist verdict. Shared
+/// by the streaming artifact pass, the batch column build and epoch
+/// growth, so every column build derives the same row from a record.
+pub fn column_row<'r>(reg: &'r DomainRegistration, blacklist: &BlacklistSet) -> ColumnRow<'r> {
+    let sld_len = reg.unicode.find('.').unwrap_or(reg.unicode.len());
+    let verdict = blacklist.verdict(&reg.domain);
+    ColumnRow {
+        sld: &reg.unicode[..sld_len],
+        tld: &reg.tld,
+        malicious: reg.malicious.is_some(),
+        organic: reg.language != Language::Unknown,
+        vt: verdict.contains(&Source::VirusTotal),
+        q: verdict.contains(&Source::Qihoo360),
+        b: verdict.contains(&Source::Baidu),
+    }
 }
 
 #[cfg(test)]

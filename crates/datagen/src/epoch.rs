@@ -209,6 +209,7 @@ impl<'a> EpochCorpus<'a> {
         len: usize,
         f: &mut dyn FnMut(&[DomainRegistration], &[u64]),
     ) {
+        self.base.count_shard();
         self.base.gauge().add(len as u64);
         let base_len = self.base.idn_len();
         let end = start.saturating_add(len as u64).min(self.idn_index_space());

@@ -52,8 +52,11 @@ pub mod stream;
 pub use brands::{Brand, BrandList};
 pub use config::{EcosystemConfig, TldSpec, TABLE_I};
 pub use dataset::{dataset_fingerprint, render_dataset, DATASET_SCHEMA};
-pub use ecosystem::Ecosystem;
+pub use ecosystem::{column_row, Ecosystem};
 pub use epoch::{DaySimulator, EpochCorpus, EpochDelta, EpochDeltaKind};
 pub use hosting::HostingProfile;
 pub use registration::{DomainRegistration, MaliciousKind};
-pub use stream::{generate_streamed, generate_streamed_traced, KeyedCorpus, PEAK_RESIDENT_RECORDS};
+pub use stream::{
+    generate_streamed, generate_streamed_traced, KeyedCorpus, PEAK_RESIDENT_RECORDS,
+    SHARDS_REGENERATED,
+};

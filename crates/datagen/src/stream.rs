@@ -14,7 +14,8 @@
 //!
 //! * [`generate_streamed`] never materializes the corpus: one fused
 //!   traversal regenerates each shard and emits its stage 6–9 artifacts
-//!   (WHOIS, pDNS, certificates, zone records).
+//!   (WHOIS, pDNS, certificates, zone records) and, for IDN shards, the
+//!   interned column rows.
 //! * [`Ecosystem::generate`] materializes every shard once
 //!   (`KeyedCorpus::materialize`) and runs the batch emitters for
 //!   stages 6–9 over the resident vectors.
@@ -28,15 +29,15 @@ use crate::attacks::{self, AttackDomain};
 use crate::brands::BrandList;
 use crate::config::{EcosystemConfig, TABLE_I};
 use crate::ecosystem::{
-    attack_registration, attack_rolls, build_non_idn, certificate_for, draw_idn_domain, finish_idn,
-    ns_record_for, traffic_for, whois_record_for, Ecosystem, ORDINARY_ATTEMPTS,
+    attack_registration, attack_rolls, build_non_idn, certificate_for, column_row, draw_idn_domain,
+    finish_idn, ns_record_for, traffic_for, whois_record_for, Ecosystem, ORDINARY_ATTEMPTS,
 };
 use crate::labels;
 use crate::registration::{
     sample_malicious_creation_date, sample_registrant, themed_label, BulkTheme, DomainRegistration,
     MaliciousKind, BULK_REGISTRANTS,
 };
-use idnre_arena::{Interner, Symbol};
+use idnre_arena::{ColumnRows, ColumnsBuilder, Interner, Symbol};
 use idnre_blacklist::{BlacklistSet, Source};
 use idnre_certs::Certificate;
 use idnre_langid::Language;
@@ -47,10 +48,14 @@ use idnre_whois::{Date, WhoisRecord};
 use idnre_zonefile::{ResourceRecord, Zone};
 use rand::Rng;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Gauge name of the peak-residency level.
 pub const PEAK_RESIDENT_RECORDS: &str = "datagen.peak_resident_records";
+
+/// Counter name of [`KeyedCorpus::shards_regenerated`].
+pub const SHARDS_REGENERATED: &str = "datagen.stream.shards_regenerated";
 
 /// Attack-injection channels in injection order: the blacklisted share per
 /// mille for each attack class. Homograph: paper 100/1516 ≈ 6.6%; Type-1
@@ -65,6 +70,11 @@ const ATTACK_CHANNELS: [(MaliciousKind, u32); 3] = [
 /// Records per work unit when [`KeyedCorpus::materialize`] regenerates
 /// the whole corpus. Scheduling only: the bytes do not depend on it.
 const MATERIALIZE_SHARD: usize = 1024;
+
+/// How many shards per worker the streamed artifact traversal may finish
+/// ahead of its in-order apply loop: the most per-shard outputs ever
+/// buffered. Scheduling only: the bytes do not depend on it.
+const SHARDS_AHEAD_PER_WORKER: usize = 4;
 
 /// How one IDN record regenerates: which keyed stream to replay and (for
 /// ordinary registrations) which retry-ladder rung won the dedup race.
@@ -92,6 +102,8 @@ pub struct KeyedCorpus {
     /// Per-spec non-IDN population spans: `(global start, count)`.
     non_idn_spans: Vec<(u64, u64)>,
     gauge: Arc<Gauge>,
+    /// Shards regenerated so far, across every walk and worker.
+    regenerated: AtomicU64,
 }
 
 impl KeyedCorpus {
@@ -114,9 +126,23 @@ impl KeyedCorpus {
         &self.gauge
     }
 
+    /// How many shards this corpus has regenerated so far: one per
+    /// [`KeyedCorpus::with_idn_shard`] or
+    /// [`KeyedCorpus::with_non_idn_shard`] call, and one per IDN shard an
+    /// [`crate::EpochCorpus`] overlay regenerates from it.
+    pub fn shards_regenerated(&self) -> u64 {
+        self.regenerated.load(Ordering::Relaxed)
+    }
+
+    /// Counts one shard toward [`KeyedCorpus::shards_regenerated`].
+    pub(crate) fn count_shard(&self) {
+        self.regenerated.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Materializes IDN records `[start, start + len)` and calls `f` once
     /// with the slice. Residency is gauge-tracked for the call's duration.
     pub fn with_idn_shard(&self, start: u64, len: usize, f: &mut dyn FnMut(&[DomainRegistration])) {
+        self.count_shard();
         self.gauge.add(len as u64);
         let records: Vec<DomainRegistration> = (start..start + len as u64)
             .map(|i| self.regen_idn(i))
@@ -133,6 +159,7 @@ impl KeyedCorpus {
         len: usize,
         f: &mut dyn FnMut(&[DomainRegistration]),
     ) {
+        self.count_shard();
         self.gauge.add(len as u64);
         let records: Vec<DomainRegistration> = (start..start + len as u64)
             .map(|i| self.regen_non_idn(i))
@@ -300,13 +327,15 @@ fn shard_spans(total: u64, shard_size: usize) -> Vec<(u64, usize)> {
 /// Streamed counterpart of [`Ecosystem::generate_recorded`]: produces an
 /// [`Ecosystem`] whose registration vectors are **empty** (artifacts —
 /// WHOIS, pDNS, certificates, blacklist, zones — are fully populated and
-/// byte-identical to the batch build) plus the [`KeyedCorpus`] that
-/// regenerates any registration shard on demand.
+/// byte-identical to the batch build), the [`KeyedCorpus`] that
+/// regenerates any registration shard on demand, and the IDN population's
+/// [`column_row`]s interned in corpus order, ready for
+/// [`ColumnsBuilder::finish`] to classify.
 pub fn generate_streamed(
     config: &EcosystemConfig,
     shard_size: usize,
     recorder: &dyn Recorder,
-) -> (Ecosystem, KeyedCorpus) {
+) -> (Ecosystem, KeyedCorpus, ColumnsBuilder) {
     generate_streamed_traced(config, shard_size, recorder, SpanCtx::NONE)
 }
 
@@ -317,13 +346,15 @@ pub fn generate_streamed_traced(
     shard_size: usize,
     recorder: &dyn Recorder,
     parent: SpanCtx,
-) -> (Ecosystem, KeyedCorpus) {
+) -> (Ecosystem, KeyedCorpus, ColumnsBuilder) {
     let (corpus, brands, blacklist) = plan(config, recorder, parent);
 
-    // --- Artifact phase (stages 6–9): one fused traversal computing
-    //     WHOIS, pDNS, certificates and zone records per shard in
-    //     parallel, applied sequentially in shard order so every artifact
-    //     lands in exactly the batch emitters' order. ---
+    // --- Artifact phase (stages 6–9) and the column rows: one fused
+    //     traversal regenerates each shard once on the workers and emits
+    //     its WHOIS, pDNS, certificates and zone records, plus the IDN
+    //     shards' column rows. The calling thread applies the outputs in
+    //     shard order as they finish, so every artifact lands in exactly
+    //     the batch emitters' order and labels intern in corpus order. ---
     let mut span = recorder.span_at("datagen.stream.artifacts", parent, 1);
     let root = Key::root(config.seed);
     let snapshot_day = config.snapshot.day_number();
@@ -343,6 +374,7 @@ pub fn generate_streamed_traced(
         zone_records: Vec<Vec<ResourceRecord>>,
         zone_matched: u64,
         zone_parse_skipped: u64,
+        rows: ColumnRows,
     }
 
     let idn_len = corpus.idn_len();
@@ -355,7 +387,7 @@ pub fn generate_streamed_traced(
                 .map(|(start, len)| (false, start, len)),
         )
         .collect();
-    let artifact_shards = idnre_par::par_map(&shards, config.threads, |&(is_idn, start, len)| {
+    let emit_shard = |&(is_idn, start, len): &(bool, u64, usize)| {
         let mut out = ShardArtifacts {
             whois: Vec::new(),
             aggregates: Vec::new(),
@@ -363,6 +395,7 @@ pub fn generate_streamed_traced(
             zone_records: vec![Vec::new(); origin_tlds.len()],
             zone_matched: 0,
             zone_parse_skipped: 0,
+            rows: ColumnRows::default(),
         };
         let mut emit = |records: &[DomainRegistration]| {
             for (offset, reg) in records.iter().enumerate() {
@@ -372,6 +405,7 @@ pub fn generate_streamed_traced(
                 let chained = if is_idn { index } else { idn_len + index };
                 if is_idn {
                     out.whois.extend(whois_record_for(whois_key, index, reg));
+                    out.rows.push(column_row(reg, &blacklist));
                 }
                 out.aggregates
                     .extend(traffic_for(pdns_key, chained, reg, is_idn, snapshot_day));
@@ -392,7 +426,7 @@ pub fn generate_streamed_traced(
             corpus.with_non_idn_shard(start, len, &mut emit);
         }
         out
-    });
+    };
 
     let mut whois = Vec::new();
     let mut pdns = PdnsStore::new();
@@ -400,7 +434,9 @@ pub fn generate_streamed_traced(
     let mut zones: Vec<Zone> = origins.into_iter().map(Zone::new).collect();
     let mut zone_matched = 0u64;
     let mut zone_parse_skipped = 0u64;
-    for shard in artifact_shards {
+    let mut columns = ColumnsBuilder::new();
+    let ahead = SHARDS_AHEAD_PER_WORKER * config.threads;
+    idnre_par::par_map_ordered(&shards, config.threads, ahead, emit_shard, |shard| {
         whois.extend(shard.whois);
         for aggregate in shard.aggregates {
             pdns.insert_aggregate(aggregate);
@@ -411,7 +447,10 @@ pub fn generate_streamed_traced(
         }
         zone_matched += shard.zone_matched;
         zone_parse_skipped += shard.zone_parse_skipped;
-    }
+        for row in shard.rows.iter() {
+            columns.push(row);
+        }
+    });
     let total = idn_len + corpus.non_idn_len();
     let zones_skipped = zone_parse_skipped + (total - zone_matched);
     span.add_records(
@@ -438,7 +477,7 @@ pub fn generate_streamed_traced(
         blacklist,
         zones,
     };
-    (eco, corpus)
+    (eco, corpus, columns)
 }
 
 /// Generation stages 1–5 — the one corpus planner both builders share —
@@ -690,6 +729,7 @@ pub(crate) fn plan(
         overrides,
         non_idn_spans,
         gauge: Arc::new(Gauge::new()),
+        regenerated: AtomicU64::new(0),
     };
     span.add_records(corpus.idn_len() + corpus.non_idn_len());
     (corpus, brands, blacklist)
@@ -728,7 +768,7 @@ mod tests {
     fn streamed_shards_reproduce_batch_records() {
         let config = config();
         let batch = Ecosystem::generate(&config);
-        let (_, corpus) = generate_streamed(&config, 64, &NoopRecorder);
+        let (_, corpus, _) = generate_streamed(&config, 64, &NoopRecorder);
         assert_eq!(corpus.idn_len(), batch.idn_registrations.len() as u64);
         assert_eq!(
             corpus.non_idn_len(),
@@ -744,7 +784,7 @@ mod tests {
     fn streamed_artifacts_match_batch_artifacts() {
         let config = config();
         let batch = Ecosystem::generate(&config);
-        let (eco, _) = generate_streamed(&config, 128, &NoopRecorder);
+        let (eco, _, _) = generate_streamed(&config, 128, &NoopRecorder);
         assert_eq!(eco.whois, batch.whois);
         assert_eq!(eco.blacklist, batch.blacklist);
         assert_eq!(eco.certificates, batch.certificates);
@@ -767,7 +807,7 @@ mod tests {
     #[test]
     fn residency_stays_bounded_by_shards_not_corpus() {
         let config = config();
-        let (_, corpus) = generate_streamed(&config, 32, &NoopRecorder);
+        let (_, corpus, _) = generate_streamed(&config, 32, &NoopRecorder);
         // The artifact pass already ran with shard size 32.
         let corpus_size = corpus.idn_len() + corpus.non_idn_len();
         let bound = 32 * idnre_par::MAX_THREADS as u64;
@@ -784,7 +824,7 @@ mod tests {
     #[test]
     fn single_record_shards_work() {
         let config = config();
-        let (_, corpus) = generate_streamed(&config, 1024, &NoopRecorder);
+        let (_, corpus, _) = generate_streamed(&config, 1024, &NoopRecorder);
         let full = collect_idn(&corpus, 1024);
         corpus.with_idn_shard(3, 1, &mut |records| {
             assert_eq!(records, &full[3..4]);

@@ -48,7 +48,7 @@ fn check(threads: usize) {
         ..EcosystemConfig::default()
     };
     let batch = Ecosystem::generate(&config);
-    let (eco, corpus) = generate_streamed(&config, 1024, &NoopRecorder);
+    let (eco, corpus, _) = generate_streamed(&config, 1024, &NoopRecorder);
 
     assert_eq!(corpus.idn_len(), batch.idn_registrations.len() as u64);
     let mut streamed = Vec::new();

@@ -19,7 +19,9 @@
 //! side effects such as telemetry counters), the output is byte-identical
 //! for every thread count, including `threads == 1`, which runs inline
 //! without spawning. The proptests in `idnre-bench` hold every pipeline
-//! stage to this contract across 1/2/8 threads.
+//! stage to this contract across 1/2/8 threads. [`par_map_ordered`]
+//! keeps the same contract for a streaming fold: it hands results to a
+//! sink in input order while later items are still computing.
 //!
 //! # Examples
 //!
@@ -31,8 +33,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Hard cap on worker threads, matching the pipeline-wide clamp.
 pub const MAX_THREADS: usize = 64;
@@ -120,6 +123,110 @@ where
     per_chunk.into_iter().map(|(_, r)| r).collect()
 }
 
+/// Maps `f` over `items` on `threads` workers and hands every result to
+/// `sink` on the calling thread, in input order. Workers claim one item at
+/// a time and start an item only when fewer than `ahead` results precede
+/// it unsunk, so at most `ahead` results are ever buffered — however long
+/// `items` is — and `sink` runs while the workers compute. `threads <= 1`
+/// runs inline. A panic in `f` or `sink` stops every worker and
+/// propagates.
+pub fn par_map_ordered<T, R, F, S>(items: &[T], threads: usize, ahead: usize, f: F, mut sink: S)
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&T) -> R + Sync,
+    S: FnMut(R),
+{
+    let threads = threads.clamp(1, MAX_THREADS).min(items.len());
+    if threads <= 1 {
+        for item in items {
+            sink(f(item));
+        }
+        return;
+    }
+    // The item the sink waits for is always below `taken + ahead`, so its
+    // worker never waits and the sink always progresses. A bound below
+    // `threads` would only idle workers.
+    let ahead = ahead.max(threads);
+    let cursor = AtomicUsize::new(0);
+    let state = Mutex::new(Reorder {
+        taken: 0,
+        ready: HashMap::new(),
+        aborted: false,
+    });
+    let changed = Condvar::new();
+    let lock = || state.lock().expect("reorder state poisoned");
+    crossbeam::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(|_| {
+                let _abort = AbortOnPanic(&state, &changed);
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        return;
+                    }
+                    let mut reorder = lock();
+                    while i >= reorder.taken + ahead && !reorder.aborted {
+                        reorder = changed.wait(reorder).expect("reorder state poisoned");
+                    }
+                    if reorder.aborted {
+                        return;
+                    }
+                    drop(reorder);
+                    let result = f(&items[i]);
+                    lock().ready.insert(i, result);
+                    changed.notify_all();
+                }
+            });
+        }
+        let _abort = AbortOnPanic(&state, &changed);
+        for i in 0..items.len() {
+            let mut reorder = lock();
+            let result = loop {
+                if let Some(result) = reorder.ready.remove(&i) {
+                    break result;
+                }
+                if reorder.aborted {
+                    drop(reorder);
+                    panic!("a par_map_ordered worker panicked");
+                }
+                reorder = changed.wait(reorder).expect("reorder state poisoned");
+            };
+            reorder.taken = i + 1;
+            drop(reorder);
+            changed.notify_all();
+            sink(result);
+        }
+    })
+    .expect("worker panicked");
+}
+
+/// [`par_map_ordered`]'s shared state: how many results the sink has
+/// taken, the finished results waiting for it, and whether a thread
+/// panicked.
+struct Reorder<R> {
+    taken: usize,
+    ready: HashMap<usize, R>,
+    aborted: bool,
+}
+
+/// Marks a [`par_map_ordered`] run aborted and wakes every waiter when
+/// its thread unwinds, so one panic cannot leave the others waiting
+/// forever.
+struct AbortOnPanic<'a, R>(&'a Mutex<Reorder<R>>, &'a Condvar);
+
+impl<R> Drop for AbortOnPanic<'_, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .aborted = true;
+            self.1.notify_all();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,6 +297,67 @@ mod tests {
             }
         });
         assert_eq!(out[1..], items[1..]);
+    }
+
+    #[test]
+    fn ordered_map_sinks_every_result_in_input_order() {
+        let items: Vec<u64> = (0..1000).collect();
+        for threads in [1, 2, 3, 8] {
+            for ahead in [1, 4, 64] {
+                let mut sunk = Vec::new();
+                par_map_ordered(&items, threads, ahead, |&x| x * 3, |y| sunk.push(y));
+                assert!(sunk.iter().copied().eq(items.iter().map(|x| x * 3)));
+            }
+        }
+        par_map_ordered(&[] as &[u64], 4, 4, |&x| x, |_| panic!("no items"));
+    }
+
+    #[test]
+    fn ordered_map_starts_no_item_more_than_ahead_past_the_sink() {
+        let items: Vec<usize> = (0..2000).collect();
+        let (threads, ahead) = (4, 6);
+        let started = AtomicUsize::new(0);
+        let mut sunk = 0;
+        par_map_ordered(
+            &items,
+            threads,
+            ahead,
+            |&i| {
+                started.fetch_add(1, Ordering::SeqCst);
+                i
+            },
+            |i| {
+                // While the sink holds item `i`, only items before
+                // `i + 1 + ahead` may have started.
+                assert!(started.load(Ordering::SeqCst) <= i + 1 + ahead);
+                std::hint::black_box((0..200u64).sum::<u64>());
+                sunk += 1;
+            },
+        );
+        assert_eq!(sunk, items.len());
+    }
+
+    #[test]
+    #[should_panic(expected = "worker panicked")]
+    fn ordered_map_propagates_a_worker_panic() {
+        let items: Vec<u64> = (0..1000).collect();
+        par_map_ordered(
+            &items,
+            4,
+            8,
+            |&x| {
+                assert!(x != 500, "item {x} failed");
+                x
+            },
+            |_| {},
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "sink failed")]
+    fn ordered_map_propagates_a_sink_panic() {
+        let items: Vec<u64> = (0..1000).collect();
+        par_map_ordered(&items, 4, 8, |&x| x, |x| assert!(x != 10, "sink failed"));
     }
 
     #[test]
