@@ -911,7 +911,11 @@ mod tests {
         assert_eq!(after.rows, 4);
         assert_eq!(after.labels, 3, "one fresh label interned");
         assert_eq!(after.tlds, 3);
-        assert_eq!(cols.sld_symbol(2), sym0, "duplicate label shares its symbol");
+        assert_eq!(
+            cols.sld_symbol(2),
+            sym0,
+            "duplicate label shares its symbol"
+        );
         assert_eq!(cols.tld_name(cols.tld_id(2)), "net");
         assert_eq!(cols.lang_id(3), 3);
         assert!(cols.is_malicious(2) && !cols.is_malicious(0));
