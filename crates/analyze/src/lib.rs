@@ -163,6 +163,9 @@ trait DynPass: Sync {
     fn finish_box(&self, partial: Box<dyn Any + Send>) -> Box<dyn Any>;
 }
 
+/// One type-erased partial per registered pass, in registration order.
+type Partials = Vec<Box<dyn Any + Send>>;
+
 fn downcast<P: 'static>(partial: Box<dyn Any + Send>) -> P {
     *partial
         .downcast::<P>()
@@ -439,18 +442,9 @@ impl<'p> ShardedScan<'p> {
 
     /// Runs the fused traversal: shards fan out over `threads` workers,
     /// every pass observes every record exactly once, and partials merge
-    /// sequentially in shard order (never in completion order).
-    pub fn run(
-        self,
-        source: &dyn RecordSource,
-        shard_size: usize,
-        threads: usize,
-        recorder: &dyn Recorder,
-    ) -> ScanResult {
-        self.run_at(source, shard_size, threads, recorder, SpanCtx::NONE)
-    }
-
-    /// [`ShardedScan::run`], parented at `parent` in the span tree.
+    /// sequentially in shard order (never in completion order). The scan
+    /// is parented at `parent` in the span tree ([`SpanCtx::NONE`] keeps
+    /// it out of any trace).
     ///
     /// Each registered pass is attributed its full cost in its own
     /// `analyze.pass.<name>` stage: one timed span per shard (amortized
@@ -474,75 +468,106 @@ impl<'p> ShardedScan<'p> {
         parent: SpanCtx,
     ) -> ScanResult {
         let mut scan_span = recorder.span_at(SCAN_SPAN, parent, 0);
-        let scan_ctx = scan_span.ctx();
-        // First-use order determinism: pin every pass's span, counters
-        // and trace group in registration order before the
-        // nondeterministic fan-out.
-        let groups: Vec<SpanCtx> = self
-            .passes
-            .iter()
-            .enumerate()
-            .map(|(pass_index, pass)| {
-                recorder.add_records(pass.name(), 0);
-                recorder.preregister(pass.counters());
-                recorder.trace_group(pass.name(), scan_ctx, pass_index as u64)
-            })
-            .collect();
-        let timing = recorder.enabled();
+        let groups = self.pin(recorder, scan_span.ctx());
         let shards: Vec<(u64, Shard)> = shards_of(source, shard_size)
             .into_iter()
             .enumerate()
             .map(|(i, shard)| (i as u64, shard))
             .collect();
-        let shard_partials: Vec<Vec<Box<dyn Any + Send>>> =
-            idnre_par::par_map(&shards, threads, |(shard_index, shard)| {
-                let mut result = None;
-                source.with_shard_indexed(
-                    shard.population,
-                    shard.start,
-                    shard.len,
-                    &mut |records, indices| {
-                        let mut partials: Vec<Box<dyn Any + Send>> = Vec::new();
-                        for (pass_index, pass) in self.passes.iter().enumerate() {
-                            let mut span =
-                                recorder.span_at(pass.name(), groups[pass_index], *shard_index);
-                            let mut partial = pass.empty_box();
-                            for (reg, &index) in records.iter().zip(indices) {
-                                let rec = Observed {
-                                    reg,
-                                    population: shard.population,
-                                    index,
-                                };
-                                pass.observe_box(partial.as_mut(), &rec, recorder);
-                            }
+        let folded = self.fold(source, &shards, &groups, threads, recorder);
+        let merged = self.merge(folded.into_iter().map(|(partials, _)| partials), recorder);
+        scan_span.add_records(
+            source.population_len(Population::Idn) + source.population_len(Population::NonIdn),
+        );
+        drop(scan_span);
+        self.finish(merged, source, recorder)
+    }
+
+    /// First-use order determinism: pins every pass's stage, counters
+    /// and trace group (under `parent`) in registration order, before
+    /// any nondeterministic fan-out. Returns the groups, one per pass.
+    fn pin(&self, recorder: &dyn Recorder, parent: SpanCtx) -> Vec<SpanCtx> {
+        self.passes
+            .iter()
+            .enumerate()
+            .map(|(pass_index, pass)| {
+                recorder.add_records(pass.name(), 0);
+                recorder.preregister(pass.counters());
+                recorder.trace_group(pass.name(), parent, pass_index as u64)
+            })
+            .collect()
+    }
+
+    /// Folds `shards` (each with its grid index) on `threads` workers:
+    /// every pass observes the shard's records inside its own timed span
+    /// under its group, then flushes in [`AnalysisPass::shard_end`].
+    /// Returns each shard's per-pass partials and its record count, in
+    /// `shards` order.
+    fn fold(
+        &self,
+        source: &dyn RecordSource,
+        shards: &[(u64, Shard)],
+        groups: &[SpanCtx],
+        threads: usize,
+        recorder: &dyn Recorder,
+    ) -> Vec<(Partials, u64)> {
+        idnre_par::par_map(shards, threads, |(shard_index, shard)| {
+            let mut result = None;
+            source.with_shard_indexed(
+                shard.population,
+                shard.start,
+                shard.len,
+                &mut |records, indices| {
+                    let partials = self
+                        .passes
+                        .iter()
+                        .zip(groups)
+                        .map(|(pass, group)| {
+                            let mut span = recorder.span_at(pass.name(), *group, *shard_index);
+                            let mut partial = observe_shard(
+                                pass.as_ref(),
+                                shard.population,
+                                records,
+                                indices,
+                                recorder,
+                            );
                             pass.shard_end_box(partial.as_mut(), recorder);
                             span.add_records(records.len() as u64);
-                            partials.push(partial);
-                        }
-                        result = Some(partials);
-                    },
-                );
-                result.expect("RecordSource::with_shard did not invoke its callback")
-            });
-        let mut merged: Vec<Box<dyn Any + Send>> =
-            self.passes.iter().map(|p| p.empty_box()).collect();
-        // Merge cost is attributed per pass, but batched: one clock pair
-        // per (shard, pass) merge accumulated locally, folded into the
-        // stage as a single pre-timed call below.
+                            partial
+                        })
+                        .collect();
+                    result = Some((partials, records.len() as u64));
+                },
+            );
+            result.expect("RecordSource::with_shard_indexed did not invoke its callback")
+        })
+    }
+
+    /// Merges per-shard partials sequentially in the iterator's (shard)
+    /// order. Merge cost is attributed per pass, but batched: one clock
+    /// pair per (shard, pass) merge accumulated locally, recorded as a
+    /// single pre-timed call per pass.
+    fn merge(
+        &self,
+        shards: impl IntoIterator<Item = Partials>,
+        recorder: &dyn Recorder,
+    ) -> Partials {
+        let timing = recorder.enabled();
+        let mut merged: Partials = self.passes.iter().map(|p| p.empty_box()).collect();
         let mut merge_nanos = vec![0u64; self.passes.len()];
-        for partials in shard_partials {
-            for (pass_index, ((pass, slot), partial)) in self
+        for partials in shards {
+            for (((pass, slot), partial), nanos) in self
                 .passes
                 .iter()
                 .zip(merged.iter_mut())
                 .zip(partials)
-                .enumerate()
+                .zip(merge_nanos.iter_mut())
             {
                 let started = timing.then(Instant::now);
                 let earlier = std::mem::replace(slot, pass.empty_box());
                 *slot = pass.merge_box(earlier, partial);
                 if let Some(started) = started {
-                    merge_nanos[pass_index] += started.elapsed().as_nanos() as u64;
+                    *nanos += started.elapsed().as_nanos() as u64;
                 }
             }
         }
@@ -551,27 +576,35 @@ impl<'p> ShardedScan<'p> {
                 recorder.record_nanos(pass.name(), *nanos);
             }
         }
-        let idn_len = source.population_len(Population::Idn);
-        let non_idn_len = source.population_len(Population::NonIdn);
-        scan_span.add_records(idn_len + non_idn_len);
-        drop(scan_span);
+        merged
+    }
+
+    /// Finishes every pass from its merged partial, one pre-timed call
+    /// per pass.
+    fn finish(
+        self,
+        merged: Partials,
+        source: &dyn RecordSource,
+        recorder: &dyn Recorder,
+    ) -> ScanResult {
+        let timing = recorder.enabled();
         let outputs = self
             .passes
             .iter()
             .zip(merged)
             .map(|(pass, partial)| {
                 let started = timing.then(Instant::now);
-                let output = Some(pass.finish_box(partial));
+                let output = pass.finish_box(partial);
                 if let Some(started) = started {
                     recorder.record_nanos(pass.name(), started.elapsed().as_nanos() as u64);
                 }
-                output
+                Some(output)
             })
             .collect();
         ScanResult {
             outputs,
-            idn_len,
-            non_idn_len,
+            idn_len: source.population_len(Population::Idn),
+            non_idn_len: source.population_len(Population::NonIdn),
         }
     }
 
@@ -584,7 +617,9 @@ impl<'p> ShardedScan<'p> {
     /// removals must merge as a no-op), then checks `(a·b)·c == a·(b·c)`
     /// over every consecutive chunk triple (padding with empty partials
     /// when fewer than three chunks exist) for every registered pass.
-    /// Returns the name of the first violating pass.
+    /// Chunks are observed without [`AnalysisPass::shard_end`], so the
+    /// probe flushes no counters. Returns the name of the first
+    /// violating pass.
     ///
     /// # Errors
     ///
@@ -597,24 +632,22 @@ impl<'p> ShardedScan<'p> {
         recorder: &dyn Recorder,
     ) -> Result<(), &'static str> {
         let shards = shards_of(source, chunk_size);
-        for (pass_index, pass) in self.passes.iter().enumerate() {
-            let mut chunks: Vec<Box<dyn Any + Send>> = Vec::new();
+        for pass in &self.passes {
+            let pass = pass.as_ref();
+            let mut chunks: Partials = Vec::new();
             for shard in &shards {
                 source.with_shard_indexed(
                     shard.population,
                     shard.start,
                     shard.len,
                     &mut |records, indices| {
-                        let mut partial = pass.empty_box();
-                        for (reg, &index) in records.iter().zip(indices) {
-                            let rec = Observed {
-                                reg,
-                                population: shard.population,
-                                index,
-                            };
-                            pass.observe_box(partial.as_mut(), &rec, recorder);
-                        }
-                        chunks.push(partial);
+                        chunks.push(observe_shard(
+                            pass,
+                            shard.population,
+                            records,
+                            indices,
+                            recorder,
+                        ));
                     },
                 );
             }
@@ -630,7 +663,6 @@ impl<'p> ShardedScan<'p> {
             while chunks.len() < 3 {
                 chunks.push(pass.empty_box());
             }
-            let _ = pass_index;
             for triple in chunks.windows(3) {
                 let (a, b, c) = (&triple[0], &triple[1], &triple[2]);
                 let left = pass.merge_box(
@@ -648,6 +680,26 @@ impl<'p> ShardedScan<'p> {
         }
         Ok(())
     }
+}
+
+/// Folds one shard's records into a fresh partial of `pass`.
+fn observe_shard(
+    pass: &dyn DynPass,
+    population: Population,
+    records: &[DomainRegistration],
+    indices: &[u64],
+    recorder: &dyn Recorder,
+) -> Box<dyn Any + Send> {
+    let mut partial = pass.empty_box();
+    for (reg, &index) in records.iter().zip(indices) {
+        let rec = Observed {
+            reg,
+            population,
+            index,
+        };
+        pass.observe_box(partial.as_mut(), &rec, recorder);
+    }
+    partial
 }
 
 /// One derived-item dimension folded over a **second** traversal.
@@ -863,7 +915,7 @@ mod tests {
         let mut scan = ShardedScan::new();
         let counts = scan.register(CountPass);
         let result = {
-            let mut result = scan.run(&source, 64, 4, &registry);
+            let mut result = scan.run_at(&source, 64, 4, &registry, SpanCtx::NONE);
             assert_eq!(result.idn_len(), eco.idn_registrations.len() as u64);
             assert_eq!(result.non_idn_len(), eco.non_idn_registrations.len() as u64);
             result.take(&counts)
@@ -891,7 +943,8 @@ mod tests {
             for shard_size in [7, 64, 100_000] {
                 let mut scan = ShardedScan::new();
                 let domains = scan.register(DomainsPass);
-                let mut result = scan.run(&source, shard_size, threads, &NoopRecorder);
+                let mut result =
+                    scan.run_at(&source, shard_size, threads, &NoopRecorder, SpanCtx::NONE);
                 let domains = result.take(&domains);
                 match &reference {
                     None => reference = Some(domains),
@@ -924,7 +977,7 @@ mod tests {
         let run = |source: &dyn RecordSource| {
             let mut scan = ShardedScan::new();
             let domains = scan.register(DomainsPass);
-            let mut result = scan.run(source, 128, 4, &NoopRecorder);
+            let mut result = scan.run_at(source, 128, 4, &NoopRecorder, SpanCtx::NONE);
             result.take(&domains)
         };
         assert_eq!(run(&stream), run(&slice));

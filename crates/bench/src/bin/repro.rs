@@ -118,7 +118,9 @@
 //! shadowed by a from-scratch rebuild over the same effective corpus and
 //! the two reports are asserted byte-identical; stdout carries the final
 //! epoch's report, stderr a per-epoch summary plus one machine-greppable
-//! `epochs=... speedup=...` line. Not combinable with `--faults`,
+//! `epochs=... speedup=...` line. Under `--metrics`/`--trace` every
+//! render and fold is metered, each shadow rebuild as one
+//! `analyze.epoch.rebuild` span. Not combinable with `--faults`,
 //! `--mine-portfolios`, or `--bench` (whose JSON carries its own epoch
 //! probe pair).
 //!
@@ -131,7 +133,9 @@
 //! byte-identical across runs and thread counts; with `--write PATH` it
 //! also lands in `PATH.metrics.det.json` so CI can `cmp` two runs.
 
-use idnre_bench::{reports, validate_flags, CliFlags, FaultSetup, ReproContext, RunSpec};
+use idnre_bench::{
+    reports, validate_flags, CliFlags, EpochSpec, FaultSetup, ReproContext, RunSpec,
+};
 use idnre_datagen::EcosystemConfig;
 use idnre_fault::FaultPlan;
 use idnre_sched::{RateConfig, SchedConfig};
@@ -378,8 +382,7 @@ fn main() {
         Some(registry) => registry.clone(),
         None => Arc::new(idnre_telemetry::NoopRecorder),
     };
-    let mut ctx: Option<ReproContext> = None;
-    let output = if let Some(count) = epochs {
+    if let Some(count) = epochs {
         // Incremental zone-diff epochs: the one mode whose deliverable is
         // the *final* epoch's report, so only `all` makes sense.
         if !wanted.iter().any(|w| w == "all") {
@@ -387,7 +390,42 @@ fn main() {
         }
         let churn = churn_per_mille.unwrap_or(idnre_bench::DEFAULT_CHURN_PER_MILLE);
         eprintln!("epoch mode: {count} epochs, churn {churn}\u{2030}, shard {shard_size}");
-        let run = idnre_bench::run_epochs(&config, shard_size, count, churn, recorder);
+    }
+    if let Some(setup) = &faults {
+        eprintln!(
+            "fault schedule: profile `{}`, seed {:#x}",
+            setup.plan.profile().name,
+            setup.plan.seed()
+        );
+    }
+    let spec = RunSpec {
+        shard_size: stream.then_some(shard_size),
+        mine: mine_portfolios,
+        faults,
+        epochs: epochs.map(|count| EpochSpec {
+            count,
+            churn_per_mille: churn_per_mille.unwrap_or(idnre_bench::DEFAULT_CHURN_PER_MILLE),
+        }),
+    };
+    let ctx = ReproContext::build(&config, &spec, recorder);
+    eprintln!(
+        "ecosystem ready: {} IDNs, {} non-IDNs, {} homograph findings, {} semantic findings",
+        ctx.outputs.idn_len,
+        ctx.outputs.non_idn_len,
+        ctx.homographs.len(),
+        ctx.semantic.len()
+    );
+    if let Some(mining) = &ctx.mining {
+        eprintln!(
+            "portfolio mining: {} buckets ({} non-singleton), {} candidate pairs, {} verified, {} portfolios",
+            mining.buckets,
+            mining.non_singleton_buckets,
+            mining.candidate_pairs,
+            mining.verified.len(),
+            mining.portfolios.len()
+        );
+    }
+    if let Some(run) = &ctx.epochs {
         for (i, epoch) in run.epochs.iter().enumerate() {
             eprintln!(
                 "epoch {}: {} deltas, {} live IDNs, {}/{} shards refolded ({} dirty), \
@@ -404,66 +442,37 @@ fn main() {
         }
         // One machine-greppable line: CI parses these key=value pairs.
         eprintln!(
-            "epochs={count} shards={} refolded={} incremental_ns={} rebuild_ns={} speedup={:.2}",
+            "epochs={} shards={} refolded={} incremental_ns={} rebuild_ns={} speedup={:.2}",
+            run.epochs.len(),
             run.total_shards(),
             run.total_refolded(),
             run.incremental_ns(),
             run.rebuild_ns(),
             run.speedup()
         );
-        run.final_report
+    }
+
+    if let Some(path) = &dump_dataset {
+        write_dataset(path, &idnre_datagen::render_dataset(&ctx.eco));
+    }
+
+    let output = if let Some(run) = &ctx.epochs {
+        // Rendered inside the build, where it was checked against the
+        // final epoch's shadow rebuild.
+        run.final_report.clone()
+    } else if wanted.iter().any(|w| w == "all") {
+        ctx.full_report()
     } else {
-        if let Some(setup) = &faults {
-            eprintln!(
-                "fault schedule: profile `{}`, seed {:#x}",
-                setup.plan.profile().name,
-                setup.plan.seed()
-            );
-        }
-        let spec = RunSpec {
-            shard_size: stream.then_some(shard_size),
-            mine: mine_portfolios,
-            faults,
-        };
-        let built = ReproContext::build(&config, &spec, recorder);
-        eprintln!(
-            "ecosystem ready: {} IDNs, {} non-IDNs, {} homograph findings, {} semantic findings",
-            built.outputs.idn_len,
-            built.outputs.non_idn_len,
-            built.homographs.len(),
-            built.semantic.len()
-        );
-        if let Some(mining) = &built.mining {
-            eprintln!(
-                "portfolio mining: {} buckets ({} non-singleton), {} candidate pairs, {} verified, {} portfolios",
-                mining.buckets,
-                mining.non_singleton_buckets,
-                mining.candidate_pairs,
-                mining.verified.len(),
-                mining.portfolios.len()
-            );
-        }
-
-        if let Some(path) = &dump_dataset {
-            write_dataset(path, &idnre_datagen::render_dataset(&built.eco));
-        }
-
-        let out = if wanted.iter().any(|w| w == "all") {
-            built.full_report()
-        } else {
-            let mut out = String::new();
-            for name in &wanted {
-                match reports::by_name(name) {
-                    Some(generator) => {
-                        out.push_str(&generator(&built));
-                        out.push('\n');
-                    }
-                    None => usage(&format!("unknown experiment {name:?}")),
+        let mut out = String::new();
+        for name in &wanted {
+            match reports::by_name(name) {
+                Some(generator) => {
+                    out.push_str(&generator(&ctx));
+                    out.push('\n');
                 }
+                None => usage(&format!("unknown experiment {name:?}")),
             }
-            out
-        };
-        ctx = Some(built);
+        }
         out
     };
 
@@ -526,7 +535,7 @@ fn main() {
         std::process::exit(report.status.exit_code());
     }
 
-    if let Some(health) = ctx.as_ref().and_then(|ctx| ctx.health.as_ref()) {
+    if let Some(health) = &ctx.health {
         eprintln!(
             "run health: {} — {} ok / {} errors / {} shed ({}‰ observed, {}‰ allowed)",
             health.status.label(),

@@ -73,9 +73,10 @@ pub const FLAG_CONFLICTS: &[(&str, &str)] = &[
     ("--bench", "--slo"),
     ("--slo", "--faults"),
     ("--crawl-sched", "--bench"),
-    // Epochs re-fold resident partials; a fault schedule corrupts the very
-    // corpus the partial cache assumes immutable-under-regeneration, and
-    // mining's bucket-index pass is one-shot by design (no Merge removal).
+    // The faulted surveys would walk the base corpus and its base zones
+    // and WHOIS records, not the final epoch's overlay; mining's
+    // bucket-index pass is one-shot by design (no Merge removal).
+    // `ReproContext::build` asserts both rules for library callers.
     ("--epochs", "--faults"),
     ("--epochs", "--mine-portfolios"),
     // --bench runs under its own registries and carries its own epoch

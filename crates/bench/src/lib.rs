@@ -38,7 +38,7 @@ pub mod slo;
 
 pub use candidates::CandidateSurvey;
 pub use cli::{validate_flags, CliFlags, FLAG_CONFLICTS, FLAG_REQUIRES};
-pub use epochs::{run_epochs, EpochBenchStats, EpochRun, DEFAULT_CHURN_PER_MILLE};
+pub use epochs::{EpochBenchStats, EpochRun, EpochSpec, DEFAULT_CHURN_PER_MILLE};
 pub use mine::{MiningOutputs, Portfolio, PortfolioMember};
 pub use pipeline_bench::{
     render_bench_json, render_bench_text, run_pipeline_bench, run_pipeline_bench_sharded,
@@ -48,9 +48,8 @@ pub use pipeline_bench::{
 pub use robust::{FaultSetup, IngestStats, RunHealth, SurveyStats};
 pub use slo::{slo_profile, SLO_PROFILES};
 
-use idnre_analyze::{Population, RecordSource, SliceSource, StreamSource};
-use idnre_arena::CorpusColumns;
-use idnre_core::{HomographDetector, HomographFinding, SemanticDetector, SemanticFinding};
+use idnre_analyze::{DeltaStream, EpochState, Population, RecordSource, SliceSource, StreamSource};
+use idnre_core::{HomographFinding, SemanticFinding, SkeletonCache};
 use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig};
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::ops::Range;
@@ -62,7 +61,7 @@ pub const DEFAULT_SHARD_SIZE: usize = 1024;
 /// Which pipeline one [`ReproContext::build`] runs. The default is the
 /// plain batch run (`repro all`); each field is one `repro` mode, and the
 /// report bytes depend on none of them except the sections `mine` and
-/// `faults` append.
+/// `faults` append (and, under `epochs`, the simulated days' churn).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunSpec {
     /// `Some(n)` streams the corpus (`--stream --shard-size n`): the
@@ -85,6 +84,13 @@ pub struct RunSpec {
     /// surveys walk the same [`CorpusView`] as the scan, so a streamed
     /// faulted build reports the batch faulted build's bytes.
     pub faults: Option<FaultSetup>,
+    /// Plays incremental zone-diff epochs after the fold (`--epochs`): the
+    /// fold runs cold through an epoch engine that keeps its partials
+    /// resident, then each simulated day re-folds only its dirty shards
+    /// and is checked against a shadow rebuild ([`epochs`]);
+    /// [`ReproContext::epochs`] carries the run. Requires `shard_size`;
+    /// excludes `mine` and `faults`.
+    pub epochs: Option<EpochSpec>,
 }
 
 /// Shared state for all report generators: the generated ecosystem plus the
@@ -114,6 +120,9 @@ pub struct ReproContext {
     /// [`RunSpec::mine`]. [`ReproContext::full_report`] appends its
     /// section.
     pub mining: Option<MiningOutputs>,
+    /// The played epochs, present only under [`RunSpec::epochs`]; the
+    /// context's fold and reports are then the final epoch's.
+    pub epochs: Option<EpochRun>,
 }
 
 impl std::fmt::Debug for ReproContext {
@@ -132,11 +141,32 @@ impl ReproContext {
     /// the fused analysis scan (both detectors, every report aggregator —
     /// Table V's sample crawl among them — and, under [`RunSpec::mine`],
     /// the miner), then, under [`RunSpec::faults`] only, the crawl and
-    /// WHOIS surveys. Every stage reports
-    /// to `recorder`; the built context, and therefore every report, is
-    /// byte-identical for any recorder, thread count and
-    /// [`RunSpec::shard_size`].
+    /// WHOIS surveys, or, under [`RunSpec::epochs`] only, the epoch loop.
+    /// Every stage reports to `recorder`; the built context, and
+    /// therefore every report, is byte-identical for any recorder, thread
+    /// count and [`RunSpec::shard_size`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on a [`RunSpec::epochs`] spec without `shard_size`, or with
+    /// `mine` or `faults` (the combinations `repro` rejects as usage
+    /// errors).
     pub fn build(config: &EcosystemConfig, spec: &RunSpec, recorder: Arc<dyn Recorder>) -> Self {
+        if spec.epochs.is_some() {
+            assert!(
+                spec.shard_size.is_some(),
+                "RunSpec::epochs requires shard_size: epochs fold the streamed corpus"
+            );
+            assert!(
+                !spec.mine,
+                "RunSpec::epochs cannot be combined with mine: the bucket index is one-shot"
+            );
+            assert!(
+                spec.faults.is_none(),
+                "RunSpec::epochs cannot be combined with faults: the faulted surveys would \
+                 walk the base corpus, not the final epoch's"
+            );
+        }
         let shard_size = spec.shard_size.unwrap_or(DEFAULT_SHARD_SIZE);
         let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
         let (eco, corpus, rows) = match spec.shard_size {
@@ -184,31 +214,56 @@ impl ReproContext {
                 SpanCtx::ROOT,
             ),
         };
-        let (homographs, semantic, outputs, mining) = run_scan(
-            &eco,
-            &columns,
-            view.source,
-            shard_size,
-            config.threads,
-            spec.mine,
-            &candidates,
-            &*recorder,
-            SpanCtx::ROOT,
-        );
+        let skeletons = SkeletonCache::build(&columns, config.threads);
+        let inputs = passes::ScanInputs::new(&eco, &candidates);
+        let mining_plan = spec
+            .mine
+            .then(|| mine::MiningPlan::new(&columns, &skeletons));
+        let plan = inputs.plan(&columns, &skeletons, &eco.pdns, mining_plan.as_ref());
+        let mut cold = None;
+        let (homographs, semantic, outputs, index) = match spec.epochs {
+            None => plan.run_at(
+                view.source,
+                shard_size,
+                config.threads,
+                &*recorder,
+                SpanCtx::ROOT,
+            ),
+            Some(_) => {
+                // The epoch engine's cold fold: every shard misses the
+                // empty cache, so this is the one-shot scan, leaving its
+                // partials resident for the epoch loop.
+                let mut state = EpochState::new(shard_size);
+                let (homographs, semantic, outputs, stats) = plan.run_epoch(
+                    &mut state,
+                    view.source,
+                    config.threads,
+                    &DeltaStream::new(),
+                    &*recorder,
+                    SpanCtx::ROOT,
+                );
+                cold = Some((state, stats));
+                (homographs, semantic, outputs, None)
+            }
+        };
+        // Pass B of the miner runs over the non-singleton buckets of the
+        // index pass A folded, under the same parent span.
+        let mining = index.zip(mining_plan.as_ref()).map(|(index, mining_plan)| {
+            mine::mine_portfolios(
+                &index,
+                &columns,
+                mining_plan,
+                &eco,
+                config.threads,
+                &*recorder,
+                SpanCtx::ROOT,
+            )
+        });
         let health = spec
             .faults
             .as_ref()
             .map(|setup| robust::faulted_surveys(&view, &eco, setup, config.threads, &*recorder));
-        if let Some(corpus) = &corpus {
-            // Recorded last so the gauge and the counter cover the faulted
-            // surveys' shard walks too.
-            recorder.gauge_max(idnre_datagen::PEAK_RESIDENT_RECORDS, corpus.gauge().peak());
-            recorder.add(
-                idnre_datagen::SHARDS_REGENERATED,
-                corpus.shards_regenerated(),
-            );
-        }
-        ReproContext {
+        let mut ctx = ReproContext {
             eco,
             homographs,
             semantic,
@@ -217,7 +272,24 @@ impl ReproContext {
             recorder,
             health,
             mining,
+            epochs: None,
+        };
+        if let (Some(spec), Some(cold), Some(corpus)) = (spec.epochs, cold, &corpus) {
+            ctx.epochs = Some(epochs::play(
+                &mut ctx, spec, corpus, cold, columns, skeletons, &inputs,
+            ));
         }
+        if let Some(corpus) = &corpus {
+            // Recorded last so the gauge and the counter cover every
+            // stage's shard walks: the faulted surveys' or the epochs'.
+            ctx.recorder
+                .gauge_max(idnre_datagen::PEAK_RESIDENT_RECORDS, corpus.gauge().peak());
+            ctx.recorder.add(
+                idnre_datagen::SHARDS_REGENERATED,
+                corpus.shards_regenerated(),
+            );
+        }
+        ctx
     }
 
     /// The full `EXPERIMENTS.md` document.
@@ -338,52 +410,6 @@ impl<'a> CorpusView<'a> {
     pub(crate) fn for_each(&self, range: Range<u64>, f: &mut dyn FnMut(&DomainRegistration)) {
         self.for_each_shard(range, &mut |records| records.iter().for_each(&mut *f));
     }
-}
-
-/// Builds both detectors and the full report-aggregator roster over
-/// `columns`, then runs the one fused traversal every corpus-derived
-/// number comes from; Figure 6's pass tests the corpus against
-/// `candidates`. With `mine` set, the
-/// skeleton-LSH bucket index folds on the same traversal (pass A) and the
-/// pair miner (pass B) runs over its non-singleton buckets afterwards,
-/// under the same parent span.
-#[allow(clippy::too_many_arguments)]
-fn run_scan(
-    eco: &Ecosystem,
-    columns: &CorpusColumns,
-    source: &dyn RecordSource,
-    shard_size: usize,
-    threads: usize,
-    mine: bool,
-    candidates: &CandidateSurvey,
-    recorder: &dyn Recorder,
-    parent: SpanCtx,
-) -> (
-    Vec<HomographFinding>,
-    Vec<SemanticFinding>,
-    passes::ScanOutputs,
-    Option<MiningOutputs>,
-) {
-    let brand_domains: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
-    let detector = HomographDetector::new(&brand_domains, 0.95);
-    let semantic_detector = SemanticDetector::new(&brand_domains);
-    let mining_plan = mine.then(|| mine::MiningPlan::new(columns, threads));
-    let plan = passes::ScanPlan::new(
-        &detector,
-        &semantic_detector,
-        columns,
-        &eco.pdns,
-        passes::table3_wanted(&eco.whois),
-        candidates.fig6_pool(),
-        threads,
-        mining_plan.as_ref(),
-    );
-    let (homographs, semantic, outputs, index) =
-        plan.run_at(source, shard_size, threads, recorder, parent);
-    let mining = index.zip(mining_plan.as_ref()).map(|(index, mining_plan)| {
-        mine::mine_portfolios(&index, columns, mining_plan, eco, threads, recorder, parent)
-    });
-    (homographs, semantic, outputs, mining)
 }
 
 #[cfg(test)]
@@ -615,6 +641,21 @@ mod tests {
             &plain_report[health_at..]
         );
         assert_eq!(mined.full_report(), expected);
+    }
+
+    /// `repro` rejects `--epochs` without `--stream`; a library caller
+    /// gets the same rule as a panic naming the conflict.
+    #[test]
+    #[should_panic(expected = "RunSpec::epochs requires shard_size")]
+    fn epochs_without_a_shard_size_are_rejected() {
+        let spec = RunSpec {
+            epochs: Some(EpochSpec {
+                count: 1,
+                churn_per_mille: DEFAULT_CHURN_PER_MILLE,
+            }),
+            ..RunSpec::default()
+        };
+        let _ = ReproContext::build(&config(), &spec, Arc::new(NoopRecorder));
     }
 
     #[test]

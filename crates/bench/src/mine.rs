@@ -35,12 +35,11 @@
 
 use idnre_analyze::{fold_items, AnalysisPass, ItemPass, Merge, Observed, Population};
 use idnre_arena::{fnv1a, BucketIndex, CorpusColumns, LabelRef};
-use idnre_core::pair_score;
+use idnre_core::{pair_score, SkeletonCache};
 use idnre_datagen::Ecosystem;
 use idnre_pdns::PdnsStore;
 use idnre_render::{render_text, GrayImage};
 use idnre_telemetry::{Recorder, SpanCtx};
-use idnre_unicode::skeleton;
 use std::collections::HashMap;
 
 /// Ledger stage of the bucket-index fold (pass A).
@@ -90,25 +89,29 @@ pub struct MiningPlan {
 }
 
 impl MiningPlan {
-    /// Folds every distinct label's skeleton hash on `threads` workers.
-    pub fn new(columns: &CorpusColumns, threads: usize) -> Self {
-        let labels: Vec<&str> = columns.labels().iter().collect();
-        let hashed = idnre_par::par_map(&labels, threads, |label| {
-            if label.is_ascii() {
+    /// Hashes every distinct label's skeleton and folds every TLD suffix,
+    /// reading both from `skeletons` (the run's one precompute), which
+    /// must cover `columns`.
+    pub fn new(columns: &CorpusColumns, skeletons: &SkeletonCache) -> Self {
+        let (label_hash, label_ascii) = columns
+            .labels()
+            .iter()
+            .enumerate()
+            .map(|(i, label)| match skeletons.label(i) {
                 // ASCII passes through the skeleton untouched.
-                (fnv1a(label.as_bytes()), true)
-            } else {
-                (fnv1a(skeleton(label).as_bytes()), false)
-            }
-        });
-        let (label_hash, label_ascii) = hashed.into_iter().unzip();
-        let mut tld_suffix = Vec::new();
-        let mut tld_unicode = Vec::new();
-        for tld in columns.tlds().iter() {
-            let decoded = idnre_idna::to_unicode(tld).unwrap_or_else(|_| tld.to_string());
-            tld_suffix.push(skeleton(&format!(".{decoded}")).into_bytes());
-            tld_unicode.push(decoded);
-        }
+                None => (fnv1a(label.as_bytes()), true),
+                Some(folded) => (fnv1a(folded.as_bytes()), false),
+            })
+            .unzip();
+        let (tld_suffix, tld_unicode) = columns
+            .tlds()
+            .iter()
+            .enumerate()
+            .map(|(id, tld)| {
+                let decoded = idnre_idna::to_unicode(tld).unwrap_or_else(|_| tld.to_string());
+                (skeletons.tld_suffix(id as u16).as_bytes().to_vec(), decoded)
+            })
+            .unzip();
         MiningPlan {
             label_hash,
             label_ascii,

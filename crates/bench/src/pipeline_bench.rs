@@ -35,12 +35,12 @@
 //! }
 //! ```
 //!
-//! Schema 6 adds the incremental-epoch probe: [`crate::run_epochs`] plays
-//! [`EPOCH_PROBE_EPOCHS`] simulated zone-diff days at
-//! [`EPOCH_PROBE_CHURN_PER_MILLE`] churn over its own shard grid
+//! Schema 6 adds the incremental-epoch probe: an epochs build
+//! ([`RunSpec::epochs`]) plays [`EPOCH_PROBE_EPOCHS`] simulated zone-diff
+//! days at [`EPOCH_PROBE_CHURN_PER_MILLE`] churn over its own shard grid
 //! ([`EPOCH_PROBE_SHARD_SIZE`]), re-folding only dirty shards with a
 //! from-scratch shadow rebuild per epoch (byte-equality asserted inside
-//! the run). The summed walls land as the `analyze.epoch.incremental` /
+//! the build). The summed walls land as the `analyze.epoch.incremental` /
 //! `analyze.epoch.rebuild` entry pair plus the top-level `epochs` block —
 //! the re-fold-only-dirty speedup CI gates, next to the other two
 //! indexed-vs-exhaustive pairs.
@@ -85,10 +85,13 @@
 //! asserting the report bytes and the `idnre-dataset/2` fingerprint are
 //! identical across every count.
 
-use crate::{ReproContext, RunSpec};
+use crate::epochs::EPOCH_REBUILD_SPAN;
+use crate::passes::ScanInputs;
+use crate::{EpochSpec, ReproContext, RunSpec};
 use idnre_analyze::SliceSource;
+use idnre_core::SkeletonCache;
 use idnre_datagen::EcosystemConfig;
-use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
+use idnre_telemetry::{NoopRecorder, Recorder, Registry, SpanCtx};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -490,8 +493,8 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
 
     // The indexed scan across the size ladder, then the indexed-vs-
     // exhaustive pair at the capped size — the entries CI gates on.
-    let brand_domains: Vec<String> = ctx.eco.brands.iter().map(|b| b.domain()).collect();
-    let detector = idnre_core::HomographDetector::new(&brand_domains, 0.95);
+    let inputs = ScanInputs::new(&ctx.eco, &ctx.candidates);
+    let detector = &inputs.homograph;
     for size in HOMOGRAPH_BENCH_SIZES {
         if size > domains.len() {
             break;
@@ -563,7 +566,8 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         &NoopRecorder,
         SpanCtx::NONE,
     );
-    let mining_plan = crate::mine::MiningPlan::new(&columns, threads);
+    let skeletons = SkeletonCache::build(&columns, threads);
+    let mining_plan = crate::mine::MiningPlan::new(&columns, &skeletons);
     let mine_cap = columns.len().min(EXHAUSTIVE_CAP);
     let started = Instant::now();
     let lsh_pairs = crate::mine::verified_pairs_lsh(&columns, &mining_plan, mine_cap, threads);
@@ -602,33 +606,22 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
     let mut instrumented_ns = u64::MAX;
     let mut uninstrumented_ns = u64::MAX;
     for _ in 0..OVERHEAD_PROBE_ROUNDS {
-        let probe_registry = Registry::new();
-        let started = Instant::now();
-        let _ = crate::run_scan(
-            &ctx.eco,
-            &columns,
-            &probe_source,
-            crate::DEFAULT_SHARD_SIZE,
-            threads,
-            false,
-            &ctx.candidates,
-            &probe_registry,
-            SpanCtx::NONE,
-        );
-        instrumented_ns = instrumented_ns.min(elapsed_ns(started));
-        let started = Instant::now();
-        let _ = crate::run_scan(
-            &ctx.eco,
-            &columns,
-            &probe_source,
-            crate::DEFAULT_SHARD_SIZE,
-            threads,
-            false,
-            &ctx.candidates,
-            &NoopRecorder,
-            SpanCtx::NONE,
-        );
-        uninstrumented_ns = uninstrumented_ns.min(elapsed_ns(started));
+        for (recorder, wall_ns) in [
+            (&Registry::new() as &dyn Recorder, &mut instrumented_ns),
+            (&NoopRecorder, &mut uninstrumented_ns),
+        ] {
+            let started = Instant::now();
+            let _ = inputs
+                .plan(&columns, &skeletons, &ctx.eco.pdns, None)
+                .run_at(
+                    &probe_source,
+                    crate::DEFAULT_SHARD_SIZE,
+                    threads,
+                    recorder,
+                    SpanCtx::NONE,
+                );
+            *wall_ns = (*wall_ns).min(elapsed_ns(started));
+        }
     }
     for (stage, wall_ns) in [
         ("analyze.scan.instrumented", instrumented_ns),
@@ -680,17 +673,21 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
     }
 
     // The incremental-epoch probe: a short zone-diff loop on its own
-    // shard grid. run_epochs shadow-rebuilds every epoch and asserts the
-    // reports byte-identical, so the entry pair below is measured over a
-    // proven-equivalent pair of folds — the third indexed-vs-exhaustive
+    // shard grid. The epochs build shadow-rebuilds every epoch and asserts
+    // the reports byte-identical, so the entry pair below is measured over
+    // a proven-equivalent pair of folds — the third indexed-vs-exhaustive
     // regression gate.
-    let epoch_run = crate::run_epochs(
-        config,
-        EPOCH_PROBE_SHARD_SIZE,
-        EPOCH_PROBE_EPOCHS,
-        EPOCH_PROBE_CHURN_PER_MILLE,
-        Arc::new(NoopRecorder),
-    );
+    let epoch_spec = RunSpec {
+        shard_size: Some(EPOCH_PROBE_SHARD_SIZE),
+        epochs: Some(EpochSpec {
+            count: EPOCH_PROBE_EPOCHS,
+            churn_per_mille: EPOCH_PROBE_CHURN_PER_MILLE,
+        }),
+        ..RunSpec::default()
+    };
+    let epoch_run = ReproContext::build(config, &epoch_spec, Arc::new(NoopRecorder))
+        .epochs
+        .expect("an epochs build records its run");
     entries.push(BenchEntry {
         stage: "analyze.epoch.incremental".to_string(),
         mode: "streamed",
@@ -699,7 +696,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         records: epoch_run.refolded_records(),
     });
     entries.push(BenchEntry {
-        stage: "analyze.epoch.rebuild".to_string(),
+        stage: EPOCH_REBUILD_SPAN.to_string(),
         mode: "streamed",
         threads,
         wall_ns: epoch_run.rebuild_ns(),

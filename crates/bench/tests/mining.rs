@@ -11,7 +11,7 @@
 use idnre_analyze::{fold_is_associative, SliceSource};
 use idnre_arena::{ColumnRow, ColumnsBuilder};
 use idnre_bench::{mine, passes, CandidateSurvey, ReproContext, RunSpec};
-use idnre_core::{HomographDetector, SemanticDetector};
+use idnre_core::SkeletonCache;
 use idnre_datagen::{Ecosystem, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 use idnre_unicode::homoglyphs_of;
@@ -69,9 +69,6 @@ fn mined_report_is_byte_identical_across_threads_and_shards() {
 #[test]
 fn mining_merges_are_associative_at_chunk_97() {
     let eco = Ecosystem::generate(&config(4));
-    let brand_domains: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
-    let detector = HomographDetector::new(&brand_domains, 0.95);
-    let semantic_detector = SemanticDetector::new(&brand_domains);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
     let columns = passes::build_columns(
         &eco.idn_registrations,
@@ -80,33 +77,17 @@ fn mining_merges_are_associative_at_chunk_97() {
         &NoopRecorder,
         SpanCtx::NONE,
     );
-    let mining_plan = mine::MiningPlan::new(&columns, 4);
-    let fig6_pool = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder).fig6_pool();
-    let plan = passes::ScanPlan::new(
-        &detector,
-        &semantic_detector,
-        &columns,
-        &eco.pdns,
-        passes::table3_wanted(&eco.whois),
-        fig6_pool.clone(),
-        4,
-        Some(&mining_plan),
-    );
-    plan.check_associative(&source, 97, &NoopRecorder)
+    let skeletons = SkeletonCache::build(&columns, 4);
+    let mining_plan = mine::MiningPlan::new(&columns, &skeletons);
+    let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
+    let inputs = passes::ScanInputs::new(&eco, &candidates);
+    let plan = || inputs.plan(&columns, &skeletons, &eco.pdns, Some(&mining_plan));
+    plan()
+        .check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
 
     // Pass B over the real non-singleton buckets of the same corpus.
-    let plan = passes::ScanPlan::new(
-        &detector,
-        &semantic_detector,
-        &columns,
-        &eco.pdns,
-        passes::table3_wanted(&eco.whois),
-        fig6_pool.clone(),
-        4,
-        Some(&mining_plan),
-    );
-    let (_, _, _, index) = plan.run(&source, 1024, 4, &NoopRecorder);
+    let (_, _, _, index) = plan().run_at(&source, 1024, 4, &NoopRecorder, SpanCtx::NONE);
     let index = index.expect("mined plan returns the bucket index");
     let buckets: Vec<mine::MineBucket> = index
         .iter()
@@ -229,7 +210,7 @@ proptest! {
         slds.sort();
         slds.dedup();
         let columns = forged_columns(&slds);
-        let plan = mine::MiningPlan::new(&columns, 2);
+        let plan = mine::MiningPlan::new(&columns, &SkeletonCache::build(&columns, 2));
         let lsh = mine::verified_pairs_lsh(&columns, &plan, columns.len(), 2);
         let oracle = mine::verified_pairs_exhaustive(&columns, &plan, columns.len(), 2);
         prop_assert_eq!(lsh, oracle);

@@ -7,9 +7,9 @@
 
 use idnre_analyze::SliceSource;
 use idnre_bench::{passes, CandidateSurvey};
-use idnre_core::{HomographDetector, SemanticDetector};
+use idnre_core::SkeletonCache;
 use idnre_datagen::{Ecosystem, EcosystemConfig};
-use idnre_telemetry::{NoopRecorder, Recorder, Registry};
+use idnre_telemetry::{NoopRecorder, Recorder, Registry, SpanCtx};
 use std::time::Instant;
 
 /// Attempts before the test gives up: the ratio of two wall-clock
@@ -27,29 +27,24 @@ fn instrumented_scan_stays_within_five_percent_of_uninstrumented() {
     };
     let eco = Ecosystem::generate(&config);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-    let brand_domains: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
-    let detector = HomographDetector::new(&brand_domains, 0.95);
-    let semantic_detector = SemanticDetector::new(&brand_domains);
     let columns = passes::build_columns(
         &eco.idn_registrations,
         &eco.blacklist,
         config.threads,
         &NoopRecorder,
-        idnre_telemetry::SpanCtx::NONE,
+        SpanCtx::NONE,
     );
-    let fig6_pool = CandidateSurvey::build(&eco.brands, config.threads, &NoopRecorder).fig6_pool();
+    let skeletons = SkeletonCache::build(&columns, config.threads);
+    let candidates = CandidateSurvey::build(&eco.brands, config.threads, &NoopRecorder);
+    let inputs = passes::ScanInputs::new(&eco, &candidates);
     let scan_once = |recorder: &dyn Recorder| {
-        let plan = passes::ScanPlan::new(
-            &detector,
-            &semantic_detector,
-            &columns,
-            &eco.pdns,
-            passes::table3_wanted(&eco.whois),
-            fig6_pool.clone(),
+        inputs.plan(&columns, &skeletons, &eco.pdns, None).run_at(
+            &source,
+            1024,
             config.threads,
-            None,
-        );
-        plan.run(&source, 1024, config.threads, recorder)
+            recorder,
+            SpanCtx::NONE,
+        )
     };
 
     // Warm caches and allocator before anything is timed.

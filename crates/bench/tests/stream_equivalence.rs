@@ -7,7 +7,7 @@
 
 use idnre_analyze::{SliceSource, SCAN_SPAN};
 use idnre_bench::{passes, CandidateSurvey, FaultSetup, ReproContext, RunSpec};
-use idnre_core::{HomographDetector, SemanticDetector};
+use idnre_core::SkeletonCache;
 use idnre_datagen::{Ecosystem, EcosystemConfig, PEAK_RESIDENT_RECORDS};
 use idnre_telemetry::{NoopRecorder, Registry};
 use std::sync::Arc;
@@ -60,9 +60,6 @@ fn streamed_report_is_byte_identical_to_batch() {
 #[test]
 fn every_pass_merge_is_associative() {
     let eco = Ecosystem::generate(&config(4));
-    let brand_domains: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
-    let detector = HomographDetector::new(&brand_domains, 0.95);
-    let semantic_detector = SemanticDetector::new(&brand_domains);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
     let columns = passes::build_columns(
         &eco.idn_registrations,
@@ -71,16 +68,10 @@ fn every_pass_merge_is_associative() {
         &NoopRecorder,
         idnre_telemetry::SpanCtx::NONE,
     );
-    let plan = passes::ScanPlan::new(
-        &detector,
-        &semantic_detector,
-        &columns,
-        &eco.pdns,
-        passes::table3_wanted(&eco.whois),
-        CandidateSurvey::build(&eco.brands, 4, &NoopRecorder).fig6_pool(),
-        4,
-        None,
-    );
+    let skeletons = SkeletonCache::build(&columns, 4);
+    let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
+    let inputs = passes::ScanInputs::new(&eco, &candidates);
+    let plan = inputs.plan(&columns, &skeletons, &eco.pdns, None);
     plan.check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
 }

@@ -65,7 +65,7 @@ use std::time::Instant;
 /// how many stayed clean (their resident partials were reused verbatim),
 /// and how many were actually re-folded (dirty shards plus cache misses,
 /// e.g. a tail shard whose boundary moved). Pre-registered by
-/// `advance_epoch` before its fan-out, like every scan counter family.
+/// `EpochState::advance` before its fan-out, like every scan counter family.
 pub const EPOCH_SHARD_COUNTERS: [&str; 3] = [
     "epoch.shards.dirty",
     "epoch.shards.clean",
