@@ -459,11 +459,14 @@ mod tests {
         generate_streamed(&config, 64, &NoopRecorder).1
     }
 
-    fn scan() -> (
+    /// A scan over both test passes, with their handles.
+    type TestScan = (
         ShardedScan<'static>,
         crate::PassHandle<(u64, u64)>,
         crate::PassHandle<Vec<(u64, String)>>,
-    ) {
+    );
+
+    fn scan() -> TestScan {
         let mut scan = ShardedScan::new();
         let counts = scan.register(CountPass);
         let domains = scan.register(IndexedDomainsPass);

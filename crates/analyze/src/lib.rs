@@ -1027,7 +1027,7 @@ mod tests {
 
         fn observe(&self, partial: &mut Self::Partial, item: &u32, index: u64, _: &dyn Recorder) {
             partial.0 += u64::from(*item);
-            if item % 2 == 0 {
+            if item.is_multiple_of(2) {
                 partial.1.push(index);
             }
         }

@@ -136,8 +136,8 @@ impl EpochRun {
 /// Appends this epoch's new registrations to the interned columns and
 /// flips the malicious bit for lagged blacklist listings. Each row comes
 /// from [`column_row`], the emitter every column build shares, and each
-/// label gets the same classification [`crate::passes::build_columns`] gives
-/// it. Columns only ever grow — the
+/// label gets the same classification [`crate::passes::finish_columns`]
+/// gives it. Columns only ever grow — the
 /// [`idnre_arena::ColumnsMark`] taken before the epoch must report
 /// monotonic growth after it. Public so adversarial delta-stream tests
 /// can drive the engine with hand-built overlays.

@@ -65,10 +65,11 @@ pub const DEFAULT_SHARD_SIZE: usize = 1024;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RunSpec {
     /// `Some(n)` streams the corpus (`--stream --shard-size n`): the
-    /// registration vectors are never materialized, and the column build,
-    /// the fused scan and (under `faults`) the surveys regenerate
-    /// `n`-record shards on demand. `None` materializes the corpus and
-    /// scans it in [`DEFAULT_SHARD_SIZE`] shards.
+    /// generator drops each `n`-record shard once its artifacts and column
+    /// rows are emitted, so the registration vectors stay empty, and the
+    /// fused scan and (under `faults`) the surveys regenerate `n`-record
+    /// shards on demand. `None` keeps the regenerated records resident and
+    /// scans them in [`DEFAULT_SHARD_SIZE`] shards.
     pub shard_size: Option<usize>,
     /// Runs the two-pass skeleton-LSH portfolio miner
     /// (`--mine-portfolios`): pass A folds the bucket index on the fused
@@ -169,33 +170,20 @@ impl ReproContext {
         }
         let shard_size = spec.shard_size.unwrap_or(DEFAULT_SHARD_SIZE);
         let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
-        let (eco, corpus, rows) = match spec.shard_size {
-            None => {
-                let eco = Ecosystem::generate_traced(config, &*recorder, span.ctx());
-                (eco, None, None)
-            }
-            Some(_) => {
-                let (eco, corpus, rows) = idnre_datagen::generate_streamed_traced(
-                    config,
-                    shard_size,
-                    &*recorder,
-                    span.ctx(),
-                );
-                (eco, Some(corpus), Some(rows))
-            }
-        };
+        let (eco, corpus, rows) =
+            idnre_datagen::generate_traced(config, spec.shard_size, &*recorder, span.ctx());
         let slice_source;
         let stream_source;
-        let view = match &corpus {
+        let view = match spec.shard_size {
             None => {
                 slice_source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
                 CorpusView::resident(&slice_source)
             }
-            Some(corpus) => {
-                stream_source = StreamSource::new(corpus);
+            Some(walk) => {
+                stream_source = StreamSource::new(&corpus);
                 CorpusView {
                     source: &stream_source,
-                    walk: shard_size,
+                    walk,
                 }
             }
         };
@@ -203,17 +191,8 @@ impl ReproContext {
         drop(span);
 
         let candidates = CandidateSurvey::build(&eco.brands, config.threads, &*recorder);
-        let columns = match rows {
-            // The streamed traversal already interned the rows.
-            Some(rows) => passes::finish_columns(rows, config.threads, &*recorder, SpanCtx::ROOT),
-            None => passes::build_columns(
-                &eco.idn_registrations,
-                &eco.blacklist,
-                config.threads,
-                &*recorder,
-                SpanCtx::ROOT,
-            ),
-        };
+        // The generator's traversal already interned the rows.
+        let columns = passes::finish_columns(rows, config.threads, &*recorder, SpanCtx::ROOT);
         let skeletons = SkeletonCache::build(&columns, config.threads);
         let inputs = passes::ScanInputs::new(&eco, &candidates);
         let mining_plan = spec
@@ -274,12 +253,12 @@ impl ReproContext {
             mining,
             epochs: None,
         };
-        if let (Some(spec), Some(cold), Some(corpus)) = (spec.epochs, cold, &corpus) {
+        if let (Some(epoch_spec), Some(cold)) = (spec.epochs, cold) {
             ctx.epochs = Some(epochs::play(
-                &mut ctx, spec, corpus, cold, columns, skeletons, &inputs,
+                &mut ctx, epoch_spec, &corpus, cold, columns, skeletons, &inputs,
             ));
         }
-        if let Some(corpus) = &corpus {
+        if spec.shard_size.is_some() {
             // Recorded last so the gauge and the counter cover every
             // stage's shard walks: the faulted surveys' or the epochs'.
             ctx.recorder

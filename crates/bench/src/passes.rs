@@ -20,16 +20,15 @@ use idnre_analyze::{
     Population, RecordSource, ScanResult, ShardedScan,
 };
 use idnre_arena::{BucketIndex, ColumnsBuilder, CorpusColumns, Symbol};
-use idnre_blacklist::BlacklistSet;
 use idnre_core::{
     ColumnedHomographPass, HomographDetector, HomographFinding, Semantic1Pass, Semantic2Pass,
     SemanticDetector, SemanticFinding, SkeletonCache,
 };
 use idnre_crawler::UsageCategory;
-use idnre_datagen::{column_row, DomainRegistration, Ecosystem};
+use idnre_datagen::Ecosystem;
 use idnre_langid::{Classifier, Language};
 use idnre_pdns::{ActivityAnalytics, PdnsStore};
-use idnre_telemetry::{Recorder, Span, SpanCtx};
+use idnre_telemetry::{Recorder, SpanCtx};
 use idnre_whois::analytics::RegistrationAnalytics;
 use idnre_whois::WhoisRecord;
 use std::collections::{HashMap, HashSet};
@@ -229,7 +228,7 @@ impl Merge for LanguageMix {
 
 /// Tallies the Table II populations from the precomputed language-id
 /// column. Classification ran once per **distinct** SLD label when the
-/// columns were built ([`build_columns`]); the per-record observe is a
+/// columns were finished ([`finish_columns`]); the per-record observe is a
 /// column read plus three bit probes, touching no registration fields.
 #[derive(Debug, Clone, Copy)]
 pub struct LanguagePass<'a> {
@@ -519,52 +518,24 @@ fn table3_wanted(whois: &[WhoisRecord]) -> HashSet<String> {
     wanted
 }
 
-/// Builds the struct-of-arrays corpus columns the report passes read
-/// from the resident IDN records of a batch build: interned SLD labels,
-/// TLD ids, language ids, and the per-record malicious/organic/blacklist
-/// bits.
+/// Finishes the struct-of-arrays corpus columns the report passes read,
+/// from the rows the generator's artifact traversal interned
+/// ([`idnre_datagen::generate_traced`]): interned SLD labels, TLD ids, and
+/// the per-record malicious/organic/blacklist bits, in corpus order.
 ///
-/// Each record's row comes from [`column_row`], the same emitter the
-/// streamed artifact traversal runs per shard, and is interned
-/// sequentially in corpus order, so every symbol and column is
-/// deterministic by construction. Classification then runs as in
-/// [`finish_columns`].
-pub fn build_columns(
-    idn: &[DomainRegistration],
-    blacklist: &BlacklistSet,
-    threads: usize,
-    recorder: &dyn Recorder,
-    parent: SpanCtx,
-) -> CorpusColumns {
-    let span = recorder.span_at("analyze.columns", parent, 0);
-    let mut builder = ColumnsBuilder::new();
-    for reg in idn {
-        builder.push(column_row(reg, blacklist));
-    }
-    classify_labels(builder, threads, span)
-}
-
-/// Finishes the columns a streamed build interned during its artifact
-/// traversal ([`idnre_datagen::generate_streamed`]): the classification
-/// half of [`build_columns`], under the same `analyze.columns` span.
+/// What remains is the language-id column. Each **distinct** label is
+/// classified once, in parallel over the interner, and the ids are
+/// broadcast to the per-record column under the `analyze.columns` span.
+/// The classifier is a pure function of the label string, so the
+/// broadcast ids equal a per-record classification exactly, at any
+/// thread count.
 pub fn finish_columns(
     builder: ColumnsBuilder,
     threads: usize,
     recorder: &dyn Recorder,
     parent: SpanCtx,
 ) -> CorpusColumns {
-    classify_labels(
-        builder,
-        threads,
-        recorder.span_at("analyze.columns", parent, 0),
-    )
-}
-
-/// Classifies each **distinct** label once, parallelized over the
-/// interner, and broadcasts the ids to the per-record column. The
-/// classifier is a pure function of the label string, so the broadcast
-/// ids equal a per-record classification exactly, at any thread count.
-fn classify_labels(builder: ColumnsBuilder, threads: usize, mut span: Span) -> CorpusColumns {
+    let mut span = recorder.span_at("analyze.columns", parent, 0);
     let columns = builder.finish(|labels| {
         let clf = Classifier::global();
         let indices: Vec<u32> = (0..labels.len() as u32).collect();

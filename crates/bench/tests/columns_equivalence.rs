@@ -7,7 +7,7 @@
 
 use idnre_arena::CorpusColumns;
 use idnre_bench::passes;
-use idnre_datagen::{generate_streamed, Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_traced, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 
 fn config(threads: usize) -> EcosystemConfig {
@@ -20,21 +20,11 @@ fn config(threads: usize) -> EcosystemConfig {
     }
 }
 
-/// The batch build: rows derived from the resident IDN vector.
-fn build(eco: &Ecosystem, threads: usize) -> CorpusColumns {
-    passes::build_columns(
-        &eco.idn_registrations,
-        &eco.blacklist,
-        threads,
-        &NoopRecorder,
-        SpanCtx::NONE,
-    )
-}
-
-/// The streamed build: rows emitted and interned by the artifact
-/// traversal, then classified.
-fn build_streamed(threads: usize, shard_size: usize) -> CorpusColumns {
-    let (_, _, rows) = generate_streamed(&config(threads), shard_size, &NoopRecorder);
+/// One build's columns: rows emitted and interned by the generator's
+/// artifact traversal (`None` is the batch build, `Some(n)` the streamed
+/// one at `n`-record shards), then classified.
+fn build(threads: usize, shard_size: Option<usize>) -> CorpusColumns {
+    let (_, _, rows) = generate_traced(&config(threads), shard_size, &NoopRecorder, SpanCtx::NONE);
     passes::finish_columns(rows, threads, &NoopRecorder, SpanCtx::NONE)
 }
 
@@ -77,28 +67,22 @@ fn assert_identical(a: &CorpusColumns, b: &CorpusColumns, what: &str) {
     }
 }
 
-/// Same corpus → same columns, for every thread count of the batch
-/// build and every (threads, shard_size) cell of the streamed one. The
-/// thread count only parallelizes the per-shard row emission and the
-/// per-distinct-label language classification; the shard size only
-/// decides which rows travel together to the sequential intern loop.
+/// Same corpus → same columns, for every (threads, shard size) cell of
+/// both builds. The thread count only parallelizes the per-shard row
+/// emission and the per-distinct-label language classification; the
+/// shard size only decides which rows travel together to the sequential
+/// intern loop.
 #[test]
 fn columns_are_identical_across_threads_and_shards() {
-    let eco = Ecosystem::generate(&config(4));
-    let reference = build(&eco, 4);
+    let reference = build(4, None);
     assert!(reference.len() > 500, "corpus too small to be meaningful");
     assert!(reference.labels().len() > 50);
     for threads in [1usize, 2, 8] {
-        assert_identical(
-            &reference,
-            &build(&eco, threads),
-            &format!("batch threads={threads}"),
-        );
-        for shard_size in [7usize, 64, 1024] {
+        for shard_size in [None, Some(7usize), Some(64), Some(1024)] {
             assert_identical(
                 &reference,
-                &build_streamed(threads, shard_size),
-                &format!("streamed threads={threads} shard_size={shard_size}"),
+                &build(threads, shard_size),
+                &format!("threads={threads} shard_size={shard_size:?}"),
             );
         }
     }

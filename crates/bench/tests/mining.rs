@@ -12,7 +12,7 @@ use idnre_analyze::{fold_is_associative, SliceSource};
 use idnre_arena::{ColumnRow, ColumnsBuilder};
 use idnre_bench::{mine, passes, CandidateSurvey, ReproContext, RunSpec};
 use idnre_core::SkeletonCache;
-use idnre_datagen::{Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_traced, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 use idnre_unicode::homoglyphs_of;
 use proptest::prelude::*;
@@ -68,15 +68,9 @@ fn mined_report_is_byte_identical_across_threads_and_shards() {
 /// chunk size coprime to every shard size the grid uses.
 #[test]
 fn mining_merges_are_associative_at_chunk_97() {
-    let eco = Ecosystem::generate(&config(4));
+    let (eco, _, rows) = generate_traced(&config(4), None, &NoopRecorder, SpanCtx::NONE);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-    let columns = passes::build_columns(
-        &eco.idn_registrations,
-        &eco.blacklist,
-        4,
-        &NoopRecorder,
-        SpanCtx::NONE,
-    );
+    let columns = passes::finish_columns(rows, 4, &NoopRecorder, SpanCtx::NONE);
     let skeletons = SkeletonCache::build(&columns, 4);
     let mining_plan = mine::MiningPlan::new(&columns, &skeletons);
     let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);

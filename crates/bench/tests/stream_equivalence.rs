@@ -8,8 +8,8 @@
 use idnre_analyze::{SliceSource, SCAN_SPAN};
 use idnre_bench::{passes, CandidateSurvey, FaultSetup, ReproContext, RunSpec};
 use idnre_core::SkeletonCache;
-use idnre_datagen::{Ecosystem, EcosystemConfig, PEAK_RESIDENT_RECORDS};
-use idnre_telemetry::{NoopRecorder, Registry};
+use idnre_datagen::{generate_traced, EcosystemConfig, PEAK_RESIDENT_RECORDS};
+use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
 use std::sync::Arc;
 
 /// Large enough that every pass sees real work (all TLDs, all languages,
@@ -59,15 +59,9 @@ fn streamed_report_is_byte_identical_to_batch() {
 /// synthetic ones, with a chunk size coprime to every shard size above.
 #[test]
 fn every_pass_merge_is_associative() {
-    let eco = Ecosystem::generate(&config(4));
+    let (eco, _, rows) = generate_traced(&config(4), None, &NoopRecorder, SpanCtx::NONE);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-    let columns = passes::build_columns(
-        &eco.idn_registrations,
-        &eco.blacklist,
-        4,
-        &NoopRecorder,
-        idnre_telemetry::SpanCtx::NONE,
-    );
+    let columns = passes::finish_columns(rows, 4, &NoopRecorder, SpanCtx::NONE);
     let skeletons = SkeletonCache::build(&columns, 4);
     let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
     let inputs = passes::ScanInputs::new(&eco, &candidates);

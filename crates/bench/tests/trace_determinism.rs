@@ -90,9 +90,10 @@ proptest! {
 
 /// The tree has the documented shape: pipeline phases under the run root,
 /// one group per registered pass under `analyze.scan` with one child span
-/// per shard, and generation sub-stages under `build.ecosystem`. A clean
-/// build runs no corpus survey (Table V's sample crawl rides the content
-/// pass); a faulted build's crawl survey has one slice span per window.
+/// per shard, and in both builds the same two generation stages under
+/// `build.ecosystem`. A clean build runs no corpus survey (Table V's
+/// sample crawl rides the content pass); a faulted build's crawl survey
+/// has one slice span per window.
 #[test]
 fn trace_tree_has_the_documented_shape() {
     let registry = Arc::new(Registry::with_trace());
@@ -120,9 +121,25 @@ fn trace_tree_has_the_documented_shape() {
     for survey in ["crawl.survey", "whois.survey"] {
         assert!(root.child(survey).is_none(), "clean build ran {survey}");
     }
-    let build = root.child("build.ecosystem").unwrap();
-    assert!(build.child("datagen.stream.plan").is_some());
-    assert!(build.child("datagen.stream.artifacts").is_some());
+    // Both builds run the one generator: the plan, then the artifact
+    // traversal, and nothing else under `build.ecosystem`.
+    let batch_registry = Arc::new(Registry::with_trace());
+    let _ = ReproContext::build(&config(2), &RunSpec::default(), batch_registry.clone());
+    let batch_snapshot = batch_registry.trace_snapshot().expect("tracing registry");
+    for (mode, tree) in [("streamed", root), ("batch", &batch_snapshot.root)] {
+        let build = tree.child("build.ecosystem").expect("build.ecosystem span");
+        let mut stages: Vec<(u64, &str)> = build
+            .children
+            .iter()
+            .map(|s| (s.index, s.name.as_str()))
+            .collect();
+        stages.sort_unstable();
+        assert_eq!(
+            stages,
+            [(0, "datagen.stream.plan"), (1, "datagen.stream.artifacts")],
+            "{mode} generation spans"
+        );
+    }
 
     // The faulted crawl survey runs fixed-size windows, one slice span each.
     let faulted_registry = Arc::new(Registry::with_trace());

@@ -11,14 +11,14 @@
 //! output is byte-identical for every thread count (the
 //! `idnre-dataset/2` schedule-independence contract, DESIGN.md §8).
 //!
-//! Batch generation is the streamed plan, materialized: stages 1–5
-//! (registrations, dedup, blacklist, attack injection, the non-IDN
-//! sample) run once in the shared corpus planner ([`crate::stream`]),
-//! every planned record is regenerated into the resident vectors, and the
-//! batch emitters below derive stages 6–9 (WHOIS, pDNS, certificates,
-//! zones) from those vectors. The per-record emitters are shared with the
-//! streamed build's fused artifact pass, which also emits each IDN
-//! record's [`column_row`].
+//! Both builds run one generator ([`crate::stream::generate_traced`]):
+//! stages 1–5 (registrations, dedup, blacklist, attack injection, the
+//! non-IDN sample) run once in the corpus planner, and one per-shard
+//! traversal regenerates every planned record once and derives stages
+//! 6–9 from it through the per-record emitters below (WHOIS, pDNS,
+//! certificates, zone records), plus each IDN record's [`column_row`].
+//! The batch build keeps the regenerated records in the resident
+//! vectors; the streamed build drops them.
 
 use crate::attacks::AttackDomain;
 use crate::brands::BrandList;
@@ -38,7 +38,7 @@ use idnre_crawler::UsageCategory;
 use idnre_langid::Language;
 use idnre_pdns::{DomainAggregate, PdnsStore, PopulationClass, TrafficModel};
 use idnre_rng::{Key, StageId};
-use idnre_telemetry::{NoopRecorder, Recorder, SpanCtx};
+use idnre_telemetry::{NoopRecorder, SpanCtx};
 use idnre_whois::{WhoisDialect, WhoisRecord};
 use idnre_zonefile::{RData, ResourceRecord, Zone};
 use rand::Rng;
@@ -77,105 +77,10 @@ pub struct Ecosystem {
 
 impl Ecosystem {
     /// Generates the full ecosystem from `config`. Deterministic in
-    /// `config.seed`; byte-identical for every `config.threads`.
+    /// `config.seed`; byte-identical for every `config.threads`. Shorthand
+    /// for the batch build of [`crate::generate_traced`].
     pub fn generate(config: &EcosystemConfig) -> Self {
-        Self::generate_recorded(config, &NoopRecorder)
-    }
-
-    /// Like [`Ecosystem::generate`], reporting per-stage timing and record
-    /// counts to `recorder`. The generated ecosystem is identical for any
-    /// recorder — telemetry never touches the RNG streams.
-    pub fn generate_recorded(config: &EcosystemConfig, recorder: &dyn Recorder) -> Self {
-        Self::generate_traced(config, recorder, SpanCtx::NONE)
-    }
-
-    /// Like [`Ecosystem::generate_recorded`], parenting the six
-    /// `datagen.*` stage spans under `parent` in the span tree (stage
-    /// position as the sibling index): the corpus plan, its
-    /// materialization, then WHOIS, pDNS, certificates and zones.
-    pub fn generate_traced(
-        config: &EcosystemConfig,
-        recorder: &dyn Recorder,
-        parent: SpanCtx,
-    ) -> Self {
-        let root = Key::root(config.seed);
-        let threads = config.threads;
-        let snapshot_day = config.snapshot.day_number();
-
-        // --- Stages 1–5: the corpus plan the streamed build also uses. ---
-        let (corpus, brands, blacklist) = stream::plan(config, recorder, parent);
-
-        // --- Every planned record, regenerated once into the vectors. ---
-        let mut span = recorder.span_at("datagen.materialize", parent, 1);
-        let (idn_registrations, non_idn_registrations) = corpus.materialize(threads);
-        span.add_records((idn_registrations.len() + non_idn_registrations.len()) as u64);
-        drop(span);
-        let [homograph_attacks, semantic_attacks, semantic2_attacks] = corpus.into_attacks();
-
-        // --- 6. WHOIS emission with per-TLD coverage. ---
-        let mut span = recorder.span_at("datagen.whois", parent, 2);
-        let whois = emit_whois(root.stage(StageId::Whois), threads, &idn_registrations);
-        span.add_records(whois.len() as u64);
-        drop(span);
-
-        // --- 7. Passive DNS: sample aggregates in parallel, insert in
-        //        registration order. Stages 7–8 key each record's stream
-        //        by its chained position (IDNs first, then non-IDNs). ---
-        let mut span = recorder.span_at("datagen.pdns_traffic", parent, 3);
-        let chained: Vec<(u64, &DomainRegistration, bool)> = idn_registrations
-            .iter()
-            .map(|reg| (reg, true))
-            .chain(non_idn_registrations.iter().map(|reg| (reg, false)))
-            .enumerate()
-            .map(|(i, (reg, is_idn))| (i as u64, reg, is_idn))
-            .collect();
-        let pdns_key = root.stage(StageId::PdnsTraffic);
-        let aggregates = idnre_par::par_map(&chained, threads, |&(i, reg, is_idn)| {
-            traffic_for(pdns_key, i, reg, is_idn, snapshot_day)
-        });
-        let mut pdns = PdnsStore::new();
-        for aggregate in aggregates.into_iter().flatten() {
-            pdns.insert_aggregate(aggregate);
-        }
-        span.add_records(pdns.len() as u64);
-        drop(span);
-
-        // --- 8. Certificates for HTTPS hosts. ---
-        let mut span = recorder.span_at("datagen.certificates", parent, 4);
-        let cert_key = root.stage(StageId::Certificates);
-        let certificates: Vec<(String, Certificate)> =
-            idnre_par::par_map(&chained, threads, |&(i, reg, _)| {
-                certificate_for(cert_key, i, reg, snapshot_day)
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        span.add_records(certificates.len() as u64);
-        drop(span);
-        drop(chained);
-
-        // --- 9. Zone files (RNG-free). ---
-        let mut span = recorder.span_at("datagen.zones", parent, 5);
-        let (zones, zones_skipped) =
-            emit_zones(&idn_registrations, &non_idn_registrations, threads);
-        span.add_records(zones.iter().map(|z| z.records.len() as u64).sum());
-        drop(span);
-        recorder.add("datagen.zones.skipped", zones_skipped);
-
-        Ecosystem {
-            config: config.clone(),
-            brands,
-            idn_registrations,
-            non_idn_registrations,
-            homograph_attacks,
-            semantic_attacks,
-            semantic2_attacks,
-            whois,
-            pdns,
-            certificates,
-            blacklist,
-            zones,
-        }
+        stream::generate_traced(config, None, &NoopRecorder, SpanCtx::NONE).0
     }
 
     /// The malicious IDN registrations (any blacklist source).
@@ -451,22 +356,9 @@ pub(crate) fn attack_registration<R: Rng + ?Sized>(
     }
 }
 
-/// Emits WHOIS records honoring the per-TLD coverage of Table I (50.19%
-/// overall; 1.1% for iTLDs). Each registration's coverage roll and record
-/// body draw from a stream keyed by its position.
-fn emit_whois(key: Key, threads: usize, registrations: &[DomainRegistration]) -> Vec<WhoisRecord> {
-    let indices: Vec<u64> = (0..registrations.len() as u64).collect();
-    idnre_par::par_map(&indices, threads, |&i| {
-        whois_record_for(key, i, &registrations[i as usize])
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 /// One registration's WHOIS emission: the coverage roll and (when covered)
-/// the record body, on the stream keyed by corpus position `i`. Shared by
-/// the batch emitter and the streaming artifact pass.
+/// the record body, on the stream keyed by corpus position `i`, so it
+/// does not depend on any other record's coverage.
 pub(crate) fn whois_record_for(key: Key, i: u64, reg: &DomainRegistration) -> Option<WhoisRecord> {
     let coverage = TABLE_I
         .iter()
@@ -488,8 +380,8 @@ pub(crate) fn whois_record_for(key: Key, i: u64, reg: &DomainRegistration) -> Op
 }
 
 /// One registration's passive-DNS aggregate (`None` when it does not
-/// resolve), on the stream keyed by chained corpus position `i`. Shared by
-/// the batch emitter and the streaming artifact pass.
+/// resolve), on the stream keyed by chained corpus position `i` (IDNs
+/// first, then non-IDNs).
 pub(crate) fn traffic_for(
     key: Key,
     i: u64,
@@ -516,7 +408,7 @@ pub(crate) fn traffic_for(
 
 /// One HTTPS host's certificate, on the stream keyed by chained corpus
 /// position `i`, so issuance is independent of every other record's HTTPS
-/// flag. Shared by the batch emitter and the streaming artifact pass.
+/// flag.
 pub(crate) fn certificate_for(
     key: Key,
     i: u64,
@@ -534,51 +426,9 @@ pub(crate) fn certificate_for(
     ))
 }
 
-/// Builds one zone per TLD containing NS (and A, when resolving) records.
-///
-/// The zones are RNG-free: each TLD is one shard on the work-queue
-/// executor, filtering the registration stream independently. Records land
-/// in registration order within each zone, so the emitted zones are
-/// byte-identical for any `threads`.
-///
-/// Registrations whose names do not survive the zone's name grammar (e.g.
-/// an NS owner pushing past the 253-octet limit) are skipped, not
-/// panicked over; the second return value counts them (together with
-/// registrations matching no zone) so the caller can surface the loss
-/// (`datagen.zones.skipped`).
-fn emit_zones(
-    idns: &[DomainRegistration],
-    non_idns: &[DomainRegistration],
-    threads: usize,
-) -> (Vec<Zone>, u64) {
-    let origins: Vec<_> = TABLE_I
-        .iter()
-        .filter_map(|spec| spec.tld.parse::<idnre_idna::DomainName>().ok())
-        .collect();
-    let sharded = idnre_par::par_map(&origins, threads, |origin| {
-        let tld = origin.to_string();
-        let mut zone = Zone::new(origin.clone());
-        let mut parse_skipped = 0u64;
-        let mut matched = 0u64;
-        for reg in idns.iter().chain(non_idns).filter(|r| r.tld == tld) {
-            matched += 1;
-            match ns_record_for(reg) {
-                Some(record) => zone.records.push(record),
-                None => parse_skipped += 1,
-            }
-        }
-        (zone, parse_skipped, matched)
-    });
-    let total = (idns.len() + non_idns.len()) as u64;
-    let matched: u64 = sharded.iter().map(|(_, _, m)| m).sum();
-    let parse_skipped: u64 = sharded.iter().map(|(_, s, _)| s).sum();
-    let zones = sharded.into_iter().map(|(zone, _, _)| zone).collect();
-    (zones, parse_skipped + (total - matched))
-}
-
 /// One registration's delegation record (`None` when its name fails the
-/// zone grammar). Shared by the batch zone emitter and the streaming
-/// artifact pass.
+/// zone grammar, e.g. an NS owner pushing past the 253-octet limit; the
+/// traversal counts those in `datagen.zones.skipped`). RNG-free.
 pub(crate) fn ns_record_for(reg: &DomainRegistration) -> Option<ResourceRecord> {
     let owner = reg.domain.parse().ok()?;
     let ns = format!("ns1.{}", reg.domain).parse().ok()?;
@@ -591,8 +441,8 @@ pub(crate) fn ns_record_for(reg: &DomainRegistration) -> Option<ResourceRecord> 
 
 /// One IDN registration's column row: its Unicode SLD label, TLD,
 /// malicious and organic bits, and per-source blacklist verdict. Shared
-/// by the streaming artifact pass, the batch column build and epoch
-/// growth, so every column build derives the same row from a record.
+/// by the artifact traversal and epoch growth, so every column build
+/// derives the same row from a record.
 pub fn column_row<'r>(reg: &'r DomainRegistration, blacklist: &BlacklistSet) -> ColumnRow<'r> {
     let sld_len = reg.unicode.find('.').unwrap_or(reg.unicode.len());
     let verdict = blacklist.verdict(&reg.domain);
@@ -634,7 +484,7 @@ mod tests {
         let config = small_config();
         let registry = idnre_telemetry::Registry::new();
         let plain = Ecosystem::generate(&config);
-        let recorded = Ecosystem::generate_recorded(&config, &registry);
+        let (recorded, _, _) = stream::generate_traced(&config, None, &registry, SpanCtx::NONE);
         // Telemetry must not perturb the RNG stream.
         assert_eq!(plain.idn_registrations, recorded.idn_registrations);
         assert_eq!(plain.non_idn_registrations, recorded.non_idn_registrations);
@@ -643,15 +493,8 @@ mod tests {
         let names: Vec<&str> = snapshot.stages.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(
             names,
-            [
-                "datagen.stream.plan",
-                "datagen.materialize",
-                "datagen.whois",
-                "datagen.pdns_traffic",
-                "datagen.certificates",
-                "datagen.zones",
-            ],
-            "one span per pipeline stage"
+            ["datagen.stream.plan", "datagen.stream.artifacts"],
+            "one span per generation phase"
         );
         for stage in &snapshot.stages {
             assert_eq!(stage.calls, 1, "{}", stage.name);

@@ -57,6 +57,5 @@ pub use epoch::{DaySimulator, EpochCorpus, EpochDelta, EpochDeltaKind};
 pub use hosting::HostingProfile;
 pub use registration::{DomainRegistration, MaliciousKind};
 pub use stream::{
-    generate_streamed, generate_streamed_traced, KeyedCorpus, PEAK_RESIDENT_RECORDS,
-    SHARDS_REGENERATED,
+    generate_streamed, generate_traced, KeyedCorpus, PEAK_RESIDENT_RECORDS, SHARDS_REGENERATED,
 };

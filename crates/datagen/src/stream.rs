@@ -1,24 +1,22 @@
-//! The corpus planner: plan once, regenerate any shard on demand.
+//! The one generator: plan once, regenerate any shard on demand.
 //!
 //! `plan` is the one implementation of generation stages 1–5 (bulk
 //! registrations, the ordinary dedup ladder, blacklist assignment, attack
 //! injection, the non-IDN sample). It draws only the randomness that
 //! decides which records exist and which are flagged, and compacts the
-//! result into a [`Recipe`] table of a few bytes per record plus the
+//! result into a `Recipe` table of a few bytes per record plus the
 //! blacklist. Because every record's randomness is a pure function of
 //! `(seed, stage, record index)`, a [`KeyedCorpus`] regenerates shard `k`
 //! byte-identically whenever it is asked for, in any order, from any
 //! thread.
 //!
-//! Both builders start from the plan:
-//!
-//! * [`generate_streamed`] never materializes the corpus: one fused
-//!   traversal regenerates each shard and emits its stage 6–9 artifacts
-//!   (WHOIS, pDNS, certificates, zone records) and, for IDN shards, the
-//!   interned column rows.
-//! * [`Ecosystem::generate`] materializes every shard once
-//!   (`KeyedCorpus::materialize`) and runs the batch emitters for
-//!   stages 6–9 over the resident vectors.
+//! [`generate_traced`] is the one implementation of stages 6–9 and of the
+//! IDN column rows. After the plan, one fused traversal regenerates each
+//! shard once and emits its WHOIS, pDNS, certificates and zone records
+//! and, for IDN shards, the interned column rows. The batch build
+//! ([`crate::Ecosystem::generate`]) keeps each regenerated shard in the
+//! registration vectors; the streamed build ([`generate_streamed`]) drops
+//! it, so registrations exist only as the plan.
 //!
 //! Peak registration residency of the streamed build is
 //! `shard_size × workers`, tracked by a shared [`Gauge`] and reported as
@@ -67,13 +65,13 @@ const ATTACK_CHANNELS: [(MaliciousKind, u32); 3] = [
     (MaliciousKind::SemanticType2, 100),
 ];
 
-/// Records per work unit when [`KeyedCorpus::materialize`] regenerates
-/// the whole corpus. Scheduling only: the bytes do not depend on it.
-const MATERIALIZE_SHARD: usize = 1024;
+/// Records per shard of the batch build's artifact traversal. Scheduling
+/// only: the bytes do not depend on it.
+const BATCH_SHARD: usize = 1024;
 
-/// How many shards per worker the streamed artifact traversal may finish
-/// ahead of its in-order apply loop: the most per-shard outputs ever
-/// buffered. Scheduling only: the bytes do not depend on it.
+/// How many shards per worker the artifact traversal may finish ahead of
+/// its in-order apply loop: the most per-shard outputs ever buffered.
+/// Scheduling only: the bytes do not depend on it.
 const SHARDS_AHEAD_PER_WORKER: usize = 4;
 
 /// How one IDN record regenerates: which keyed stream to replay and (for
@@ -142,14 +140,7 @@ impl KeyedCorpus {
     /// Materializes IDN records `[start, start + len)` and calls `f` once
     /// with the slice. Residency is gauge-tracked for the call's duration.
     pub fn with_idn_shard(&self, start: u64, len: usize, f: &mut dyn FnMut(&[DomainRegistration])) {
-        self.count_shard();
-        self.gauge.add(len as u64);
-        let records: Vec<DomainRegistration> = (start..start + len as u64)
-            .map(|i| self.regen_idn(i))
-            .collect();
-        f(&records);
-        drop(records);
-        self.gauge.sub(len as u64);
+        self.regen_shard(true, start, len, |records| f(&records));
     }
 
     /// Non-IDN counterpart of [`KeyedCorpus::with_idn_shard`].
@@ -159,43 +150,34 @@ impl KeyedCorpus {
         len: usize,
         f: &mut dyn FnMut(&[DomainRegistration]),
     ) {
+        self.regen_shard(false, start, len, |records| f(&records));
+    }
+
+    /// Regenerates records `[start, start + len)` of the IDN (`idn`) or
+    /// non-IDN population and hands them to `f`: the one shard
+    /// regeneration behind every walk of the plan. Counts the shard toward
+    /// [`KeyedCorpus::shards_regenerated`] and holds `len` records on the
+    /// residency gauge until `f` returns.
+    fn regen_shard<R>(
+        &self,
+        idn: bool,
+        start: u64,
+        len: usize,
+        f: impl FnOnce(Vec<DomainRegistration>) -> R,
+    ) -> R {
         self.count_shard();
         self.gauge.add(len as u64);
-        let records: Vec<DomainRegistration> = (start..start + len as u64)
-            .map(|i| self.regen_non_idn(i))
-            .collect();
-        f(&records);
-        drop(records);
-        self.gauge.sub(len as u64);
-    }
-
-    /// Regenerates both populations whole — the batch build's corpus —
-    /// in parallel over fixed-size shard spans, in corpus order.
-    pub(crate) fn materialize(
-        &self,
-        threads: usize,
-    ) -> (Vec<DomainRegistration>, Vec<DomainRegistration>) {
-        let regen_all = |total: u64, regen: &(dyn Fn(u64) -> DomainRegistration + Sync)| {
-            let spans = shard_spans(total, MATERIALIZE_SHARD);
-            let shards = idnre_par::par_map(&spans, threads, |&(start, len)| {
-                (start..start + len as u64).map(regen).collect::<Vec<_>>()
-            });
-            let mut records = Vec::with_capacity(total as usize);
-            for shard in shards {
-                records.extend(shard);
-            }
-            records
+        let regen = if idn {
+            Self::regen_idn
+        } else {
+            Self::regen_non_idn
         };
-        (
-            regen_all(self.idn_len(), &|i| self.regen_idn(i)),
-            regen_all(self.non_idn_len(), &|i| self.regen_non_idn(i)),
-        )
-    }
-
-    /// Consumes the plan, returning its attack ground-truth lists
-    /// (homograph, Type-1, Type-2).
-    pub(crate) fn into_attacks(self) -> [Vec<AttackDomain>; 3] {
-        self.attacks
+        let records = (start..start + len as u64)
+            .map(|i| regen(self, i))
+            .collect();
+        let out = f(records);
+        self.gauge.sub(len as u64);
+        out
     }
 
     /// The configuration this plan was generated under (the epoch overlay
@@ -324,38 +306,49 @@ fn shard_spans(total: u64, shard_size: usize) -> Vec<(u64, usize)> {
     spans
 }
 
-/// Streamed counterpart of [`Ecosystem::generate_recorded`]: produces an
-/// [`Ecosystem`] whose registration vectors are **empty** (artifacts —
-/// WHOIS, pDNS, certificates, blacklist, zones — are fully populated and
-/// byte-identical to the batch build), the [`KeyedCorpus`] that
-/// regenerates any registration shard on demand, and the IDN population's
-/// [`column_row`]s interned in corpus order, ready for
-/// [`ColumnsBuilder::finish`] to classify.
+/// The streamed build: shorthand for [`generate_traced`] with
+/// `Some(shard_size)` and no parent span.
 pub fn generate_streamed(
     config: &EcosystemConfig,
     shard_size: usize,
     recorder: &dyn Recorder,
 ) -> (Ecosystem, KeyedCorpus, ColumnsBuilder) {
-    generate_streamed_traced(config, shard_size, recorder, SpanCtx::NONE)
+    generate_traced(config, Some(shard_size), recorder, SpanCtx::NONE)
 }
 
-/// Like [`generate_streamed`], parenting the plan/artifact stage spans
-/// under `parent` in the span tree.
-pub fn generate_streamed_traced(
+/// Generates the ecosystem: the one generator behind both builds.
+///
+/// Stages 1–5 run in the corpus planner (span `datagen.stream.plan`).
+/// Then one traversal (span `datagen.stream.artifacts`) regenerates every
+/// planned record exactly once, shard by shard on the workers, and emits
+/// the stage 6–9 artifacts (WHOIS, pDNS, certificates, zone records) plus
+/// each IDN record's [`column_row`]. The calling thread applies finished
+/// shards in shard order while the workers run ahead, so every artifact
+/// lands in corpus order and labels intern in corpus order. Both spans
+/// are children of `parent`, at sibling indexes 0 and 1.
+///
+/// `shard_size` picks the build:
+///
+/// * `None` is the batch build. It walks fixed 1,024-record shards and
+///   moves each one into the registration vectors once its artifacts are
+///   emitted.
+/// * `Some(n)` is the streamed build. It walks `n`-record shards and drops
+///   each one, so the registration vectors stay empty and the returned
+///   [`KeyedCorpus`] regenerates any shard on demand.
+///
+/// The artifacts, the column rows (ready for [`ColumnsBuilder::finish`]
+/// to classify) and the plan are byte-identical across both builds and
+/// any shard size, thread count and recorder.
+pub fn generate_traced(
     config: &EcosystemConfig,
-    shard_size: usize,
+    shard_size: Option<usize>,
     recorder: &dyn Recorder,
     parent: SpanCtx,
 ) -> (Ecosystem, KeyedCorpus, ColumnsBuilder) {
     let (corpus, brands, blacklist) = plan(config, recorder, parent);
 
-    // --- Artifact phase (stages 6–9) and the column rows: one fused
-    //     traversal regenerates each shard once on the workers and emits
-    //     its WHOIS, pDNS, certificates and zone records, plus the IDN
-    //     shards' column rows. The calling thread applies the outputs in
-    //     shard order as they finish, so every artifact lands in exactly
-    //     the batch emitters' order and labels intern in corpus order. ---
     let mut span = recorder.span_at("datagen.stream.artifacts", parent, 1);
+    let keep = shard_size.is_none();
     let root = Key::root(config.seed);
     let snapshot_day = config.snapshot.day_number();
     let whois_key = root.stage(StageId::Whois);
@@ -368,6 +361,7 @@ pub fn generate_streamed_traced(
     let origin_tlds: Vec<String> = origins.iter().map(|o| o.to_string()).collect();
 
     struct ShardArtifacts {
+        idn: bool,
         whois: Vec<WhoisRecord>,
         aggregates: Vec<DomainAggregate>,
         certificates: Vec<(String, Certificate)>,
@@ -375,59 +369,79 @@ pub fn generate_streamed_traced(
         zone_matched: u64,
         zone_parse_skipped: u64,
         rows: ColumnRows,
+        /// The shard's records, kept only by the batch build.
+        records: Vec<DomainRegistration>,
     }
 
     let idn_len = corpus.idn_len();
+    let non_idn_len = corpus.non_idn_len();
+    let shard_size = shard_size.unwrap_or(BATCH_SHARD);
     let shards: Vec<(bool, u64, usize)> = shard_spans(idn_len, shard_size)
         .into_iter()
         .map(|(start, len)| (true, start, len))
         .chain(
-            shard_spans(corpus.non_idn_len(), shard_size)
+            shard_spans(non_idn_len, shard_size)
                 .into_iter()
                 .map(|(start, len)| (false, start, len)),
         )
         .collect();
-    let emit_shard = |&(is_idn, start, len): &(bool, u64, usize)| {
-        let mut out = ShardArtifacts {
-            whois: Vec::new(),
-            aggregates: Vec::new(),
-            certificates: Vec::new(),
-            zone_records: vec![Vec::new(); origin_tlds.len()],
-            zone_matched: 0,
-            zone_parse_skipped: 0,
-            rows: ColumnRows::default(),
-        };
-        let mut emit = |records: &[DomainRegistration]| {
-            for (offset, reg) in records.iter().enumerate() {
-                let index = start + offset as u64;
-                // The pDNS/certificate streams are keyed by the chained
-                // idn-then-non-idn enumeration, like the batch stages 7–8.
-                let chained = if is_idn { index } else { idn_len + index };
-                if is_idn {
-                    out.whois.extend(whois_record_for(whois_key, index, reg));
-                    out.rows.push(column_row(reg, &blacklist));
-                }
-                out.aggregates
-                    .extend(traffic_for(pdns_key, chained, reg, is_idn, snapshot_day));
-                out.certificates
-                    .extend(certificate_for(cert_key, chained, reg, snapshot_day));
+    // Emission is stage-major: one loop over the shard per artifact, so
+    // each artifact's heap allocations stay adjacent for the reports that
+    // later walk them.
+    let emit_shard = |&(idn, start, len): &(bool, u64, usize)| {
+        corpus.regen_shard(idn, start, len, |records| {
+            // The pDNS/certificate streams are keyed by the chained
+            // idn-then-non-idn enumeration.
+            let chained = if idn { start } else { idn_len + start };
+            let keyed = || (0u64..).zip(&records);
+            let whois = if idn {
+                keyed()
+                    .filter_map(|(k, reg)| whois_record_for(whois_key, start + k, reg))
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            let aggregates = keyed()
+                .filter_map(|(k, reg)| traffic_for(pdns_key, chained + k, reg, idn, snapshot_day))
+                .collect();
+            let certificates = keyed()
+                .filter_map(|(k, reg)| certificate_for(cert_key, chained + k, reg, snapshot_day))
+                .collect();
+            let mut zone_records = vec![Vec::new(); origin_tlds.len()];
+            let mut zone_matched = 0;
+            let mut zone_parse_skipped = 0;
+            for reg in &records {
                 if let Some(origin) = origin_tlds.iter().position(|tld| *tld == reg.tld) {
-                    out.zone_matched += 1;
+                    zone_matched += 1;
                     match ns_record_for(reg) {
-                        Some(record) => out.zone_records[origin].push(record),
-                        None => out.zone_parse_skipped += 1,
+                        Some(record) => zone_records[origin].push(record),
+                        None => zone_parse_skipped += 1,
                     }
                 }
             }
-        };
-        if is_idn {
-            corpus.with_idn_shard(start, len, &mut emit);
-        } else {
-            corpus.with_non_idn_shard(start, len, &mut emit);
-        }
-        out
+            let mut rows = ColumnRows::default();
+            if idn {
+                for reg in &records {
+                    rows.push(column_row(reg, &blacklist));
+                }
+            }
+            ShardArtifacts {
+                idn,
+                whois,
+                aggregates,
+                certificates,
+                zone_records,
+                zone_matched,
+                zone_parse_skipped,
+                rows,
+                records: if keep { records } else { Vec::new() },
+            }
+        })
     };
 
+    let capacity = |len: u64| if keep { len as usize } else { 0 };
+    let mut idn_registrations = Vec::with_capacity(capacity(idn_len));
+    let mut non_idn_registrations = Vec::with_capacity(capacity(non_idn_len));
     let mut whois = Vec::new();
     let mut pdns = PdnsStore::new();
     let mut certificates = Vec::new();
@@ -450,9 +464,13 @@ pub fn generate_streamed_traced(
         for row in shard.rows.iter() {
             columns.push(row);
         }
+        if shard.idn {
+            idn_registrations.extend(shard.records);
+        } else {
+            non_idn_registrations.extend(shard.records);
+        }
     });
-    let total = idn_len + corpus.non_idn_len();
-    let zones_skipped = zone_parse_skipped + (total - zone_matched);
+    let zones_skipped = zone_parse_skipped + (idn_len + non_idn_len - zone_matched);
     span.add_records(
         whois.len() as u64
             + pdns.len() as u64
@@ -466,8 +484,8 @@ pub fn generate_streamed_traced(
     let eco = Ecosystem {
         config: config.clone(),
         brands,
-        idn_registrations: Vec::new(),
-        non_idn_registrations: Vec::new(),
+        idn_registrations,
+        non_idn_registrations,
         homograph_attacks,
         semantic_attacks,
         semantic2_attacks,
@@ -480,7 +498,7 @@ pub fn generate_streamed_traced(
     (eco, corpus, columns)
 }
 
-/// Generation stages 1–5 — the one corpus planner both builders share —
+/// Generation stages 1–5 — the one corpus planner —
 /// timed as the `datagen.stream.plan` span (sibling index 0 under
 /// `parent`). Draws only what decides record survival (domain
 /// construction and dedup), blacklist flags and feed inserts; everything

@@ -11,7 +11,7 @@
 //! snapshots into a text table or schema-stable JSON
 //! (`idnre-metrics/2`).
 //!
-//! Stage names are dotted paths (`datagen.whois`, `crawler.resolve`,
+//! Stage names are dotted paths (`datagen.stream.plan`, `crawler.resolve`,
 //! `report.table5`), which gives the flat registry a hierarchy for free.
 //! On top of the flat registry sit three optional layers:
 //!

@@ -44,7 +44,7 @@ impl StageStats {
         self.records.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Stage name (dotted, e.g. `datagen.whois`).
+    /// Stage name (dotted, e.g. `datagen.stream.plan`).
     pub fn name(&self) -> &str {
         &self.name
     }
