@@ -12,7 +12,7 @@ fn build_crawler() -> (Crawler, Vec<String>) {
         ..EcosystemConfig::default()
     });
     let mut crawler = Crawler::new();
-    for zone in &eco.zones {
+    for zone in &eco.derive_zones().zones {
         crawler.add_zone(zone);
     }
     let ip = "203.0.113.1".parse().unwrap();

@@ -11,11 +11,11 @@ fn generated_zone_text() -> String {
         attack_scale: 10,
         ..EcosystemConfig::default()
     });
-    let com = eco
-        .zones
+    let zones = eco.derive_zones().zones;
+    let com = zones
         .iter()
         .find(|z| z.origin.to_string() == "com")
-        .expect("com zone generated");
+        .expect("com zone derived");
     write_zone(com)
 }
 

@@ -77,13 +77,14 @@ pub struct RunSpec {
     /// [`ReproContext::mining`] carries the result.
     pub mine: bool,
     /// Runs the corpus-wide surveys under a fault schedule (`--faults`):
-    /// the zone corpus round-trips through lenient ingest with seeded
-    /// corruption, the WHOIS crawl sees corrupted transfers, and the crawl
-    /// survey runs the full retry schedule; [`ReproContext::health`]
-    /// carries the verdict. A clean build runs no survey: Table V's only
-    /// crawl is its 500-domain samples, inside the fused scan. The faulted
-    /// surveys walk the same [`CorpusView`] as the scan, so a streamed
-    /// faulted build reports the batch faulted build's bytes.
+    /// the zones, derived from the corpus, round-trip through lenient
+    /// ingest with seeded corruption, the WHOIS crawl sees corrupted
+    /// transfers, and the crawl survey runs the full retry schedule;
+    /// [`ReproContext::health`] carries the verdict. A clean build runs no
+    /// survey: Table V's only crawl is its 500-domain samples, inside the
+    /// fused scan. The faulted surveys walk the same [`CorpusView`] as the
+    /// scan, so a streamed faulted build reports the batch faulted build's
+    /// bytes.
     pub faults: Option<FaultSetup>,
     /// Plays incremental zone-diff epochs after the fold (`--epochs`): the
     /// fold runs cold through an epoch engine that keeps its partials

@@ -10,7 +10,7 @@
 //!    with its measured wall time and record count.
 //! 2. **Explicit probes.** Stages whose cost the spans do not isolate are
 //!    re-measured directly: punycode decode over the IDN corpus, lenient
-//!    zone ingest over the emitted zones, the corpus-wide crawl survey
+//!    zone ingest over the derived zones, the corpus-wide crawl survey
 //!    (synchronous and scheduled, fault-free), and the homograph scan in
 //!    both its indexed and exhaustive forms over several corpus sizes —
 //!    the indexed-vs-exhaustive pair is the regression gate CI holds every
@@ -475,10 +475,13 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         records: decoded.iter().filter(|ok| **ok).count() as u64,
     });
 
-    // Lenient ingest throughput: the emitted zones round-tripped through
-    // master-file text and re-parsed with the skip-and-count parser.
+    // Lenient ingest throughput: the derived zones round-tripped through
+    // master-file text and re-parsed with the skip-and-count parser. The
+    // zones are derived once, untimed; the crawl-survey probe loads them
+    // too.
+    let zones = ctx.eco.derive_zones().zones;
     let started = Instant::now();
-    let attempted: u64 = idnre_par::par_map(&ctx.eco.zones, threads, |zone| {
+    let attempted: u64 = idnre_par::par_map(&zones, threads, |zone| {
         let text = idnre_zonefile::write_zone(zone);
         idnre_zonefile::parse_zone_lenient(&zone.origin.to_string(), &text).attempted as u64
     })
@@ -655,7 +658,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         let started = Instant::now();
         let _ = crate::robust::crawl_survey(
             &view,
-            &ctx.eco.zones,
+            &zones,
             &setup,
             threads,
             &idnre_fault::ErrorBudget::new(0),

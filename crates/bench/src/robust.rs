@@ -24,13 +24,14 @@ use idnre_crawler::{
     RETRY_COUNTERS, SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, SCHED_SLICE_SPAN,
     SURVEY_SLICE_RECORDS, SURVEY_SLICE_SPAN, USAGE_COUNTERS,
 };
-use idnre_datagen::{DomainRegistration, Ecosystem};
+use idnre_datagen::{DerivedZones, DomainRegistration, Ecosystem};
 use idnre_fault::{ErrorBudget, FaultPlan, RetryPolicy, RunStatus, SimClock};
 use idnre_sched::{SchedConfig, SchedStats};
 use idnre_telemetry::{Recorder, SpanCtx};
 use idnre_whois::{CrawlStats, ServerPolicy, WhoisCrawler, CRAWL_COUNTERS};
 use idnre_zonefile::{parse_zone_lenient, write_zone, Zone};
 use std::net::Ipv4Addr;
+use std::ops::Range;
 
 /// How a faulted run is configured: the fault schedule, the retry
 /// discipline, and whether the crawl survey runs through the scheduler.
@@ -294,19 +295,34 @@ fn per_mille_pct(per_mille: u64) -> String {
     format!("{}.{}%", per_mille / 10, per_mille % 10)
 }
 
-/// Round-trips the generated zones through master-file text with seeded
-/// line corruption, then re-ingests them leniently: corrupted lines are
-/// skipped and accounted (`zone.lenient.skipped`, the error budget), and
-/// the salvaged zones are what the faulted crawl survey loads (no crawl
-/// outcome depends on them; see [`crawl_survey`]). Strict parsing would
-/// abort on the first corrupt line; this is the degrade-and-continue
-/// path.
+/// The fixed [`SURVEY_SLICE_RECORDS`]-domain windows of the corpus order
+/// (IDN population first) that the faulted surveys fan out over. A window
+/// may straddle the population boundary. They never depend on the thread
+/// count or the shard size.
+fn survey_windows(view: &CorpusView<'_>) -> Vec<Range<u64>> {
+    let total = view.len();
+    (0..total)
+        .step_by(SURVEY_SLICE_RECORDS)
+        .map(|start| start..total.min(start + SURVEY_SLICE_RECORDS as u64))
+        .collect()
+}
+
+/// Derives the zone files of the corpus behind `view` ([`derive_zones`]:
+/// the generator emits none), then round-trips them through master-file
+/// text with seeded line corruption and re-ingests them leniently:
+/// corrupted lines are skipped and accounted (`zone.lenient.skipped`, the
+/// error budget), and the salvaged zones are what the faulted crawl survey
+/// loads (no crawl outcome depends on them; see [`crawl_survey`]). Strict
+/// parsing would abort on the first corrupt line; this is the
+/// degrade-and-continue path. Registrations that get no NS line land in
+/// `datagen.zones.skipped`, and a streamed view regenerates each shard once
+/// more for the derivation.
 ///
 /// Each zone is one shard on the work-queue executor: corruption is a
 /// stateless hash of `(origin, line)` and the salvaged zones come back in
 /// input order, so the result is byte-identical for every `threads`.
 fn ingest_zones_faulted(
-    zones: &[Zone],
+    view: &CorpusView<'_>,
     plan: &FaultPlan,
     budget: &ErrorBudget,
     threads: usize,
@@ -314,7 +330,9 @@ fn ingest_zones_faulted(
     parent: SpanCtx,
 ) -> (Vec<Zone>, IngestStats) {
     let mut span = recorder.span_at("zone.ingest.lenient", parent, 0);
-    let per_zone = idnre_par::par_map(zones, threads, |zone| {
+    let derived = derive_zones(view, threads);
+    recorder.add("datagen.zones.skipped", derived.skipped);
+    let per_zone = idnre_par::par_map(&derived.zones, threads, |zone| {
         let origin = zone.origin.to_string();
         let text: String = write_zone(zone)
             .lines()
@@ -340,7 +358,7 @@ fn ingest_zones_faulted(
         (lenient.zone, shard_stats)
     });
     let mut stats = IngestStats::default();
-    let mut salvaged = Vec::with_capacity(zones.len());
+    let mut salvaged = Vec::with_capacity(per_zone.len());
     for (zone, shard_stats) in per_zone {
         stats.attempted += shard_stats.attempted;
         stats.skipped += shard_stats.skipped;
@@ -352,12 +370,32 @@ fn ingest_zones_faulted(
     (salvaged, stats)
 }
 
+/// The zone files of the corpus behind `view`, derived on `threads`
+/// workers: one [`DerivedZones::derive`] part per [`survey_windows`]
+/// window, fetched through the view shard by shard, appended in window
+/// order. Equal to one pass over the resident corpus for any view and
+/// worker count.
+fn derive_zones(view: &CorpusView<'_>, threads: usize) -> DerivedZones {
+    let parts = idnre_par::par_chunks(&survey_windows(view), threads, 1, |_, window| {
+        let mut part = DerivedZones::derive([]);
+        view.for_each_shard(window[0].clone(), &mut |records| {
+            part.append(DerivedZones::derive([records]))
+        });
+        part
+    });
+    let mut zones = DerivedZones::derive([]);
+    for part in parts {
+        zones.append(part);
+    }
+    zones
+}
+
 /// Runs the faulted surveys of a [`crate::RunSpec::faults`] build over
-/// `view`, on `threads` workers: the zones round-trip through lenient
-/// ingest with seeded corruption, the WHOIS crawl sees corrupted
-/// transfers, and the crawl survey (synchronous, or through the
-/// event-driven scheduler when [`FaultSetup::sched`] is set) runs the full
-/// retry schedule. The damage lands in one [`ErrorBudget`], whose verdict
+/// `view`, on `threads` workers: the zones, derived from `view`,
+/// round-trip through lenient ingest with seeded corruption, the WHOIS
+/// crawl sees corrupted transfers, and the crawl survey (synchronous, or
+/// through the event-driven scheduler when [`FaultSetup::sched`] is set)
+/// runs the full retry schedule. The damage lands in one [`ErrorBudget`], whose verdict
 /// the returned [`RunHealth`] carries. Every view over the same corpus —
 /// resident or streamed, at any walk size — yields the same health.
 pub fn faulted_surveys(
@@ -368,14 +406,8 @@ pub fn faulted_surveys(
     recorder: &dyn Recorder,
 ) -> RunHealth {
     let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
-    let (zones, zone_stats) = ingest_zones_faulted(
-        &eco.zones,
-        &setup.plan,
-        &budget,
-        threads,
-        recorder,
-        SpanCtx::ROOT,
-    );
+    let (zones, zone_stats) =
+        ingest_zones_faulted(view, &setup.plan, &budget, threads, recorder, SpanCtx::ROOT);
     let whois = whois_survey(view, eco, &setup.plan, &budget, recorder, SpanCtx::ROOT);
     let (survey, sched) = crawl_survey(
         view,
@@ -511,12 +543,10 @@ enum SurveyMode<'a> {
 /// differ only in what runs per window.
 ///
 /// Builds one [`Crawler`] from `zones` plus each record's modelled host,
-/// then walks the corpus order (IDN population first) in fixed
-/// [`SURVEY_SLICE_RECORDS`]-domain windows on `threads` workers, each
-/// under its own slice span. A window may straddle the population
-/// boundary; it is fetched through the view at most `view.walk` records
-/// at a time, so a streamed build holds one shard per worker. Per
-/// window:
+/// then walks the [`survey_windows`] on `threads` workers, each under its
+/// own slice span. A window is fetched through the view at most
+/// `view.walk` records at a time, so a streamed build holds one shard per
+/// worker. Per window:
 ///
 /// * without [`FaultSetup::sched`] — span `crawl.survey.faulted`:
 ///   [`Crawler::crawl_faulted`] per domain on its own virtual clock; a
@@ -594,11 +624,10 @@ pub(crate) fn crawl_survey(
         }
     }
 
-    let window_starts: Vec<u64> = (0..total).step_by(SURVEY_SLICE_RECORDS).collect();
     let crawler = &crawler;
     let survey_ctx = span.ctx();
-    let per_window = idnre_par::par_chunks(&window_starts, threads, 1, |index, start| {
-        let window = start[0]..total.min(start[0] + SURVEY_SLICE_RECORDS as u64);
+    let per_window = idnre_par::par_chunks(&survey_windows(view), threads, 1, |index, window| {
+        let window = window[0].clone();
         let mut slice_span = match mode {
             SurveyMode::Faulted(_) => survey_slice_span(recorder, survey_ctx, index as u64),
             SurveyMode::Scheduled(..) => sched_slice_span(recorder, survey_ctx, index as u64),
@@ -733,5 +762,57 @@ fn host_model(reg: &DomainRegistration) -> (AuthBehavior, Option<Page>) {
             answer,
             Some(Page::new(200, &reg.unicode, PageKind::Content)),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use idnre_analyze::{SliceSource, StreamSource};
+    use idnre_datagen::EcosystemConfig;
+    use idnre_telemetry::NoopRecorder;
+
+    /// The faulted ingest's parallel, windowed derivation equals one
+    /// resident pass, skipped count included, over every view: the
+    /// resident source, and streamed sources whose shards split the
+    /// windows at odd, small and large sizes, at any worker count.
+    #[test]
+    fn windowed_zones_equal_the_resident_derivation() {
+        let config = EcosystemConfig {
+            scale: 500,
+            attack_scale: 25,
+            ..EcosystemConfig::default()
+        };
+        let eco = Ecosystem::generate(&config);
+        let expected = eco.derive_zones();
+        let resident = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+        let view = CorpusView::resident(&resident);
+        assert!(
+            survey_windows(&view).len() > 1,
+            "corpus too small to split into windows"
+        );
+        for threads in [1, 2, 8] {
+            assert_eq!(
+                derive_zones(&view, threads),
+                expected,
+                "resident, {threads} threads"
+            );
+        }
+        for shard_size in [7, 64, 1024] {
+            let (_, corpus, _) =
+                idnre_datagen::generate_streamed(&config, shard_size, &NoopRecorder);
+            let source = StreamSource::new(&corpus);
+            let view = CorpusView {
+                source: &source,
+                walk: shard_size,
+            };
+            for threads in [1, 2, 8] {
+                assert_eq!(
+                    derive_zones(&view, threads),
+                    expected,
+                    "shard size {shard_size}, {threads} threads"
+                );
+            }
+        }
     }
 }

@@ -89,6 +89,37 @@ fn full_report_traverses_the_corpus_once() {
     assert_eq!(scan.records, corpus, "scan did not attribute every record");
 }
 
+/// The generator emits no zone records; only the callers that read zones
+/// derive them. A clean build, batch or streamed, records no
+/// `datagen.zones.skipped` counter, and the artifact traversal's records
+/// are exactly its WHOIS, pDNS and certificate records.
+#[test]
+fn clean_builds_emit_no_zone_records() {
+    for spec in [RunSpec::default(), streamed(64)] {
+        let registry = Arc::new(Registry::new());
+        let ctx = ReproContext::build(&config(4), &spec, registry.clone());
+        let snapshot = registry.snapshot();
+        assert!(
+            snapshot
+                .counters
+                .iter()
+                .all(|c| c.name != "datagen.zones.skipped"),
+            "a clean build counted zone records ({spec:?})"
+        );
+        let artifacts = snapshot
+            .stages
+            .iter()
+            .find(|s| s.name == "datagen.stream.artifacts")
+            .expect("artifact traversal span missing");
+        let eco = &ctx.eco;
+        assert_eq!(
+            artifacts.records,
+            (eco.whois.len() + eco.pdns.len() + eco.certificates.len()) as u64,
+            "the traversal emitted more than WHOIS, pDNS and certificates ({spec:?})"
+        );
+    }
+}
+
 /// The streamed build's resident-set gauge stays proportional to
 /// shard_size × workers, never to the corpus: at most one live shard per
 /// worker per pipelined stage (generation, scan, surveys), with a 4×

@@ -70,7 +70,7 @@ pub struct EcosystemConfig {
     pub non_idn_sample: u64,
     /// Number of brands in the target list (Alexa Top 1K).
     pub brand_count: usize,
-    /// Worker threads for the pipeline's parallel stages (zone emission,
+    /// Worker threads for the pipeline's parallel stages (generation,
     /// detector scans, surveys). Affects wall time only — every stage is
     /// byte-identical across thread counts. Defaults to the machine's
     /// available parallelism.

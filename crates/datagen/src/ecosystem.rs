@@ -1,6 +1,6 @@
 //! Ecosystem assembly: generates registrations, WHOIS coverage,
-//! passive-DNS aggregates, certificates, blacklist feeds, zone files and
-//! the injected attack populations.
+//! passive-DNS aggregates, certificates, blacklist feeds and the injected
+//! attack populations, and derives the zone files on demand.
 //!
 //! # Keyed generation
 //!
@@ -15,10 +15,15 @@
 //! stages 1–5 (registrations, dedup, blacklist, attack injection, the
 //! non-IDN sample) run once in the corpus planner, and one per-shard
 //! traversal regenerates every planned record once and derives stages
-//! 6–9 from it through the per-record emitters below (WHOIS, pDNS,
-//! certificates, zone records), plus each IDN record's [`column_row`].
-//! The batch build keeps the regenerated records in the resident
-//! vectors; the streamed build drops them.
+//! 6–8 from it through the per-record emitters below (WHOIS, pDNS,
+//! certificates), plus each IDN record's [`column_row`]. The batch build
+//! keeps the regenerated records in the resident vectors; the streamed
+//! build drops them.
+//!
+//! No report reads a zone record, so the generator emits none. The zone
+//! files are derived on demand by [`DerivedZones::derive`], from record
+//! slices in corpus order, by the few callers that read them: the
+//! dataset renderer and the faulted surveys' lenient ingest.
 
 use crate::attacks::AttackDomain;
 use crate::brands::BrandList;
@@ -71,8 +76,6 @@ pub struct Ecosystem {
     pub certificates: Vec<(String, Certificate)>,
     /// The aggregated URL blacklist.
     pub blacklist: BlacklistSet,
-    /// Per-TLD zone files.
-    pub zones: Vec<Zone>,
 }
 
 impl Ecosystem {
@@ -88,6 +91,15 @@ impl Ecosystem {
         self.idn_registrations
             .iter()
             .filter(|r| r.malicious.is_some())
+    }
+
+    /// The zone files of the resident registration vectors:
+    /// [`DerivedZones::derive`] over the IDNs, then the non-IDNs. Needs a
+    /// batch build. A streamed build leaves the vectors empty, so this
+    /// returns zones without records for it; derive from the shards of its
+    /// [`crate::KeyedCorpus`] instead.
+    pub fn derive_zones(&self) -> DerivedZones {
+        DerivedZones::derive([&self.idn_registrations[..], &self.non_idn_registrations[..]])
     }
 
     /// Looks up a registration by ACE domain.
@@ -427,9 +439,10 @@ pub(crate) fn certificate_for(
 }
 
 /// One registration's delegation record (`None` when its name fails the
-/// zone grammar, e.g. an NS owner pushing past the 253-octet limit; the
-/// traversal counts those in `datagen.zones.skipped`). RNG-free.
-pub(crate) fn ns_record_for(reg: &DomainRegistration) -> Option<ResourceRecord> {
+/// zone grammar, e.g. an NS owner pushing past the 253-octet limit).
+/// RNG-free, so deriving zones moves no keyed stream. Its one caller is
+/// [`DerivedZones::derive`], which counts the `None`s as skipped.
+fn ns_record_for(reg: &DomainRegistration) -> Option<ResourceRecord> {
     let owner = reg.domain.parse().ok()?;
     let ns = format!("ns1.{}", reg.domain).parse().ok()?;
     Some(ResourceRecord {
@@ -437,6 +450,54 @@ pub(crate) fn ns_record_for(reg: &DomainRegistration) -> Option<ResourceRecord> 
         ttl: 86_400,
         rdata: RData::Ns(ns),
     })
+}
+
+/// Per-TLD zone files derived from registrations: one NS delegation per
+/// record, under its Table I origin.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DerivedZones {
+    /// One zone per Table I origin, in Table I order; records in corpus
+    /// order.
+    pub zones: Vec<Zone>,
+    /// Records that got no NS line: names that fail the zone grammar, plus
+    /// records whose TLD has no Table I origin.
+    pub skipped: u64,
+}
+
+impl DerivedZones {
+    /// Derives the zones of `slices`, read in corpus order (the IDN
+    /// population, then the non-IDN one). The one zone derivation: every
+    /// NS record comes from `ns_record_for`.
+    ///
+    /// Deriving consecutive windows of the corpus separately and
+    /// [appending](DerivedZones::append) the results in window order
+    /// equals one pass over the whole corpus, so callers may split the
+    /// work over workers or regenerated shards.
+    pub fn derive<'a>(slices: impl IntoIterator<Item = &'a [DomainRegistration]>) -> Self {
+        let mut zones: Vec<Zone> = TABLE_I
+            .iter()
+            .filter_map(|spec| spec.tld.parse::<idnre_idna::DomainName>().ok())
+            .map(Zone::new)
+            .collect();
+        let origins: Vec<String> = zones.iter().map(|z| z.origin.to_string()).collect();
+        let mut skipped = 0;
+        for reg in slices.into_iter().flatten() {
+            let origin = origins.iter().position(|tld| *tld == reg.tld);
+            match origin.zip(ns_record_for(reg)) {
+                Some((origin, record)) => zones[origin].records.push(record),
+                None => skipped += 1,
+            }
+        }
+        DerivedZones { zones, skipped }
+    }
+
+    /// Appends the zones derived from the window that follows this one.
+    pub fn append(&mut self, next: DerivedZones) {
+        for (zone, next) in self.zones.iter_mut().zip(next.zones) {
+            zone.records.extend(next.records);
+        }
+        self.skipped += next.skipped;
+    }
 }
 
 /// One IDN registration's column row: its Unicode SLD label, TLD,
@@ -518,13 +579,16 @@ mod tests {
             assert_eq!(one.whois, many.whois);
             assert_eq!(one.blacklist, many.blacklist);
             assert_eq!(one.certificates, many.certificates);
-            assert_eq!(one.zones, many.zones, "zones diverged at {threads} threads");
+            let (one_zones, many_zones) = (one.derive_zones(), many.derive_zones());
+            assert_eq!(one_zones, many_zones, "zones diverged at {threads} threads");
             assert_eq!(
-                one.zones
+                one_zones
+                    .zones
                     .iter()
                     .map(idnre_zonefile::write_zone)
                     .collect::<String>(),
-                many.zones
+                many_zones
+                    .zones
                     .iter()
                     .map(idnre_zonefile::write_zone)
                     .collect::<String>(),
@@ -604,7 +668,7 @@ mod tests {
     fn zones_scan_back_to_the_population() {
         let eco = Ecosystem::generate(&small_config());
         let scanner = idnre_zonefile::ZoneScanner::new();
-        let report = scanner.scan_all(eco.zones.iter());
+        let report = scanner.scan_all(&eco.derive_zones().zones);
         let scanned_idns = report.total_idns();
         let expected = eco.idn_registrations.len();
         // Zone scan recovers the registered IDN population exactly.

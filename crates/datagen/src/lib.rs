@@ -52,7 +52,7 @@ pub mod stream;
 pub use brands::{Brand, BrandList};
 pub use config::{EcosystemConfig, TldSpec, TABLE_I};
 pub use dataset::{dataset_fingerprint, render_dataset, DATASET_SCHEMA};
-pub use ecosystem::{column_row, Ecosystem};
+pub use ecosystem::{column_row, DerivedZones, Ecosystem};
 pub use epoch::{DaySimulator, EpochCorpus, EpochDelta, EpochDeltaKind};
 pub use hosting::HostingProfile;
 pub use registration::{DomainRegistration, MaliciousKind};

@@ -10,10 +10,12 @@
 //! byte-identically whenever it is asked for, in any order, from any
 //! thread.
 //!
-//! [`generate_traced`] is the one implementation of stages 6–9 and of the
+//! [`generate_traced`] is the one implementation of stages 6–8 and of the
 //! IDN column rows. After the plan, one fused traversal regenerates each
-//! shard once and emits its WHOIS, pDNS, certificates and zone records
-//! and, for IDN shards, the interned column rows. The batch build
+//! shard once and emits its WHOIS, pDNS and certificates and, for IDN
+//! shards, the interned column rows. It emits no zone records: no report
+//! reads them, and the callers that do derive them on demand
+//! ([`crate::DerivedZones`]). The batch build
 //! ([`crate::Ecosystem::generate`]) keeps each regenerated shard in the
 //! registration vectors; the streamed build ([`generate_streamed`]) drops
 //! it, so registrations exist only as the plan.
@@ -28,7 +30,7 @@ use crate::brands::BrandList;
 use crate::config::{EcosystemConfig, TABLE_I};
 use crate::ecosystem::{
     attack_registration, attack_rolls, build_non_idn, certificate_for, column_row, draw_idn_domain,
-    finish_idn, ns_record_for, traffic_for, whois_record_for, Ecosystem, ORDINARY_ATTEMPTS,
+    finish_idn, traffic_for, whois_record_for, Ecosystem, ORDINARY_ATTEMPTS,
 };
 use crate::labels;
 use crate::registration::{
@@ -43,7 +45,6 @@ use idnre_pdns::{DomainAggregate, PdnsStore};
 use idnre_rng::{Key, StageId};
 use idnre_telemetry::{Gauge, Recorder, SpanCtx};
 use idnre_whois::{Date, WhoisRecord};
-use idnre_zonefile::{ResourceRecord, Zone};
 use rand::Rng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -321,8 +322,8 @@ pub fn generate_streamed(
 /// Stages 1–5 run in the corpus planner (span `datagen.stream.plan`).
 /// Then one traversal (span `datagen.stream.artifacts`) regenerates every
 /// planned record exactly once, shard by shard on the workers, and emits
-/// the stage 6–9 artifacts (WHOIS, pDNS, certificates, zone records) plus
-/// each IDN record's [`column_row`]. The calling thread applies finished
+/// the stage 6–8 artifacts (WHOIS, pDNS, certificates) plus each IDN
+/// record's [`column_row`]. The calling thread applies finished
 /// shards in shard order while the workers run ahead, so every artifact
 /// lands in corpus order and labels intern in corpus order. Both spans
 /// are children of `parent`, at sibling indexes 0 and 1.
@@ -354,20 +355,12 @@ pub fn generate_traced(
     let whois_key = root.stage(StageId::Whois);
     let pdns_key = root.stage(StageId::PdnsTraffic);
     let cert_key = root.stage(StageId::Certificates);
-    let origins: Vec<_> = TABLE_I
-        .iter()
-        .filter_map(|spec| spec.tld.parse::<idnre_idna::DomainName>().ok())
-        .collect();
-    let origin_tlds: Vec<String> = origins.iter().map(|o| o.to_string()).collect();
 
     struct ShardArtifacts {
         idn: bool,
         whois: Vec<WhoisRecord>,
         aggregates: Vec<DomainAggregate>,
         certificates: Vec<(String, Certificate)>,
-        zone_records: Vec<Vec<ResourceRecord>>,
-        zone_matched: u64,
-        zone_parse_skipped: u64,
         rows: ColumnRows,
         /// The shard's records, kept only by the batch build.
         records: Vec<DomainRegistration>,
@@ -407,18 +400,6 @@ pub fn generate_traced(
             let certificates = keyed()
                 .filter_map(|(k, reg)| certificate_for(cert_key, chained + k, reg, snapshot_day))
                 .collect();
-            let mut zone_records = vec![Vec::new(); origin_tlds.len()];
-            let mut zone_matched = 0;
-            let mut zone_parse_skipped = 0;
-            for reg in &records {
-                if let Some(origin) = origin_tlds.iter().position(|tld| *tld == reg.tld) {
-                    zone_matched += 1;
-                    match ns_record_for(reg) {
-                        Some(record) => zone_records[origin].push(record),
-                        None => zone_parse_skipped += 1,
-                    }
-                }
-            }
             let mut rows = ColumnRows::default();
             if idn {
                 for reg in &records {
@@ -430,9 +411,6 @@ pub fn generate_traced(
                 whois,
                 aggregates,
                 certificates,
-                zone_records,
-                zone_matched,
-                zone_parse_skipped,
                 rows,
                 records: if keep { records } else { Vec::new() },
             }
@@ -445,9 +423,6 @@ pub fn generate_traced(
     let mut whois = Vec::new();
     let mut pdns = PdnsStore::new();
     let mut certificates = Vec::new();
-    let mut zones: Vec<Zone> = origins.into_iter().map(Zone::new).collect();
-    let mut zone_matched = 0u64;
-    let mut zone_parse_skipped = 0u64;
     let mut columns = ColumnsBuilder::new();
     let ahead = SHARDS_AHEAD_PER_WORKER * config.threads;
     idnre_par::par_map_ordered(&shards, config.threads, ahead, emit_shard, |shard| {
@@ -456,11 +431,6 @@ pub fn generate_traced(
             pdns.insert_aggregate(aggregate);
         }
         certificates.extend(shard.certificates);
-        for (zone, records) in zones.iter_mut().zip(shard.zone_records) {
-            zone.records.extend(records);
-        }
-        zone_matched += shard.zone_matched;
-        zone_parse_skipped += shard.zone_parse_skipped;
         for row in shard.rows.iter() {
             columns.push(row);
         }
@@ -470,15 +440,8 @@ pub fn generate_traced(
             non_idn_registrations.extend(shard.records);
         }
     });
-    let zones_skipped = zone_parse_skipped + (idn_len + non_idn_len - zone_matched);
-    span.add_records(
-        whois.len() as u64
-            + pdns.len() as u64
-            + certificates.len() as u64
-            + zones.iter().map(|z| z.records.len() as u64).sum::<u64>(),
-    );
+    span.add_records(whois.len() as u64 + pdns.len() as u64 + certificates.len() as u64);
     drop(span);
-    recorder.add("datagen.zones.skipped", zones_skipped);
 
     let [homograph_attacks, semantic_attacks, semantic2_attacks] = corpus.attacks.clone();
     let eco = Ecosystem {
@@ -493,7 +456,6 @@ pub fn generate_traced(
         pdns,
         certificates,
         blacklist,
-        zones,
     };
     (eco, corpus, columns)
 }
@@ -756,6 +718,7 @@ pub(crate) fn plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DerivedZones;
     use idnre_telemetry::NoopRecorder;
 
     fn config() -> EcosystemConfig {
@@ -802,11 +765,15 @@ mod tests {
     fn streamed_artifacts_match_batch_artifacts() {
         let config = config();
         let batch = Ecosystem::generate(&config);
-        let (eco, _, _) = generate_streamed(&config, 128, &NoopRecorder);
+        let (eco, corpus, _) = generate_streamed(&config, 128, &NoopRecorder);
         assert_eq!(eco.whois, batch.whois);
         assert_eq!(eco.blacklist, batch.blacklist);
         assert_eq!(eco.certificates, batch.certificates);
-        assert_eq!(eco.zones, batch.zones);
+        let (idn, non_idn) = (collect_idn(&corpus, 128), collect_non_idn(&corpus, 128));
+        assert_eq!(
+            DerivedZones::derive([&idn[..], &non_idn[..]]),
+            batch.derive_zones()
+        );
         assert_eq!(eco.pdns.len(), batch.pdns.len());
         for aggregate in eco.pdns.iter() {
             assert_eq!(

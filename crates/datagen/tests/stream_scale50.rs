@@ -10,7 +10,8 @@
 //! `experiments_pin` test in `idnre-bench` pins it.)
 
 use idnre_datagen::{
-    dataset_fingerprint, generate_streamed, render_dataset, Ecosystem, EcosystemConfig,
+    dataset_fingerprint, generate_streamed, render_dataset, DerivedZones, Ecosystem,
+    EcosystemConfig,
 };
 use idnre_telemetry::NoopRecorder;
 
@@ -51,20 +52,31 @@ fn check(threads: usize) {
     let (eco, corpus, _) = generate_streamed(&config, 1024, &NoopRecorder);
 
     assert_eq!(corpus.idn_len(), batch.idn_registrations.len() as u64);
+    // The streamed corpus's zones, derived shard by shard in corpus order.
+    let mut zones = DerivedZones::derive([]);
     let mut streamed = Vec::new();
     let mut start = 0u64;
     while start < corpus.idn_len() {
         let len = 1024.min(corpus.idn_len() - start) as usize;
         corpus.with_idn_shard(start, len, &mut |records| {
-            streamed.extend_from_slice(records)
+            streamed.extend_from_slice(records);
+            zones.append(DerivedZones::derive([records]));
         });
         start += len as u64;
     }
     for (i, (s, b)) in streamed.iter().zip(&batch.idn_registrations).enumerate() {
         assert_eq!(s, b, "IDN record {i} diverged");
     }
+    let mut start = 0u64;
+    while start < corpus.non_idn_len() {
+        let len = 1024.min(corpus.non_idn_len() - start) as usize;
+        corpus.with_non_idn_shard(start, len, &mut |records| {
+            zones.append(DerivedZones::derive([records]))
+        });
+        start += len as u64;
+    }
 
     assert_eq!(eco.blacklist, batch.blacklist);
     assert_eq!(eco.whois, batch.whois);
-    assert_eq!(eco.zones, batch.zones);
+    assert_eq!(zones, batch.derive_zones());
 }

@@ -22,7 +22,7 @@ fn main() {
     });
 
     // Zone scan (Table I).
-    let report = ZoneScanner::new().scan_all(eco.zones.iter());
+    let report = ZoneScanner::new().scan_all(&eco.derive_zones().zones);
     println!(
         "zone scan: {} SLDs, {} IDNs",
         report.total_slds(),

@@ -56,7 +56,7 @@ fn crawl_classification_recovers_ground_truth() {
         ..EcosystemConfig::default()
     });
     let mut crawler = Crawler::new();
-    for zone in &eco.zones {
+    for zone in &eco.derive_zones().zones {
         crawler.add_zone(zone);
     }
     for reg in &eco.idn_registrations {
@@ -76,7 +76,7 @@ fn unregistered_homograph_candidates_do_not_resolve() {
         ..EcosystemConfig::default()
     });
     let mut crawler = Crawler::new();
-    for zone in &eco.zones {
+    for zone in &eco.derive_zones().zones {
         crawler.add_zone(zone);
     }
     // A name absent from every zone is NXDOMAIN — the fate of the paper's
@@ -95,7 +95,7 @@ fn table_v_shape_survives_the_crawl() {
         ..EcosystemConfig::default()
     });
     let mut crawler = Crawler::new();
-    for zone in &eco.zones {
+    for zone in &eco.derive_zones().zones {
         crawler.add_zone(zone);
     }
     for reg in &eco.idn_registrations {

@@ -21,7 +21,7 @@ fn ecosystem() -> Ecosystem {
 #[test]
 fn zone_scan_recovers_registered_idns() {
     let eco = ecosystem();
-    let report = ZoneScanner::new().scan_all(eco.zones.iter());
+    let report = ZoneScanner::new().scan_all(&eco.derive_zones().zones);
     assert_eq!(report.total_idns(), eco.idn_registrations.len());
     // IDNs are a small minority of SLDs overall (Table I: ≈1%; the
     // generated zones only embed the sampled non-IDNs, so the ratio is
