@@ -276,9 +276,12 @@ impl AnalysisPass for ColumnedHomographPass<'_> {
 
 /// Type-1 semantic detection as a streaming pass (IDN population only).
 ///
-/// Findings stay in corpus order — the shard-order merge concatenates
-/// per-shard lists, which is the same order
-/// [`SemanticDetector::scan_type1_parallel`] produces.
+/// Each record is probed through its display form `reg.unicode`, which the
+/// generator produced as `to_unicode(reg.domain)`, so the pass decodes
+/// nothing (`idnre-datagen`'s `display_form` test pins that premise for
+/// every record a scan can observe). Findings stay in corpus order — the
+/// shard-order merge concatenates per-shard lists, which is the same
+/// order [`SemanticDetector::scan_type1_parallel`] produces.
 #[derive(Debug, Clone, Copy)]
 pub struct Semantic1Pass<'d> {
     detector: &'d SemanticDetector,
@@ -331,7 +334,10 @@ impl AnalysisPass for Semantic1Pass<'_> {
             return;
         }
         partial.tallies[0] += 1; // semantic.candidates
-        match self.detector.detect_type1(&rec.reg.domain) {
+        match self
+            .detector
+            .detect_type1_decoded(&rec.reg.domain, &rec.reg.unicode)
+        {
             Some(finding) => {
                 partial.tallies[1] += 1; // semantic.findings
                 partial.findings.push(finding);
@@ -355,7 +361,8 @@ impl AnalysisPass for Semantic1Pass<'_> {
 }
 
 /// Type-2 (translated-brand) semantic detection as a streaming pass (IDN
-/// population only; findings in corpus order). Only the embedded
+/// population only; findings in corpus order), probing each record's
+/// display form like [`Semantic1Pass`]. Only the embedded
 /// translation dictionary is consulted, so any [`SemanticDetector`] —
 /// whatever its brand list — produces identical Type-2 findings.
 #[derive(Debug, Clone, Copy)]
@@ -386,7 +393,10 @@ impl AnalysisPass for Semantic2Pass<'_> {
         if rec.population != Population::Idn {
             return;
         }
-        if let Some(finding) = self.detector.detect_type2(&rec.reg.domain) {
+        if let Some(finding) = self
+            .detector
+            .detect_type2_decoded(&rec.reg.domain, &rec.reg.unicode)
+        {
             partial.push(finding);
         }
     }

@@ -102,6 +102,13 @@ impl SemanticDetector {
     /// Tests one domain for Type-1 abuse.
     pub fn detect_type1(&self, domain: &str) -> Option<SemanticFinding> {
         let unicode = idnre_idna::to_unicode(domain).ok()?;
+        self.detect_type1_decoded(domain, &unicode)
+    }
+
+    /// [`SemanticDetector::detect_type1`] for a domain whose display form
+    /// `unicode` (its `to_unicode`) is already at hand, such as a corpus
+    /// record's; nothing is decoded.
+    pub fn detect_type1_decoded(&self, domain: &str, unicode: &str) -> Option<SemanticFinding> {
         let sld = unicode.split('.').next()?;
         if sld.is_ascii() {
             return None; // no foreign keyword present
@@ -113,7 +120,7 @@ impl SemanticDetector {
         let brand = self.brands.get(&ascii_part)?;
         Some(SemanticFinding {
             domain: domain.to_string(),
-            unicode: unicode.clone(),
+            unicode: unicode.to_string(),
             brand: brand.clone(),
             kind: SemanticKind::Type1,
         })
@@ -122,11 +129,17 @@ impl SemanticDetector {
     /// Tests one domain for Type-2 abuse (translated brand name).
     pub fn detect_type2(&self, domain: &str) -> Option<SemanticFinding> {
         let unicode = idnre_idna::to_unicode(domain).ok()?;
+        self.detect_type2_decoded(domain, &unicode)
+    }
+
+    /// [`SemanticDetector::detect_type2`] for a domain whose display form
+    /// `unicode` is already at hand; nothing is decoded.
+    pub fn detect_type2_decoded(&self, domain: &str, unicode: &str) -> Option<SemanticFinding> {
         let sld = unicode.split('.').next()?;
         let brand = self.translations.get(sld)?;
         Some(SemanticFinding {
             domain: domain.to_string(),
-            unicode: unicode.clone(),
+            unicode: unicode.to_string(),
             brand: brand.clone(),
             kind: SemanticKind::Type2,
         })

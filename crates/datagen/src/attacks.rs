@@ -184,7 +184,8 @@ fn spoof_brand<R: Rng + ?Sized>(
     // exists in the enumeration space but not in registered attacks.
     let convincing = |c: char| -> Vec<&'static idnre_unicode::Confusable> {
         homoglyphs_of(c)
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|g| g.fidelity != Fidelity::Low)
             .collect()
     };

@@ -203,10 +203,11 @@ fn build_idn<R: Rng + ?Sized>(
 }
 
 /// The domain-construction prefix of [`build_idn`]: the decorative
-/// confusable pick (ASCII labels only) and the IDNA round trip. Split out
-/// so the corpus planner can decide record survival from exactly the
-/// stream positions regeneration consumes — any draw-order divergence
-/// here breaks the `idnre-dataset/2` golden fingerprint.
+/// confusable pick (ASCII labels only) and one IDNA conversion to the ACE
+/// and display forms. Split out so the corpus planner can decide record
+/// survival from exactly the stream positions regeneration consumes — any
+/// draw-order divergence here breaks the `idnre-dataset/2` golden
+/// fingerprint.
 pub(crate) fn draw_idn_domain<R: Rng + ?Sized>(
     rng: &mut R,
     label: &str,
@@ -219,10 +220,9 @@ pub(crate) fn draw_idn_domain<R: Rng + ?Sized>(
     if unicode_sld.is_ascii() {
         unicode_sld = decorate_ascii(rng, &unicode_sld)?;
     }
-    let domain = idnre_idna::to_ascii(&format!("{unicode_sld}.{tld}")).ok()?;
-    // Display form decodes every label, including an ACE TLD (iTLDs).
-    let unicode = idnre_idna::to_unicode(&domain).ok()?;
-    Some((domain, unicode))
+    // The display form is `to_unicode` of the ACE form, so it decodes an
+    // ACE TLD (iTLDs) too.
+    idnre_idna::to_ascii_and_unicode(&format!("{unicode_sld}.{tld}")).ok()
 }
 
 /// The record-body suffix of [`build_idn`], continuing on the same RNG

@@ -73,7 +73,6 @@ pub const TAIL_REGISTRARS: u32 = 720;
 
 /// Samples a registrar name per the Table IV market shares.
 pub fn sample_registrar<R: Rng + ?Sized>(rng: &mut R) -> String {
-    let named: u32 = REGISTRARS.iter().map(|&(_, w)| w).sum();
     let mut roll = rng.gen_range(0..1000u32);
     for &(name, w) in &REGISTRARS {
         if roll < w {
@@ -81,7 +80,6 @@ pub fn sample_registrar<R: Rng + ?Sized>(rng: &mut R) -> String {
         }
         roll -= w;
     }
-    let _ = named;
     // Long tail: Zipf-ish across TAIL_REGISTRARS names.
     let u: f64 = rng.gen_range(0.0..1.0);
     let idx = ((TAIL_REGISTRARS as f64).powf(u) - 1.0) as u32;

@@ -37,7 +37,7 @@ mod validate;
 pub use domain::{DomainName, Label, ParseDomainError};
 pub use error::IdnaError;
 pub use mapping::{map_compat, needs_mapping};
-pub use process::{to_ascii, to_unicode, Flags};
+pub use process::{to_ascii, to_ascii_and_unicode, to_unicode, Flags};
 pub use validate::{check_bidi, validate_ascii_label, validate_unicode_label, LabelIssue};
 
 /// The ASCII-compatible-encoding prefix that marks a Punycode-encoded label.

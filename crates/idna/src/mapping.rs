@@ -14,26 +14,19 @@
 //! * uppercase → lowercase (delegated to the conversion layer)
 
 /// Maps one character per the UTS #46 subset; `None` removes the character.
-fn map_char(c: char) -> Option<MappedChar> {
+fn map_char(c: char) -> Option<char> {
     match c {
         // Label separators.
-        '\u{3002}' | '\u{FF0E}' | '\u{FF61}' => Some(MappedChar::One('.')),
+        '\u{3002}' | '\u{FF0E}' | '\u{FF61}' => Some('.'),
         // Fullwidth ASCII block: letters, digits, hyphen, underscore.
-        '\u{FF01}'..='\u{FF5E}' => {
-            let ascii = (c as u32 - 0xFF01 + 0x21) as u8 as char;
-            Some(MappedChar::One(ascii))
-        }
+        '\u{FF01}'..='\u{FF5E}' => Some((c as u32 - 0xFF01 + 0x21) as u8 as char),
         // Halfwidth Katakana are left as-is (real script usage), but the
         // halfwidth forms of symbols map down.
-        '\u{FFE8}' => Some(MappedChar::One('|')),
+        '\u{FFE8}' => Some('|'),
         // Default-ignorables abused for invisible spoofing.
         '\u{200B}' | '\u{200C}' | '\u{200D}' | '\u{2060}' | '\u{FEFF}' | '\u{00AD}' => None,
-        other => Some(MappedChar::One(other)),
+        other => Some(other),
     }
-}
-
-enum MappedChar {
-    One(char),
 }
 
 /// Applies the compatibility mapping to a whole domain string.
@@ -56,14 +49,7 @@ pub fn map_compat(domain: &str) -> String {
     if domain.is_ascii() {
         return domain.to_string();
     }
-    let mut out = String::with_capacity(domain.len());
-    for c in domain.chars() {
-        match map_char(c) {
-            Some(MappedChar::One(mapped)) => out.push(mapped),
-            None => {}
-        }
-    }
-    out
+    domain.chars().filter_map(map_char).collect()
 }
 
 /// Whether the string contains characters the mapping would change —
@@ -72,10 +58,7 @@ pub fn needs_mapping(domain: &str) -> bool {
     if domain.is_ascii() {
         return false;
     }
-    domain.chars().any(|c| match map_char(c) {
-        Some(MappedChar::One(mapped)) => mapped != c,
-        None => true,
-    })
+    domain.chars().any(|c| map_char(c) != Some(c))
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 
 use crate::error::IdnaError;
 use crate::punycode;
-use crate::validate::{validate_ascii_label, validate_unicode_label};
+use crate::validate::{validate_ascii_label, validate_unicode_label, LabelIssue, MAX_LABEL_OCTETS};
 use crate::ACE_PREFIX;
+use std::borrow::Cow;
 
 /// Options controlling [`to_ascii`] / [`to_unicode`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,37 +63,118 @@ pub fn to_ascii_with(domain: &str, flags: Flags) -> Result<String, IdnaError> {
         if i > 0 {
             out.push('.');
         }
-        out.push_str(&label_to_ascii(label, flags)?);
+        label_to_ascii(label, flags, &mut out)?;
     }
-    if flags.enforce_length && out.len() > 253 {
-        return Err(IdnaError::DomainTooLong);
-    }
+    check_length(&out, flags)?;
     Ok(out)
 }
 
-/// Converts one label to ACE form.
-fn label_to_ascii(label: &str, flags: Flags) -> Result<String, IdnaError> {
-    if label.is_ascii() {
-        let lower = label.to_ascii_lowercase();
-        if flags.validate_labels {
-            validate_ascii_label(&lower)?;
+/// [`to_ascii`] and the display form [`to_unicode`] gives its result, in
+/// one walk over the labels: equal to `to_ascii(domain)` followed by
+/// `to_unicode` of the ACE form, errors included.
+///
+/// A non-ASCII label's display form is its case fold, the string its
+/// Punycode decodes back to, so nothing is decoded that was just encoded.
+/// A fold that is pure ASCII is [`IdnaError::SpuriousAce`], as decoding
+/// its `xn--` label would be. An ASCII label that is itself an ACE label
+/// (an iTLD such as `xn--fiqs8s`) is decoded.
+///
+/// # Errors
+///
+/// Any [`to_ascii`] error, else the first error [`to_unicode`] would
+/// return for the ACE form.
+///
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), idnre_idna::IdnaError> {
+/// let (ace, display) = idnre_idna::to_ascii_and_unicode("Аррӏе.XN--FIQS8S")?;
+/// assert_eq!(ace, "xn--80ak6aa92e.xn--fiqs8s");
+/// assert_eq!(display, "аррӏе.中国");
+/// # Ok(())
+/// # }
+/// ```
+pub fn to_ascii_and_unicode(domain: &str) -> Result<(String, String), IdnaError> {
+    let flags = Flags::default();
+    let domain = domain.strip_suffix('.').unwrap_or(domain);
+    let mut ace = String::with_capacity(domain.len() + 8);
+    let mut display = String::with_capacity(domain.len());
+    // `to_unicode`'s first error, reported only once the ACE form is known
+    // to be valid, as in the composition.
+    let mut display_result = Ok(());
+    for (i, label) in domain.split('.').enumerate() {
+        if i > 0 {
+            ace.push('.');
+            display.push('.');
         }
-        return Ok(lower);
+        let start = ace.len();
+        let label_display = match label_to_ascii(label, flags, &mut ace)? {
+            Some(folded) if folded.is_ascii() => Err(IdnaError::SpuriousAce),
+            Some(folded) => {
+                display.push_str(&folded);
+                Ok(())
+            }
+            None => label_to_unicode(&ace[start..], &mut display),
+        };
+        display_result = display_result.and(label_display);
+    }
+    check_length(&ace, flags)?;
+    display_result?;
+    Ok((ace, display))
+}
+
+/// Appends the ACE form of one label to `out`. Returns the case fold of a
+/// non-ASCII label (what its ACE form decodes back to), or `None` for an
+/// ASCII label, whose ACE form is its lowercase.
+fn label_to_ascii<'l>(
+    label: &'l str,
+    flags: Flags,
+    out: &mut String,
+) -> Result<Option<Cow<'l, str>>, IdnaError> {
+    let start = out.len();
+    if label.is_ascii() {
+        out.push_str(label);
+        out[start..].make_ascii_lowercase();
+        if flags.validate_labels {
+            validate_ascii_label(&out[start..])?;
+        }
+        return Ok(None);
     }
     // Unicode label: case-fold (simple lowercase suffices for the repertoire
     // used in domain names), validate, then encode.
-    let folded: String = label.chars().flat_map(char::to_lowercase).collect();
+    let folded = fold_case(label);
     if flags.validate_labels {
         validate_unicode_label(&folded)?;
     }
-    let encoded = punycode::encode(&folded)?;
-    let ace = format!("{ACE_PREFIX}{encoded}");
-    if flags.validate_labels && ace.len() > crate::validate::MAX_LABEL_OCTETS {
-        return Err(IdnaError::InvalidLabel(
-            crate::validate::LabelIssue::TooLong,
-        ));
+    out.push_str(ACE_PREFIX);
+    punycode::encode_into(&folded, out)?;
+    if flags.validate_labels && out.len() - start > MAX_LABEL_OCTETS {
+        return Err(IdnaError::InvalidLabel(LabelIssue::TooLong));
     }
-    Ok(ace)
+    Ok(Some(folded))
+}
+
+/// Lowercases every character of `label`, borrowing it when it is already
+/// lowercase (the common case).
+fn fold_case(label: &str) -> Cow<'_, str> {
+    let unchanged = |c: char| c.to_lowercase().eq(std::iter::once(c));
+    match label.char_indices().find(|&(_, c)| !unchanged(c)) {
+        None => Cow::Borrowed(label),
+        Some((at, _)) => {
+            let mut folded = String::with_capacity(label.len() + 4);
+            folded.push_str(&label[..at]);
+            folded.extend(label[at..].chars().flat_map(char::to_lowercase));
+            Cow::Owned(folded)
+        }
+    }
+}
+
+/// Enforces the 253-octet limit on a whole ACE domain.
+fn check_length(ace: &str, flags: Flags) -> Result<(), IdnaError> {
+    if flags.enforce_length && ace.len() > 253 {
+        return Err(IdnaError::DomainTooLong);
+    }
+    Ok(())
 }
 
 /// Converts an ACE domain back to its Unicode display form, label by label.
@@ -121,17 +203,27 @@ pub fn to_unicode(domain: &str) -> Result<String, IdnaError> {
         if i > 0 {
             out.push('.');
         }
-        if crate::is_ace_label(label) {
-            let decoded = punycode::decode(&label[4..].to_ascii_lowercase())?;
-            if decoded.is_ascii() {
-                return Err(IdnaError::SpuriousAce);
-            }
-            out.push_str(&decoded);
-        } else {
-            out.push_str(&label.to_ascii_lowercase());
-        }
+        label_to_unicode(label, &mut out)?;
     }
     Ok(out)
+}
+
+/// Appends the display form of one label to `out`: an `xn--` label
+/// decoded, any other label as is, lowercased in place either way
+/// (decoded code points are all non-ASCII, so lowercasing after decoding
+/// equals decoding the lowercased label).
+fn label_to_unicode(label: &str, out: &mut String) -> Result<(), IdnaError> {
+    let start = out.len();
+    if crate::is_ace_label(label) {
+        punycode::decode_into(&label[ACE_PREFIX.len()..], out)?;
+        if out[start..].is_ascii() {
+            return Err(IdnaError::SpuriousAce);
+        }
+    } else {
+        out.push_str(label);
+    }
+    out[start..].make_ascii_lowercase();
+    Ok(())
 }
 
 #[cfg(test)]

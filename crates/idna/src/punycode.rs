@@ -20,9 +20,6 @@ const INITIAL_BIAS: u32 = 72;
 const INITIAL_N: u32 = 128;
 const DELIMITER: char = '-';
 
-/// Maximum code point value (inclusive) representable in the decoder output.
-const MAX_CODEPOINT: u32 = 0x10FFFF;
-
 /// Adapts the bias after each delta is encoded or decoded (RFC 3492 §6.1).
 fn adapt(mut delta: u32, num_points: u32, first_time: bool) -> u32 {
     delta /= if first_time { DAMP } else { 2 };
@@ -67,15 +64,11 @@ const DIGIT_VALUE: [u8; 128] = {
 /// Maps a basic code point to its digit value, or `None` if it is not a digit.
 ///
 /// Both upper- and lower-case letters are accepted, per RFC 3492 §5.
-fn decode_digit(c: char) -> Option<u32> {
-    let cp = c as u32;
-    if cp < 128 {
-        let v = DIGIT_VALUE[cp as usize];
-        if v != 0xFF {
-            return Some(u32::from(v));
-        }
+fn decode_digit(b: u8) -> Option<u32> {
+    match DIGIT_VALUE.get(usize::from(b)) {
+        Some(&v) if v != 0xFF => Some(u32::from(v)),
+        _ => None,
     }
-    None
 }
 
 /// Encodes a Unicode string into its Punycode form (without the `xn--` prefix).
@@ -97,26 +90,23 @@ fn decode_digit(c: char) -> Option<u32> {
 /// assert_eq!(ace, "bcher-kva");
 /// ```
 pub fn encode(input: &str) -> Result<String, IdnaError> {
-    let codepoints: Vec<u32> = input.chars().map(|c| c as u32).collect();
-    encode_codepoints(&codepoints)
+    let mut output = String::with_capacity(input.len() + 8);
+    encode_into(input, &mut output)?;
+    Ok(output)
 }
 
-/// Encodes a slice of Unicode scalar values into Punycode.
-///
-/// See [`encode`] for details; this variant avoids a `&str` round-trip when
-/// the caller already holds code points.
-///
-/// # Errors
-///
-/// Returns [`IdnaError::Overflow`] on arithmetic overflow.
-pub fn encode_codepoints(input: &[u32]) -> Result<String, IdnaError> {
-    let mut output = String::with_capacity(input.len() + 8);
-
+/// [`encode`], appending to `output` instead of allocating. The encoder
+/// re-reads `input` once per distinct non-ASCII code point rather than
+/// collecting it into a code-point buffer. On error `output` holds a
+/// partial encoding the caller discards.
+pub(crate) fn encode_into(input: &str, output: &mut String) -> Result<(), IdnaError> {
     // Copy the basic (ASCII) code points verbatim.
     let mut basic_count: u32 = 0;
-    for &cp in input {
-        if cp < 0x80 {
-            output.push(cp as u8 as char);
+    let mut total: u32 = 0;
+    for c in input.chars() {
+        total += 1;
+        if c.is_ascii() {
+            output.push(c);
             basic_count += 1;
         }
     }
@@ -128,13 +118,12 @@ pub fn encode_codepoints(input: &[u32]) -> Result<String, IdnaError> {
     let mut n: u32 = INITIAL_N;
     let mut delta: u32 = 0;
     let mut bias: u32 = INITIAL_BIAS;
-    let total = input.len() as u32;
 
     while handled < total {
         // Find the smallest unhandled code point >= n.
         let m = input
-            .iter()
-            .copied()
+            .chars()
+            .map(u32::from)
             .filter(|&cp| cp >= n)
             .min()
             .expect("an unhandled code point must exist");
@@ -147,7 +136,7 @@ pub fn encode_codepoints(input: &[u32]) -> Result<String, IdnaError> {
         delta = delta.checked_add(gap).ok_or(IdnaError::Overflow)?;
         n = m;
 
-        for &cp in input {
+        for cp in input.chars().map(u32::from) {
             if cp < n {
                 delta = delta.checked_add(1).ok_or(IdnaError::Overflow)?;
             }
@@ -174,7 +163,7 @@ pub fn encode_codepoints(input: &[u32]) -> Result<String, IdnaError> {
         n = n.checked_add(1).ok_or(IdnaError::Overflow)?;
     }
 
-    Ok(output)
+    Ok(())
 }
 
 /// Clamps the per-digit threshold into `[TMIN, TMAX]` (RFC 3492 §6.2 step).
@@ -204,6 +193,16 @@ fn threshold(k: u32, bias: u32) -> u32 {
 /// assert_eq!(s, "bücher");
 /// ```
 pub fn decode(input: &str) -> Result<String, IdnaError> {
+    let mut output = String::with_capacity(input.len() + 8);
+    decode_into(input, &mut output)?;
+    Ok(output)
+}
+
+/// [`decode`], appending to `output` instead of allocating: each decoded
+/// code point is inserted straight into `output` at its character
+/// position. On error `output` holds a partial decoding the caller
+/// discards.
+pub(crate) fn decode_into(input: &str, output: &mut String) -> Result<(), IdnaError> {
     if !input.is_ascii() {
         return Err(IdnaError::InvalidPunycode);
     }
@@ -214,18 +213,21 @@ pub fn decode(input: &str) -> Result<String, IdnaError> {
         None => ("", input),
     };
 
-    let mut output: Vec<u32> = basic.chars().map(|c| c as u32).collect();
+    let start = output.len();
+    output.push_str(basic);
+    // Characters decoded so far (the basic part is ASCII: one per byte).
+    let mut out_chars = basic.len() as u32;
     let mut n: u32 = INITIAL_N;
     let mut i: u32 = 0;
     let mut bias: u32 = INITIAL_BIAS;
 
-    let mut chars = extended.chars().peekable();
-    while chars.peek().is_some() {
+    let mut digits = extended.bytes().peekable();
+    while digits.peek().is_some() {
         let old_i = i;
         let mut w: u32 = 1;
         let mut k = BASE;
         loop {
-            let c = chars.next().ok_or(IdnaError::InvalidPunycode)?;
+            let c = digits.next().ok_or(IdnaError::InvalidPunycode)?;
             let digit = decode_digit(c).ok_or(IdnaError::InvalidPunycode)?;
             i = digit
                 .checked_mul(w)
@@ -238,21 +240,20 @@ pub fn decode(input: &str) -> Result<String, IdnaError> {
             w = w.checked_mul(BASE - t).ok_or(IdnaError::Overflow)?;
             k += BASE;
         }
-        let out_len = output.len() as u32 + 1;
-        bias = adapt(i - old_i, out_len, old_i == 0);
-        n = n.checked_add(i / out_len).ok_or(IdnaError::Overflow)?;
-        i %= out_len;
-        if n > MAX_CODEPOINT || (0xD800..=0xDFFF).contains(&n) {
-            return Err(IdnaError::Overflow);
-        }
-        output.insert(i as usize, n);
+        out_chars += 1;
+        bias = adapt(i - old_i, out_chars, old_i == 0);
+        n = n.checked_add(i / out_chars).ok_or(IdnaError::Overflow)?;
+        i %= out_chars;
+        // Rejects code points past U+10FFFF and surrogates.
+        let ch = char::from_u32(n).ok_or(IdnaError::Overflow)?;
+        let at = output[start..]
+            .char_indices()
+            .nth(i as usize)
+            .map_or(output.len(), |(offset, _)| start + offset);
+        output.insert(at, ch);
         i += 1;
     }
-
-    output
-        .into_iter()
-        .map(|cp| char::from_u32(cp).ok_or(IdnaError::InvalidPunycode))
-        .collect()
+    Ok(())
 }
 
 #[cfg(test)]

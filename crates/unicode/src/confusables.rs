@@ -413,12 +413,17 @@ fn by_char() -> &'static HashMap<char, &'static Confusable> {
     INDEX.get_or_init(|| CONFUSABLES.iter().map(|c| (c.ch, c)).collect())
 }
 
+/// Target → its homoglyphs, each list sorted once here. The sort is
+/// stable, so equal fidelities keep table order.
 fn by_target() -> &'static HashMap<char, Vec<&'static Confusable>> {
     static INDEX: OnceLock<HashMap<char, Vec<&'static Confusable>>> = OnceLock::new();
     INDEX.get_or_init(|| {
         let mut map: HashMap<char, Vec<&'static Confusable>> = HashMap::new();
         for c in CONFUSABLES {
             map.entry(c.target).or_default().push(c);
+        }
+        for glyphs in map.values_mut() {
+            glyphs.sort_by_key(|c| c.fidelity);
         }
         map
     })
@@ -448,10 +453,8 @@ pub fn lookup(ch: char) -> Option<&'static Confusable> {
 /// assert!(glyphs.len() > 10);
 /// assert_eq!(glyphs[0].fidelity, idnre_unicode::Fidelity::Identical);
 /// ```
-pub fn homoglyphs_of(target: char) -> Vec<&'static Confusable> {
-    let mut v = by_target().get(&target).cloned().unwrap_or_default();
-    v.sort_by_key(|c| c.fidelity);
-    v
+pub fn homoglyphs_of(target: char) -> &'static [&'static Confusable] {
+    by_target().get(&target).map_or(&[], Vec::as_slice)
 }
 
 /// Folds a single character back to the ASCII character it imitates, or

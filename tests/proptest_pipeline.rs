@@ -37,7 +37,7 @@ proptest! {
         let pos = pos_seed % chars.len();
         let glyphs = homoglyphs_of(chars[pos]);
         prop_assume!(!glyphs.is_empty());
-        for glyph in &glyphs {
+        for glyph in glyphs {
             let mut spoofed = chars.clone();
             spoofed[pos] = glyph.ch;
             let spoof: String = spoofed.iter().collect();
@@ -64,7 +64,7 @@ proptest! {
         let mut changed = false;
         for (i, &c) in chars.iter().enumerate() {
             if let Some(glyph) = homoglyphs_of(c)
-                .into_iter()
+                .iter()
                 .find(|g| g.fidelity == idn_reexamination::unicode::Fidelity::Identical)
             {
                 spoofed[i] = glyph.ch;
