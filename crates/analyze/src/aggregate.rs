@@ -68,12 +68,6 @@ impl<K: Eq + Hash + Clone> KeyedTally<K> {
         self.entries.is_empty()
     }
 
-    /// Consumes the tally into `(key, count)` pairs in first-occurrence
-    /// order.
-    pub fn into_vec(self) -> Vec<(K, u64)> {
-        self.entries
-    }
-
     /// Sum of all counts.
     pub fn total(&self) -> u64 {
         self.entries.iter().map(|&(_, n)| n).sum()

@@ -435,11 +435,6 @@ impl<'p> ShardedScan<'p> {
         }
     }
 
-    /// Number of registered passes.
-    pub fn pass_count(&self) -> usize {
-        self.passes.len()
-    }
-
     /// Runs the fused traversal: shards fan out over `threads` workers,
     /// every pass observes every record exactly once, and partials merge
     /// sequentially in shard order (never in completion order). The scan

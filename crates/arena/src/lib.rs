@@ -111,11 +111,6 @@ impl Interner {
         self.spans.is_empty()
     }
 
-    /// Total arena bytes (the memory the strings themselves occupy).
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
-    }
-
     /// The string behind `symbol`.
     ///
     /// # Panics

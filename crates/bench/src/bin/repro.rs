@@ -48,15 +48,17 @@
 //! (default 1024) and the fused analysis scan (and any faulted survey)
 //! walks the shards, so peak resident records stay ≈ `shard_size ×
 //! threads` at any scale (reported as the `datagen.peak_resident_records`
-//! counter under `--metrics`). The report bytes are identical to the batch build, with
-//! or without `--faults` and `--crawl-sched`: the faulted surveys walk
-//! the same shards. `--stream` cannot be combined with `--dump-dataset`;
-//! with `--bench` it selects the streamed bench leg's shard size.
+//! gauge under `--metrics`). The report bytes are identical to the batch
+//! build, with or without `--faults` and `--crawl-sched`: the faulted
+//! surveys walk the same shards. `--stream` cannot be combined with
+//! `--dump-dataset`; with `--bench` it selects the streamed bench leg's
+//! shard size.
 //!
 //! `--bench` runs the whole pipeline once under timing, prints the stage
 //! table and the per-pass cost ledger to stderr, and writes
 //! `BENCH_pipeline.json` (`idnre-bench-pipeline/6`) next to the report.
-//! It cannot be combined with `--faults` or `--metrics`. Combined with
+//! The flags it cannot be combined with are the `--bench` rows of
+//! [`idnre_bench::FLAG_CONFLICTS`]. Combined with
 //! `--stream`, the bench's streamed leg regenerates `--shard-size N`
 //! records at a time and the JSON's top-level `peak_resident_records`
 //! reports the residency-gauge peak — the paper-scale memory contract
@@ -115,11 +117,13 @@
 //! migrations, lagged blacklist listings — `--churn-per-mille M` events
 //! per thousand base records per epoch, default 20) and each epoch
 //! re-folds **only the shards its deltas dirtied**. Every epoch is
-//! shadowed by a from-scratch rebuild over the same effective corpus and
-//! the two reports are asserted byte-identical; stdout carries the final
-//! epoch's report, stderr a per-epoch summary plus one machine-greppable
-//! `epochs=... speedup=...` line. Under `--metrics`/`--trace` every
-//! render and fold is metered, each shadow rebuild as one
+//! shadowed by a from-scratch rebuild over the same effective corpus, and
+//! the run panics unless the two folds are equal; since every report is
+//! a pure function of the fold, equal folds render equal bytes. Any
+//! experiment can be named: stdout carries the final epoch's rendering
+//! of it, stderr a per-epoch summary plus one machine-greppable
+//! `epochs=... speedup=...` line. Under `--metrics`/`--trace` every fold
+//! and the one render are metered, each shadow rebuild as one
 //! `analyze.epoch.rebuild` span. Not combinable with `--faults`,
 //! `--mine-portfolios`, or `--bench` (whose JSON carries its own epoch
 //! probe pair).
@@ -328,6 +332,16 @@ fn main() {
     if let Err(message) = validate_flags(&flags) {
         usage(&message);
     }
+    // Checked before any work, so a misspelt name costs nothing.
+    let mut all = false;
+    let mut generators = Vec::new();
+    for name in &wanted {
+        match reports::by_name(name) {
+            Some(generator) => generators.push(generator),
+            None if name == "all" => all = true,
+            None => usage(&format!("unknown experiment {name:?}")),
+        }
+    }
     if crawl_sched {
         let base = SchedConfig::default();
         let sched = SchedConfig {
@@ -383,11 +397,6 @@ fn main() {
         None => Arc::new(idnre_telemetry::NoopRecorder),
     };
     if let Some(count) = epochs {
-        // Incremental zone-diff epochs: the one mode whose deliverable is
-        // the *final* epoch's report, so only `all` makes sense.
-        if !wanted.iter().any(|w| w == "all") {
-            usage("--epochs renders the final epoch's full report; name the `all` experiment");
-        }
         let churn = churn_per_mille.unwrap_or(idnre_bench::DEFAULT_CHURN_PER_MILLE);
         eprintln!("epoch mode: {count} epochs, churn {churn}\u{2030}, shard {shard_size}");
     }
@@ -412,8 +421,8 @@ fn main() {
         "ecosystem ready: {} IDNs, {} non-IDNs, {} homograph findings, {} semantic findings",
         ctx.outputs.idn_len,
         ctx.outputs.non_idn_len,
-        ctx.homographs.len(),
-        ctx.semantic.len()
+        ctx.outputs.homographs.len(),
+        ctx.outputs.semantic1.len()
     );
     if let Some(mining) = &ctx.mining {
         eprintln!(
@@ -456,24 +465,13 @@ fn main() {
         write_dataset(path, &idnre_datagen::render_dataset(&ctx.eco));
     }
 
-    let output = if let Some(run) = &ctx.epochs {
-        // Rendered inside the build, where it was checked against the
-        // final epoch's shadow rebuild.
-        run.final_report.clone()
-    } else if wanted.iter().any(|w| w == "all") {
+    let output: String = if all {
         ctx.full_report()
     } else {
-        let mut out = String::new();
-        for name in &wanted {
-            match reports::by_name(name) {
-                Some(generator) => {
-                    out.push_str(&generator(&ctx));
-                    out.push('\n');
-                }
-                None => usage(&format!("unknown experiment {name:?}")),
-            }
-        }
-        out
+        generators
+            .iter()
+            .map(|generator| generator(&ctx) + "\n")
+            .collect()
     };
 
     match &write_path {

@@ -13,18 +13,22 @@
 //!    never move), extend the run's [`SkeletonCache`] past the same
 //!    high-water mark, and re-fold **only the dirty shards**.
 //! 2. Shadow every incremental epoch with a from-scratch rebuild over the
-//!    same effective corpus, render both reports, and panic unless they
-//!    are byte-identical — the proof-of-equivalence contract, enforced on
-//!    every run, not just under `cargo test`.
+//!    same effective corpus, and panic unless the two [`ScanOutputs`] are
+//!    equal — the proof-of-equivalence contract, enforced on every run,
+//!    not just under `cargo test`. Both legs share the ecosystem and the
+//!    candidate survey, and every report generator is a pure function of
+//!    those and the fold, so equal folds render equal report bytes for
+//!    any experiment. Nothing renders here: the built context holds the
+//!    final epoch's incremental fold, and the caller renders it once.
 //!
 //! Both legs share the grown columns and skeleton cache, so the measured
 //! [`EpochRun::speedup`] isolates the fold itself: resident partials
-//! versus re-folding every shard. Every render and the incremental fold
-//! report to the run's recorder; the shadow fold runs on a
-//! [`NoopRecorder`] inside one [`EPOCH_REBUILD_SPAN`], so the pass
-//! counters count only the incremental leg.
+//! versus re-folding every shard. The incremental fold reports to the
+//! run's recorder; the shadow fold runs on a [`NoopRecorder`] inside one
+//! [`EPOCH_REBUILD_SPAN`], so the pass counters count only the
+//! incremental leg.
 
-use crate::passes::ScanInputs;
+use crate::passes::{ScanInputs, ScanOutputs};
 use crate::ReproContext;
 use idnre_analyze::{DeltaStream, EpochSource, EpochState, EpochStats};
 use idnre_arena::CorpusColumns;
@@ -74,9 +78,9 @@ pub struct EpochBenchStats {
     pub rebuild_ns: u64,
 }
 
-/// What an epochs build played ([`ReproContext::epochs`]): per-epoch
-/// accounting, the cold epoch-0 fold, and the final epoch's rendered
-/// report.
+/// What an epochs build played ([`ReproContext::epochs`]): the cold
+/// epoch-0 fold's and each warm epoch's accounting. The final epoch's fold
+/// itself is [`ReproContext::outputs`].
 #[derive(Debug)]
 pub struct EpochRun {
     /// Shard size every fold (incremental and shadow) ran at.
@@ -86,10 +90,6 @@ pub struct EpochRun {
     pub initial: EpochStats,
     /// Warm epochs `1..=N`, in order.
     pub epochs: Vec<EpochBenchStats>,
-    /// The final epoch's full report (byte-identical to a from-scratch
-    /// rebuild over the same effective corpus — asserted per epoch). Kept
-    /// so the caller need not render it a third time.
-    pub final_report: String,
 }
 
 impl EpochRun {
@@ -162,34 +162,44 @@ pub fn grow_columns(
     }
 }
 
-/// Panics with a compact diff location unless the incremental and shadow
-/// reports are byte-identical. The reports are multi-kilobyte; quoting
-/// them whole would bury the divergence, so only the first differing
-/// offset and its context lines are shown.
-fn assert_reports_match(epoch: u64, incremental: &str, rebuild: &str) {
-    if incremental == rebuild {
-        return;
+/// Panics unless the incremental fold equals the shadow rebuild, naming
+/// the epoch and the first field that differs. The outputs run to
+/// megabytes, so neither is quoted.
+fn assert_folds_match(epoch: u64, incremental: &ScanOutputs, rebuild: &ScanOutputs) {
+    // Field by field, as the derived `==` compares, so the panic can name
+    // the first difference; destructured so that no field can be missed.
+    let ScanOutputs {
+        homographs,
+        semantic1,
+        tld,
+        language,
+        content,
+        activity,
+        semantic2,
+        table3_unicode,
+        fig6_registered,
+        idn_len,
+        non_idn_len,
+    } = incremental;
+    let fields = [
+        ("homographs", *homographs == rebuild.homographs),
+        ("semantic1", *semantic1 == rebuild.semantic1),
+        ("tld", *tld == rebuild.tld),
+        ("language", *language == rebuild.language),
+        ("content", *content == rebuild.content),
+        ("activity", *activity == rebuild.activity),
+        ("semantic2", *semantic2 == rebuild.semantic2),
+        ("table3_unicode", *table3_unicode == rebuild.table3_unicode),
+        (
+            "fig6_registered",
+            *fig6_registered == rebuild.fig6_registered,
+        ),
+        ("idn_len", *idn_len == rebuild.idn_len),
+        ("non_idn_len", *non_idn_len == rebuild.non_idn_len),
+    ];
+    if let Some((field, _)) = fields.iter().find(|(_, same)| !same) {
+        panic!("epoch {epoch}: the incremental fold differs from the shadow rebuild in `{field}`");
     }
-    let a = incremental.as_bytes();
-    let b = rebuild.as_bytes();
-    let at = a
-        .iter()
-        .zip(b.iter())
-        .position(|(x, y)| x != y)
-        .unwrap_or(a.len().min(b.len()));
-    let context = |s: &str| {
-        let lo = s[..at.min(s.len())].rfind('\n').map_or(0, |i| i + 1);
-        let hi = s[lo..].find('\n').map_or(s.len(), |i| lo + i);
-        s[lo..hi].to_string()
-    };
-    panic!(
-        "epoch {epoch}: incremental report diverges from rebuild at byte {at} \
-         (incremental {} bytes, rebuild {} bytes)\n  incremental: {:?}\n  rebuild:     {:?}",
-        a.len(),
-        b.len(),
-        context(incremental),
-        context(rebuild),
-    );
 }
 
 /// Plays `spec`'s warm epochs on a built context whose fold ran cold
@@ -209,9 +219,6 @@ pub(crate) fn play(
     let shard_size = state.shard_size();
     let mut overlay = EpochCorpus::new(corpus);
     let mut simulator = DaySimulator::new(spec.churn_per_mille);
-    // Each warm epoch's report supersedes the last, so epoch 0's renders
-    // only when it is the final one.
-    let mut final_report = None;
     let mut per_epoch = Vec::with_capacity(spec.count as usize);
 
     for epoch in 1..=spec.count {
@@ -229,7 +236,7 @@ pub(crate) fn play(
         // Incremental leg: re-fold only the shards the deltas dirtied.
         let plan = inputs.plan(&columns, &skeletons, &ctx.eco.pdns, None);
         let started = Instant::now();
-        let (homographs, semantic, outputs, stats) = plan.run_epoch(
+        let (outputs, stats) = plan.run_epoch(
             &mut state,
             &source,
             threads,
@@ -238,10 +245,6 @@ pub(crate) fn play(
             SpanCtx::ROOT,
         );
         let incremental_ns = started.elapsed().as_nanos() as u64;
-        ctx.homographs = homographs;
-        ctx.semantic = semantic;
-        ctx.outputs = outputs;
-        let incremental_report = ctx.full_report();
 
         // Shadow leg: fold every shard of the same effective corpus from
         // scratch, exactly as a batch rebuild would, on a no-op recorder
@@ -252,17 +255,14 @@ pub(crate) fn play(
             .span_at(EPOCH_REBUILD_SPAN, SpanCtx::ROOT, epoch);
         let plan = inputs.plan(&columns, &skeletons, &ctx.eco.pdns, None);
         let started = Instant::now();
-        let (homographs, semantic, outputs, _bucket) =
+        let (rebuild, _bucket) =
             plan.run_at(&source, shard_size, threads, &NoopRecorder, SpanCtx::NONE);
         let rebuild_ns = started.elapsed().as_nanos() as u64;
         span.add_records(index_space);
         drop(span);
-        ctx.homographs = homographs;
-        ctx.semantic = semantic;
-        ctx.outputs = outputs;
-        let rebuild_report = ctx.full_report();
 
-        assert_reports_match(epoch, &incremental_report, &rebuild_report);
+        assert_folds_match(epoch, &outputs, &rebuild);
+        ctx.outputs = outputs;
         per_epoch.push(EpochBenchStats {
             deltas: raw_deltas.len(),
             live_idn: overlay.live_idn_len(),
@@ -271,14 +271,12 @@ pub(crate) fn play(
             incremental_ns,
             rebuild_ns,
         });
-        final_report = Some(incremental_report);
     }
 
     EpochRun {
         shard_size,
         initial,
         epochs: per_epoch,
-        final_report: final_report.unwrap_or_else(|| ctx.full_report()),
     }
 }
 
@@ -320,36 +318,50 @@ mod tests {
         // epoch engine's report must equal the streamed build's byte for
         // byte.
         let cfg = config(4000);
-        let run = play_out(&cfg, &epochs(0, 20), Arc::new(NoopRecorder));
+        let played = ReproContext::build(&cfg, &epochs(0, 20), Arc::new(NoopRecorder));
+        let run = played
+            .epochs
+            .as_ref()
+            .expect("an epochs build records its run");
         let spec = RunSpec {
             shard_size: Some(64),
             ..RunSpec::default()
         };
         let ctx = ReproContext::build(&cfg, &spec, Arc::new(NoopRecorder));
-        assert_eq!(run.final_report, ctx.full_report());
+        assert_eq!(played.full_report(), ctx.full_report());
         assert_eq!(run.initial.refolded, run.initial.total_shards);
         assert!(run.epochs.is_empty());
     }
 
-    /// Every render and fold of an epochs build reports to the run's
-    /// recorder: two renders per warm epoch (incremental and shadow), the
+    /// Every fold of an epochs build reports to the run's recorder: the
     /// cold fold plus one advance per warm epoch, one shadow-rebuild span
-    /// per warm epoch, and one candidate survey for all of them. The
-    /// built context holds the final epoch.
+    /// per warm epoch, and one candidate survey for all of them. The build
+    /// renders nothing; the built context holds the final epoch, and
+    /// rendering it is the run's one render.
     #[test]
     fn epochs_build_meters_through_the_run_recorder() {
         let registry = Arc::new(Registry::new());
         let ctx = ReproContext::build(&config(4000), &epochs(2, 20), registry.clone());
         let calls = |stage: &str| registry.stage(stage).calls();
-        assert_eq!(calls("report.table1"), 4);
+        assert_eq!(calls("report.table1"), 0);
         assert_eq!(calls(idnre_analyze::epoch::EPOCH_SPAN), 3);
         assert_eq!(calls(EPOCH_REBUILD_SPAN), 2);
         assert_eq!(calls(crate::candidates::SURVEY_SPAN), 1);
-        let run = ctx
-            .epochs
-            .as_ref()
-            .expect("an epochs build records its run");
-        assert_eq!(ctx.full_report(), run.final_report);
+        let _ = ctx.full_report();
+        assert_eq!(calls("report.table1"), 1);
+    }
+
+    /// The fold check names the epoch and the first field that differs,
+    /// here a fold missing one homograph finding.
+    #[test]
+    #[should_panic(
+        expected = "epoch 7: the incremental fold differs from the shadow rebuild in `homographs`"
+    )]
+    fn a_diverging_fold_names_its_epoch_and_field() {
+        let ctx = ReproContext::build(&config(4000), &RunSpec::default(), Arc::new(NoopRecorder));
+        let mut short = ctx.outputs.clone();
+        assert!(short.homographs.pop().is_some(), "no homograph findings");
+        assert_folds_match(7, &ctx.outputs, &short);
     }
 
     #[test]
@@ -360,7 +372,7 @@ mod tests {
             assert!(epoch.stats.refolded < epoch.stats.total_shards);
             assert!(epoch.deltas > 0);
         }
-        // The build itself asserted per-epoch byte-equivalence; the run
+        // The build itself asserted per-epoch fold equality; the run
         // completing is the proof. Pin the accounting invariants on top.
         assert!(run.total_refolded() >= run.epochs.len() as u64);
         assert!(run.speedup() > 0.0);

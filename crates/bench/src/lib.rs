@@ -49,7 +49,7 @@ pub use robust::{FaultSetup, IngestStats, RunHealth, SurveyStats};
 pub use slo::{slo_profile, SLO_PROFILES};
 
 use idnre_analyze::{DeltaStream, EpochState, Population, RecordSource, SliceSource, StreamSource};
-use idnre_core::{HomographFinding, SemanticFinding, SkeletonCache};
+use idnre_core::SkeletonCache;
 use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig};
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::ops::Range;
@@ -88,10 +88,11 @@ pub struct RunSpec {
     pub faults: Option<FaultSetup>,
     /// Plays incremental zone-diff epochs after the fold (`--epochs`): the
     /// fold runs cold through an epoch engine that keeps its partials
-    /// resident, then each simulated day re-folds only its dirty shards
-    /// and is checked against a shadow rebuild ([`epochs`]);
-    /// [`ReproContext::epochs`] carries the run. Requires `shard_size`;
-    /// excludes `mine` and `faults`.
+    /// resident, then each simulated day re-folds only its dirty shards,
+    /// and its fold must equal a shadow rebuild's ([`epochs`]). The built
+    /// context holds the final day's fold, so every report renders that
+    /// day; [`ReproContext::epochs`] carries the run's accounting.
+    /// Requires `shard_size`; excludes `mine` and `faults`.
     pub epochs: Option<EpochSpec>,
 }
 
@@ -101,12 +102,9 @@ pub struct ReproContext {
     /// The synthetic ecosystem (registration vectors are empty after a
     /// streamed build; the artifacts are complete either way).
     pub eco: Ecosystem,
-    /// Homograph-detector findings over the registered IDN corpus.
-    pub homographs: Vec<HomographFinding>,
-    /// Type-1 semantic findings over the registered IDN corpus.
-    pub semantic: Vec<SemanticFinding>,
-    /// Every corpus-derived aggregate the report generators read, folded by
-    /// the one fused [`idnre_analyze::ShardedScan`] traversal.
+    /// Both detectors' findings and every corpus-derived aggregate the
+    /// report generators read, folded by the one fused
+    /// [`idnre_analyze::ShardedScan`] traversal.
     pub outputs: passes::ScanOutputs,
     /// The Section VI-D lookalike candidates of the top brands, enumerated
     /// once for Figures 6 and 7 and the two candidate-pool extensions.
@@ -122,8 +120,9 @@ pub struct ReproContext {
     /// [`RunSpec::mine`]. [`ReproContext::full_report`] appends its
     /// section.
     pub mining: Option<MiningOutputs>,
-    /// The played epochs, present only under [`RunSpec::epochs`]; the
-    /// context's fold and reports are then the final epoch's.
+    /// The played epochs' accounting, present only under
+    /// [`RunSpec::epochs`]; [`ReproContext::outputs`], and so every
+    /// report, is then the final epoch's fold.
     pub epochs: Option<EpochRun>,
 }
 
@@ -131,8 +130,7 @@ impl std::fmt::Debug for ReproContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReproContext")
             .field("eco", &self.eco)
-            .field("homographs", &self.homographs)
-            .field("semantic", &self.semantic)
+            .field("outputs", &self.outputs)
             .field("recorder_enabled", &self.recorder.enabled())
             .finish()
     }
@@ -152,7 +150,8 @@ impl ReproContext {
     ///
     /// Panics on a [`RunSpec::epochs`] spec without `shard_size`, or with
     /// `mine` or `faults` (the combinations `repro` rejects as usage
-    /// errors).
+    /// errors), and when an epoch's incremental fold differs from its
+    /// shadow rebuild.
     pub fn build(config: &EcosystemConfig, spec: &RunSpec, recorder: Arc<dyn Recorder>) -> Self {
         if spec.epochs.is_some() {
             assert!(
@@ -201,7 +200,7 @@ impl ReproContext {
             .then(|| mine::MiningPlan::new(&columns, &skeletons));
         let plan = inputs.plan(&columns, &skeletons, &eco.pdns, mining_plan.as_ref());
         let mut cold = None;
-        let (homographs, semantic, outputs, index) = match spec.epochs {
+        let (outputs, index) = match spec.epochs {
             None => plan.run_at(
                 view.source,
                 shard_size,
@@ -214,7 +213,7 @@ impl ReproContext {
                 // empty cache, so this is the one-shot scan, leaving its
                 // partials resident for the epoch loop.
                 let mut state = EpochState::new(shard_size);
-                let (homographs, semantic, outputs, stats) = plan.run_epoch(
+                let (outputs, stats) = plan.run_epoch(
                     &mut state,
                     view.source,
                     config.threads,
@@ -223,7 +222,7 @@ impl ReproContext {
                     SpanCtx::ROOT,
                 );
                 cold = Some((state, stats));
-                (homographs, semantic, outputs, None)
+                (outputs, None)
             }
         };
         // Pass B of the miner runs over the non-singleton buckets of the
@@ -245,8 +244,6 @@ impl ReproContext {
             .map(|setup| robust::faulted_surveys(&view, &eco, setup, config.threads, &*recorder));
         let mut ctx = ReproContext {
             eco,
-            homographs,
-            semantic,
             outputs,
             candidates,
             recorder,
@@ -419,14 +416,14 @@ mod tests {
         // Medium ones legitimately fall below).
         let injected = ctx.eco.homograph_attacks.len();
         assert!(injected > 20, "too few injected: {injected}");
-        let recovered = ctx.homographs.len();
+        let recovered = ctx.outputs.homographs.len();
         assert!(
             recovered * 2 >= injected,
             "recovered {recovered} of {injected}"
         );
         // Semantic detector recovers essentially all Type-1 injections.
         let injected_sem = ctx.eco.semantic_attacks.len();
-        let recovered_sem = ctx.semantic.len();
+        let recovered_sem = ctx.outputs.semantic1.len();
         assert!(
             recovered_sem * 10 >= injected_sem * 9,
             "recovered {recovered_sem} of {injected_sem}"

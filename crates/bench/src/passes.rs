@@ -40,10 +40,16 @@ pub const PDNS_LOOKUP_COUNTERS: [&str; 2] = ["pdns.lookup.hit", "pdns.lookup.mis
 /// Table V samples this many records from the head of each population.
 pub const CONTENT_SAMPLE: u64 = 500;
 
-/// Everything the report generators read that used to require rescanning
-/// the corpus, produced by one fused traversal.
+/// The fused traversal's whole result: every finding and aggregate the
+/// report generators read from the registration corpus.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanOutputs {
+    /// Homograph-detector findings in corpus order (Table XIII, Figures 5
+    /// and 6, the browser-exposure extension).
+    pub homographs: Vec<HomographFinding>,
+    /// Type-1 semantic findings in corpus order (Tables IX and XIV,
+    /// Figure 8).
+    pub semantic1: Vec<SemanticFinding>,
     /// Per-TLD IDN and blacklist tallies (Table I).
     pub tld: TldBreakdown,
     /// Language mix of all/malicious/organic IDNs (Table II).
@@ -633,16 +639,10 @@ struct PlanHandles {
 
 impl PlanHandles {
     /// Redeems every handle against a finished fold.
-    fn redeem(
-        &self,
-        mut result: ScanResult,
-    ) -> (
-        Vec<HomographFinding>,
-        Vec<SemanticFinding>,
-        ScanOutputs,
-        Option<BucketIndex>,
-    ) {
+    fn redeem(&self, mut result: ScanResult) -> (ScanOutputs, Option<BucketIndex>) {
         let outputs = ScanOutputs {
+            homographs: result.take(&self.homograph),
+            semantic1: result.take(&self.semantic1),
             tld: result.take(&self.tld),
             language: result.take(&self.language),
             content: result.take(&self.content),
@@ -654,12 +654,7 @@ impl PlanHandles {
             non_idn_len: result.non_idn_len(),
         };
         let bucket = self.bucket.as_ref().map(|handle| result.take(handle));
-        (
-            result.take(&self.homograph),
-            result.take(&self.semantic1),
-            outputs,
-            bucket,
-        )
+        (outputs, bucket)
     }
 }
 
@@ -681,9 +676,8 @@ impl ScanPlan<'_> {
 
     /// Runs the fused traversal, parenting `analyze.scan` (and the
     /// per-pass groups beneath it) at `parent` in the span tree, and
-    /// redeems every handle. The fourth element is the folded
-    /// skeleton-LSH bucket index — `Some` only on plans built with a
-    /// [`MiningPlan`].
+    /// redeems every handle. Next to the fold comes the skeleton-LSH
+    /// bucket index — `Some` only on plans built with a [`MiningPlan`].
     pub fn run_at(
         self,
         source: &dyn RecordSource,
@@ -691,12 +685,7 @@ impl ScanPlan<'_> {
         threads: usize,
         recorder: &dyn Recorder,
         parent: SpanCtx,
-    ) -> (
-        Vec<HomographFinding>,
-        Vec<SemanticFinding>,
-        ScanOutputs,
-        Option<BucketIndex>,
-    ) {
+    ) -> (ScanOutputs, Option<BucketIndex>) {
         let result = self
             .scan
             .run_at(source, shard_size, threads, recorder, parent);
@@ -717,18 +706,12 @@ impl ScanPlan<'_> {
         deltas: &DeltaStream,
         recorder: &dyn Recorder,
         parent: SpanCtx,
-    ) -> (
-        Vec<HomographFinding>,
-        Vec<SemanticFinding>,
-        ScanOutputs,
-        EpochStats,
-    ) {
+    ) -> (ScanOutputs, EpochStats) {
         debug_assert!(
             self.handles.bucket.is_none(),
             "mining pass A is one-shot; epochs exclude --mine-portfolios"
         );
         let (result, stats) = state.advance(self.scan, source, threads, deltas, recorder, parent);
-        let (homographs, semantic, outputs, _) = self.handles.redeem(result);
-        (homographs, semantic, outputs, stats)
+        (self.handles.redeem(result).0, stats)
     }
 }

@@ -39,7 +39,7 @@
 //! ([`RunSpec::epochs`]) plays [`EPOCH_PROBE_EPOCHS`] simulated zone-diff
 //! days at [`EPOCH_PROBE_CHURN_PER_MILLE`] churn over its own shard grid
 //! ([`EPOCH_PROBE_SHARD_SIZE`]), re-folding only dirty shards with a
-//! from-scratch shadow rebuild per epoch (byte-equality asserted inside
+//! from-scratch shadow rebuild per epoch (fold equality asserted inside
 //! the build). The summed walls land as the `analyze.epoch.incremental` /
 //! `analyze.epoch.rebuild` entry pair plus the top-level `epochs` block —
 //! the re-fold-only-dirty speedup CI gates, next to the other two
@@ -676,8 +676,8 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
 
     // The incremental-epoch probe: a short zone-diff loop on its own
     // shard grid. The epochs build shadow-rebuilds every epoch and asserts
-    // the reports byte-identical, so the entry pair below is measured over
-    // a proven-equivalent pair of folds — the third indexed-vs-exhaustive
+    // the two folds equal, so the entry pair below is measured over a
+    // proven-equivalent pair of folds — the third indexed-vs-exhaustive
     // regression gate.
     let epoch_spec = RunSpec {
         shard_size: Some(EPOCH_PROBE_SHARD_SIZE),

@@ -577,7 +577,7 @@ pub fn table9(ctx: &ReproContext) -> String {
         vec!["Punycode", "Unicode", "Target"],
         vec![Align::Left, Align::Left, Align::Left],
     );
-    for finding in ctx.semantic.iter().take(8) {
+    for finding in ctx.outputs.semantic1.iter().take(8) {
         table.row(vec![
             finding.domain.clone(),
             finding.unicode.clone(),
@@ -696,7 +696,7 @@ pub fn table12(_ctx: &ReproContext) -> String {
 /// Table XIII — top brands by registered homographic IDNs.
 pub fn table13(ctx: &ReproContext) -> String {
     let analysis =
-        AbuseAnalysis::from_homographs(&ctx.homographs, &ctx.eco.whois, &ctx.eco.blacklist);
+        AbuseAnalysis::from_homographs(&ctx.outputs.homographs, &ctx.eco.whois, &ctx.eco.blacklist);
     let mut table = Table::new(
         vec!["Domain", "# IDN", "Rate", "Protective"],
         vec![Align::Left, Align::Right, Align::Right, Align::Right],
@@ -767,7 +767,12 @@ fn attack_traffic_figure(
 
 /// Figure 5 — traffic to registered homographic IDNs.
 pub fn fig5(ctx: &ReproContext) -> String {
-    let domains: Vec<&str> = ctx.homographs.iter().map(|f| f.domain.as_str()).collect();
+    let domains: Vec<&str> = ctx
+        .outputs
+        .homographs
+        .iter()
+        .map(|f| f.domain.as_str())
+        .collect();
     attack_traffic_figure(
         ctx,
         domains,
@@ -803,6 +808,7 @@ pub fn fig6(ctx: &ReproContext) -> String {
         }
     }
     let registered_homograph_queries: u64 = ctx
+        .outputs
         .homographs
         .iter()
         .filter_map(|f| ctx.eco.pdns.lookup(&f.domain))
@@ -851,7 +857,8 @@ pub fn fig7(ctx: &ReproContext) -> String {
 
 /// Table XIV — top brands by Type-1 semantic IDNs.
 pub fn table14(ctx: &ReproContext) -> String {
-    let analysis = AbuseAnalysis::from_semantic(&ctx.semantic, &ctx.eco.whois, &ctx.eco.blacklist);
+    let analysis =
+        AbuseAnalysis::from_semantic(&ctx.outputs.semantic1, &ctx.eco.whois, &ctx.eco.blacklist);
     let mut table = Table::new(
         vec!["Domain", "# Type-1 IDN", "Rate", "Protective"],
         vec![Align::Left, Align::Right, Align::Right, Align::Right],
@@ -961,10 +968,11 @@ pub fn ext_bypass(ctx: &ReproContext) -> String {
         vec!["Policy", "Spoofs shown in Unicode", "Exposure"],
         vec![Align::Left, Align::Right, Align::Right],
     );
-    let total = ctx.homographs.len() as u64;
+    let total = ctx.outputs.homographs.len() as u64;
     for (name, kind) in policies {
         let policy = kind.policy();
         let exposed = ctx
+            .outputs
             .homographs
             .iter()
             .filter(|f| matches!(policy.display(&f.unicode), Rendering::Unicode(_)))
@@ -1027,7 +1035,12 @@ pub fn ext_multichar(ctx: &ReproContext) -> String {
 
 /// Figure 8 — traffic to Type-1 semantic IDNs.
 pub fn fig8(ctx: &ReproContext) -> String {
-    let domains: Vec<&str> = ctx.semantic.iter().map(|f| f.domain.as_str()).collect();
+    let domains: Vec<&str> = ctx
+        .outputs
+        .semantic1
+        .iter()
+        .map(|f| f.domain.as_str())
+        .collect();
     attack_traffic_figure(
         ctx,
         domains,

@@ -17,7 +17,7 @@ use idnre_arena::CorpusColumns;
 use idnre_bench::epochs::grow_columns;
 use idnre_bench::passes::{self, ScanInputs, ScanOutputs, ScanPlan};
 use idnre_bench::CandidateSurvey;
-use idnre_core::{HomographFinding, SemanticFinding, SkeletonCache};
+use idnre_core::SkeletonCache;
 use idnre_datagen::{
     DaySimulator, DomainRegistration, Ecosystem, EcosystemConfig, EpochCorpus, EpochDeltaKind,
     KeyedCorpus,
@@ -41,8 +41,6 @@ fn fixture() -> (Ecosystem, KeyedCorpus, CorpusColumns) {
     let columns = passes::finish_columns(rows, THREADS, &NoopRecorder, SpanCtx::NONE);
     (eco, corpus, columns)
 }
-
-type Fold = (Vec<HomographFinding>, Vec<SemanticFinding>, ScanOutputs);
 
 /// Scan inputs shared across every fold of one test — the epoch
 /// contract the build also relies on: passes are rebuilt per epoch, the
@@ -74,16 +72,9 @@ impl<'e> Engine<'e> {
         cache: &SkeletonCache,
         deltas: &DeltaStream,
         recorder: &dyn Recorder,
-    ) -> (Fold, EpochStats) {
-        let (homographs, semantic, outputs, stats) = self.plan(columns, cache).run_epoch(
-            state,
-            source,
-            THREADS,
-            deltas,
-            recorder,
-            SpanCtx::ROOT,
-        );
-        ((homographs, semantic, outputs), stats)
+    ) -> (ScanOutputs, EpochStats) {
+        self.plan(columns, cache)
+            .run_epoch(state, source, THREADS, deltas, recorder, SpanCtx::ROOT)
     }
 
     fn rebuild(
@@ -91,11 +82,10 @@ impl<'e> Engine<'e> {
         source: &EpochSource<'_>,
         columns: &CorpusColumns,
         cache: &SkeletonCache,
-    ) -> Fold {
-        let (homographs, semantic, outputs, _bucket) =
-            self.plan(columns, cache)
-                .run_at(source, SHARD, THREADS, &NoopRecorder, SpanCtx::NONE);
-        (homographs, semantic, outputs)
+    ) -> ScanOutputs {
+        self.plan(columns, cache)
+            .run_at(source, SHARD, THREADS, &NoopRecorder, SpanCtx::NONE)
+            .0
     }
 }
 
@@ -220,7 +210,7 @@ fn add_then_expire_in_one_epoch_leaves_a_stable_hole() {
     assert_eq!(stats.refolded, 1);
     assert_eq!(counter(&registry, EPOCH_SHARD_COUNTERS[2]), 1);
     // The report sees the grown index space, not the live count.
-    assert_eq!(warm.2.idn_len, corpus.idn_len() + 1);
+    assert_eq!(warm.idn_len, corpus.idn_len() + 1);
 
     let rebuild = engine.rebuild(&source, &columns, &cache);
     assert!(warm == rebuild, "hole handling diverged from a rebuild");

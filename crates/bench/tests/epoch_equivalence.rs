@@ -1,15 +1,15 @@
 //! The epoch engine's proof of equivalence: every epoch's incrementally
-//! re-folded report must be byte-identical to a from-scratch batch
-//! rebuild over the same effective corpus — across worker counts and
-//! shard sizes, for several consecutive epochs.
+//! re-folded result must equal a from-scratch batch rebuild over the same
+//! effective corpus — across worker counts and shard sizes, for several
+//! consecutive epochs.
 //!
 //! An epochs build ([`idnre_bench::RunSpec::epochs`]) already
-//! shadow-rebuilds and asserts the per-epoch byte-equality *inside* each
-//! run; this test adds the cross-
-//! configuration axis: the final report must also be identical across
-//! every (threads, shard_size) combination, because the simulated deltas
-//! are a pure function of (seed, epoch) and the fold order is pinned by
-//! shard order, not scheduling.
+//! shadow-rebuilds and asserts the per-epoch fold equality *inside* each
+//! run; this test adds the cross-configuration axis: the final epoch's
+//! report must also be byte-identical across every (threads, shard_size)
+//! combination, because the simulated deltas are a pure function of
+//! (seed, epoch) and the fold order is pinned by shard order, not
+//! scheduling.
 
 use idnre_bench::{EpochRun, EpochSpec, ReproContext, RunSpec};
 use idnre_datagen::EcosystemConfig;
@@ -27,7 +27,7 @@ fn config(threads: usize) -> EcosystemConfig {
     }
 }
 
-fn played(config: &EcosystemConfig, shard_size: usize) -> EpochRun {
+fn build(config: &EcosystemConfig, shard_size: usize) -> ReproContext {
     let spec = RunSpec {
         shard_size: Some(shard_size),
         epochs: Some(EpochSpec {
@@ -37,6 +37,10 @@ fn played(config: &EcosystemConfig, shard_size: usize) -> EpochRun {
         ..RunSpec::default()
     };
     ReproContext::build(config, &spec, Arc::new(NoopRecorder))
+}
+
+fn played(config: &EcosystemConfig, shard_size: usize) -> EpochRun {
+    build(config, shard_size)
         .epochs
         .expect("an epochs build records its run")
 }
@@ -46,16 +50,21 @@ fn epoch_reports_are_identical_across_threads_and_shard_sizes() {
     let mut baseline: Option<String> = None;
     for shard_size in [64usize, 1024] {
         for threads in [1usize, 2, 8] {
-            let run = played(&config(threads), shard_size);
+            let ctx = build(&config(threads), shard_size);
+            let run = ctx
+                .epochs
+                .as_ref()
+                .expect("an epochs build records its run");
             assert_eq!(run.epochs.len(), EPOCHS as usize);
+            let report = ctx.full_report();
             match &baseline {
-                None => baseline = Some(run.final_report),
+                None => baseline = Some(report),
                 Some(expected) => assert!(
-                    *expected == run.final_report,
+                    *expected == report,
                     "final report diverged at shard {shard_size}, {threads} threads \
                      (baseline {} bytes, this run {} bytes)",
                     expected.len(),
-                    run.final_report.len()
+                    report.len()
                 ),
             }
         }

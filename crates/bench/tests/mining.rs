@@ -81,7 +81,7 @@ fn mining_merges_are_associative_at_chunk_97() {
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
 
     // Pass B over the real non-singleton buckets of the same corpus.
-    let (_, _, _, index) = plan().run_at(&source, 1024, 4, &NoopRecorder, SpanCtx::NONE);
+    let (_, index) = plan().run_at(&source, 1024, 4, &NoopRecorder, SpanCtx::NONE);
     let index = index.expect("mined plan returns the bucket index");
     let buckets: Vec<mine::MineBucket> = index
         .iter()

@@ -121,13 +121,6 @@ impl HomographDetector {
         self.brands.len()
     }
 
-    /// Number of distinct skeleton buckets in the index. Brands whose
-    /// skeletons collide (e.g. an IDN brand folding onto an ASCII one)
-    /// share a bucket and are all verified on a probe hit.
-    pub fn index_buckets(&self) -> usize {
-        self.by_skeleton.len()
-    }
-
     /// Tests one domain (ACE or Unicode form). Returns the best match at or
     /// above the threshold.
     pub fn detect(&self, domain: &str) -> Option<HomographFinding> {

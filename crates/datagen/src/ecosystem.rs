@@ -86,13 +86,6 @@ impl Ecosystem {
         stream::generate_traced(config, None, &NoopRecorder, SpanCtx::NONE).0
     }
 
-    /// The malicious IDN registrations (any blacklist source).
-    pub fn malicious_idns(&self) -> impl Iterator<Item = &DomainRegistration> {
-        self.idn_registrations
-            .iter()
-            .filter(|r| r.malicious.is_some())
-    }
-
     /// The zone files of the resident registration vectors:
     /// [`DerivedZones::derive`] over the IDNs, then the non-IDNs. Needs a
     /// batch build. A streamed build leaves the vectors empty, so this

@@ -141,11 +141,6 @@ impl<'a> EpochCorpus<'a> {
         &self.appended
     }
 
-    /// Whether `index` is currently a removal hole.
-    pub fn is_removed(&self, index: u64) -> bool {
-        self.removed.contains(&index)
-    }
-
     /// Appends `reg` at the next tail index and returns that index.
     pub fn push_add(&mut self, reg: DomainRegistration) -> u64 {
         let index = self.idn_index_space();

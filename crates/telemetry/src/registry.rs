@@ -154,18 +154,6 @@ impl Registry {
         }
     }
 
-    /// Creates a registry with `counters` already pinned (at zero) in the
-    /// given order — the constructor form of [`Recorder::preregister`],
-    /// for callers that know their counter families up front and want
-    /// snapshot order fixed before any instrumented code runs.
-    pub fn with_preregistered(counters: &[&str]) -> Self {
-        let registry = Self::new();
-        for name in counters {
-            registry.counter(name);
-        }
-        registry
-    }
-
     /// The stats cell for `name`, creating it on first use.
     pub fn stage(&self, name: &str) -> Arc<StageStats> {
         if let Some(stats) = self.stages.read().get(name) {
@@ -231,12 +219,6 @@ impl Registry {
             .get(name)
             .map(|(_, cell)| cell.peak())
             .unwrap_or(0)
-    }
-
-    /// The trace log, when this registry was built with
-    /// [`Registry::with_trace`].
-    pub fn trace_log(&self) -> Option<&Arc<TraceLog>> {
-        self.trace.as_ref()
     }
 
     /// The assembled span tree, when tracing is on.
