@@ -7,19 +7,17 @@
 //! repro --threads 4 all          # worker threads (default: all cores)
 //! repro --write EXPERIMENTS.md all
 //! repro --metrics text all       # stage-timing table on stderr
-//! repro --metrics json all       # idnre-metrics/1 JSON on stderr
+//! repro --metrics json all       # idnre-metrics/2 JSON on stderr
 //! repro --stream all             # bounded-memory streaming build
 //! repro --stream --shard-size 64 all       # smaller resident shards
 //! repro --faults smoke all       # inject the `smoke` fault schedule
 //! repro --faults storm:7 all     # `storm` profile, replay seed 7
-//! repro --bench all              # timed run, writes BENCH_pipeline.json
-//! repro --bench --stream --shard-size 64 all  # streamed leg at shard 64
-//! repro --bench --thread-sweep 1,2,8 all   # one timed run per count
-//! repro --bench --dump-dataset D.txt all   # write the idnre-dataset/2 bytes
+//! repro --bench all              # also time the run, writes BENCH_pipeline.json
+//! repro --bench --stream --shard-size 64 all  # time the streamed run at shard 64
+//! repro --dump-dataset D.txt all # write the idnre-dataset/2 bytes
 //! repro --trace trace.json all   # hierarchical span tree, Chrome trace JSON
 //! repro --slo smoke all          # evaluate an SLO profile, gate the exit code
 //! repro --faults storm --crawl-sched all   # event-driven crawl scheduler
-//! repro --faults storm --crawl-sched --inflight 128 --rate 8 all
 //! repro --metrics det all        # thread-invariant idnre-metrics/2 JSON
 //! repro --mine-portfolios all    # zone-wide confusable portfolio mining
 //! repro --mine-portfolios --stream --scale 2750 all  # mining in bounded memory
@@ -51,31 +49,31 @@
 //! gauge under `--metrics`). The report bytes are identical to the batch
 //! build, with or without `--faults` and `--crawl-sched`: the faulted
 //! surveys walk the same shards. `--stream` cannot be combined with
-//! `--dump-dataset`; with `--bench` it selects the streamed bench leg's
-//! shard size.
+//! `--dump-dataset`, and `--shard-size` requires it.
 //!
-//! `--bench` runs the whole pipeline once under timing, prints the stage
-//! table and the per-pass cost ledger to stderr, and writes
-//! `BENCH_pipeline.json` (`idnre-bench-pipeline/6`) next to the report.
-//! The flags it cannot be combined with are the `--bench` rows of
-//! [`idnre_bench::FLAG_CONFLICTS`]. Combined with
-//! `--stream`, the bench's streamed leg regenerates `--shard-size N`
-//! records at a time and the JSON's top-level `peak_resident_records`
-//! reports the residency-gauge peak — the paper-scale memory contract
+//! `--dump-dataset PATH` writes the canonical `idnre-dataset/2` bytes of
+//! a batch build, so CI can `cmp` runs at different thread counts.
+//!
+//! `--bench` times the run the other flags describe: the run is built,
+//! rendered and written exactly as without `--bench` (same stdout, same
+//! `--metrics`, `--trace` and `--slo` output, same exit code), under a
+//! [`idnre_telemetry::Registry`]. Then [`idnre_bench::measure`] turns the
+//! registry's stages into `batch` or `streamed` entries and adds the
+//! probes as `probe` entries: decode, ingest, the indexed-vs-exhaustive
+//! homograph and mining pairs, the dataset render, the instrumented vs
+//! uninstrumented scan and the synchronous vs scheduled crawl survey.
+//! The stage table and the per-pass cost ledger go to stderr, and the
+//! entries to `BENCH_pipeline.json` (`idnre-bench-pipeline/7`). Under
+//! `--stream` the JSON's top-level `peak_resident_records` reports the
+//! run's residency-gauge peak — the paper-scale memory contract
 //! (`≤ 4 × shard_size × threads`) read straight from the artifact.
-//! `--thread-sweep 1,2,8` repeats the timed run at each worker count,
-//! asserts the report and the `idnre-dataset/2` bytes are identical
-//! across counts, and concatenates the entries. `--dump-dataset PATH`
-//! writes the canonical dataset bytes so CI can `cmp` runs at different
-//! thread counts.
 //!
 //! `--trace PATH` runs the pipeline under a tracing registry and writes
 //! the assembled span tree (run → build/scan → pass → shard) as Chrome
 //! trace-event JSON (`idnre-trace/1`) to `PATH` — load it in
 //! `chrome://tracing` or Perfetto. The tree *structure* (span names,
 //! nesting, event counts) is identical across thread counts; only the
-//! timings differ. Not combinable with `--bench`, which runs under its
-//! own registries.
+//! timings differ.
 //!
 //! `--slo PROFILE` evaluates a named SLO profile (`smoke` or `tight`)
 //! against the run's latency histograms after the report is produced,
@@ -91,10 +89,10 @@
 //! per-nameserver token-bucket rate limits and circuit breakers, and
 //! graceful load shedding when the queue or breakers say no. Shed
 //! queries count against the error budget's denominator, so an overload
-//! run degrades (exit 3) instead of silently dropping work. `--inflight
-//! N` and `--rate R` tune the window size and per-nameserver
-//! queries-per-second. The scheduler runs on virtual time: reports and
-//! counters replay byte-identically across `--threads` settings.
+//! run degrades (exit 3) instead of silently dropping work. The window
+//! and the rate limits are [`idnre_sched::SchedConfig`]'s defaults. The
+//! scheduler runs on virtual time: reports and counters replay
+//! byte-identically across `--threads` settings.
 //!
 //! `--mine-portfolios` runs the two-pass skeleton-LSH portfolio miner:
 //! pass A folds a confusable-skeleton bucket index on the same fused
@@ -124,9 +122,8 @@
 //! of it, stderr a per-epoch summary plus one machine-greppable
 //! `epochs=... speedup=...` line. Under `--metrics`/`--trace` every fold
 //! and the one render are metered, each shadow rebuild as one
-//! `analyze.epoch.rebuild` span. Not combinable with `--faults`,
-//! `--mine-portfolios`, or `--bench` (whose JSON carries its own epoch
-//! probe pair).
+//! `analyze.epoch.rebuild` span, and so are the entries `--bench`
+//! writes. Not combinable with `--faults` or `--mine-portfolios`.
 //!
 //! Flag compatibility is validated against one table
 //! ([`idnre_bench::FLAG_CONFLICTS`] / [`idnre_bench::FLAG_REQUIRES`]);
@@ -142,7 +139,7 @@ use idnre_bench::{
 };
 use idnre_datagen::EcosystemConfig;
 use idnre_fault::FaultPlan;
-use idnre_sched::{RateConfig, SchedConfig};
+use idnre_sched::SchedConfig;
 use idnre_telemetry::Registry;
 use std::io::Write as _;
 use std::sync::Arc;
@@ -164,8 +161,7 @@ fn main() {
     let mut threads: Option<usize> = None;
     let mut bench = false;
     let mut stream = false;
-    let mut shard_size = idnre_bench::DEFAULT_SHARD_SIZE;
-    let mut thread_sweep: Option<Vec<usize>> = None;
+    let mut shard_size: Option<usize> = None;
     let mut dump_dataset: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut slo: Option<idnre_telemetry::SloSpec> = None;
@@ -173,8 +169,6 @@ fn main() {
     let mut mine_portfolios = false;
     let mut epochs: Option<u64> = None;
     let mut churn_per_mille: Option<u64> = None;
-    let mut inflight: Option<usize> = None;
-    let mut rate: Option<u32> = None;
     let mut wanted: Vec<String> = Vec::new();
 
     while let Some(arg) = args.next() {
@@ -202,30 +196,12 @@ fn main() {
             "--bench" => bench = true,
             "--stream" => stream = true,
             "--shard-size" => {
-                shard_size = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .unwrap_or_else(|| usage("--shard-size needs a number >= 1"));
-            }
-            "--thread-sweep" => {
-                let spec = args
-                    .next()
-                    .unwrap_or_else(|| usage("--thread-sweep needs a comma-separated list"));
-                let counts: Vec<usize> = spec
-                    .split(',')
-                    .map(|part| {
-                        part.trim()
-                            .parse::<usize>()
-                            .ok()
-                            .filter(|n| *n >= 1)
-                            .map(|n| n.min(idnre_par::MAX_THREADS))
-                            .unwrap_or_else(|| {
-                                usage("--thread-sweep needs numbers >= 1, e.g. 1,2,8")
-                            })
-                    })
-                    .collect();
-                thread_sweep = Some(counts);
+                shard_size = Some(
+                    args.next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|n| *n >= 1)
+                        .unwrap_or_else(|| usage("--shard-size needs a number >= 1")),
+                );
             }
             "--dump-dataset" => {
                 dump_dataset = Some(
@@ -267,22 +243,6 @@ fn main() {
                         .unwrap_or_else(|| usage("--churn-per-mille needs a number in 1..=1000")),
                 );
             }
-            "--inflight" => {
-                inflight = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|n| *n >= 1)
-                        .unwrap_or_else(|| usage("--inflight needs a number >= 1")),
-                );
-            }
-            "--rate" => {
-                rate = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|n| *n >= 1)
-                        .unwrap_or_else(|| usage("--rate needs a number >= 1")),
-                );
-            }
             "--trace" => {
                 trace_path = Some(args.next().unwrap_or_else(|| usage("--trace needs a path")));
             }
@@ -316,13 +276,10 @@ fn main() {
     }
 
     let flags = CliFlags {
-        bench,
         stream,
+        shard_size: shard_size.is_some(),
         faults: faults.is_some(),
-        metrics: metrics.is_some(),
-        trace: trace_path.is_some(),
         slo: slo.is_some(),
-        thread_sweep: thread_sweep.is_some(),
         dump_dataset: dump_dataset.is_some(),
         crawl_sched,
         mine_portfolios,
@@ -343,39 +300,11 @@ fn main() {
         }
     }
     if crawl_sched {
-        let base = SchedConfig::default();
-        let sched = SchedConfig {
-            max_inflight: inflight.unwrap_or(base.max_inflight),
-            rate: RateConfig {
-                tokens_per_sec: rate.unwrap_or(base.rate.tokens_per_sec),
-                ..base.rate
-            },
-            ..base
-        };
-        faults = faults.map(|setup| setup.with_sched(sched));
-    } else if inflight.is_some() || rate.is_some() {
-        usage("--inflight/--rate only apply with --crawl-sched");
+        faults = faults.map(|setup| setup.with_sched(SchedConfig::default()));
     }
-    if bench {
-        // `--stream` in bench mode selects the shard size the streamed leg
-        // regenerates at (the batch leg always runs for the cross-mode
-        // report oracle); without it the default shard applies.
-        let bench_shard = if stream {
-            shard_size
-        } else {
-            idnre_bench::DEFAULT_SHARD_SIZE
-        };
-        run_bench(
-            &config,
-            bench_shard,
-            write_path.as_deref(),
-            thread_sweep.as_deref(),
-            dump_dataset.as_deref(),
-        );
-        return;
-    }
+    let shard_size = stream.then(|| shard_size.unwrap_or(idnre_bench::DEFAULT_SHARD_SIZE));
 
-    let need_registry = metrics.is_some() || trace_path.is_some() || slo.is_some();
+    let need_registry = bench || metrics.is_some() || trace_path.is_some() || slo.is_some();
     let registry = need_registry.then(|| {
         let registry = if trace_path.is_some() {
             Registry::with_trace()
@@ -398,7 +327,8 @@ fn main() {
     };
     if let Some(count) = epochs {
         let churn = churn_per_mille.unwrap_or(idnre_bench::DEFAULT_CHURN_PER_MILLE);
-        eprintln!("epoch mode: {count} epochs, churn {churn}\u{2030}, shard {shard_size}");
+        let shard = shard_size.expect("--epochs requires --stream");
+        eprintln!("epoch mode: {count} epochs, churn {churn}\u{2030}, shard {shard}");
     }
     if let Some(setup) = &faults {
         eprintln!(
@@ -408,7 +338,7 @@ fn main() {
         );
     }
     let spec = RunSpec {
-        shard_size: stream.then_some(shard_size),
+        shard_size,
         mine: mine_portfolios,
         faults,
         epochs: epochs.map(|count| EpochSpec {
@@ -462,7 +392,16 @@ fn main() {
     }
 
     if let Some(path) = &dump_dataset {
-        write_dataset(path, &idnre_datagen::render_dataset(&ctx.eco));
+        let dataset = idnre_datagen::render_dataset(&ctx.eco);
+        std::fs::write(path, &dataset).unwrap_or_else(|e| {
+            eprintln!("cannot write {path}: {e}");
+            std::process::exit(1);
+        });
+        eprintln!(
+            "wrote {path} ({} bytes, fingerprint {:#018x})",
+            dataset.len(),
+            idnre_datagen::dataset_fingerprint(&dataset)
+        );
     }
 
     let output: String = if all {
@@ -527,6 +466,20 @@ fn main() {
         );
     }
 
+    if bench {
+        let registry = registry.as_deref().expect("--bench runs under a registry");
+        let bench = idnre_bench::measure(&ctx, &spec, registry);
+        eprint!("{}", idnre_bench::render_bench_text(&bench));
+        let bench_path = "BENCH_pipeline.json";
+        let mut json = idnre_bench::render_bench_json(&bench);
+        json.push('\n');
+        std::fs::write(bench_path, json).unwrap_or_else(|e| {
+            eprintln!("cannot write {bench_path}: {e}");
+            std::process::exit(1);
+        });
+        eprintln!("wrote {bench_path}");
+    }
+
     if let (Some(spec), Some(registry)) = (&slo, &registry) {
         let report = spec.evaluate(&registry.snapshot());
         eprint!("{}", report.render_text());
@@ -561,76 +514,6 @@ fn main() {
     }
 }
 
-/// The `--bench` path: one timed end-to-end run (or one per `--thread-sweep`
-/// count), stage table on stderr, `BENCH_pipeline.json` on disk, and the
-/// report where a plain run would have put it.
-fn run_bench(
-    config: &EcosystemConfig,
-    shard_size: usize,
-    write_path: Option<&str>,
-    thread_sweep: Option<&[usize]>,
-    dump_dataset: Option<&str>,
-) {
-    let bench = match thread_sweep {
-        Some(counts) => {
-            eprintln!(
-                "benchmarking pipeline (scale 1:{}, attacks 1:{}, seed {:#x}, thread sweep {:?}, shard {shard_size})...",
-                config.scale, config.attack_scale, config.seed, counts
-            );
-            idnre_bench::run_pipeline_sweep_sharded(config, counts, shard_size)
-        }
-        None => {
-            eprintln!(
-                "benchmarking pipeline (scale 1:{}, attacks 1:{}, seed {:#x}, {} threads, shard {shard_size})...",
-                config.scale, config.attack_scale, config.seed, config.threads
-            );
-            idnre_bench::run_pipeline_bench_sharded(config, shard_size)
-        }
-    };
-    eprint!("{}", idnre_bench::render_bench_text(&bench));
-
-    if let Some(path) = dump_dataset {
-        write_dataset(path, &bench.dataset);
-    }
-
-    let bench_path = "BENCH_pipeline.json";
-    let mut json = idnre_bench::render_bench_json(&bench);
-    json.push('\n');
-    std::fs::write(bench_path, json).unwrap_or_else(|e| {
-        eprintln!("cannot write {bench_path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!("wrote {bench_path}");
-
-    match write_path {
-        Some(path) => {
-            std::fs::write(path, &bench.report).unwrap_or_else(|e| {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            eprintln!("wrote {path}");
-        }
-        None => {
-            let mut stdout = std::io::stdout().lock();
-            let _ = stdout.write_all(bench.report.as_bytes());
-        }
-    }
-}
-
-/// Writes the canonical `idnre-dataset/2` bytes with the fingerprint noted
-/// on stderr (CI compares both across thread counts).
-fn write_dataset(path: &str, dataset: &str) {
-    std::fs::write(path, dataset).unwrap_or_else(|e| {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    });
-    eprintln!(
-        "wrote {path} ({} bytes, fingerprint {:#018x})",
-        dataset.len(),
-        idnre_datagen::dataset_fingerprint(dataset)
-    );
-}
-
 fn usage(error: &str) -> ! {
     if !error.is_empty() {
         eprintln!("error: {error}\n");
@@ -639,8 +522,7 @@ fn usage(error: &str) -> ! {
         "usage: repro [--scale N] [--attack-scale N] [--seed N] [--threads N] [--write PATH] \
          [--metrics text|json|det] [--stream] [--shard-size N] \
          [--faults none|smoke|flaky|storm|SEED|PROFILE:SEED] \
-         [--crawl-sched] [--inflight N] [--rate R] [--bench] \
-         [--thread-sweep N,N,...] [--dump-dataset PATH] [--trace PATH] \
+         [--crawl-sched] [--bench] [--dump-dataset PATH] [--trace PATH] \
          [--slo smoke|tight] [--mine-portfolios] \
          [--epochs N] [--churn-per-mille M] <experiment...>\n\
          exit codes with --faults or --slo: 0 clean, 3 degraded, 4 budget/bound exceeded\n\

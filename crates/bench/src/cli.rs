@@ -1,33 +1,25 @@
 //! Centralized `repro` flag-compatibility rules.
 //!
-//! The repro driver grew its mutually-exclusive modes one at a time —
-//! `--stream`, `--bench`, `--faults`, `--trace`, `--slo`, and now
-//! `--crawl-sched` — and each arrival scattered another ad-hoc `if` into
-//! `main`. This module replaces those with two declarative tables
-//! ([`FLAG_CONFLICTS`] and [`FLAG_REQUIRES`]) and one validator
-//! ([`validate_flags`]) so every incompatible pair is rejected with the
-//! same message shape and is covered by a unit test. The driver maps any
-//! `Err` to a usage error (exit code 2).
+//! Most of `repro`'s modes compose; the few pairs that do not, and the
+//! flags that only mean something next to another, are listed in two
+//! declarative tables ([`FLAG_CONFLICTS`] and [`FLAG_REQUIRES`]) checked by
+//! one validator ([`validate_flags`]), so every rejected combination gets
+//! the same message shape and a unit test. `repro` maps any `Err` to a
+//! usage error (exit code 2).
 
 /// Which repro flags were present on the command line. Only the flags
 /// that participate in a compatibility rule appear here; value-carrying
 /// flags collapse to "was it given".
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CliFlags {
-    /// `--bench`: timed pipeline run under its own registries.
-    pub bench: bool,
     /// `--stream`: bounded-memory streaming build.
     pub stream: bool,
+    /// `--shard-size N`: the streamed build's shard size.
+    pub shard_size: bool,
     /// `--faults SPEC`: seeded fault schedule + error-budget exit code.
     pub faults: bool,
-    /// `--metrics FORMAT`: stage-timing snapshot on stderr.
-    pub metrics: bool,
-    /// `--trace PATH`: Chrome trace-event span tree.
-    pub trace: bool,
     /// `--slo PROFILE`: latency SLO gate owning the exit code.
     pub slo: bool,
-    /// `--thread-sweep N,N,...`: repeat the timed run per worker count.
-    pub thread_sweep: bool,
     /// `--dump-dataset PATH`: write the canonical dataset bytes.
     pub dump_dataset: bool,
     /// `--crawl-sched`: route the crawl survey through the event-driven
@@ -45,13 +37,10 @@ pub struct CliFlags {
 impl CliFlags {
     fn is_set(&self, flag: &str) -> bool {
         match flag {
-            "--bench" => self.bench,
             "--stream" => self.stream,
+            "--shard-size" => self.shard_size,
             "--faults" => self.faults,
-            "--metrics" => self.metrics,
-            "--trace" => self.trace,
             "--slo" => self.slo,
-            "--thread-sweep" => self.thread_sweep,
             "--dump-dataset" => self.dump_dataset,
             "--crawl-sched" => self.crawl_sched,
             "--mine-portfolios" => self.mine_portfolios,
@@ -67,32 +56,26 @@ impl CliFlags {
 /// likely to have just added goes first.
 pub const FLAG_CONFLICTS: &[(&str, &str)] = &[
     ("--stream", "--dump-dataset"),
-    ("--bench", "--faults"),
-    ("--bench", "--metrics"),
-    ("--bench", "--trace"),
-    ("--bench", "--slo"),
     ("--slo", "--faults"),
-    ("--crawl-sched", "--bench"),
     // The faulted surveys would walk the base corpus and its base zones
     // and WHOIS records, not the final epoch's overlay; mining's
     // bucket-index pass is one-shot by design (no Merge removal).
     // `ReproContext::build` asserts both rules for library callers.
     ("--epochs", "--faults"),
     ("--epochs", "--mine-portfolios"),
-    // --bench runs under its own registries and carries its own epoch
-    // probe pair; an interactive epoch loop on top would be ignored.
-    ("--epochs", "--bench"),
 ];
 
 /// Pairs where the first flag only makes sense alongside the second
 /// ("A requires B").
 pub const FLAG_REQUIRES: &[(&str, &str)] = &[
-    ("--thread-sweep", "--bench"),
     ("--crawl-sched", "--faults"),
     // The epoch engine is built on the streamed KeyedCorpus (on-demand
     // shard regeneration is what makes re-fold-only-dirty possible).
     ("--epochs", "--stream"),
     ("--churn-per-mille", "--epochs"),
+    // A batch build scans in the default shard; only the streamed build
+    // regenerates at a chosen size.
+    ("--shard-size", "--stream"),
 ];
 
 /// Checks the flag set against both tables. The first violated rule (in
@@ -119,13 +102,10 @@ mod tests {
         let mut flags = CliFlags::default();
         for name in set {
             match *name {
-                "--bench" => flags.bench = true,
                 "--stream" => flags.stream = true,
+                "--shard-size" => flags.shard_size = true,
                 "--faults" => flags.faults = true,
-                "--metrics" => flags.metrics = true,
-                "--trace" => flags.trace = true,
                 "--slo" => flags.slo = true,
-                "--thread-sweep" => flags.thread_sweep = true,
                 "--dump-dataset" => flags.dump_dataset = true,
                 "--crawl-sched" => flags.crawl_sched = true,
                 "--mine-portfolios" => flags.mine_portfolios = true,
@@ -145,20 +125,17 @@ mod tests {
     #[test]
     fn every_single_flag_is_valid_alone_or_with_its_requirement() {
         for name in [
-            "--bench",
             "--stream",
             "--faults",
-            "--metrics",
-            "--trace",
             "--slo",
             "--dump-dataset",
             "--mine-portfolios",
         ] {
             assert_eq!(validate_flags(&with(&[name])), Ok(()), "{name} alone");
         }
-        // Mining composes with the streamed build (bounded-memory mining),
-        // with a fault schedule (the miner and the faulted surveys touch
-        // disjoint stages) and with --bench (which mines both legs anyway).
+        // Mining composes with the streamed build (bounded-memory mining)
+        // and with a fault schedule (the miner and the faulted surveys
+        // touch disjoint stages).
         assert_eq!(
             validate_flags(&with(&["--mine-portfolios", "--stream"])),
             Ok(())
@@ -167,14 +144,7 @@ mod tests {
             validate_flags(&with(&["--mine-portfolios", "--faults"])),
             Ok(())
         );
-        assert_eq!(
-            validate_flags(&with(&["--mine-portfolios", "--bench"])),
-            Ok(())
-        );
-        assert_eq!(
-            validate_flags(&with(&["--thread-sweep", "--bench"])),
-            Ok(())
-        );
+        assert_eq!(validate_flags(&with(&["--shard-size", "--stream"])), Ok(()));
         assert_eq!(
             validate_flags(&with(&["--crawl-sched", "--faults"])),
             Ok(())
@@ -191,13 +161,6 @@ mod tests {
             validate_flags(&with(&["--churn-per-mille", "--epochs", "--stream"])),
             Ok(())
         );
-        // The streamed bench is a supported mode: `--bench --stream` times
-        // the bounded-memory build and records its residency peak.
-        assert_eq!(validate_flags(&with(&["--stream", "--bench"])), Ok(()));
-        assert_eq!(
-            validate_flags(&with(&["--stream", "--bench", "--thread-sweep"])),
-            Ok(())
-        );
     }
 
     /// One test body per conflict pair, driven off the table itself so a
@@ -208,33 +171,8 @@ mod tests {
     }
 
     #[test]
-    fn bench_conflicts_with_faults() {
-        assert_conflict("--bench", "--faults");
-    }
-
-    #[test]
-    fn bench_conflicts_with_metrics() {
-        assert_conflict("--bench", "--metrics");
-    }
-
-    #[test]
-    fn bench_conflicts_with_trace() {
-        assert_conflict("--bench", "--trace");
-    }
-
-    #[test]
-    fn bench_conflicts_with_slo() {
-        assert_conflict("--bench", "--slo");
-    }
-
-    #[test]
     fn slo_conflicts_with_faults() {
         assert_conflict("--slo", "--faults");
-    }
-
-    #[test]
-    fn crawl_sched_conflicts_with_bench() {
-        assert_conflict("--crawl-sched", "--bench");
     }
 
     #[test]
@@ -250,11 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn epochs_conflicts_with_bench() {
-        assert_conflict("--epochs", "--bench");
-    }
-
-    #[test]
     fn epochs_conflicts_with_mine_portfolios() {
         let flags = with(&["--epochs", "--mine-portfolios", "--stream"]);
         assert_eq!(
@@ -265,10 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn thread_sweep_requires_bench() {
+    fn shard_size_requires_stream() {
         assert_eq!(
-            validate_flags(&with(&["--thread-sweep"])),
-            Err("--thread-sweep requires --bench".into())
+            validate_flags(&with(&["--shard-size"])),
+            Err("--shard-size requires --stream".into())
         );
     }
 

@@ -66,10 +66,6 @@ pub struct EpochBenchStats {
     pub deltas: usize,
     /// Live (non-hole) IDN records after applying the epoch's deltas.
     pub live_idn: u64,
-    /// Records the shadow rebuild folded: the full IDN index space
-    /// (holes included — the shard grid covers them) plus the non-IDN
-    /// population.
-    pub index_space: u64,
     /// The engine's dirty/clean/refolded accounting for the epoch.
     pub stats: EpochStats,
     /// Wall-clock of the incremental fold (dirty shards only).
@@ -104,16 +100,6 @@ impl EpochRun {
     /// Shards re-folded across all warm epochs.
     pub fn total_refolded(&self) -> u64 {
         self.epochs.iter().map(|e| e.stats.refolded).sum()
-    }
-
-    /// Records the incremental legs actually observed across warm epochs.
-    pub fn refolded_records(&self) -> u64 {
-        self.epochs.iter().map(|e| e.stats.refolded_records).sum()
-    }
-
-    /// Records the shadow rebuilds folded across warm epochs.
-    pub fn rebuild_records(&self) -> u64 {
-        self.epochs.iter().map(|e| e.index_space).sum()
     }
 
     /// Summed incremental fold wall-clock across warm epochs.
@@ -249,7 +235,6 @@ pub(crate) fn play(
         // Shadow leg: fold every shard of the same effective corpus from
         // scratch, exactly as a batch rebuild would, on a no-op recorder
         // so the pass counters count only the incremental leg.
-        let index_space = overlay.idn_index_space() + corpus.non_idn_len();
         let mut span = ctx
             .recorder
             .span_at(EPOCH_REBUILD_SPAN, SpanCtx::ROOT, epoch);
@@ -258,7 +243,7 @@ pub(crate) fn play(
         let (rebuild, _bucket) =
             plan.run_at(&source, shard_size, threads, &NoopRecorder, SpanCtx::NONE);
         let rebuild_ns = started.elapsed().as_nanos() as u64;
-        span.add_records(index_space);
+        span.add_records(overlay.idn_index_space() + corpus.non_idn_len());
         drop(span);
 
         assert_folds_match(epoch, &outputs, &rebuild);
@@ -266,7 +251,6 @@ pub(crate) fn play(
         per_epoch.push(EpochBenchStats {
             deltas: raw_deltas.len(),
             live_idn: overlay.live_idn_len(),
-            index_space,
             stats,
             incremental_ns,
             rebuild_ns,

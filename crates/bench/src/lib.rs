@@ -41,9 +41,7 @@ pub use cli::{validate_flags, CliFlags, FLAG_CONFLICTS, FLAG_REQUIRES};
 pub use epochs::{EpochBenchStats, EpochRun, EpochSpec, DEFAULT_CHURN_PER_MILLE};
 pub use mine::{MiningOutputs, Portfolio, PortfolioMember};
 pub use pipeline_bench::{
-    render_bench_json, render_bench_text, run_pipeline_bench, run_pipeline_bench_sharded,
-    run_pipeline_sweep, run_pipeline_sweep_sharded, EpochSummary, LedgerRow, PipelineBench,
-    RunLedger,
+    measure, render_bench_json, render_bench_text, LedgerRow, PipelineBench, RunLedger,
 };
 pub use robust::{FaultSetup, IngestStats, RunHealth, SurveyStats};
 pub use slo::{slo_profile, SLO_PROFILES};

@@ -1,113 +1,72 @@
-//! The `repro --bench` harness: one timed pass over the end-to-end
-//! pipeline, written as `BENCH_pipeline.json` so every PR leaves a
-//! perf-trajectory point behind.
+//! The `repro --bench` measurement: the timed stages of the run the other
+//! flags describe, plus a fixed set of probes, written as
+//! `BENCH_pipeline.json` so every change leaves a perf-trajectory point
+//! behind.
 //!
-//! Two sources feed the entries:
+//! `repro --bench` builds and renders its run exactly as it would without
+//! `--bench`, under a [`Registry`]; then [`measure`] reads that registry
+//! and runs the probes. Two sources feed the entries:
 //!
-//! 1. **Telemetry spans.** The pipeline runs once under a
-//!    [`Registry`]; every stage span it records (generation sub-stages,
-//!    the fused scan's passes, each report generator) becomes one entry
-//!    with its measured wall time and record count.
-//! 2. **Explicit probes.** Stages whose cost the spans do not isolate are
-//!    re-measured directly: punycode decode over the IDN corpus, lenient
-//!    zone ingest over the derived zones, the corpus-wide crawl survey
-//!    (synchronous and scheduled, fault-free), and the homograph scan in
-//!    both its indexed and exhaustive forms over several corpus sizes —
-//!    the indexed-vs-exhaustive pair is the regression gate CI holds every
-//!    future change to.
+//! 1. **The run's stage spans.** Every stage the build and the render
+//!    recorded (generation sub-stages, the fused scan's passes or an
+//!    epochs run's folds and shadow rebuilds, each report generator)
+//!    becomes one entry with its measured wall time and record count. Its
+//!    `mode` is the build's: `batch`, or `streamed` under `--stream`.
+//! 2. **Probes** (`mode` `probe`). Stages the spans do not isolate are
+//!    timed directly over one resident batch corpus that [`measure`]
+//!    regenerates untimed, so the probes see the same inputs in every
+//!    mode and record nothing into the run's registry: punycode decode,
+//!    lenient zone ingest, the homograph scan indexed over a size ladder
+//!    and against its exhaustive oracle, the dataset render (whose
+//!    fingerprint the JSON carries), the portfolio miner's LSH pairs
+//!    against the all-pairs oracle, the fused scan instrumented and
+//!    uninstrumented, and the crawl survey synchronous and scheduled.
+//!    The indexed-vs-exhaustive pairs are the regression gates CI holds
+//!    every future change to.
 //!
-//! # Schema (`idnre-bench-pipeline/6`)
+//! # Schema (`idnre-bench-pipeline/7`)
 //!
 //! ```json
 //! {
-//!   "schema": "idnre-bench-pipeline/6",
+//!   "schema": "idnre-bench-pipeline/7",
 //!   "scale": 50, "attack_scale": 1, "threads": 8, "seed": 497885208,
-//!   "dataset_fingerprint": "0xffbab908278775d0",
-//!   "shard_size": 1024, "peak_resident_records": 12288,
-//!   "mining": {"candidate_pairs": 420, "verified_pairs": 37, "portfolios": 9},
-//!   "epochs": {"count": 3, "churn_per_mille": 20, "shard_size": 64,
-//!              "total_shards": 890, "refolded": 21,
-//!              "incremental_wall_ns": 1234, "rebuild_wall_ns": 56789},
+//!   "dataset_fingerprint": "0xa30479eed80c6bdf",
+//!   "shard_size": 1024, "peak_resident_records": 0,
+//!   "mining": {"candidate_pairs": 18022, "verified_pairs": 13345, "portfolios": 771},
 //!   "entries": [
 //!     {"stage": "build.ecosystem", "pass": "", "mode": "batch", "scale": 50,
-//!      "threads": 8, "wall_ns": 1234, "records": 29000, "ns_per_record": 42}
+//!      "threads": 8, "wall_ns": 75630000, "records": 56241, "ns_per_record": 1344}
 //!   ]
 //! }
 //! ```
 //!
-//! Schema 6 adds the incremental-epoch probe: an epochs build
-//! ([`RunSpec::epochs`]) plays [`EPOCH_PROBE_EPOCHS`] simulated zone-diff
-//! days at [`EPOCH_PROBE_CHURN_PER_MILLE`] churn over its own shard grid
-//! ([`EPOCH_PROBE_SHARD_SIZE`]), re-folding only dirty shards with a
-//! from-scratch shadow rebuild per epoch (fold equality asserted inside
-//! the build). The summed walls land as the `analyze.epoch.incremental` /
-//! `analyze.epoch.rebuild` entry pair plus the top-level `epochs` block —
-//! the re-fold-only-dirty speedup CI gates, next to the other two
-//! indexed-vs-exhaustive pairs.
+//! `shard_size` is the shard the run's scan walked (`--shard-size` under
+//! `--stream`, else [`crate::DEFAULT_SHARD_SIZE`]), and
+//! `peak_resident_records` is the run's `datagen.peak_resident_records`
+//! gauge peak, 0 in batch. The paper-scale contract
+//! `peak_resident_records ≤ 4 × shard_size × threads` is readable straight
+//! from a streamed run's JSON. `mining` is present only when the run mined
+//! (`--mine-portfolios`).
 //!
-//! Schema 5 runs both legs with the portfolio miner enabled — the two
-//! mining stages (`analyze.pass.bucket_index`, `analyze.pass.pair_mine`)
-//! join the per-pass ledger, the top-level `mining` block summarizes the
-//! mined result, and an LSH-vs-exhaustive probe pair (`mine.pairs.lsh`,
-//! `mine.pairs.exhaustive`, equality-asserted on the capped corpus
-//! prefix) pins the measured speedup CI gates.
-//!
-//! Schema 4 adds the two top-level memory-budget keys: `shard_size` (the
-//! shard the streamed leg regenerated at, settable via
-//! `repro --bench --stream --shard-size N`) and `peak_resident_records`
-//! (the streamed build's `datagen.peak_resident_records` gauge peak). The
-//! paper-scale contract `peak_resident_records ≤ 4 × shard_size × threads`
-//! is readable straight from the JSON, which is how CI's streamed bench
-//! proxy gates it.
-//!
-//! Schema 3 adds a per-entry `pass` key: the short pass name for
-//! `analyze.pass.<name>` attribution stages (`"homograph"`, `"tld"`, …)
-//! and the empty string for every other stage. It also adds two
-//! externally timed probes, `analyze.scan.instrumented` and
-//! `analyze.scan.uninstrumented` — the same fused scan re-run under a
-//! live [`Registry`] and under the no-op recorder — so the attribution
-//! overhead is measurable straight from `BENCH_pipeline.json`.
-//!
-//! `mode` says which build produced the entry: `batch` (fully materialized
-//! corpus) or `streamed` (the bounded-memory shard-regenerating build; its
-//! stage spans come from a second timed run whose report the harness
-//! asserts byte-identical to the batch one).
-//!
-//! `records` is the number of domains (or zone lines, dataset bytes) the
-//! stage processed; `ns_per_record` is the per-domain throughput the
-//! perf trajectory tracks (`report.candidates` counts candidates
-//! enumerated). Stages that record wall time only — the `report.*`
-//! generators — carry their call count instead, so their
+//! Per entry, `pass` is the short pass name of an `analyze.pass.<name>`
+//! attribution stage (`"homograph"`, `"tld"`, …) and the empty string for
+//! every other stage. `records` is the number of domains (or zone lines,
+//! dataset bytes) the stage processed; `ns_per_record` is the per-domain
+//! throughput the perf trajectory tracks (`report.candidates` counts
+//! candidates enumerated). Stages that record wall time only — the
+//! `report.*` generators — carry their call count instead, so their
 //! `ns_per_record` is the wall per call. Wall times are measurements, not
-//! part of the byte-identical report contract. A thread sweep
-//! ([`run_pipeline_sweep`]) concatenates the per-thread-count entries into
-//! one result — each entry carries the worker count it ran at — after
-//! asserting the report bytes and the `idnre-dataset/2` fingerprint are
-//! identical across every count.
+//! part of the byte-identical report contract.
 
-use crate::epochs::EPOCH_REBUILD_SPAN;
-use crate::passes::ScanInputs;
-use crate::{EpochSpec, ReproContext, RunSpec};
+use crate::passes::{finish_columns, ScanInputs};
+use crate::{CorpusView, FaultSetup, ReproContext, RunSpec};
 use idnre_analyze::SliceSource;
 use idnre_core::SkeletonCache;
-use idnre_datagen::EcosystemConfig;
 use idnre_telemetry::{NoopRecorder, Recorder, Registry, SpanCtx};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Schema tag of the JSON this module writes.
-pub const BENCH_SCHEMA: &str = "idnre-bench-pipeline/6";
-
-/// Warm epochs the schema-6 incremental-epoch probe plays.
-pub const EPOCH_PROBE_EPOCHS: u64 = 3;
-
-/// Day-simulator churn (events per thousand base records per epoch) of
-/// the epoch probe.
-pub const EPOCH_PROBE_CHURN_PER_MILLE: u64 = 20;
-
-/// Shard size of the epoch probe's grid — small enough that a day's
-/// cohort-clustered deltas dirty a thin slice of the grid at bench scale.
-pub const EPOCH_PROBE_SHARD_SIZE: usize = 64;
+pub const BENCH_SCHEMA: &str = "idnre-bench-pipeline/7";
 
 /// Prefix of the per-pass attribution stages the fused scan records.
 pub const PASS_STAGE_PREFIX: &str = "analyze.pass.";
@@ -127,15 +86,14 @@ pub const HOMOGRAPH_BENCH_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
 /// the same capped size so the pair stays comparable.
 pub const EXHAUSTIVE_CAP: usize = 10_000;
 
-/// One timed pipeline stage.
+/// One timed stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchEntry {
     /// Dotted stage name (`homograph.scan.indexed`, `report.table1`, …).
     pub stage: String,
-    /// Which build produced the entry: `batch` or `streamed`.
+    /// What produced the entry: the run's `batch` or `streamed` build, or
+    /// a `probe`.
     pub mode: &'static str,
-    /// Worker threads the stage's parallel sections ran on.
-    pub threads: usize,
     /// Wall time of the stage, in nanoseconds.
     pub wall_ns: u64,
     /// Records the stage processed (domains, zone lines, dataset bytes),
@@ -150,15 +108,13 @@ impl BenchEntry {
     }
 
     /// Short pass name for `analyze.pass.<name>` attribution stages, the
-    /// empty string for everything else — the schema-3 `pass` key.
+    /// empty string for everything else — the per-entry `pass` key.
     pub fn pass(&self) -> &str {
         self.stage.strip_prefix(PASS_STAGE_PREFIX).unwrap_or("")
     }
 }
 
-/// The schema-5 top-level `mining` summary block: the mined result of the
-/// batch leg (byte-identical across legs and thread counts, which the
-/// sweep asserts).
+/// The top-level `mining` summary block: the mined result of the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MiningSummary {
     /// In-bucket candidate pairs pass B generated.
@@ -169,62 +125,30 @@ pub struct MiningSummary {
     pub portfolios: u64,
 }
 
-/// The schema-6 top-level `epochs` summary block: the incremental-epoch
-/// probe's shard accounting and summed walls. The walls are measurements;
-/// the shard accounting is deterministic and asserted identical across a
-/// sweep's thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochSummary {
-    /// Warm epochs the probe played.
-    pub epochs: u64,
-    /// Day-simulator churn rate the probe ran at.
-    pub churn_per_mille: u64,
-    /// Shard size of the probe's grid.
-    pub shard_size: usize,
-    /// Shards in the final epoch's grid.
-    pub total_shards: u64,
-    /// Shards re-folded across all warm epochs.
-    pub refolded: u64,
-    /// Summed incremental fold wall across warm epochs.
-    pub incremental_wall_ns: u64,
-    /// Summed shadow-rebuild wall across warm epochs.
-    pub rebuild_wall_ns: u64,
-}
-
-/// A full `repro --bench` result.
+/// A `repro --bench` result: the run's timed stages, then the probes.
 #[derive(Debug, Clone)]
 pub struct PipelineBench {
     /// Ecosystem scale denominator the run used.
     pub scale: u64,
     /// Attack-population scale denominator.
     pub attack_scale: u64,
-    /// Worker threads the run was configured with (a sweep reports the
-    /// per-entry counts instead).
+    /// Worker threads the run and the probes ran on.
     pub threads: usize,
     /// RNG seed (the run is reproducible from `scale` + `seed`).
     pub seed: u64,
-    /// FNV-1a fingerprint of the rendered `idnre-dataset/2` artifact — the
-    /// schedule-independence oracle a sweep asserts across thread counts.
+    /// FNV-1a fingerprint of the rendered `idnre-dataset/2` artifact.
     pub dataset_fingerprint: u64,
-    /// Shard size the streamed leg regenerated the corpus at.
+    /// Shard size the run's fused scan walked.
     pub shard_size: usize,
-    /// Peak of the streamed build's `datagen.peak_resident_records` gauge —
-    /// the memory-budget number the paper-scale contract
-    /// (`≤ 4 × shard_size × threads`) is checked against. A sweep keeps
-    /// the maximum across its per-count runs.
+    /// Peak of the run's `datagen.peak_resident_records` gauge (0 in
+    /// batch, which records no gauge) — the memory-budget number the
+    /// paper-scale contract (`≤ 4 × shard_size × threads`) is checked
+    /// against.
     pub peak_resident_records: u64,
-    /// The mined-portfolio summary (a sweep asserts it identical across
-    /// counts and keeps the first).
+    /// The mined-portfolio summary, present only when the run mined.
     pub mining: Option<MiningSummary>,
-    /// The incremental-epoch probe summary (a sweep asserts the shard
-    /// accounting identical across counts and keeps the first).
-    pub epochs: Option<EpochSummary>,
-    /// Timed stages, in pipeline order.
+    /// The run's stages in first-use order, then the probes.
     pub entries: Vec<BenchEntry>,
-    /// The regenerated report (so `--bench` still honours `--write`).
-    pub report: String,
-    /// The rendered `idnre-dataset/2` artifact (for `--dump-dataset`).
-    pub dataset: String,
 }
 
 impl PipelineBench {
@@ -233,15 +157,6 @@ impl PipelineBench {
         self.entries
             .iter()
             .filter(|e| e.stage == stage)
-            .max_by_key(|e| e.records)
-    }
-
-    /// The entry for `stage` at a specific worker count — the lookup the
-    /// CI scaling gate uses on sweep results.
-    pub fn entry_at(&self, stage: &str, threads: usize) -> Option<&BenchEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.stage == stage && e.threads == threads)
             .max_by_key(|e| e.records)
     }
 
@@ -266,17 +181,6 @@ impl PipelineBench {
             return None;
         }
         Some(exhaustive.wall_ns as f64 / lsh.wall_ns as f64)
-    }
-
-    /// Rebuild-over-incremental speedup of the epoch probe (>1 means
-    /// re-folding only dirty shards wins). `None` before both probes ran.
-    pub fn epoch_speedup(&self) -> Option<f64> {
-        let incremental = self.entry("analyze.epoch.incremental")?;
-        let rebuild = self.entry("analyze.epoch.rebuild")?;
-        if incremental.wall_ns == 0 {
-            return None;
-        }
-        Some(rebuild.wall_ns as f64 / incremental.wall_ns as f64)
     }
 
     /// Instrumented-over-uninstrumented wall ratio of the fused scan
@@ -311,7 +215,7 @@ impl LedgerRow {
     }
 }
 
-/// The per-pass cost ledger of one (mode, threads) pipeline run: every
+/// The per-pass cost ledger of the benchmarked run: every
 /// `analyze.pass.<name>` stage's wall and ns/record next to the
 /// `analyze.scan` wall they decompose. Rendered on stderr by
 /// `repro --bench` — never into the report, whose bytes stay identical
@@ -329,43 +233,31 @@ pub struct RunLedger {
 }
 
 impl RunLedger {
-    /// Builds one ledger per (mode, threads) group of `bench` that carries
-    /// an `analyze.scan` entry, in first-seen entry order.
-    pub fn collect(bench: &PipelineBench) -> Vec<RunLedger> {
-        let mut ledgers: Vec<RunLedger> = Vec::new();
-        for entry in &bench.entries {
-            if entry.stage != idnre_analyze::SCAN_SPAN {
-                continue;
-            }
-            if ledgers
-                .iter()
-                .any(|l| l.mode == entry.mode && l.threads == entry.threads)
-            {
-                continue;
-            }
-            let rows = bench
-                .entries
-                .iter()
-                .filter(|e| {
-                    e.mode == entry.mode
-                        && e.threads == entry.threads
-                        && e.stage.starts_with(PASS_STAGE_PREFIX)
-                })
-                .map(|e| LedgerRow {
-                    stage: e.stage.clone(),
-                    pass: e.pass().to_string(),
-                    wall_ns: e.wall_ns,
-                    records: e.records,
-                })
-                .collect();
-            ledgers.push(RunLedger {
-                mode: entry.mode,
-                threads: entry.threads,
-                scan_wall_ns: entry.wall_ns,
-                rows,
-            });
-        }
-        ledgers
+    /// The run's ledger: its `analyze.scan` entry and the pass rows of the
+    /// same mode. `None` for a run without a one-shot scan (an epochs run
+    /// folds through `analyze.epoch` instead).
+    pub fn collect(bench: &PipelineBench) -> Option<RunLedger> {
+        let scan = bench
+            .entries
+            .iter()
+            .find(|e| e.stage == idnre_analyze::SCAN_SPAN)?;
+        let rows = bench
+            .entries
+            .iter()
+            .filter(|e| e.mode == scan.mode && e.stage.starts_with(PASS_STAGE_PREFIX))
+            .map(|e| LedgerRow {
+                stage: e.stage.clone(),
+                pass: e.pass().to_string(),
+                wall_ns: e.wall_ns,
+                records: e.records,
+            })
+            .collect();
+        Some(RunLedger {
+            mode: scan.mode,
+            threads: bench.threads,
+            scan_wall_ns: scan.wall_ns,
+            rows,
+        })
     }
 
     /// Summed wall across every pass row.
@@ -418,47 +310,53 @@ impl RunLedger {
     }
 }
 
-/// Runs the full pipeline once under telemetry and the explicit probes on
-/// top, returning every timed stage. Wall times vary run to run; the
-/// report inside is byte-identical to a plain `repro all` at the same
-/// config.
-pub fn run_pipeline_bench(config: &EcosystemConfig) -> PipelineBench {
-    run_pipeline_bench_sharded(config, crate::DEFAULT_SHARD_SIZE)
-}
-
-/// [`run_pipeline_bench`] with the streamed leg regenerating `shard_size`
-/// records at a time — the `repro --bench --stream --shard-size N` path.
-/// A smaller shard tightens the `peak_resident_records` budget the result
-/// reports; the report and dataset bytes do not depend on it.
-pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -> PipelineBench {
-    let registry = Arc::new(Registry::new());
-    let mined = RunSpec {
-        mine: true,
-        ..RunSpec::default()
-    };
-    let ctx = ReproContext::build(config, &mined, registry.clone());
-    let report = ctx.full_report();
-    let mining = ctx.mining.as_ref().map(|m| MiningSummary {
-        candidate_pairs: m.candidate_pairs,
-        verified_pairs: m.verified.len() as u64,
-        portfolios: m.portfolios.len() as u64,
-    });
-
+/// Benchmarks a built run: one entry per stage `registry` recorded while
+/// `ctx` was built from `spec` (and rendered), then the probes. The
+/// probes regenerate one resident batch corpus from `ctx`'s config,
+/// untimed, and record nothing into `registry`, so their entries do not
+/// depend on `spec` and the registry keeps only the run's own stages.
+///
+/// # Panics
+///
+/// Panics when the indexed homograph scan differs from its exhaustive
+/// oracle, or the LSH miner verifies a pair the all-pairs oracle rejects.
+pub fn measure(ctx: &ReproContext, spec: &RunSpec, registry: &Registry) -> PipelineBench {
+    let config = &ctx.eco.config;
     let threads = config.threads;
+    let mode = if spec.shard_size.is_some() {
+        "streamed"
+    } else {
+        "batch"
+    };
     let mut entries: Vec<BenchEntry> = registry
         .snapshot()
         .stages
         .iter()
         .map(|s| BenchEntry {
             stage: s.name.clone(),
-            mode: "batch",
-            threads,
+            mode,
             wall_ns: s.wall_nanos,
             records: s.records.max(s.calls),
         })
         .collect();
-    let domains: Vec<&str> = ctx
-        .eco
+    let mut probe = |stage: &str, wall_ns: u64, records: u64| {
+        entries.push(BenchEntry {
+            stage: stage.to_string(),
+            mode: "probe",
+            wall_ns,
+            records,
+        });
+    };
+
+    // The probes' corpus: the records, zones and interned columns of a
+    // batch build of the run's config.
+    let (eco, _, rows) = idnre_datagen::generate_traced(config, None, &NoopRecorder, SpanCtx::NONE);
+    let columns = finish_columns(rows, threads, &NoopRecorder, SpanCtx::NONE);
+    let skeletons = SkeletonCache::build(&columns, threads);
+    let zones = eco.derive_zones().zones;
+    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
+    let corpus_len = (eco.idn_registrations.len() + eco.non_idn_registrations.len()) as u64;
+    let domains: Vec<&str> = eco
         .idn_registrations
         .iter()
         .map(|r| r.domain.as_str())
@@ -467,19 +365,14 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
     // Punycode decode throughput over the registered IDN corpus.
     let started = Instant::now();
     let decoded = idnre_par::par_map(&domains, threads, |d| idnre_idna::to_unicode(d).is_ok());
-    entries.push(BenchEntry {
-        stage: "idna.decode".to_string(),
-        mode: "batch",
-        threads,
-        wall_ns: elapsed_ns(started),
-        records: decoded.iter().filter(|ok| **ok).count() as u64,
-    });
+    probe(
+        "idna.decode",
+        elapsed_ns(started),
+        decoded.iter().filter(|ok| **ok).count() as u64,
+    );
 
     // Lenient ingest throughput: the derived zones round-tripped through
-    // master-file text and re-parsed with the skip-and-count parser. The
-    // zones are derived once, untimed; the crawl-survey probe loads them
-    // too.
-    let zones = ctx.eco.derive_zones().zones;
+    // master-file text and re-parsed with the skip-and-count parser.
     let started = Instant::now();
     let attempted: u64 = idnre_par::par_map(&zones, threads, |zone| {
         let text = idnre_zonefile::write_zone(zone);
@@ -487,18 +380,12 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
     })
     .into_iter()
     .sum();
-    entries.push(BenchEntry {
-        stage: "zone.ingest.lenient".to_string(),
-        mode: "batch",
-        threads,
-        wall_ns: elapsed_ns(started),
-        records: attempted,
-    });
+    probe("zone.ingest.lenient", elapsed_ns(started), attempted);
 
     // The indexed scan across the size ladder, then the indexed-vs-
     // exhaustive pair at the capped size — the entries CI gates on. The
     // rung at the cap is timed once, as the exhaustive probe's partner.
-    let inputs = ScanInputs::new(&ctx.eco, &ctx.candidates);
+    let inputs = ScanInputs::new(&eco, &ctx.candidates);
     let detector = &inputs.homograph;
     let cap = domains.len().min(EXHAUSTIVE_CAP);
     for size in HOMOGRAPH_BENCH_SIZES {
@@ -510,13 +397,7 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         }
         let started = Instant::now();
         let _ = detector.scan(domains[..size].iter().copied(), threads);
-        entries.push(BenchEntry {
-            stage: "homograph.scan.indexed".to_string(),
-            mode: "batch",
-            threads,
-            wall_ns: elapsed_ns(started),
-            records: size as u64,
-        });
+        probe("homograph.scan.indexed", elapsed_ns(started), size as u64);
     }
     let slice = &domains[..cap];
     let started = Instant::now();
@@ -529,32 +410,14 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         indexed, exhaustive,
         "indexed scan diverged from the exhaustive oracle"
     );
-    entries.push(BenchEntry {
-        stage: "homograph.scan.indexed".to_string(),
-        mode: "batch",
-        threads,
-        wall_ns: indexed_ns,
-        records: cap as u64,
-    });
-    entries.push(BenchEntry {
-        stage: "homograph.scan.exhaustive".to_string(),
-        mode: "batch",
-        threads,
-        wall_ns: exhaustive_ns,
-        records: cap as u64,
-    });
+    probe("homograph.scan.indexed", indexed_ns, cap as u64);
+    probe("homograph.scan.exhaustive", exhaustive_ns, cap as u64);
 
     // Render the canonical dataset — the byte artifact `--dump-dataset`
-    // writes and the sweep diffs across thread counts.
+    // writes; its fingerprint identifies the corpus in the JSON.
     let started = Instant::now();
-    let dataset = idnre_datagen::render_dataset(&ctx.eco);
-    entries.push(BenchEntry {
-        stage: "dataset.render".to_string(),
-        mode: "batch",
-        threads,
-        wall_ns: elapsed_ns(started),
-        records: dataset.len() as u64,
-    });
+    let dataset = idnre_datagen::render_dataset(&eco);
+    probe("dataset.render", elapsed_ns(started), dataset.len() as u64);
 
     // The portfolio-mining pair: skeleton-LSH bucketed pair verification
     // vs the all-pairs oracle over the same capped corpus prefix — the
@@ -564,11 +427,6 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
     // near-misses outside the confusables table), which skeleton blocking
     // deliberately does not chase. Equality is the contract on forged
     // confusable corpora, pinned by the proptest oracle-equivalence test.
-    let probe_source = SliceSource::new(&ctx.eco.idn_registrations, &ctx.eco.non_idn_registrations);
-    // The context keeps no columns, so the probe regenerates the rows.
-    let (_, _, rows) = idnre_datagen::generate_traced(config, None, &NoopRecorder, SpanCtx::NONE);
-    let columns = crate::passes::finish_columns(rows, threads, &NoopRecorder, SpanCtx::NONE);
-    let skeletons = SkeletonCache::build(&columns, threads);
     let mining_plan = crate::mine::MiningPlan::new(&columns, &skeletons);
     let mine_cap = columns.len().min(EXHAUSTIVE_CAP);
     let started = Instant::now();
@@ -586,25 +444,14 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
             "LSH mined a pair the exhaustive oracle rejects: {pair:?}"
         );
     }
-    for (stage, wall_ns) in [
-        ("mine.pairs.lsh", lsh_ns),
-        ("mine.pairs.exhaustive", oracle_ns),
-    ] {
-        entries.push(BenchEntry {
-            stage: stage.to_string(),
-            mode: "batch",
-            threads,
-            wall_ns,
-            records: mine_cap as u64,
-        });
-    }
+    probe("mine.pairs.lsh", lsh_ns, mine_cap as u64);
+    probe("mine.pairs.exhaustive", oracle_ns, mine_cap as u64);
 
     // Attribution-overhead pair: the same fused scan re-run back to back
     // under a live registry and under the no-op recorder, timed
     // externally. Rounds alternate and each probe keeps its minimum wall,
     // so `instrumented / uninstrumented` read from the JSON is the
     // per-pass-attribution overhead the <5% budget gates.
-    let corpus_len = (ctx.eco.idn_registrations.len() + ctx.eco.non_idn_registrations.len()) as u64;
     let mut instrumented_ns = u64::MAX;
     let mut uninstrumented_ns = u64::MAX;
     for _ in 0..OVERHEAD_PROBE_ROUNDS {
@@ -613,41 +460,29 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
             (&NoopRecorder, &mut uninstrumented_ns),
         ] {
             let started = Instant::now();
-            let _ = inputs
-                .plan(&columns, &skeletons, &ctx.eco.pdns, None)
-                .run_at(
-                    &probe_source,
-                    crate::DEFAULT_SHARD_SIZE,
-                    threads,
-                    recorder,
-                    SpanCtx::NONE,
-                );
+            let _ = inputs.plan(&columns, &skeletons, &eco.pdns, None).run_at(
+                &source,
+                crate::DEFAULT_SHARD_SIZE,
+                threads,
+                recorder,
+                SpanCtx::NONE,
+            );
             *wall_ns = (*wall_ns).min(elapsed_ns(started));
         }
     }
-    for (stage, wall_ns) in [
-        ("analyze.scan.instrumented", instrumented_ns),
-        ("analyze.scan.uninstrumented", uninstrumented_ns),
-    ] {
-        entries.push(BenchEntry {
-            stage: stage.to_string(),
-            mode: "batch",
-            threads,
-            wall_ns,
-            records: corpus_len,
-        });
-    }
+    probe("analyze.scan.instrumented", instrumented_ns, corpus_len);
+    probe("analyze.scan.uninstrumented", uninstrumented_ns, corpus_len);
 
     // Crawl-survey throughput pair: the same fault-free population walked
     // by the synchronous per-domain path and by the event-driven scheduler
     // (wheel, rate limits, breakers). `crawl.survey.sched` vs
     // `crawl.survey.sync` read from the JSON is the scheduler's overhead
-    // on a clean run — the throughput floor CI's storm-smoke job gates.
-    let clean = crate::FaultSetup::from_plan(idnre_fault::FaultPlan::new(
+    // on a clean run — the throughput floor CI gates.
+    let clean = FaultSetup::from_plan(idnre_fault::FaultPlan::new(
         config.seed,
         idnre_fault::FaultProfile::none(),
     ));
-    let view = crate::CorpusView::resident(&probe_source);
+    let view = CorpusView::resident(&source);
     for (stage, setup) in [
         ("crawl.survey.sync", clean),
         (
@@ -665,85 +500,8 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
             &NoopRecorder,
             SpanCtx::NONE,
         );
-        entries.push(BenchEntry {
-            stage: stage.to_string(),
-            mode: "batch",
-            threads,
-            wall_ns: elapsed_ns(started),
-            records: corpus_len,
-        });
+        probe(stage, elapsed_ns(started), corpus_len);
     }
-
-    // The incremental-epoch probe: a short zone-diff loop on its own
-    // shard grid. The epochs build shadow-rebuilds every epoch and asserts
-    // the two folds equal, so the entry pair below is measured over a
-    // proven-equivalent pair of folds — the third indexed-vs-exhaustive
-    // regression gate.
-    let epoch_spec = RunSpec {
-        shard_size: Some(EPOCH_PROBE_SHARD_SIZE),
-        epochs: Some(EpochSpec {
-            count: EPOCH_PROBE_EPOCHS,
-            churn_per_mille: EPOCH_PROBE_CHURN_PER_MILLE,
-        }),
-        ..RunSpec::default()
-    };
-    let epoch_run = ReproContext::build(config, &epoch_spec, Arc::new(NoopRecorder))
-        .epochs
-        .expect("an epochs build records its run");
-    entries.push(BenchEntry {
-        stage: "analyze.epoch.incremental".to_string(),
-        mode: "streamed",
-        threads,
-        wall_ns: epoch_run.incremental_ns(),
-        records: epoch_run.refolded_records(),
-    });
-    entries.push(BenchEntry {
-        stage: EPOCH_REBUILD_SPAN.to_string(),
-        mode: "streamed",
-        threads,
-        wall_ns: epoch_run.rebuild_ns(),
-        records: epoch_run.rebuild_records(),
-    });
-    let epochs = Some(EpochSummary {
-        epochs: EPOCH_PROBE_EPOCHS,
-        churn_per_mille: EPOCH_PROBE_CHURN_PER_MILLE,
-        shard_size: EPOCH_PROBE_SHARD_SIZE,
-        total_shards: epoch_run.total_shards(),
-        refolded: epoch_run.total_refolded(),
-        incremental_wall_ns: epoch_run.incremental_ns(),
-        rebuild_wall_ns: epoch_run.rebuild_ns(),
-    });
-
-    // The streamed counterpart: the bounded-memory build timed under its
-    // own registry. Its report is the cross-mode oracle — byte-identical
-    // to the batch run or the bench aborts — and its stage spans land as
-    // `streamed` entries (including `datagen.peak_resident_records`-backed
-    // shard regeneration inside `build.ecosystem`).
-    let streamed_registry = Arc::new(Registry::new());
-    let streamed = RunSpec {
-        shard_size: Some(shard_size),
-        ..mined
-    };
-    let streamed_ctx = ReproContext::build(config, &streamed, streamed_registry.clone());
-    let streamed_report = streamed_ctx.full_report();
-    assert_eq!(
-        report, streamed_report,
-        "streamed report diverged from batch"
-    );
-    let peak_resident_records = streamed_registry.gauge_peak(idnre_datagen::PEAK_RESIDENT_RECORDS);
-    entries.extend(
-        streamed_registry
-            .snapshot()
-            .stages
-            .iter()
-            .map(|s| BenchEntry {
-                stage: s.name.clone(),
-                mode: "streamed",
-                threads,
-                wall_ns: s.wall_nanos,
-                records: s.records.max(s.calls),
-            }),
-    );
 
     PipelineBench {
         scale: config.scale,
@@ -751,77 +509,18 @@ pub fn run_pipeline_bench_sharded(config: &EcosystemConfig, shard_size: usize) -
         threads,
         seed: config.seed,
         dataset_fingerprint: idnre_datagen::dataset_fingerprint(&dataset),
-        shard_size,
-        peak_resident_records,
-        mining,
-        epochs,
+        shard_size: spec.shard_size.unwrap_or(crate::DEFAULT_SHARD_SIZE),
+        peak_resident_records: registry.gauge_peak(idnre_datagen::PEAK_RESIDENT_RECORDS),
+        mining: ctx.mining.as_ref().map(|m| MiningSummary {
+            candidate_pairs: m.candidate_pairs,
+            verified_pairs: m.verified.len() as u64,
+            portfolios: m.portfolios.len() as u64,
+        }),
         entries,
-        report,
-        dataset,
     }
 }
 
-/// Runs [`run_pipeline_bench`] once per worker count in `thread_counts`
-/// and concatenates the timed entries into one result (each entry carries
-/// its own `threads`). Panics unless the report bytes and the dataset
-/// fingerprint are identical across every count — the sweep is the
-/// schedule-independence oracle, not just a timing table.
-pub fn run_pipeline_sweep(config: &EcosystemConfig, thread_counts: &[usize]) -> PipelineBench {
-    run_pipeline_sweep_sharded(config, thread_counts, crate::DEFAULT_SHARD_SIZE)
-}
-
-/// [`run_pipeline_sweep`] at an explicit streamed shard size. The result's
-/// `peak_resident_records` is the maximum across the per-count runs, so
-/// the budget bound must be read against the largest swept worker count.
-pub fn run_pipeline_sweep_sharded(
-    config: &EcosystemConfig,
-    thread_counts: &[usize],
-    shard_size: usize,
-) -> PipelineBench {
-    assert!(!thread_counts.is_empty(), "sweep needs at least one count");
-    let mut sweep: Option<PipelineBench> = None;
-    for &threads in thread_counts {
-        let run = run_pipeline_bench_sharded(
-            &EcosystemConfig {
-                threads,
-                ..config.clone()
-            },
-            shard_size,
-        );
-        match &mut sweep {
-            None => sweep = Some(run),
-            Some(first) => {
-                assert_eq!(
-                    first.dataset_fingerprint, run.dataset_fingerprint,
-                    "dataset bytes diverged at {threads} threads"
-                );
-                assert_eq!(
-                    first.report, run.report,
-                    "report bytes diverged at {threads} threads"
-                );
-                assert_eq!(
-                    first.mining, run.mining,
-                    "mined summary diverged at {threads} threads"
-                );
-                // The epoch walls are measurements, but the shard
-                // accounting is a pure function of the corpus and deltas.
-                if let (Some(a), Some(b)) = (&first.epochs, &run.epochs) {
-                    assert_eq!(
-                        (a.total_shards, a.refolded),
-                        (b.total_shards, b.refolded),
-                        "epoch shard accounting diverged at {threads} threads"
-                    );
-                }
-                first.peak_resident_records =
-                    first.peak_resident_records.max(run.peak_resident_records);
-                first.entries.extend(run.entries);
-            }
-        }
-    }
-    sweep.expect("at least one sweep run")
-}
-
-/// Renders a bench result as schema-stable JSON (`idnre-bench-pipeline/6`).
+/// Renders a bench result as schema-stable JSON (`idnre-bench-pipeline/7`).
 pub fn render_bench_json(bench: &PipelineBench) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -843,20 +542,6 @@ pub fn render_bench_json(bench: &PipelineBench) -> String {
             mining.candidate_pairs, mining.verified_pairs, mining.portfolios
         ));
     }
-    if let Some(epochs) = &bench.epochs {
-        out.push_str(&format!(
-            "\"epochs\":{{\"count\":{},\"churn_per_mille\":{},\"shard_size\":{},\
-             \"total_shards\":{},\"refolded\":{},\"incremental_wall_ns\":{},\
-             \"rebuild_wall_ns\":{}}},",
-            epochs.epochs,
-            epochs.churn_per_mille,
-            epochs.shard_size,
-            epochs.total_shards,
-            epochs.refolded,
-            epochs.incremental_wall_ns,
-            epochs.rebuild_wall_ns
-        ));
-    }
     out.push_str("\"entries\":[");
     for (i, entry) in bench.entries.iter().enumerate() {
         if i > 0 {
@@ -869,7 +554,7 @@ pub fn render_bench_json(bench: &PipelineBench) -> String {
             entry.pass(),
             entry.mode,
             bench.scale,
-            entry.threads,
+            bench.threads,
             entry.wall_ns,
             entry.records,
             entry.ns_per_record(),
@@ -883,25 +568,25 @@ pub fn render_bench_json(bench: &PipelineBench) -> String {
 pub fn render_bench_text(bench: &PipelineBench) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "pipeline bench — scale 1:{}, dataset {:#018x}\n",
-        bench.scale, bench.dataset_fingerprint
+        "pipeline bench — scale 1:{}, {} threads, dataset {:#018x}\n",
+        bench.scale, bench.threads, bench.dataset_fingerprint
     ));
     out.push_str(&format!(
-        "{:<28} {:>7} {:>12} {:>12} {:>10}\n",
-        "stage", "threads", "wall_ms", "records", "ns/rec"
+        "{:<28} {:>8} {:>12} {:>12} {:>10}\n",
+        "stage", "mode", "wall_ms", "records", "ns/rec"
     ));
     for entry in &bench.entries {
         out.push_str(&format!(
-            "{:<28} {:>7} {:>12.3} {:>12} {:>10}\n",
+            "{:<28} {:>8} {:>12.3} {:>12} {:>10}\n",
             entry.stage,
-            entry.threads,
+            entry.mode,
             entry.wall_ns as f64 / 1e6,
             entry.records,
             entry.ns_per_record(),
         ));
     }
     out.push_str(&format!(
-        "streamed peak residency: {} records (shard size {})\n",
+        "peak residency: {} records (shard size {})\n",
         bench.peak_resident_records, bench.shard_size
     ));
     if let Some(speedup) = bench.homograph_speedup() {
@@ -920,22 +605,12 @@ pub fn render_bench_text(bench: &PipelineBench) -> String {
             "pair-mining LSH speedup over exhaustive oracle: {speedup:.1}x\n"
         ));
     }
-    if let (Some(epochs), Some(speedup)) = (&bench.epochs, bench.epoch_speedup()) {
-        out.push_str(&format!(
-            "incremental epoch speedup over per-epoch rebuild: {speedup:.1}x \
-             ({}/{} shards refolded across {} epochs at {}\u{2030} churn)\n",
-            epochs.refolded,
-            epochs.total_shards * epochs.epochs,
-            epochs.epochs,
-            epochs.churn_per_mille
-        ));
-    }
     if let Some(overhead) = bench.instrumentation_overhead() {
         out.push_str(&format!(
             "scan attribution overhead (instrumented/uninstrumented): {overhead:.3}x\n"
         ));
     }
-    for ledger in RunLedger::collect(bench) {
+    if let Some(ledger) = RunLedger::collect(bench) {
         out.push_str(&ledger.render_text());
     }
     out
@@ -948,17 +623,46 @@ fn elapsed_ns(started: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idnre_datagen::EcosystemConfig;
+    use std::sync::Arc;
 
-    #[test]
-    fn bench_json_is_well_formed_and_gated() {
-        let bench = run_pipeline_bench(&EcosystemConfig {
+    fn config() -> EcosystemConfig {
+        EcosystemConfig {
             scale: 2000,
             attack_scale: 25,
             brand_count: 200,
             ..EcosystemConfig::default()
-        });
-        // Stage coverage: generation, decode, ingest, both scan paths,
-        // reports.
+        }
+    }
+
+    /// A mined run at `shard_size`, built and rendered under a registry,
+    /// as `repro --bench --mine-portfolios all` runs it.
+    fn mined_run(
+        config: &EcosystemConfig,
+        shard_size: Option<usize>,
+    ) -> (ReproContext, RunSpec, Arc<Registry>) {
+        let spec = RunSpec {
+            shard_size,
+            mine: true,
+            ..RunSpec::default()
+        };
+        let registry = Arc::new(Registry::new());
+        let ctx = ReproContext::build(config, &spec, registry.clone());
+        let _ = ctx.full_report();
+        (ctx, spec, registry)
+    }
+
+    fn measured_batch() -> (ReproContext, PipelineBench) {
+        let (ctx, spec, registry) = mined_run(&config(), None);
+        let bench = measure(&ctx, &spec, &registry);
+        (ctx, bench)
+    }
+
+    #[test]
+    fn bench_json_is_well_formed_and_gated() {
+        let (ctx, bench) = measured_batch();
+        // Stage coverage: the run's generation, passes and reports, then
+        // decode, ingest, both scan paths, both miners and the dataset.
         for stage in [
             "build.ecosystem",
             "idna.decode",
@@ -970,8 +674,6 @@ mod tests {
             "analyze.pass.pair_mine",
             "mine.pairs.lsh",
             "mine.pairs.exhaustive",
-            "analyze.epoch.incremental",
-            "analyze.epoch.rebuild",
             "analyze.scan.instrumented",
             "analyze.scan.uninstrumented",
             "dataset.render",
@@ -981,51 +683,37 @@ mod tests {
         assert!(bench.entries.iter().any(|e| e.stage.starts_with("report.")));
         assert!(bench.homograph_speedup().is_some());
         assert!(bench.mining_speedup().is_some());
-        assert!(bench.epoch_speedup().is_some());
         assert!(bench.instrumentation_overhead().is_some());
 
-        // The schema-6 epoch block: accounting is deterministic at a
-        // fixed config; the incremental leg must have skipped shards.
-        let epochs = bench.epochs.expect("schema 6 always probes epochs");
-        assert_eq!(epochs.epochs, EPOCH_PROBE_EPOCHS);
-        assert!(epochs.refolded < epochs.total_shards * epochs.epochs);
-        assert!(epochs.refolded >= epochs.epochs);
-        assert!(bench.dataset.starts_with(idnre_datagen::DATASET_SCHEMA));
-        let mining = bench.mining.expect("schema 5 always mines");
+        // The probes' batch corpus is the run's: same dataset bytes.
+        let dataset = idnre_datagen::render_dataset(&ctx.eco);
+        assert_eq!(
+            bench.dataset_fingerprint,
+            idnre_datagen::dataset_fingerprint(&dataset)
+        );
+        let mining = bench.mining.expect("the run mined");
         assert!(mining.candidate_pairs >= mining.verified_pairs);
         assert!(mining.verified_pairs >= mining.portfolios);
 
-        // The streamed leg's residency gauge lands as the schema-4
-        // memory-budget pair, within the paper-scale bound.
-        assert!(bench.peak_resident_records > 0);
+        // A batch run scans in the default shard and records no residency
+        // gauge.
         assert_eq!(bench.shard_size, crate::DEFAULT_SHARD_SIZE);
-        assert!(
-            bench.peak_resident_records <= (4 * bench.shard_size * bench.threads) as u64,
-            "peak {} exceeds 4 × {} × {}",
-            bench.peak_resident_records,
-            bench.shard_size,
-            bench.threads
-        );
+        assert_eq!(bench.peak_resident_records, 0);
 
         let json = render_bench_json(&bench);
-        assert!(json.starts_with("{\"schema\":\"idnre-bench-pipeline/6\""));
-        assert!(json.contains("\"shard_size\":1024"));
+        assert!(json.starts_with("{\"schema\":\"idnre-bench-pipeline/7\""));
+        assert!(json.contains("\"shard_size\":1024,\"peak_resident_records\":0,"));
         assert!(json.contains("\"mining\":{\"candidate_pairs\":"));
-        assert!(json.contains("\"epochs\":{\"count\":"));
-        assert!(json.contains("\"refolded\":"));
-        assert!(json.contains("\"stage\":\"analyze.epoch.incremental\""));
         assert!(json.contains("\"verified_pairs\":"));
         assert!(json.contains("\"portfolios\":"));
+        assert!(!json.contains("\"epochs\""));
         assert!(json.contains("\"stage\":\"mine.pairs.lsh\""));
-        assert!(json.contains(&format!(
-            "\"peak_resident_records\":{}",
-            bench.peak_resident_records
-        )));
         assert!(json.contains("\"stage\":\"homograph.scan.exhaustive\""));
         assert!(json.contains("\"stage\":\"analyze.pass.homograph\",\"pass\":\"homograph\""));
         assert!(json.contains("\"stage\":\"build.ecosystem\",\"pass\":\"\""));
         assert!(json.contains("\"mode\":\"batch\""));
-        assert!(json.contains("\"mode\":\"streamed\""));
+        assert!(json.contains("\"mode\":\"probe\""));
+        assert!(!json.contains("\"mode\":\"streamed\""));
         assert!(json.contains("\"dataset_fingerprint\":\"0x"));
         assert!(json.ends_with("]}"));
         // Balanced braces — the render is hand-built.
@@ -1035,116 +723,80 @@ mod tests {
 
         let text = render_bench_text(&bench);
         assert!(text.contains("pipeline bench"));
-        assert!(text.contains("streamed peak residency"));
+        assert!(text.contains("peak residency"));
         assert!(text.contains("homograph index speedup"));
         assert!(text.contains("portfolio mining:"));
         assert!(text.contains("pair-mining LSH speedup"));
-        assert!(text.contains("incremental epoch speedup"));
         assert!(text.contains("scan attribution overhead"));
         assert!(text.contains("pass ledger"));
     }
 
-    /// The `--bench --stream --shard-size N` path: a smaller shard
-    /// tightens the reported residency budget without touching the report
-    /// or dataset bytes.
-    #[test]
-    fn sharded_bench_tightens_the_residency_budget() {
-        let config = EcosystemConfig {
-            scale: 2000,
-            attack_scale: 25,
-            brand_count: 200,
-            threads: 2,
-            ..EcosystemConfig::default()
-        };
-        let small = run_pipeline_bench_sharded(&config, 64);
-        assert_eq!(small.shard_size, 64);
-        assert!(small.peak_resident_records > 0);
-        assert!(
-            small.peak_resident_records <= (4 * 64 * config.threads) as u64,
-            "peak {} exceeds 4 × 64 × {}",
-            small.peak_resident_records,
-            config.threads
-        );
-        let default = run_pipeline_bench(&config);
-        assert_eq!(small.report, default.report);
-        assert_eq!(small.dataset_fingerprint, default.dataset_fingerprint);
-    }
-
     #[test]
     fn ledger_decomposes_the_scan_wall() {
-        let bench = run_pipeline_bench(&EcosystemConfig {
-            scale: 2000,
-            attack_scale: 25,
-            brand_count: 200,
-            ..EcosystemConfig::default()
-        });
-        let ledgers = RunLedger::collect(&bench);
-        // One batch group and one streamed group at this config.
-        assert_eq!(ledgers.len(), 2);
-        for ledger in &ledgers {
-            // Every registered pass shows up: 3 core detectors + 6 report
-            // aggregation passes + the two mining stages (pass A fused on
-            // the scan, pass B's bucket fold).
-            assert_eq!(ledger.rows.len(), 11, "{} ledger rows", ledger.mode);
-            assert!(ledger.scan_wall_ns > 0);
-            for row in &ledger.rows {
-                assert_eq!(row.stage, format!("{PASS_STAGE_PREFIX}{}", row.pass));
-                assert!(row.records > 0, "{} observed nothing", row.stage);
-            }
-            // The pass rows account for the bulk of the scan wall even at
-            // this small scale (the CI gate holds >= 90% at scale 50).
-            assert!(
-                ledger.coverage() > 0.5,
-                "{} coverage {:.3}",
-                ledger.mode,
-                ledger.coverage()
+        let (_, bench) = measured_batch();
+        let ledger = RunLedger::collect(&bench).expect("a one-shot run scans");
+        assert_eq!(ledger.mode, "batch");
+        // Every registered pass shows up: 3 core detectors + 6 report
+        // aggregation passes + the two mining stages (pass A fused on the
+        // scan, pass B's bucket fold).
+        assert_eq!(ledger.rows.len(), 11);
+        assert!(ledger.scan_wall_ns > 0);
+        for row in &ledger.rows {
+            assert_eq!(row.stage, format!("{PASS_STAGE_PREFIX}{}", row.pass));
+            assert!(row.records > 0, "{} observed nothing", row.stage);
+        }
+        // The pass rows account for the bulk of the scan wall even at this
+        // small scale (the CI gate holds >= 90% at scale 50).
+        assert!(ledger.coverage() > 0.5, "coverage {:.3}", ledger.coverage());
+    }
+
+    /// The probes read their own batch corpus, so a streamed run measures
+    /// the same probe work, dataset and mined result as a batch run, plus
+    /// its own residency peak; and measuring records nothing into the
+    /// run's registry.
+    #[test]
+    fn measure_is_mode_independent() {
+        let config = EcosystemConfig {
+            threads: 2,
+            ..config()
+        };
+        let measured = |shard_size| {
+            let (ctx, spec, registry) = mined_run(&config, shard_size);
+            let before = registry.snapshot().render_deterministic_json();
+            let bench = measure(&ctx, &spec, &registry);
+            assert_eq!(
+                registry.snapshot().render_deterministic_json(),
+                before,
+                "measure recorded into the run's registry"
             );
-        }
-    }
+            bench
+        };
+        let (batch, streamed) = (measured(None), measured(Some(64)));
+        let probes = |bench: &PipelineBench| -> Vec<(String, u64)> {
+            bench
+                .entries
+                .iter()
+                .filter(|e| e.mode == "probe")
+                .map(|e| (e.stage.clone(), e.records))
+                .collect()
+        };
+        assert!(!probes(&batch).is_empty());
+        assert_eq!(probes(&batch), probes(&streamed));
+        assert_eq!(batch.dataset_fingerprint, streamed.dataset_fingerprint);
+        assert!(batch.mining.is_some());
+        assert_eq!(batch.mining, streamed.mining);
+        assert!(streamed
+            .entries
+            .iter()
+            .all(|e| e.mode == "streamed" || e.mode == "probe"));
 
-    #[test]
-    fn bench_report_matches_plain_run() {
-        let config = EcosystemConfig {
-            scale: 2000,
-            attack_scale: 25,
-            brand_count: 200,
-            ..EcosystemConfig::default()
-        };
-        let bench = run_pipeline_bench(&config);
-        let mined = crate::RunSpec {
-            mine: true,
-            ..crate::RunSpec::default()
-        };
-        let plain =
-            crate::ReproContext::build(&config, &mined, Arc::new(NoopRecorder)).full_report();
-        assert_eq!(bench.report, plain, "--bench must not perturb the report");
-        // The unmined report is a byte-prefix of the mined one: mining
-        // only ever appends its section.
-        let unmined =
-            crate::ReproContext::build(&config, &crate::RunSpec::default(), Arc::new(NoopRecorder))
-                .full_report();
-        assert!(bench.report.starts_with(&unmined));
-    }
-
-    #[test]
-    fn sweep_concatenates_and_holds_the_identity_oracle() {
-        let config = EcosystemConfig {
-            scale: 5000,
-            attack_scale: 60,
-            brand_count: 100,
-            ..EcosystemConfig::default()
-        };
-        // The sweep itself asserts report + dataset identity per count.
-        let sweep = run_pipeline_sweep(&config, &[1, 2]);
-        for threads in [1usize, 2] {
-            let entry = sweep
-                .entry_at("build.ecosystem", threads)
-                .unwrap_or_else(|| panic!("no build.ecosystem entry at {threads} threads"));
-            assert!(entry.wall_ns > 0);
-        }
-        // Per-entry thread counts survive the JSON render.
-        let json = render_bench_json(&sweep);
-        assert!(json.contains("\"threads\":1"));
-        assert!(json.contains("\"threads\":2"));
+        assert_eq!(streamed.shard_size, 64);
+        assert!(streamed.peak_resident_records > 0);
+        assert!(
+            streamed.peak_resident_records <= (4 * 64 * config.threads) as u64,
+            "peak {} exceeds 4 × 64 × {}",
+            streamed.peak_resident_records,
+            config.threads
+        );
     }
 }
