@@ -14,14 +14,6 @@
 //! Memory stays bounded: a [`RecordSource`] materializes one shard per
 //! worker at a time, so peak resident records ≈ `shard_size × workers`
 //! regardless of corpus scale (see `datagen.peak_resident_records`).
-//!
-//! **Multi-pass plans.** Some analyses need a second traversal over
-//! *derived* items rather than corpus records — e.g. the portfolio miner
-//! folds an LSH bucket index during the corpus scan (pass A, an ordinary
-//! [`AnalysisPass`]), then re-scans only the non-singleton buckets
-//! (pass B, an [`ItemPass`] driven by [`fold_items`]). Pass B inherits the
-//! same contract: associative merges combined in chunk order, so every
-//! output stays byte-identical across thread counts and shard sizes.
 
 use idnre_datagen::{DomainRegistration, KeyedCorpus};
 use idnre_telemetry::{Recorder, SpanCtx};
@@ -697,144 +689,6 @@ fn observe_shard(
     partial
 }
 
-/// One derived-item dimension folded over a **second** traversal.
-///
-/// A multi-pass plan runs its pass A as an ordinary [`AnalysisPass`] on the
-/// corpus traversal, then feeds whatever pass A produced (LSH buckets,
-/// candidate lists, …) through an `ItemPass` via [`fold_items`]. The fold
-/// obeys the exact contract of the corpus scan — associative [`Merge`]
-/// partials combined in chunk order, telemetry spans per chunk plus one
-/// pre-timed call each for merge and finish — so second-pass outputs are
-/// byte-identical across thread counts and chunk sizes for the same item
-/// sequence, and the stage ledger decomposes the same way.
-pub trait ItemPass<T>: Sync {
-    /// The mergeable per-chunk accumulator.
-    type Partial: Merge + Clone + PartialEq + Send + 'static;
-    /// The finished pass product.
-    type Output: 'static;
-
-    /// Stable pass name, used as the telemetry span name.
-    fn name(&self) -> &'static str;
-
-    /// Counters this pass may touch from worker threads.
-    fn counters(&self) -> &'static [&'static str] {
-        &[]
-    }
-
-    /// A partial representing "no items observed".
-    fn empty(&self) -> Self::Partial;
-
-    /// Folds one item (with its global index) into a partial.
-    fn observe(&self, partial: &mut Self::Partial, item: &T, index: u64, recorder: &dyn Recorder);
-
-    /// Called once after each chunk's item loop, inside the chunk span;
-    /// flush counters tallied in the partial here (one batched
-    /// [`Recorder::add`] per chunk), exactly like
-    /// [`AnalysisPass::shard_end`]. Default: no-op.
-    fn shard_end(&self, _partial: &mut Self::Partial, _recorder: &dyn Recorder) {}
-
-    /// Converts the fully merged partial into the pass output.
-    fn finish(&self, partial: Self::Partial) -> Self::Output;
-}
-
-/// Runs `pass` over `items` in chunks of `chunk_size` fanned out over
-/// `threads` workers, merging chunk partials sequentially in chunk order.
-///
-/// Telemetry mirrors [`ShardedScan::run_at`]: the pass's span, counters and
-/// trace group are pinned before fan-out, each chunk gets one timed span
-/// (records = chunk length), and the merge and finish steps contribute one
-/// pre-timed call each — `chunks + 2` calls total, independent of thread
-/// count.
-pub fn fold_items<T: Sync, P: ItemPass<T>>(
-    pass: &P,
-    items: &[T],
-    chunk_size: usize,
-    threads: usize,
-    recorder: &dyn Recorder,
-    parent: SpanCtx,
-) -> P::Output {
-    recorder.add_records(pass.name(), 0);
-    recorder.preregister(pass.counters());
-    let group = recorder.trace_group(pass.name(), parent, 0);
-    let timing = recorder.enabled();
-    let chunk_size = chunk_size.max(1);
-    let chunks: Vec<(u64, &[T])> = items
-        .chunks(chunk_size)
-        .enumerate()
-        .map(|(i, chunk)| (i as u64, chunk))
-        .collect();
-    let partials: Vec<P::Partial> = idnre_par::par_map(&chunks, threads, |(chunk_index, chunk)| {
-        let mut span = recorder.span_at(pass.name(), group, *chunk_index);
-        let mut partial = pass.empty();
-        for (offset, item) in chunk.iter().enumerate() {
-            let index = chunk_index * chunk_size as u64 + offset as u64;
-            pass.observe(&mut partial, item, index, recorder);
-        }
-        pass.shard_end(&mut partial, recorder);
-        span.add_records(chunk.len() as u64);
-        partial
-    });
-    let mut merged = pass.empty();
-    let mut merge_nanos = 0u64;
-    for partial in partials {
-        let started = timing.then(Instant::now);
-        merged = merged.merge(partial);
-        if let Some(started) = started {
-            merge_nanos += started.elapsed().as_nanos() as u64;
-        }
-    }
-    if timing {
-        recorder.record_nanos(pass.name(), merge_nanos);
-    }
-    let started = timing.then(Instant::now);
-    let output = pass.finish(merged);
-    if let Some(started) = started {
-        recorder.record_nanos(pass.name(), started.elapsed().as_nanos() as u64);
-    }
-    output
-}
-
-/// Associativity probe for [`ItemPass`] merges, mirroring
-/// [`ShardedScan::merge_is_associative`]: builds per-chunk partials of
-/// `chunk_size` items sequentially, then checks `(a·b)·c == a·(b·c)` over
-/// every consecutive chunk triple (padding with empties below three).
-///
-/// # Errors
-///
-/// Returns `Err(pass_name)` if the merge is not associative on this split.
-pub fn fold_is_associative<T, P: ItemPass<T>>(
-    pass: &P,
-    items: &[T],
-    chunk_size: usize,
-    recorder: &dyn Recorder,
-) -> Result<(), &'static str> {
-    let chunk_size = chunk_size.max(1);
-    let mut chunks: Vec<P::Partial> = items
-        .chunks(chunk_size)
-        .enumerate()
-        .map(|(chunk_index, chunk)| {
-            let mut partial = pass.empty();
-            for (offset, item) in chunk.iter().enumerate() {
-                let index = (chunk_index * chunk_size + offset) as u64;
-                pass.observe(&mut partial, item, index, recorder);
-            }
-            partial
-        })
-        .collect();
-    while chunks.len() < 3 {
-        chunks.push(pass.empty());
-    }
-    for triple in chunks.windows(3) {
-        let (a, b, c) = (&triple[0], &triple[1], &triple[2]);
-        let left = a.clone().merge(b.clone()).merge(c.clone());
-        let right = a.clone().merge(b.clone().merge(c.clone()));
-        if left != right {
-            return Err(pass.name());
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1004,108 +858,6 @@ mod tests {
                 KeepLater(later.0 / 2)
             }
         }
-    }
-
-    struct SumEvenPass;
-
-    impl ItemPass<u32> for SumEvenPass {
-        type Partial = (u64, Vec<u64>);
-        type Output = (u64, Vec<u64>);
-
-        fn name(&self) -> &'static str {
-            "analyze.test.sum_even"
-        }
-
-        fn empty(&self) -> Self::Partial {
-            (0, Vec::new())
-        }
-
-        fn observe(&self, partial: &mut Self::Partial, item: &u32, index: u64, _: &dyn Recorder) {
-            partial.0 += u64::from(*item);
-            if item.is_multiple_of(2) {
-                partial.1.push(index);
-            }
-        }
-
-        fn finish(&self, partial: Self::Partial) -> Self::Output {
-            partial
-        }
-    }
-
-    #[test]
-    fn fold_items_matches_sequential_and_is_invariant() {
-        let items: Vec<u32> = (0..1000).map(|i| i * 7 % 113).collect();
-        let expected_sum: u64 = items.iter().map(|&i| u64::from(i)).sum();
-        let expected_evens: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .filter(|(_, i)| *i % 2 == 0)
-            .map(|(idx, _)| idx as u64)
-            .collect();
-        for threads in [1, 2, 8] {
-            for chunk_size in [7, 64, 100_000] {
-                let (sum, evens) = fold_items(
-                    &SumEvenPass,
-                    &items,
-                    chunk_size,
-                    threads,
-                    &NoopRecorder,
-                    SpanCtx::NONE,
-                );
-                assert_eq!(sum, expected_sum, "threads={threads} chunk={chunk_size}");
-                assert_eq!(
-                    evens, expected_evens,
-                    "threads={threads} chunk={chunk_size}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fold_items_telemetry_decomposes_like_the_scan() {
-        let items: Vec<u32> = (0..100).collect();
-        let registry = Registry::new();
-        let _ = fold_items(&SumEvenPass, &items, 16, 4, &registry, SpanCtx::NONE);
-        let stage = registry
-            .snapshot()
-            .stages
-            .into_iter()
-            .find(|s| s.name == "analyze.test.sum_even")
-            .expect("item pass stage recorded");
-        // ceil(100 / 16) chunk spans + merge + finish.
-        assert_eq!(stage.calls, 7 + 2);
-        assert_eq!(stage.records, 100);
-    }
-
-    #[test]
-    fn fold_probe_accepts_and_rejects_correctly() {
-        let items: Vec<u32> = (0..500).collect();
-        assert_eq!(
-            fold_is_associative(&SumEvenPass, &items, 97, &NoopRecorder),
-            Ok(())
-        );
-
-        struct LossyItems;
-        impl ItemPass<u32> for LossyItems {
-            type Partial = KeepLater;
-            type Output = u64;
-            fn name(&self) -> &'static str {
-                "analyze.test.lossy_items"
-            }
-            fn empty(&self) -> Self::Partial {
-                KeepLater(0)
-            }
-            fn observe(&self, partial: &mut Self::Partial, _: &u32, _: u64, _: &dyn Recorder) {
-                partial.0 += 1;
-            }
-            fn finish(&self, partial: Self::Partial) -> Self::Output {
-                partial.0
-            }
-        }
-        assert_eq!(
-            fold_is_associative(&LossyItems, &items, 97, &NoopRecorder),
-            Err("analyze.test.lossy_items")
-        );
     }
 
     #[test]

@@ -96,10 +96,11 @@
 //!
 //! `--mine-portfolios` runs the two-pass skeleton-LSH portfolio miner:
 //! pass A folds a confusable-skeleton bucket index on the same fused
-//! corpus traversal (`analyze.pass.bucket_index`), pass B SSIM-verifies
-//! every pair inside the non-singleton buckets and clusters the verified
-//! pairs into registrant/activity-joined squatter portfolios
-//! (`analyze.pass.pair_mine`). The report gains a "Portfolio mining"
+//! corpus traversal (`analyze.pass.bucket_index`); after the scan, pass B
+//! SSIM-verifies every pair inside the non-singleton buckets in one
+//! parallel map and clusters the verified pairs into
+//! registrant/activity-joined squatter portfolios (one `mine.pairs` span,
+//! its counters recorded once). The report gains a "Portfolio mining"
 //! section; every other section's bytes are unchanged, and the mined
 //! output is byte-identical across `--threads` and `--shard-size`
 //! settings. Combined with `--stream`, the index folds over regenerated
@@ -127,7 +128,8 @@
 //!
 //! Flag compatibility is validated against one table
 //! ([`idnre_bench::FLAG_CONFLICTS`] / [`idnre_bench::FLAG_REQUIRES`]);
-//! any violation is a usage error (exit 2).
+//! any violation is a usage error (exit 2), and so is an argument that
+//! starts with `-` but names no flag.
 //!
 //! `--metrics det` renders the deterministic `idnre-metrics/2` snapshot
 //! slice (counters and stage call/record totals, no timings), which is
@@ -265,6 +267,7 @@ fn main() {
                 faults = Some(FaultSetup::from_plan(plan));
             }
             "--help" | "-h" => usage(""),
+            other if other.starts_with('-') => usage(&format!("unknown flag {other:?}")),
             other => wanted.push(other.to_string()),
         }
     }

@@ -1,5 +1,4 @@
-//! Zone-wide homograph portfolio mining: the two-pass skeleton-LSH plan
-//! (ROADMAP item 3).
+//! Zone-wide homograph portfolio mining: the two-pass skeleton-LSH plan.
 //!
 //! The paper only checks IDNs against a fixed brand list because all-pairs
 //! confusable search over the census was compute-bound. This module mines
@@ -13,31 +12,32 @@
 //!   pieces — one partial hash per *distinct* label, one folded suffix per
 //!   TLD — so the per-record cost is a few table reads and an 8-byte hash
 //!   continuation; the index stores packed [`LabelRef`]s, never strings.
-//! - **Pass B** ([`PairMinePass`], an [`ItemPass`] driven by
-//!   [`idnre_analyze::fold_items`]) re-scans only the **non-singleton**
-//!   buckets: each bucket's members are rendered once, every in-bucket
-//!   pair is SSIM-verified with the same [`pair_score`] kernel the brand
-//!   detector uses, and verified pairs are clustered into squatter
-//!   *portfolios* by a deterministic union-find keyed by symbol order,
-//!   joined against WHOIS registrants and pDNS activity.
+//! - **Pass B** ([`verify_buckets`], one parallel map over the
+//!   **non-singleton** buckets) renders each bucket's members once and
+//!   SSIM-verifies every in-bucket pair with the same [`pair_score`]
+//!   kernel the brand detector uses. [`mine_portfolios`] runs it inside
+//!   one `mine.pairs` span, records the [`MINE_COUNTERS`] totals once,
+//!   then clusters the verified pairs into squatter *portfolios* by a
+//!   deterministic union-find keyed by symbol order and joins them against
+//!   WHOIS registrants and pDNS activity.
 //!
 //! Candidate generation therefore drops from `O(n²)` pairs to
 //! `O(Σ bucket²)`; [`verified_pairs_exhaustive`] retains the all-pairs
 //! oracle (capped, like `detect_exhaustive`) that pins the indexed result
-//! to the exhaustive one and anchors the measured speedup in
+//! (the same [`verify_buckets`], via [`verified_pairs_lsh`]) to the
+//! exhaustive one and anchors the measured speedup in
 //! `BENCH_pipeline.json`.
 //!
-//! Every structure here follows the fold/merge contract: bucket-index
-//! merge is associative (first-occurrence key order, concatenated entry
-//! vectors), pair partials concatenate in chunk order, and the union-find
-//! root is always the minimum `(sld, tld)` member — so mined output is
-//! byte-identical across thread counts and shard sizes.
+//! Mined output is byte-identical across thread counts and shard sizes:
+//! the bucket-index merge is associative (first-occurrence key order,
+//! concatenated entry vectors), buckets are verified independently and
+//! kept in index order, the pair list is sorted, and the union-find root
+//! is always the minimum `(sld, tld)` member.
 
-use idnre_analyze::{fold_items, AnalysisPass, ItemPass, Merge, Observed, Population};
+use idnre_analyze::{AnalysisPass, Merge, Observed, Population};
 use idnre_arena::{fnv1a, BucketIndex, CorpusColumns, LabelRef};
 use idnre_core::{pair_score, SkeletonCache};
 use idnre_datagen::Ecosystem;
-use idnre_pdns::PdnsStore;
 use idnre_render::{render_text, GrayImage};
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::collections::HashMap;
@@ -45,10 +45,11 @@ use std::collections::HashMap;
 /// Ledger stage of the bucket-index fold (pass A).
 pub const BUCKET_STAGE: &str = "analyze.pass.bucket_index";
 
-/// Ledger stage of the pair-mining fold (pass B).
-pub const PAIR_MINE_STAGE: &str = "analyze.pass.pair_mine";
+/// Stage of pass B and the portfolio join: one span per mined run, after
+/// the fused scan and outside its `analyze.pass.` namespace.
+pub const PAIRS_STAGE: &str = "mine.pairs";
 
-/// Counters the pair miner tallies in its partial and flushes per chunk.
+/// Counters pass B totals, recorded once per mined run.
 pub const MINE_COUNTERS: [&str; 3] = [
     "mine.pairs.candidates",
     "mine.pairs.skip.ascii",
@@ -207,21 +208,13 @@ pub struct VerifiedPair {
     pub ssim: f64,
 }
 
-/// One non-singleton bucket handed to pass B.
-#[derive(Debug, Clone)]
-pub struct MineBucket {
-    /// The bucket's members, in corpus first-occurrence order.
-    pub members: Vec<LabelRef>,
-}
-
 /// Renders each member of a bucket once and SSIM-scores every in-bucket
-/// pair; the shared verification kernel of pass B and the LSH probe.
+/// pair; the verification kernel [`verify_buckets`] maps over buckets.
 /// Returns `(candidate_pairs, ascii_skipped, verified)`.
 fn bucket_pairs(
     members: &[LabelRef],
     columns: &CorpusColumns,
     plan: &MiningPlan,
-    threshold: f64,
 ) -> (u64, u64, Vec<VerifiedPair>) {
     // Duplicate registrations of one domain share a `LabelRef`; pairing
     // them with themselves (or re-verifying the same pair through each
@@ -251,7 +244,7 @@ fn bucket_pairs(
             let Some(score) = pair_score(&rendered[i].1, &rendered[j].1) else {
                 continue;
             };
-            if score >= threshold {
+            if score >= MINE_THRESHOLD {
                 verified.push(VerifiedPair {
                     a: members[i],
                     b: members[j],
@@ -261,42 +254,6 @@ fn bucket_pairs(
         }
     }
     (candidates, ascii_skipped, verified)
-}
-
-/// Pass B partial: totals merged across chunks, plus unflushed counter
-/// tallies batched into one `Recorder::add` per chunk.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PairPartial {
-    candidate_pairs: u64,
-    ascii_skipped: u64,
-    verified: Vec<VerifiedPair>,
-    unflushed: [u64; 3],
-}
-
-impl Merge for PairPartial {
-    fn merge(mut self, mut later: Self) -> Self {
-        self.candidate_pairs += later.candidate_pairs;
-        self.ascii_skipped += later.ascii_skipped;
-        self.verified.append(&mut later.verified);
-        for (mine, theirs) in self.unflushed.iter_mut().zip(later.unflushed) {
-            *mine += theirs;
-        }
-        self
-    }
-}
-
-/// What pass B finishes into: the verified pair list plus the clustered,
-/// WHOIS/pDNS-joined portfolios.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PairMineOutputs {
-    /// In-bucket pairs generated.
-    pub candidate_pairs: u64,
-    /// Pairs skipped because both labels were ASCII.
-    pub ascii_skipped: u64,
-    /// Verified pairs, resolved to display forms.
-    pub verified: Vec<VerifiedPairOut>,
-    /// Clustered squatter portfolios.
-    pub portfolios: Vec<Portfolio>,
 }
 
 /// A verified pair in resolved (display-form) terms.
@@ -351,115 +308,6 @@ pub struct PortfolioMember {
     pub query_count: u64,
     /// pDNS active days (0 when never seen).
     pub active_days: i64,
-}
-
-/// Pass B: SSIM-verifies every in-bucket pair and clusters the verdicts
-/// into portfolios. Chunked over buckets by [`idnre_analyze::fold_items`];
-/// the finish step runs the union-find and the WHOIS/pDNS join, so the
-/// whole mining tail is attributed to the `analyze.pass.pair_mine` stage.
-pub struct PairMinePass<'a> {
-    columns: &'a CorpusColumns,
-    plan: &'a MiningPlan,
-    /// `ACE domain → registrant email` for the portfolio join.
-    registrants: HashMap<String, String>,
-    pdns: &'a PdnsStore,
-    threshold: f64,
-}
-
-impl<'a> PairMinePass<'a> {
-    /// Builds the pass with its WHOIS join table.
-    pub fn new(columns: &'a CorpusColumns, plan: &'a MiningPlan, eco: &'a Ecosystem) -> Self {
-        let mut registrants = HashMap::new();
-        for record in &eco.whois {
-            if let Some(email) = &record.registrant_email {
-                registrants.insert(record.domain.clone(), email.clone());
-            }
-        }
-        PairMinePass {
-            columns,
-            plan,
-            registrants,
-            pdns: &eco.pdns,
-            threshold: MINE_THRESHOLD,
-        }
-    }
-
-    fn member_of(&self, member: LabelRef) -> PortfolioMember {
-        let unicode = self.plan.unicode_of(self.columns, member);
-        let domain = idnre_idna::to_ascii(&unicode).unwrap_or_else(|_| unicode.clone());
-        let (query_count, active_days) = match self.pdns.lookup(&domain) {
-            Some(aggregate) => (aggregate.query_count, aggregate.active_days()),
-            None => (0, 0),
-        };
-        PortfolioMember {
-            registrant: self.registrants.get(&domain).cloned(),
-            domain,
-            unicode,
-            query_count,
-            active_days,
-        }
-    }
-}
-
-impl ItemPass<MineBucket> for PairMinePass<'_> {
-    type Partial = PairPartial;
-    type Output = PairMineOutputs;
-
-    fn name(&self) -> &'static str {
-        PAIR_MINE_STAGE
-    }
-
-    fn counters(&self) -> &'static [&'static str] {
-        &MINE_COUNTERS
-    }
-
-    fn empty(&self) -> Self::Partial {
-        PairPartial::default()
-    }
-
-    fn observe(&self, partial: &mut Self::Partial, bucket: &MineBucket, _: u64, _: &dyn Recorder) {
-        let (candidates, ascii_skipped, mut verified) =
-            bucket_pairs(&bucket.members, self.columns, self.plan, self.threshold);
-        partial.candidate_pairs += candidates;
-        partial.ascii_skipped += ascii_skipped;
-        partial.unflushed[0] += candidates;
-        partial.unflushed[1] += ascii_skipped;
-        partial.unflushed[2] += verified.len() as u64;
-        partial.verified.append(&mut verified);
-    }
-
-    fn shard_end(&self, partial: &mut Self::Partial, recorder: &dyn Recorder) {
-        for (name, tally) in MINE_COUNTERS.iter().zip(partial.unflushed.iter_mut()) {
-            if *tally > 0 {
-                recorder.add(name, *tally);
-                *tally = 0;
-            }
-        }
-    }
-
-    fn finish(&self, partial: Self::Partial) -> Self::Output {
-        let pairs = normalize(partial.verified);
-        let portfolios = cluster(&pairs)
-            .into_iter()
-            .map(|members| Portfolio {
-                members: members.into_iter().map(|m| self.member_of(m)).collect(),
-            })
-            .collect();
-        let verified = pairs
-            .iter()
-            .map(|pair| VerifiedPairOut {
-                a: self.plan.unicode_of(self.columns, pair.a),
-                b: self.plan.unicode_of(self.columns, pair.b),
-                ssim: pair.ssim,
-            })
-            .collect();
-        PairMineOutputs {
-            candidate_pairs: partial.candidate_pairs,
-            ascii_skipped: partial.ascii_skipped,
-            verified,
-            portfolios,
-        }
-    }
 }
 
 /// Deterministic union-find over the verified pairs: the representative is
@@ -524,11 +372,41 @@ pub struct MiningOutputs {
     pub portfolios: Vec<Portfolio>,
 }
 
-/// Runs pass B over the non-singleton buckets of `index` and assembles
-/// the full [`MiningOutputs`]. `chunk_size`/`threads` shape the fold the
-/// same way the corpus scan is shaped — output bytes do not depend on
-/// either (the fold merge is associative and chunk order is item order).
-#[allow(clippy::too_many_arguments)]
+/// Pass B: SSIM-verifies every pair inside the non-singleton buckets of
+/// `index`, the buckets mapped over `threads` workers. Buckets are
+/// independent and `par_map` keeps their index order, so nothing here
+/// depends on `threads`. Returns `(candidate_pairs, ascii_skipped,
+/// verified)`, the pairs normalized.
+pub fn verify_buckets(
+    index: &BucketIndex,
+    columns: &CorpusColumns,
+    plan: &MiningPlan,
+    threads: usize,
+) -> (u64, u64, Vec<VerifiedPair>) {
+    let buckets: Vec<&[LabelRef]> = index
+        .iter()
+        .map(|(_, members)| members)
+        .filter(|members| members.len() > 1)
+        .collect();
+    let verdicts = idnre_par::par_map(&buckets, threads, |members| {
+        bucket_pairs(members, columns, plan)
+    });
+    let mut candidate_pairs = 0;
+    let mut ascii_skipped = 0;
+    let mut verified = Vec::new();
+    for (candidates, skipped, mut pairs) in verdicts {
+        candidate_pairs += candidates;
+        ascii_skipped += skipped;
+        verified.append(&mut pairs);
+    }
+    (candidate_pairs, ascii_skipped, normalize(verified))
+}
+
+/// Runs pass B over `index` and assembles the full [`MiningOutputs`]:
+/// clusters the verified pairs into portfolios and joins each member
+/// against WHOIS registrants and pDNS activity. One [`PAIRS_STAGE`] span
+/// under `parent` covers the whole tail, its records the non-singleton
+/// buckets verified.
 pub fn mine_portfolios(
     index: &BucketIndex,
     columns: &CorpusColumns,
@@ -538,23 +416,56 @@ pub fn mine_portfolios(
     recorder: &dyn Recorder,
     parent: SpanCtx,
 ) -> MiningOutputs {
-    let buckets: Vec<MineBucket> = index
+    let mut span = recorder.span_at(PAIRS_STAGE, parent, 0);
+    recorder.preregister(&MINE_COUNTERS);
+    let (candidate_pairs, ascii_skipped, pairs) = verify_buckets(index, columns, plan, threads);
+    let totals = [candidate_pairs, ascii_skipped, pairs.len() as u64];
+    for (name, total) in MINE_COUNTERS.iter().zip(totals) {
+        recorder.add(name, total);
+    }
+    let registrants: HashMap<&str, &str> = eco
+        .whois
         .iter()
-        .filter(|(_, members)| members.len() > 1)
-        .map(|(_, members)| MineBucket {
-            members: members.to_vec(),
+        .filter_map(|record| Some((record.domain.as_str(), record.registrant_email.as_deref()?)))
+        .collect();
+    let member_of = |member: LabelRef| {
+        let unicode = plan.unicode_of(columns, member);
+        let domain = idnre_idna::to_ascii(&unicode).unwrap_or_else(|_| unicode.clone());
+        let (query_count, active_days) = match eco.pdns.lookup(&domain) {
+            Some(aggregate) => (aggregate.query_count, aggregate.active_days()),
+            None => (0, 0),
+        };
+        PortfolioMember {
+            registrant: registrants.get(domain.as_str()).map(|e| e.to_string()),
+            domain,
+            unicode,
+            query_count,
+            active_days,
+        }
+    };
+    let portfolios = cluster(&pairs)
+        .into_iter()
+        .map(|members| Portfolio {
+            members: members.into_iter().map(&member_of).collect(),
         })
         .collect();
-    let pass = PairMinePass::new(columns, plan, eco);
-    let chunk = idnre_par::chunk_size(buckets.len(), threads);
-    let mined = fold_items(&pass, &buckets, chunk, threads, recorder, parent);
+    let verified = pairs
+        .iter()
+        .map(|pair| VerifiedPairOut {
+            a: plan.unicode_of(columns, pair.a),
+            b: plan.unicode_of(columns, pair.b),
+            ssim: pair.ssim,
+        })
+        .collect();
+    let non_singleton_buckets = index.non_singleton_count() as u64;
+    span.add_records(non_singleton_buckets);
     MiningOutputs {
         buckets: index.len() as u64,
-        non_singleton_buckets: index.non_singleton_count() as u64,
-        candidate_pairs: mined.candidate_pairs,
-        ascii_skipped: mined.ascii_skipped,
-        verified: mined.verified,
-        portfolios: mined.portfolios,
+        non_singleton_buckets,
+        candidate_pairs,
+        ascii_skipped,
+        verified,
+        portfolios,
     }
 }
 
@@ -573,7 +484,8 @@ fn normalize(mut pairs: Vec<VerifiedPair>) -> Vec<VerifiedPair> {
 }
 
 /// The LSH path over the first `cap` column rows, as a standalone probe:
-/// bucket the rows, verify in-bucket pairs. Returns normalized pairs.
+/// bucket the rows under pass A's keys, then run pass B's
+/// [`verify_buckets`]. Returns normalized pairs.
 pub fn verified_pairs_lsh(
     columns: &CorpusColumns,
     plan: &MiningPlan,
@@ -587,15 +499,7 @@ pub fn verified_pairs_lsh(
         let tld = columns.tld_id(row);
         index.insert(plan.key(sld, tld), LabelRef { sld, tld });
     }
-    let buckets: Vec<Vec<LabelRef>> = index
-        .iter()
-        .filter(|(_, members)| members.len() > 1)
-        .map(|(_, members)| members.to_vec())
-        .collect();
-    let verified = idnre_par::par_map(&buckets, threads, |members| {
-        bucket_pairs(members, columns, plan, MINE_THRESHOLD).2
-    });
-    normalize(verified.into_iter().flatten().collect())
+    verify_buckets(&index, columns, plan, threads).2
 }
 
 /// The exhaustive oracle over the first `cap` column rows: every pair of

@@ -671,7 +671,7 @@ mod tests {
             "homograph.scan.exhaustive",
             "analyze.pass.semantic1",
             "analyze.pass.bucket_index",
-            "analyze.pass.pair_mine",
+            "mine.pairs",
             "mine.pairs.lsh",
             "mine.pairs.exhaustive",
             "analyze.scan.instrumented",
@@ -736,10 +736,10 @@ mod tests {
         let (_, bench) = measured_batch();
         let ledger = RunLedger::collect(&bench).expect("a one-shot run scans");
         assert_eq!(ledger.mode, "batch");
-        // Every registered pass shows up: 3 core detectors + 6 report
-        // aggregation passes + the two mining stages (pass A fused on the
-        // scan, pass B's bucket fold).
-        assert_eq!(ledger.rows.len(), 11);
+        // Exactly the registered passes show up: 3 core detectors + 6
+        // report aggregation passes + the miner's pass A. Pass B runs
+        // after the scan as `mine.pairs`, outside the ledger.
+        assert_eq!(ledger.rows.len(), 10);
         assert!(ledger.scan_wall_ns > 0);
         for row in &ledger.rows {
             assert_eq!(row.stage, format!("{PASS_STAGE_PREFIX}{}", row.pass));

@@ -28,7 +28,8 @@ pub fn slo_profile(name: &str) -> Option<SloSpec> {
 /// Generous bounds a healthy run clears with wide margin: the three
 /// stages every build mode records (generation, the fused scan and its
 /// Table V sample crawl) must exist and finish inside ten minutes per
-/// call, and no pass shard may median above a minute.
+/// call, and no pass shard — nor the miner's pair verification, which
+/// only a mined run records — may median above a minute.
 fn smoke() -> SloSpec {
     const MINUTE: u64 = 60_000_000_000;
     SloSpec::new("smoke")
@@ -49,6 +50,11 @@ fn smoke() -> SloSpec {
         )
         .rule(
             SloRule::stage("analyze.pass.*")
+                .p50_max_nanos(MINUTE)
+                .p99_max_nanos(5 * MINUTE),
+        )
+        .rule(
+            SloRule::stage("mine.*")
                 .p50_max_nanos(MINUTE)
                 .p99_max_nanos(5 * MINUTE),
         )
@@ -98,6 +104,21 @@ mod tests {
         let report = smoke().evaluate(&Registry::new().snapshot());
         assert_eq!(report.status, SloStatus::Degraded);
         assert_eq!(report.status.exit_code(), 3);
+    }
+
+    #[test]
+    fn smoke_degrades_on_a_slow_pair_verification() {
+        let registry = Registry::new();
+        for stage in ["build.ecosystem", "analyze.scan", "analyze.pass.content"] {
+            registry.record_nanos(stage, 1_000_000);
+        }
+        // Two minutes: over the one-minute median bound, under the p99.
+        registry.record_nanos("mine.pairs", 120_000_000_000);
+        let report = smoke().evaluate(&registry.snapshot());
+        assert_eq!(report.status, SloStatus::Degraded);
+        assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations[0].stage, "mine.pairs");
+        assert_eq!(report.violations[0].metric, "p50");
     }
 
     #[test]

@@ -3,17 +3,18 @@
 //!
 //! Mining rides the fused scan, so it inherits the same contracts the
 //! report does — and they are checked the same way: byte-identity of the
-//! mined report across a thread × shard grid, associativity of both new
-//! merges on real corpus partials (chunk size coprime to every shard
-//! size), equality against the all-pairs oracle on forged confusable
-//! corpora, and a pinned scale-50 regression for the mined counts.
+//! mined report and its deterministic metrics across a thread × shard
+//! grid, associativity of the bucket-index merge on real corpus partials
+//! (chunk size coprime to every shard size), equality of the pair
+//! verifier against the all-pairs oracle on forged confusable corpora,
+//! and a pinned scale-50 regression for the mined counts.
 
-use idnre_analyze::{fold_is_associative, SliceSource};
+use idnre_analyze::SliceSource;
 use idnre_arena::{ColumnRow, ColumnsBuilder};
 use idnre_bench::{mine, passes, CandidateSurvey, ReproContext, RunSpec};
 use idnre_core::SkeletonCache;
 use idnre_datagen::{generate_traced, EcosystemConfig};
-use idnre_telemetry::{NoopRecorder, SpanCtx};
+use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
 use idnre_unicode::homoglyphs_of;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -37,37 +38,50 @@ fn config(threads: usize) -> EcosystemConfig {
 }
 
 /// The headline guarantee: the mined report — portfolio section included —
-/// is byte-identical across worker counts and streamed shard sizes. The
-/// batch build anchors the grid.
+/// is byte-identical across worker counts and streamed shard sizes, and
+/// at each shard size (batch included) so is the `--metrics det` JSON:
+/// stage calls and records and every counter. The batch build at one
+/// worker anchors the report grid.
 #[test]
 fn mined_report_is_byte_identical_across_threads_and_shards() {
-    let batch = ReproContext::build(&config(4), &mined(None), Arc::new(NoopRecorder)).full_report();
-    assert!(
-        batch.contains("## Portfolio mining"),
-        "mined build lost its report section"
-    );
-    for threads in [1usize, 2, 8] {
-        for shard_size in [64usize, 1024] {
-            let streamed = ReproContext::build(
-                &config(threads),
-                &mined(Some(shard_size)),
-                Arc::new(NoopRecorder),
-            )
-            .full_report();
-            assert_eq!(
-                batch, streamed,
-                "mined report diverged at threads={threads} shard_size={shard_size}"
-            );
+    let mut anchor: Option<String> = None;
+    for shard_size in [None, Some(64usize), Some(1024)] {
+        let mut det: Option<String> = None;
+        for threads in [1usize, 2, 8] {
+            let registry = Arc::new(Registry::new());
+            let report =
+                ReproContext::build(&config(threads), &mined(shard_size), registry.clone())
+                    .full_report();
+            let metrics = registry.snapshot().render_deterministic_json();
+            match &anchor {
+                None => {
+                    assert!(
+                        report.contains("## Portfolio mining"),
+                        "mined build lost its report section"
+                    );
+                    anchor = Some(report);
+                }
+                Some(expected) => assert_eq!(
+                    &report, expected,
+                    "mined report diverged at threads={threads} shard_size={shard_size:?}"
+                ),
+            }
+            match &det {
+                None => det = Some(metrics),
+                Some(expected) => assert_eq!(
+                    &metrics, expected,
+                    "mined det metrics diverged at threads={threads} shard_size={shard_size:?}"
+                ),
+            }
         }
     }
 }
 
-/// Both mining merges are associative over real corpus partials: the
-/// bucket-index fold on the scan (pass A, via the plan-wide probe) and
-/// the pair miner's chunk fold (pass B, via the item-fold probe), at a
-/// chunk size coprime to every shard size the grid uses.
+/// The bucket-index fold (pass A) merges associatively over real corpus
+/// partials, checked by the plan-wide probe at a chunk size coprime to
+/// every shard size the grid uses.
 #[test]
-fn mining_merges_are_associative_at_chunk_97() {
+fn bucket_index_merge_is_associative_at_chunk_97() {
     let (eco, _, rows) = generate_traced(&config(4), None, &NoopRecorder, SpanCtx::NONE);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
     let columns = passes::finish_columns(rows, 4, &NoopRecorder, SpanCtx::NONE);
@@ -75,25 +89,10 @@ fn mining_merges_are_associative_at_chunk_97() {
     let mining_plan = mine::MiningPlan::new(&columns, &skeletons);
     let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
     let inputs = passes::ScanInputs::new(&eco, &candidates);
-    let plan = || inputs.plan(&columns, &skeletons, &eco.pdns, Some(&mining_plan));
-    plan()
+    inputs
+        .plan(&columns, &skeletons, &eco.pdns, Some(&mining_plan))
         .check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
-
-    // Pass B over the real non-singleton buckets of the same corpus.
-    let (_, index) = plan().run_at(&source, 1024, 4, &NoopRecorder, SpanCtx::NONE);
-    let index = index.expect("mined plan returns the bucket index");
-    let buckets: Vec<mine::MineBucket> = index
-        .iter()
-        .filter(|(_, members)| members.len() > 1)
-        .map(|(_, members)| mine::MineBucket {
-            members: members.to_vec(),
-        })
-        .collect();
-    assert!(!buckets.is_empty(), "corpus produced no collision buckets");
-    let pass = mine::PairMinePass::new(&columns, &mining_plan, &eco);
-    fold_is_associative(&pass, &buckets, 97, &NoopRecorder)
-        .unwrap_or_else(|name| panic!("{name} has a non-associative merge"));
 }
 
 /// Mining is additive: the default report is a byte-prefix of the mined
@@ -184,10 +183,11 @@ fn forge(base: &str, recipe: &[(bool, usize)]) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The LSH path returns exactly the pairs the all-pairs oracle
-    /// returns, on corpora engineered for skeleton collisions: confusable
-    /// substitutions of a small label pool, so many rows fold to one
-    /// bucket, plus the untouched ASCII bases as negatives.
+    /// The LSH path (pass B's `verify_buckets` over pass A's keys) returns
+    /// exactly the pairs the all-pairs oracle returns, on corpora
+    /// engineered for skeleton collisions: confusable substitutions of a
+    /// small label pool, so many rows fold to one bucket, plus the
+    /// untouched ASCII bases as negatives.
     #[test]
     fn lsh_pairs_match_exhaustive_oracle(
         bases in proptest::collection::vec("[a-z]{4,10}", 2..6),

@@ -41,9 +41,7 @@ pub mod topic;
 
 pub use availability::{AvailabilityEnumerator, AvailabilityReport, Candidate};
 pub use homograph::{pair_score, HomographDetector, HomographFinding, HOMOGRAPH_COUNTERS};
-pub use passes::{
-    ColumnedHomographPass, HomographPass, Semantic1Pass, Semantic2Pass, SkeletonCache,
-};
+pub use passes::{ColumnedHomographPass, Semantic1Pass, Semantic2Pass, SkeletonCache};
 pub use pipeline::{AbuseAnalysis, BrandAbuseRow};
 pub use registry::{SrsPolicy, SrsRejection};
 pub use semantic::{SemanticDetector, SemanticFinding, SemanticKind, SEMANTIC_COUNTERS};

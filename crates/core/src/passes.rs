@@ -16,74 +16,27 @@ use idnre_arena::CorpusColumns;
 use idnre_telemetry::Recorder;
 use idnre_unicode::skeleton;
 
-/// SSIM homograph detection as a streaming pass (IDN population only).
-///
-/// Observation probes [`HomographDetector::detect_recorded`] per record;
-/// `finish` sorts findings by domain, matching the batch scan's output
-/// contract.
-#[derive(Debug, Clone, Copy)]
-pub struct HomographPass<'d> {
-    detector: &'d HomographDetector,
-}
-
-impl<'d> HomographPass<'d> {
-    /// Wraps a configured detector.
-    pub fn new(detector: &'d HomographDetector) -> Self {
-        HomographPass { detector }
-    }
-}
-
-impl AnalysisPass for HomographPass<'_> {
-    type Partial = Vec<HomographFinding>;
-    type Output = Vec<HomographFinding>;
-
-    fn name(&self) -> &'static str {
-        "analyze.pass.homograph"
-    }
-
-    fn counters(&self) -> &'static [&'static str] {
-        &HOMOGRAPH_COUNTERS
-    }
-
-    fn empty(&self) -> Self::Partial {
-        Vec::new()
-    }
-
-    fn observe(&self, partial: &mut Self::Partial, rec: &Observed<'_>, recorder: &dyn Recorder) {
-        if rec.population != Population::Idn {
-            return;
-        }
-        if let Some(finding) = self.detector.detect_recorded(&rec.reg.domain, recorder) {
-            partial.push(finding);
-        }
-    }
-
-    fn finish(&self, mut partial: Self::Partial) -> Self::Output {
-        partial.sort_by(|a, b| a.domain.cmp(&b.domain));
-        partial
-    }
-}
-
 /// SSIM homograph detection fed from interned [`CorpusColumns`] instead of
 /// re-resolving label strings per record.
 ///
-/// The per-record path ([`HomographPass`]) runs `to_unicode` + a full
-/// [`skeleton`] fold for every record. The corpus interns each distinct
-/// label once, so this pass hoists both out of the hot loop: it reads one
-/// skeleton per *distinct* label and one decoded suffix skeleton per TLD
-/// from a [`SkeletonCache`], and per record does only a scratch-buffer key
-/// assembly plus the index probe. Because [`skeleton`] maps characters
-/// independently (ASCII passes through untouched), `skeleton(unicode)` ==
+/// The per-record path ([`HomographDetector::detect_recorded`]) runs
+/// `to_unicode` + a full [`skeleton`] fold for every domain. The corpus
+/// interns each distinct label once, so this pass hoists both out of the
+/// hot loop: it reads one skeleton per *distinct* label and one decoded
+/// suffix skeleton per TLD from a [`SkeletonCache`], and per record does
+/// only a scratch-buffer key assembly plus the index probe. Because
+/// [`skeleton`] maps characters independently (ASCII passes through
+/// untouched), `skeleton(unicode)` ==
 /// `skeleton(sld) + skeleton(".tld")` — the assembled key matches the
 /// per-record fold byte for byte, so findings *and* counters are identical
-/// to [`HomographPass`] (the equivalence tests below pin both).
+/// to the batch scan's (the equivalence tests below pin both).
 ///
 /// Counters are tallied in the partial and flushed once per shard in
 /// `shard_end` (the batched-flush contract from
 /// [`AnalysisPass::shard_end`]). `homograph.skip.invalid_idna` is
 /// structurally zero here: column rows come from display forms the corpus
 /// builder already decoded, so there is nothing left to fail — the counter
-/// equivalence test below holds this path to the per-record one anyway.
+/// equivalence test below holds this path to the batch scan's anyway.
 pub struct ColumnedHomographPass<'d> {
     detector: &'d HomographDetector,
     columns: &'d CorpusColumns,
@@ -425,6 +378,19 @@ mod tests {
         (eco, brands)
     }
 
+    fn columns_of(eco: &Ecosystem) -> idnre_arena::CorpusColumns {
+        let mut builder = idnre_arena::ColumnsBuilder::new();
+        for reg in &eco.idn_registrations {
+            builder.push(idnre_arena::ColumnRow {
+                sld: reg.unicode.split('.').next().unwrap_or(""),
+                tld: &reg.tld,
+                malicious: reg.malicious.is_some(),
+                ..idnre_arena::ColumnRow::default()
+            });
+        }
+        builder.finish(|labels| vec![0; labels.len()])
+    }
+
     #[test]
     fn passes_match_legacy_batch_scans() {
         let (eco, brands) = corpus();
@@ -442,9 +408,11 @@ mod tests {
         assert!(!legacy_homographs.is_empty());
         assert!(!legacy_sem1.is_empty());
 
+        let columns = columns_of(&eco);
+        let skeletons = SkeletonCache::build(&columns, 4);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         let mut scan = ShardedScan::new();
-        let h = scan.register(HomographPass::new(&homograph));
+        let h = scan.register(ColumnedHomographPass::new(&homograph, &columns, &skeletons));
         let s1 = scan.register(Semantic1Pass::new(&semantic));
         let s2 = scan.register(Semantic2Pass::new(&semantic));
         let registry = Registry::new();
@@ -471,59 +439,16 @@ mod tests {
         let _ = semantic.scan_type1_parallel(idn_domains.iter().copied(), 4, &legacy);
         let legacy_counters = legacy.snapshot().counters;
 
+        let columns = columns_of(&eco);
+        let skeletons = SkeletonCache::build(&columns, 2);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         let mut scan = ShardedScan::new();
-        let _ = scan.register(HomographPass::new(&homograph));
+        let _ = scan.register(ColumnedHomographPass::new(&homograph, &columns, &skeletons));
         let _ = scan.register(Semantic1Pass::new(&semantic));
         let streamed = Registry::new();
         let _ = scan.run_at(&source, 128, 2, &streamed, SpanCtx::NONE);
 
         assert_eq!(streamed.snapshot().counters, legacy_counters);
-    }
-
-    fn columns_of(eco: &Ecosystem) -> idnre_arena::CorpusColumns {
-        let mut builder = idnre_arena::ColumnsBuilder::new();
-        for reg in &eco.idn_registrations {
-            builder.push(idnre_arena::ColumnRow {
-                sld: reg.unicode.split('.').next().unwrap_or(""),
-                tld: &reg.tld,
-                malicious: reg.malicious.is_some(),
-                ..idnre_arena::ColumnRow::default()
-            });
-        }
-        builder.finish(|labels| vec![0; labels.len()])
-    }
-
-    #[test]
-    fn columned_homograph_matches_per_record_pass() {
-        let (eco, brands) = corpus();
-        let homograph = HomographDetector::new(&brands, 0.95);
-        let columns = columns_of(&eco);
-        let skeletons = SkeletonCache::build(&columns, 4);
-        let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-
-        let per_record_registry = Registry::new();
-        let per_record = {
-            let mut scan = ShardedScan::new();
-            let h = scan.register(HomographPass::new(&homograph));
-            let mut result = scan.run_at(&source, 64, 4, &per_record_registry, SpanCtx::NONE);
-            result.take(&h)
-        };
-        assert!(!per_record.is_empty());
-
-        let columned_registry = Registry::new();
-        let columned = {
-            let mut scan = ShardedScan::new();
-            let h = scan.register(ColumnedHomographPass::new(&homograph, &columns, &skeletons));
-            let mut result = scan.run_at(&source, 64, 4, &columned_registry, SpanCtx::NONE);
-            result.take(&h)
-        };
-
-        assert_eq!(columned, per_record);
-        assert_eq!(
-            columned_registry.snapshot().counters,
-            per_record_registry.snapshot().counters
-        );
     }
 
     #[test]
@@ -592,11 +517,9 @@ mod tests {
     #[test]
     fn passes_are_associative() {
         let (eco, brands) = corpus();
-        let homograph = HomographDetector::new(&brands, 0.95);
         let semantic = SemanticDetector::new(&brands);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         let mut scan = ShardedScan::new();
-        let _ = scan.register(HomographPass::new(&homograph));
         let _ = scan.register(Semantic1Pass::new(&semantic));
         let _ = scan.register(Semantic2Pass::new(&semantic));
         assert_eq!(

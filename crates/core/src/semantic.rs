@@ -46,7 +46,7 @@ pub struct SemanticDetector {
     translations: HashMap<String, String>,
 }
 
-/// The counters [`SemanticDetector::scan_type1_recorded`] reports, in
+/// The counters [`SemanticDetector::scan_type1_parallel`] reports, in
 /// snapshot order. Parallel scans pre-register these before spawning
 /// workers so snapshot order never depends on scheduling.
 pub const SEMANTIC_COUNTERS: [&str; 3] = [
@@ -156,27 +156,15 @@ impl SemanticDetector {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        self.scan_type1_recorded(domains, &NoopRecorder)
+        self.scan_type1_parallel(domains, 1, &NoopRecorder)
     }
 
-    /// [`SemanticDetector::scan_type1`] with candidate/finding counters and
-    /// a `semantic.scan_type1` span reported to `recorder`, on one thread.
-    pub fn scan_type1_recorded<'a, I>(
-        &self,
-        domains: I,
-        recorder: &dyn Recorder,
-    ) -> Vec<SemanticFinding>
-    where
-        I: IntoIterator<Item = &'a str>,
-    {
-        self.scan_type1_parallel(domains, 1, recorder)
-    }
-
-    /// [`SemanticDetector::scan_type1_recorded`] on `threads` workers
-    /// pulling chunks from a shared work queue. Findings keep corpus
-    /// order and counter totals are scheduling-independent, so the result
-    /// is byte-identical for every thread count; [`SEMANTIC_COUNTERS`]
-    /// are pre-registered to pin snapshot order.
+    /// [`SemanticDetector::scan_type1`] on `threads` workers pulling
+    /// chunks from a shared work queue, with candidate/finding counters
+    /// and a `semantic.scan_type1` span reported to `recorder`. Findings
+    /// keep corpus order and counter totals are scheduling-independent, so
+    /// the result is byte-identical for every thread count;
+    /// [`SEMANTIC_COUNTERS`] are pre-registered to pin snapshot order.
     pub fn scan_type1_parallel<'a, I>(
         &self,
         domains: I,
