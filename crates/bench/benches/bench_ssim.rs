@@ -1,9 +1,10 @@
 //! SSIM benchmarks (Table XII's metric) including the SSIM-vs-MSE ablation
 //! the paper motivates ("SSIM strikes a good balance between accuracy and
-//! runtime performance").
+//! runtime performance"). Each `f32` image entry has a `bitmap_` partner
+//! timing the bit-cell raster and popcount kernel text comparisons use.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use idnre_render::{mse, render_text, ssim, ssim_strings};
+use idnre_render::{mse, render_text, ssim, ssim_strings, TextBitmap};
 
 fn bench_render(c: &mut Criterion) {
     c.bench_function("render_brand_domain", |b| {
@@ -12,6 +13,12 @@ fn bench_render(c: &mut Criterion) {
     c.bench_function("render_cjk_domain", |b| {
         b.iter(|| render_text(black_box("北京交通大学.com")))
     });
+    c.bench_function("bitmap_brand_domain", |b| {
+        b.iter(|| TextBitmap::new(black_box("google.com")))
+    });
+    c.bench_function("bitmap_cjk_domain", |b| {
+        b.iter(|| TextBitmap::new(black_box("北京交通大学.com")))
+    });
 }
 
 fn bench_metrics(c: &mut Criterion) {
@@ -19,6 +26,10 @@ fn bench_metrics(c: &mut Criterion) {
     let spoof = render_text("gõõgle.com");
     c.bench_function("ssim_pair_10_chars", |b| {
         b.iter(|| ssim(black_box(&brand), black_box(&spoof)).unwrap())
+    });
+    let (brand_bits, spoof_bits) = (TextBitmap::new("google.com"), TextBitmap::new("gõõgle.com"));
+    c.bench_function("bitmap_ssim_pair_10_chars", |b| {
+        b.iter(|| black_box(&brand_bits).ssim(black_box(&spoof_bits)).unwrap())
     });
     c.bench_function("mse_pair_10_chars", |b| {
         b.iter(|| mse(black_box(&brand), black_box(&spoof)).unwrap())
@@ -60,6 +71,13 @@ fn bench_metric_ablation(c: &mut Criterion) {
         b.iter(|| {
             black_box(mse(&brand, &near).unwrap());
             black_box(mse(&brand, &far).unwrap());
+        })
+    });
+    let [brand, near, far] = ["google.com", "goögle.com", "gøøgle.com"].map(TextBitmap::new);
+    c.bench_function("ablation_bitmap_ssim_batch", |b| {
+        b.iter(|| {
+            black_box(brand.ssim(&near).unwrap());
+            black_box(brand.ssim(&far).unwrap());
         })
     });
 }

@@ -363,7 +363,7 @@ fn main() {
             mining.buckets,
             mining.non_singleton_buckets,
             mining.candidate_pairs,
-            mining.verified.len(),
+            mining.verified_pairs,
             mining.portfolios.len()
         );
     }

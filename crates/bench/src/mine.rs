@@ -38,7 +38,7 @@ use idnre_analyze::{AnalysisPass, Merge, Observed, Population};
 use idnre_arena::{fnv1a, BucketIndex, CorpusColumns, LabelRef};
 use idnre_core::{pair_score, SkeletonCache};
 use idnre_datagen::Ecosystem;
-use idnre_render::{render_text, GrayImage};
+use idnre_render::TextBitmap;
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::collections::HashMap;
 
@@ -223,12 +223,12 @@ fn bucket_pairs(
     let mut members = members.to_vec();
     members.sort_unstable();
     members.dedup();
-    let rendered: Vec<(bool, GrayImage)> = members
+    let rendered: Vec<(bool, TextBitmap)> = members
         .iter()
         .map(|&m| {
             let ascii = plan.label_ascii[m.sld.index()];
-            let image = render_text(&plan.unicode_of(columns, m));
-            (ascii, image)
+            let bitmap = TextBitmap::new(&plan.unicode_of(columns, m));
+            (ascii, bitmap)
         })
         .collect();
     let mut candidates = 0u64;
@@ -254,17 +254,6 @@ fn bucket_pairs(
         }
     }
     (candidates, ascii_skipped, verified)
-}
-
-/// A verified pair in resolved (display-form) terms.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VerifiedPairOut {
-    /// Earlier member's display form.
-    pub a: String,
-    /// Later member's display form.
-    pub b: String,
-    /// SSIM score.
-    pub ssim: f64,
 }
 
 /// One confusable cluster with its registrant/activity join.
@@ -354,7 +343,7 @@ fn cluster(pairs: &[VerifiedPair]) -> Vec<Vec<LabelRef>> {
 }
 
 /// Everything `--mine-portfolios` adds to a run: index statistics, the
-/// verified pair list and the joined portfolios. Plain strings throughout,
+/// verified pair count and the joined portfolios. Plain strings throughout,
 /// so the corpus columns can be dropped after the scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MiningOutputs {
@@ -367,7 +356,7 @@ pub struct MiningOutputs {
     /// Pairs skipped because both labels were ASCII.
     pub ascii_skipped: u64,
     /// SSIM-verified confusable pairs.
-    pub verified: Vec<VerifiedPairOut>,
+    pub verified_pairs: u64,
     /// Clustered squatter portfolios, WHOIS/pDNS-joined.
     pub portfolios: Vec<Portfolio>,
 }
@@ -449,14 +438,6 @@ pub fn mine_portfolios(
             members: members.into_iter().map(&member_of).collect(),
         })
         .collect();
-    let verified = pairs
-        .iter()
-        .map(|pair| VerifiedPairOut {
-            a: plan.unicode_of(columns, pair.a),
-            b: plan.unicode_of(columns, pair.b),
-            ssim: pair.ssim,
-        })
-        .collect();
     let non_singleton_buckets = index.non_singleton_count() as u64;
     span.add_records(non_singleton_buckets);
     MiningOutputs {
@@ -464,7 +445,7 @@ pub fn mine_portfolios(
         non_singleton_buckets,
         candidate_pairs,
         ascii_skipped,
-        verified,
+        verified_pairs: pairs.len() as u64,
         portfolios,
     }
 }
@@ -503,7 +484,7 @@ pub fn verified_pairs_lsh(
 }
 
 /// The exhaustive oracle over the first `cap` column rows: every pair of
-/// rows (no skeleton pre-filter), width-checked and SSIM-scored with the
+/// rows (no skeleton pre-filter) of equal cell count, SSIM-scored with the
 /// same kernel, at least one side a genuine IDN label. `O(rows²)` pair
 /// generation — the thing the LSH index exists to avoid; retained (and
 /// capped, like `detect_exhaustive`) as the equivalence oracle and the
@@ -515,33 +496,33 @@ pub fn verified_pairs_exhaustive(
     threads: usize,
 ) -> Vec<VerifiedPair> {
     let rows: Vec<usize> = (0..columns.len().min(cap)).collect();
-    let rendered: Vec<(LabelRef, bool, GrayImage)> = idnre_par::par_map(&rows, threads, |&row| {
+    let rendered: Vec<(LabelRef, bool, TextBitmap)> = idnre_par::par_map(&rows, threads, |&row| {
         let member = LabelRef {
             sld: columns.sld_symbol(row),
             tld: columns.tld_id(row),
         };
         let ascii = plan.label_ascii[member.sld.index()];
-        let image = render_text(&plan.unicode_of(columns, member));
-        (member, ascii, image)
+        let bitmap = TextBitmap::new(&plan.unicode_of(columns, member));
+        (member, ascii, bitmap)
     });
-    let mut by_width: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (i, (_, _, image)) in rendered.iter().enumerate() {
-        by_width.entry(image.width()).or_default().push(i);
+    let mut by_cells: HashMap<usize, Vec<usize>> = HashMap::new();
+    for (i, (_, _, bitmap)) in rendered.iter().enumerate() {
+        by_cells.entry(bitmap.cells()).or_default().push(i);
     }
     let verified = idnre_par::par_map(&rows, threads, |&i| {
-        let (member_i, ascii_i, image_i) = &rendered[i];
-        let group = &by_width[&image_i.width()];
+        let (member_i, ascii_i, bitmap_i) = &rendered[i];
+        let group = &by_cells[&bitmap_i.cells()];
         let position = group.partition_point(|&j| j <= i);
         let mut found = Vec::new();
         for &j in &group[position..] {
-            let (member_j, ascii_j, image_j) = &rendered[j];
+            let (member_j, ascii_j, bitmap_j) = &rendered[j];
             if member_i == member_j {
                 continue; // duplicate registrations of one domain, not a pair
             }
             if *ascii_i && *ascii_j {
                 continue;
             }
-            let Some(score) = pair_score(image_i, image_j) else {
+            let Some(score) = pair_score(bitmap_i, bitmap_j) else {
                 continue;
             };
             if score >= MINE_THRESHOLD {
@@ -570,7 +551,7 @@ pub fn render_mining(m: &MiningOutputs) -> String {
         m.non_singleton_buckets,
         m.candidate_pairs,
         m.ascii_skipped,
-        m.verified.len(),
+        m.verified_pairs,
         MINE_THRESHOLD,
         m.portfolios.len(),
     ));

@@ -129,8 +129,8 @@ fn scale_50_mined_counts_are_pinned() {
     assert!(mining.non_singleton_buckets > 0);
     let pinned = (
         mining.candidate_pairs,
-        mining.verified.len(),
-        mining.portfolios.len(),
+        mining.verified_pairs,
+        mining.portfolios.len() as u64,
     );
     assert_eq!(
         pinned,

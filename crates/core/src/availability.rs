@@ -1,8 +1,12 @@
 //! Availability enumeration (Section VI-D, Figure 7): how many homographic
 //! IDNs *could* an attacker still register?
 
-use idnre_render::{render_text, ssim};
+use idnre_render::TextBitmap;
 use idnre_unicode::homoglyphs_of;
+
+/// Why a candidate's SSIM always exists: it is the brand's bitmap with
+/// cells redrawn, so the two have equal cell counts.
+const SAME_CELLS: &str = "a substitution keeps the brand's cell count";
 
 /// One generated lookalike candidate.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,10 +69,13 @@ impl AvailabilityEnumerator {
     /// Generates every one-character substitution of `brand`'s SLD from the
     /// homoglyph table ("to reduce the computation overhead, only one
     /// character was replaced at a time").
+    ///
+    /// The brand is rasterized once; each candidate is that bitmap with the
+    /// substituted cell redrawn, so the two always have equal cell counts.
     pub fn generate(&self, brand: &str) -> Vec<Candidate> {
         let sld = brand.split('.').next().unwrap_or(brand);
         let tld = brand.split('.').nth(1).unwrap_or("com");
-        let brand_image = render_text(sld);
+        let brand_bitmap = TextBitmap::new(sld);
         let chars: Vec<char> = sld.chars().collect();
         let mut out = Vec::new();
         for (pos, &c) in chars.iter().enumerate() {
@@ -80,19 +87,13 @@ impl AvailabilityEnumerator {
                 let Ok(ace) = idnre_idna::to_ascii(&unicode) else {
                     continue;
                 };
-                let image = render_text(&unicode_sld);
-                // `render_text` sizes the image by character count, so a
-                // one-for-one substitution keeps the brand's width and
-                // this arm never fires; a mismatch would be skipped
-                // rather than unwrapped.
-                let Ok(score) = ssim(&brand_image, &image) else {
-                    continue;
-                };
+                let mut bitmap = brand_bitmap.clone();
+                bitmap.set_char(pos, glyph.ch);
                 out.push(Candidate {
                     unicode_sld,
                     ace,
                     brand: brand.to_string(),
-                    ssim: score,
+                    ssim: brand_bitmap.ssim(&bitmap).expect(SAME_CELLS),
                 });
             }
         }
@@ -107,7 +108,7 @@ impl AvailabilityEnumerator {
     pub fn generate_pairs(&self, brand: &str, cap: usize) -> Vec<Candidate> {
         let sld = brand.split('.').next().unwrap_or(brand);
         let tld = brand.split('.').nth(1).unwrap_or("com");
-        let brand_image = render_text(sld);
+        let brand_bitmap = TextBitmap::new(sld);
         let chars: Vec<char> = sld.chars().collect();
         let mut out = Vec::new();
         'outer: for i in 0..chars.len() {
@@ -125,15 +126,14 @@ impl AvailabilityEnumerator {
                         let Ok(ace) = idnre_idna::to_ascii(&unicode) else {
                             continue;
                         };
-                        let image = render_text(&unicode_sld);
-                        let Ok(score) = ssim(&brand_image, &image) else {
-                            continue;
-                        };
+                        let mut bitmap = brand_bitmap.clone();
+                        bitmap.set_char(i, glyph_i.ch);
+                        bitmap.set_char(j, glyph_j.ch);
                         out.push(Candidate {
                             unicode_sld,
                             ace,
                             brand: brand.to_string(),
-                            ssim: score,
+                            ssim: brand_bitmap.ssim(&bitmap).expect(SAME_CELLS),
                         });
                     }
                 }

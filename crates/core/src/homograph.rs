@@ -1,6 +1,6 @@
 //! The SSIM-based homograph detector (Section VI-B).
 
-use idnre_render::{render_text, ssim, GrayImage};
+use idnre_render::TextBitmap;
 use idnre_telemetry::{NoopRecorder, Recorder};
 use idnre_unicode::skeleton;
 use std::collections::HashMap;
@@ -10,9 +10,9 @@ use std::collections::HashMap;
 struct BrandEntry {
     /// Full brand domain, e.g. `google.com`.
     domain: String,
-    /// Pre-rendered image of the full domain (`google.com`), matching the
+    /// Pre-rendered bitmap of the full domain (`google.com`), matching the
     /// paper's Table XII presentation.
-    image: GrayImage,
+    bitmap: TextBitmap,
 }
 
 /// A detected homographic IDN.
@@ -32,7 +32,7 @@ pub struct HomographFinding {
 /// SSIM-based visual lookalike detector with a precomputed confusable
 /// index.
 ///
-/// Brand images are rendered once at construction, and every brand is
+/// Brand bitmaps are rendered once at construction, and every brand is
 /// filed under its *confusable skeleton* — the string with every
 /// confusable folded back to the ASCII character it imitates
 /// (ShamFinder-style canonical form). [`HomographDetector::detect`] then
@@ -66,17 +66,14 @@ pub const HOMOGRAPH_COUNTERS: [&str; 6] = [
 ];
 
 /// Scores one candidate pair of rendered domains: `Some(ssim)` when the
-/// renders are width-compatible and SSIM succeeds, `None` otherwise.
+/// bitmaps have equal cell counts, `None` otherwise.
 ///
 /// This is the single verification kernel shared by the brand detector
 /// (both the indexed and exhaustive paths) and the zone-wide pair miner —
 /// "visually confusable" means the same thing everywhere.
 #[inline]
-pub fn pair_score(a: &GrayImage, b: &GrayImage) -> Option<f64> {
-    if a.width() != b.width() {
-        return None;
-    }
-    ssim(a, b).ok()
+pub fn pair_score(a: &TextBitmap, b: &TextBitmap) -> Option<f64> {
+    a.ssim(b)
 }
 
 impl HomographDetector {
@@ -97,12 +94,12 @@ impl HomographDetector {
         let mut by_skeleton: HashMap<String, Vec<usize>> = HashMap::new();
         for brand in brands {
             let domain = brand.as_ref().to_ascii_lowercase();
-            let image = render_text(&domain);
+            let bitmap = TextBitmap::new(&domain);
             by_skeleton
                 .entry(skeleton(&domain))
                 .or_default()
                 .push(entries.len());
-            entries.push(BrandEntry { domain, image });
+            entries.push(BrandEntry { domain, bitmap });
         }
         HomographDetector {
             brands: entries,
@@ -178,16 +175,15 @@ impl HomographDetector {
         unicode: &str,
         bucket: &[usize],
     ) -> Option<HomographFinding> {
-        let image = render_text(unicode);
+        let bitmap = TextBitmap::new(unicode);
         let mut best: Option<HomographFinding> = None;
         for &idx in bucket {
             let brand = &self.brands[idx];
             if brand.domain == unicode {
                 continue; // the brand itself
             }
-            // Widths are pre-checked by the shared kernel and all renders
-            // share one height; a mismatch degrades to a skip, not a panic.
-            let Some(score) = pair_score(&brand.image, &image) else {
+            // A brand of another length scores `None`: a skip, not a panic.
+            let Some(score) = pair_score(&brand.bitmap, &bitmap) else {
                 continue;
             };
             if score >= self.threshold && best.as_ref().map(|b| score > b.ssim).unwrap_or(true) {
@@ -203,7 +199,7 @@ impl HomographDetector {
     }
 
     /// Exhaustive variant: compares against *every* brand of the same
-    /// rendered width, skipping the skeleton pre-filter (the paper's exact
+    /// cell count, skipping the skeleton pre-filter (the paper's exact
     /// procedure; used by the ablation bench).
     pub fn detect_exhaustive(&self, domain: &str) -> Option<HomographFinding> {
         let unicode = idnre_idna::to_unicode(domain).ok()?;
@@ -211,13 +207,13 @@ impl HomographDetector {
         if sld.is_ascii() {
             return None;
         }
-        let image = render_text(&unicode);
+        let bitmap = TextBitmap::new(&unicode);
         let mut best: Option<HomographFinding> = None;
         for brand in &self.brands {
             if brand.domain == unicode {
                 continue;
             }
-            let Some(score) = pair_score(&brand.image, &image) else {
+            let Some(score) = pair_score(&brand.bitmap, &bitmap) else {
                 continue;
             };
             if score >= self.threshold && best.as_ref().map(|b| score > b.ssim).unwrap_or(true) {

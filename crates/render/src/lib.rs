@@ -4,34 +4,51 @@
 //! compares them pairwise with the Structural Similarity (SSIM) index
 //! (Wang et al., 2004). This crate reimplements that pipeline from scratch:
 //!
-//! * [`GrayImage`] — a grayscale raster.
-//! * [`render_text`] — draws a string on a fixed 8×16 cell grid using an
-//!   embedded 5×7 core font for ASCII, compositional rendering (base glyph +
-//!   diacritic marks from the `idnre-unicode` confusables table) for Latin/
-//!   Cyrillic/Greek lookalikes, and a deterministic dense block pattern for
-//!   CJK and other scripts.
-//! * [`ssim`] / [`mse`] — windowed SSIM and mean-squared-error metrics.
+//! * [`TextBitmap`] — a string on a fixed 8×16 cell grid, one bit-cell per
+//!   character: an embedded 5×7 core font for ASCII, compositional
+//!   rendering (base glyph + diacritic marks from the `idnre-unicode`
+//!   confusables table) for Latin/Cyrillic/Greek lookalikes, and a
+//!   deterministic dense block pattern for CJK and other scripts. Its
+//!   [`TextBitmap::ssim`] is how text is compared.
+//! * [`render_text`] — the same raster as a [`GrayImage`], for galleries
+//!   and image tools.
+//! * [`ssim`] / [`mse`] — windowed SSIM and mean-squared-error metrics on
+//!   any grayscale image.
+//!
+//! # The cell contract
+//!
+//! Every glyph is drawn once, on a blank cell, and is binary (each pixel
+//! 0.0 or 1.0) with all its ink inside that cell; the unit tests check
+//! this for ASCII, every confusable, U+00A0–U+2FFF and a CJK and a Hangul
+//! block, and packing panics on a gray pixel. A rendered string is
+//! therefore its cells side by side, and `render_text` is built from the
+//! same cells as the bitmap. On 0/1 pixels every moment `ssim` sums is
+//! exact, so the popcount kernel of [`TextBitmap::ssim`] returns the same
+//! `f64` as `ssim(&render_text(a), &render_text(b))`, bit for bit (see the
+//! `bitmap` module and `tests/ssim_exactness.rs`).
 //!
 //! # Examples
 //!
 //! ```
-//! use idnre_render::{render_text, ssim};
+//! use idnre_render::{render_text, ssim, TextBitmap};
 //!
-//! let brand = render_text("apple.com");
-//! let spoof = render_text("аррӏе.com"); // Cyrillic spoof: pixel-identical
-//! assert_eq!(ssim(&brand, &spoof).unwrap(), 1.0);
+//! let brand = TextBitmap::new("apple.com");
+//! let spoof = TextBitmap::new("аррӏе.com"); // Cyrillic spoof: pixel-identical
+//! assert_eq!(brand.ssim(&spoof), Some(1.0));
 //!
 //! let different = render_text("pears.com");
-//! assert!(ssim(&brand, &different).unwrap() < 0.9);
+//! assert!(ssim(&render_text("apple.com"), &different).unwrap() < 0.9);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod bitmap;
 mod font;
 mod image;
 mod metrics;
 
+pub use bitmap::TextBitmap;
 pub use font::{CELL_HEIGHT, CELL_WIDTH};
 pub use image::GrayImage;
 pub use metrics::{mse, ssim, ssim_windows, DimensionMismatch};
@@ -47,16 +64,13 @@ use idnre_unicode::confusables;
 /// 2. Known confusables — the ASCII target's glyph plus diacritic marks.
 /// 3. Everything else — a dense pseudo-random pattern seeded by the code
 ///    point (visually "foreign" and stable across runs).
+///
+/// The image is the [`TextBitmap`] of `text`, unpacked.
 pub fn render_text(text: &str) -> GrayImage {
-    let chars: Vec<char> = text.chars().collect();
-    let mut img = GrayImage::new(chars.len().max(1) * CELL_WIDTH, CELL_HEIGHT);
-    for (i, &c) in chars.iter().enumerate() {
-        font::draw_char(&mut img, i * CELL_WIDTH, c);
-    }
-    img
+    TextBitmap::new(text).to_image()
 }
 
-/// Renders two strings into equal-width images (padding the shorter with
+/// Rasterizes two strings to equal cell counts (padding the shorter with
 /// blank cells) and returns their SSIM index.
 ///
 /// This is the comparison the homograph scanner performs for every
@@ -69,14 +83,12 @@ pub fn render_text(text: &str) -> GrayImage {
 /// assert!(s > 0.8 && s < 1.0);
 /// ```
 pub fn ssim_strings(a: &str, b: &str) -> f64 {
-    let la = a.chars().count().max(1);
-    let lb = b.chars().count().max(1);
-    let width = la.max(lb) * CELL_WIDTH;
-    let mut ia = render_text(a);
-    let mut ib = render_text(b);
-    ia.pad_to_width(width);
-    ib.pad_to_width(width);
-    ssim(&ia, &ib).expect("padded to identical dimensions")
+    let mut a = TextBitmap::new(a);
+    let mut b = TextBitmap::new(b);
+    let cells = a.cells().max(b.cells());
+    a.pad_to(cells);
+    b.pad_to(cells);
+    a.ssim(&b).expect("padded to equal cell counts")
 }
 
 /// Strips the marks of known confusables: renders `text` as if every

@@ -29,8 +29,8 @@ impl Error for DimensionMismatch {}
 const C1: f64 = 0.01 * 0.01;
 const C2: f64 = 0.03 * 0.03;
 /// Window geometry: 8×8 windows, stride 4 (half-overlap).
-const WINDOW: usize = 8;
-const STRIDE: usize = 4;
+pub(crate) const WINDOW: usize = 8;
+pub(crate) const STRIDE: usize = 4;
 
 /// Computes the mean SSIM index between two images of identical dimensions.
 ///
@@ -50,11 +50,19 @@ const STRIDE: usize = 4;
 /// assert_eq!(ssim(&a, &a).unwrap(), 1.0);
 /// ```
 pub fn ssim(a: &GrayImage, b: &GrayImage) -> Result<f64, DimensionMismatch> {
-    let windows = ssim_windows(a, b)?;
-    if windows.is_empty() {
-        return Ok(1.0);
+    Ok(mean_index(ssim_windows(a, b)?.into_iter()))
+}
+
+/// The mean of per-window SSIM values, summed in window order (1.0 for
+/// no windows). The one reduction of [`ssim`] and
+/// [`crate::TextBitmap::ssim`], so equal window values give equal means.
+pub(crate) fn mean_index(windows: impl Iterator<Item = f64>) -> f64 {
+    let mut count = 0usize;
+    let sum: f64 = windows.inspect(|_| count += 1).sum();
+    if count == 0 {
+        return 1.0;
     }
-    Ok(windows.iter().sum::<f64>() / windows.len() as f64)
+    sum / count as f64
 }
 
 /// Per-window SSIM values (the intermediate the paper's Table XII threshold
@@ -137,9 +145,13 @@ fn window_ssim(a: &GrayImage, b: &GrayImage, x0: usize, y0: usize) -> f64 {
             cov += da * db;
         }
     }
-    var_a /= n;
-    var_b /= n;
-    cov /= n;
+    window_index(mu_a, mu_b, var_a / n, var_b / n, cov / n)
+}
+
+/// The SSIM index of one window from its means, variances and covariance:
+/// the one formula of [`ssim_windows`] and [`crate::TextBitmap::ssim`].
+#[inline]
+pub(crate) fn window_index(mu_a: f64, mu_b: f64, var_a: f64, var_b: f64, cov: f64) -> f64 {
     ((2.0 * mu_a * mu_b + C1) * (2.0 * cov + C2))
         / ((mu_a * mu_a + mu_b * mu_b + C1) * (var_a + var_b + C2))
 }

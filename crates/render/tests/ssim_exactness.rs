@@ -1,10 +1,12 @@
 //! `ssim_windows` skips the moments of windows that are equal in both
-//! images and scores them 1.0. These properties hold it to a reference
-//! that computes every window's moments, bit for bit, on the inputs the
-//! shortcut is for: near-copies of random binary images and rendered
-//! homoglyph substitutions of brand labels.
+//! images and scores them 1.0, and `TextBitmap::ssim` scores bit-cells by
+//! popcount. These properties hold both to a reference that computes every
+//! window's moments, bit for bit, on the inputs they are for: near-copies
+//! of random binary images, rendered homoglyph substitutions of brand
+//! labels, and strings over every script the renderer draws.
 
-use idnre_render::{render_text, ssim, ssim_windows, GrayImage};
+use idnre_render::{render_text, ssim, ssim_strings, ssim_windows, GrayImage, TextBitmap};
+use idnre_unicode::confusables::CONFUSABLES;
 use idnre_unicode::homoglyphs_of;
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -79,8 +81,9 @@ fn reference_window(a: &GrayImage, b: &GrayImage, x0: usize, y0: usize) -> f64 {
         / ((mu_a * mu_a + mu_b * mu_b + C1) * (var_a + var_b + C2))
 }
 
-/// Asserts `ssim_windows` and `ssim` equal the reference bit for bit.
-fn assert_exact(a: &GrayImage, b: &GrayImage, what: &str) {
+/// Asserts `ssim_windows` and `ssim` equal the reference bit for bit, and
+/// returns the reference mean.
+fn assert_exact(a: &GrayImage, b: &GrayImage, what: &str) -> f64 {
     let fast: Vec<u64> = ssim_windows(a, b)
         .unwrap()
         .iter()
@@ -95,6 +98,7 @@ fn assert_exact(a: &GrayImage, b: &GrayImage, what: &str) {
         mean.to_bits(),
         "mean differs for {what}"
     );
+    mean
 }
 
 /// A random binary image and a copy with `flips` random pixels toggled,
@@ -128,6 +132,32 @@ fn substitute(brand: &str, positions: &[usize], pick: usize) -> Option<String> {
         chars[pos] = glyphs[pick % glyphs.len()].ch;
     }
     Some(chars.into_iter().collect())
+}
+
+/// One character from every script the renderer draws differently: ASCII,
+/// a confusables-table source, and CJK, Hangul and Arabic samples.
+fn any_script_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        proptest::char::range('\u{0}', '\u{7F}'),
+        (0..CONFUSABLES.len()).prop_map(|i| CONFUSABLES[i].ch),
+        proptest::char::range('\u{4E00}', '\u{9FFF}'),
+        proptest::char::range('\u{AC00}', '\u{D7A3}'),
+        proptest::char::range('\u{0600}', '\u{06FF}'),
+    ]
+}
+
+fn any_script_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(any_script_char(), 0..25).prop_map(|v| v.into_iter().collect())
+}
+
+/// `a` with its first characters replaced by `b`'s, so the two strings
+/// have `a`'s length and share its tail.
+fn overwrite_prefix(a: &str, b: &str) -> String {
+    let b: Vec<char> = b.chars().collect();
+    a.chars()
+        .enumerate()
+        .map(|(i, c)| b.get(i).copied().unwrap_or(c))
+        .collect()
 }
 
 proptest! {
@@ -164,6 +194,38 @@ proptest! {
         let spoof = substitute(brand, &positions, pick);
         prop_assume!(spoof.is_some());
         let spoof = spoof.unwrap();
-        assert_exact(&render_text(brand), &render_text(&spoof), &spoof);
+        let mean = assert_exact(&render_text(brand), &render_text(&spoof), &spoof);
+        // The enumerator's bitmap: the brand's, with the substituted cells
+        // redrawn.
+        let mut substituted = TextBitmap::new(brand);
+        for (pos, c) in spoof.chars().enumerate() {
+            substituted.set_char(pos, c);
+        }
+        prop_assert_eq!(&substituted, &TextBitmap::new(&spoof));
+        let score = TextBitmap::new(brand).ssim(&substituted).unwrap();
+        prop_assert_eq!(score.to_bits(), mean.to_bits(), "{}", spoof);
+    }
+
+    /// Strings over every script, compared at equal length and padded to
+    /// equal cell counts as `ssim_strings` pads them: the popcount kernel
+    /// returns the `f32` path's value bit for bit.
+    #[test]
+    fn bitmap_scores_match_the_f32_path(a in any_script_string(), b in any_script_string()) {
+        let cells = a.chars().count().max(b.chars().count()).max(1);
+        let (mut ia, mut ib) = (render_text(&a), render_text(&b));
+        ia.pad_to_width(cells * idnre_render::CELL_WIDTH);
+        ib.pad_to_width(cells * idnre_render::CELL_WIDTH);
+        let padded = assert_exact(&ia, &ib, &format!("{a:?} vs {b:?}, padded"));
+        let strings = ssim_strings(&a, &b);
+        prop_assert_eq!(strings.to_bits(), padded.to_bits(), "{:?} vs {:?}", a, b);
+
+        let same_length = overwrite_prefix(&a, &b);
+        let exact = assert_exact(&render_text(&a), &render_text(&same_length), &same_length);
+        let score = TextBitmap::new(&a).ssim(&TextBitmap::new(&same_length));
+        let bits = score.map(f64::to_bits);
+        prop_assert_eq!(bits, Some(exact.to_bits()), "{:?} vs {:?}", a, same_length);
+        if a.chars().count().max(1) != b.chars().count().max(1) {
+            prop_assert_eq!(TextBitmap::new(&a).ssim(&TextBitmap::new(&b)), None);
+        }
     }
 }
