@@ -54,13 +54,40 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 /// strings use one hash family everywhere.
 #[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+    let mut hasher = FnvHasher::default();
+    std::hash::Hasher::write(&mut hasher, bytes);
+    std::hash::Hasher::finish(&hasher)
 }
+
+/// [`fnv1a`] as a streaming [`std::hash::Hasher`], for std maps keyed by
+/// short strings: hashing a `str` through it is `fnv1a` over its bytes
+/// followed by the `0xff` terminator `str`'s `Hash` writes.
+#[derive(Debug, Clone, Copy)]
+pub struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        FnvHasher(FNV_OFFSET)
+    }
+}
+
+impl std::hash::Hasher for FnvHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`FnvHasher`]s: `HashMap<K, V, FnvBuildHasher>`.
+pub type FnvBuildHasher = std::hash::BuildHasherDefault<FnvHasher>;
 
 /// Append-only string arena with an FNV-keyed open-addressing index.
 ///
@@ -678,6 +705,23 @@ mod tests {
         assert_eq!(interner.get("present"), Some(sym));
         assert_eq!(interner.get("missing"), None);
         assert_eq!(interner.len(), 1);
+    }
+
+    #[test]
+    fn fnv_hasher_streams_fnv1a() {
+        use std::hash::{BuildHasher, Hasher};
+        let mut hasher = FnvHasher::default();
+        hasher.write(b"xn--");
+        hasher.write(b"fiqs8s");
+        assert_eq!(hasher.finish(), fnv1a(b"xn--fiqs8s"));
+        // The FNV-1a 64 reference vectors.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            FnvBuildHasher::default().hash_one("a.com"),
+            fnv1a(b"a.com\xff")
+        );
     }
 
     #[test]

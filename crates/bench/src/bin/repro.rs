@@ -515,6 +515,11 @@ fn main() {
         }
         std::process::exit(health.status.exit_code());
     }
+
+    // Every output is written. Return without dropping the context, as
+    // the `process::exit` paths above do: freeing its corpus, artifacts
+    // and fold block by block would only delay the exit.
+    std::mem::forget(ctx);
 }
 
 fn usage(error: &str) -> ! {

@@ -35,6 +35,7 @@ pub mod pipeline_bench;
 pub mod reports;
 pub mod robust;
 pub mod slo;
+pub mod whois_facts;
 
 pub use candidates::CandidateSurvey;
 pub use cli::{validate_flags, CliFlags, FLAG_CONFLICTS, FLAG_REQUIRES};
@@ -45,6 +46,7 @@ pub use pipeline_bench::{
 };
 pub use robust::{FaultSetup, IngestStats, RunHealth, SurveyStats};
 pub use slo::{slo_profile, SLO_PROFILES};
+pub use whois_facts::WhoisFacts;
 
 use idnre_analyze::{DeltaStream, EpochState, Population, RecordSource, SliceSource, StreamSource};
 use idnre_core::SkeletonCache;
@@ -107,6 +109,9 @@ pub struct ReproContext {
     /// The Section VI-D lookalike candidates of the top brands, enumerated
     /// once for Figures 6 and 7 and the two candidate-pool extensions.
     pub candidates: CandidateSurvey,
+    /// The WHOIS aggregates of Tables I, III and IV and Figure 1, folded
+    /// once from `eco.whois`.
+    pub whois: WhoisFacts,
     /// Telemetry sink every pipeline stage and report generator records
     /// into.
     pub recorder: Arc<dyn Recorder>,
@@ -135,11 +140,12 @@ impl std::fmt::Debug for ReproContext {
 }
 
 impl ReproContext {
-    /// Generates the ecosystem, enumerates the [`CandidateSurvey`], runs
-    /// the fused analysis scan (both detectors, every report aggregator —
-    /// Table V's sample crawl among them — and, under [`RunSpec::mine`],
-    /// the miner), then, under [`RunSpec::faults`] only, the crawl and
-    /// WHOIS surveys, or, under [`RunSpec::epochs`] only, the epoch loop.
+    /// Generates the ecosystem, enumerates the [`CandidateSurvey`], folds
+    /// the [`WhoisFacts`], runs the fused analysis scan (both detectors,
+    /// every report aggregator — Table V's sample crawl among them — and,
+    /// under [`RunSpec::mine`], the miner), then, under
+    /// [`RunSpec::faults`] only, the crawl and WHOIS surveys, or, under
+    /// [`RunSpec::epochs`] only, the epoch loop.
     /// Every stage reports to `recorder`; the built context, and
     /// therefore every report, is byte-identical for any recorder, thread
     /// count and [`RunSpec::shard_size`].
@@ -191,8 +197,12 @@ impl ReproContext {
         let candidates = CandidateSurvey::build(&eco.brands, config.threads, &*recorder);
         // The generator's traversal already interned the rows.
         let columns = passes::finish_columns(rows, config.threads, &*recorder, SpanCtx::ROOT);
+        // The inputs every scan plan of the run borrows.
+        let span = recorder.span_at("analyze.inputs", SpanCtx::ROOT, 0);
         let skeletons = SkeletonCache::build(&columns, config.threads);
-        let inputs = passes::ScanInputs::new(&eco, &candidates);
+        let whois = WhoisFacts::build(&eco.whois, &eco.blacklist, config.threads);
+        let inputs = passes::ScanInputs::new(&eco.brands, &whois, &candidates);
+        drop(span);
         let mining_plan = spec
             .mine
             .then(|| mine::MiningPlan::new(&columns, &skeletons));
@@ -244,6 +254,7 @@ impl ReproContext {
             eco,
             outputs,
             candidates,
+            whois,
             recorder,
             health,
             mining,
@@ -426,6 +437,25 @@ mod tests {
             recovered_sem * 10 >= injected_sem * 9,
             "recovered {recovered_sem} of {injected_sem}"
         );
+    }
+
+    /// Tables I, III and IV and Figure 1 read the run's WHOIS fold, not
+    /// the records: with the records cleared after the build they render
+    /// the same bytes.
+    #[test]
+    fn whois_reports_read_the_fold_not_the_records() {
+        let mut ctx = small();
+        let generators: [reports::Generator; 4] = [
+            reports::table1,
+            reports::fig1,
+            reports::table3,
+            reports::table4,
+        ];
+        let before: Vec<String> = generators.iter().map(|g| g(&ctx)).collect();
+        assert!(!ctx.eco.whois.is_empty());
+        ctx.eco.whois.clear();
+        let after: Vec<String> = generators.iter().map(|g| g(&ctx)).collect();
+        assert_eq!(before, after);
     }
 
     #[test]

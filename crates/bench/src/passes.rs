@@ -14,7 +14,7 @@
 
 use crate::mine::{BucketIndexPass, MiningPlan};
 use crate::robust::{sample_crawl, usage_index};
-use crate::CandidateSurvey;
+use crate::{CandidateSurvey, WhoisFacts};
 use idnre_analyze::{
     AnalysisPass, DeltaStream, EpochState, EpochStats, KeyedTally, Merge, Observed, PassHandle,
     Population, RecordSource, ScanResult, ShardedScan,
@@ -25,12 +25,10 @@ use idnre_core::{
     SemanticDetector, SemanticFinding, SkeletonCache,
 };
 use idnre_crawler::UsageCategory;
-use idnre_datagen::Ecosystem;
+use idnre_datagen::BrandList;
 use idnre_langid::{Classifier, Language};
 use idnre_pdns::{ActivityAnalytics, PdnsStore};
 use idnre_telemetry::{Recorder, SpanCtx};
-use idnre_whois::analytics::RegistrationAnalytics;
-use idnre_whois::WhoisRecord;
 use std::collections::{HashMap, HashSet};
 
 /// The passive-DNS lookup counters the activity pass touches from worker
@@ -512,18 +510,6 @@ impl AnalysisPass for Fig6Pass<'_> {
     }
 }
 
-/// The domains whose unicode form Table III renders: every domain held by
-/// one of the top-5 registrant emails in the WHOIS corpus.
-fn table3_wanted(whois: &[WhoisRecord]) -> HashSet<String> {
-    let mut analytics = RegistrationAnalytics::new();
-    analytics.extend(whois.iter());
-    let mut wanted = HashSet::new();
-    for (email, _) in analytics.top_registrants(5) {
-        wanted.extend(analytics.domains_of(&email).iter().cloned());
-    }
-    wanted
-}
-
 /// Finishes the struct-of-arrays corpus columns the report passes read,
 /// from the rows the generator's artifact traversal interned
 /// ([`idnre_datagen::generate_traced`]): interned SLD labels, TLD ids, and
@@ -567,14 +553,19 @@ pub struct ScanInputs {
 }
 
 impl ScanInputs {
-    /// Builds the detectors over `eco`'s brands, Table III's wanted set
-    /// from its WHOIS corpus, and Figure 6's pool from `candidates`.
-    pub fn new(eco: &Ecosystem, candidates: &CandidateSurvey) -> Self {
-        let brands: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
+    /// Builds the detectors over `brands`, Table III's wanted set — every
+    /// domain of the top registrants' portfolios in `whois` — and Figure
+    /// 6's pool from `candidates`.
+    pub fn new(brands: &BrandList, whois: &WhoisFacts, candidates: &CandidateSurvey) -> Self {
+        let brands: Vec<String> = brands.iter().map(|b| b.domain()).collect();
         ScanInputs {
             homograph: HomographDetector::new(&brands, 0.95),
             semantic: SemanticDetector::new(&brands),
-            table3_wanted: table3_wanted(&eco.whois),
+            table3_wanted: whois
+                .top_registrants
+                .iter()
+                .flat_map(|registrant| registrant.domains.iter().cloned())
+                .collect(),
             fig6_pool: candidates.fig6_pool(),
         }
     }

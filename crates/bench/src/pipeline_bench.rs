@@ -387,7 +387,7 @@ pub fn measure(ctx: &ReproContext, spec: &RunSpec, registry: &Registry) -> Pipel
     // The indexed scan across the size ladder, then the indexed-vs-
     // exhaustive pair at the capped size — the entries CI gates on. The
     // rung at the cap is timed once, as the exhaustive probe's partner.
-    let inputs = ScanInputs::new(&eco, &ctx.candidates);
+    let inputs = ScanInputs::new(&eco.brands, &ctx.whois, &ctx.candidates);
     let detector = &inputs.homograph;
     let cap = domains.len().min(EXHAUSTIVE_CAP);
     for size in HOMOGRAPH_BENCH_SIZES {

@@ -9,7 +9,6 @@ use idnre_pdns::{ActivityAnalytics, PopulationClass, TrafficModel};
 use idnre_stats::plot::{bar_chart, ecdf_plot, Series};
 use idnre_stats::table::{Align, Table};
 use idnre_stats::{group_thousands, percent};
-use idnre_whois::analytics::RegistrationAnalytics;
 
 /// A table/figure generator.
 pub type Generator = fn(&ReproContext) -> String;
@@ -80,23 +79,17 @@ pub fn table1(ctx: &ReproContext) -> String {
         ],
     );
     // The per-TLD IDN and blacklist tallies come pre-folded from the fused
-    // corpus scan ([`crate::passes::TldPass`]); only the WHOIS split — an
-    // artifact table, not the registration corpus — is tallied here. A
-    // WHOIS record counts only when its TLD appears in the IDN corpus,
-    // matching the batch pre-pass's keying.
+    // corpus scan ([`crate::passes::TldPass`]), the WHOIS split from the
+    // run's WHOIS fold ([`crate::WhoisFacts`]). A WHOIS record counts only
+    // when its TLD appears in the IDN corpus, matching the batch
+    // pre-pass's keying.
     let folded = &ctx.outputs.tld;
-    let mut whois_by_tld: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
-    for record in &eco.whois {
-        if let Some(tld) = record.domain.rsplit('.').next() {
-            *whois_by_tld.entry(tld).or_default() += 1;
-        }
-    }
     let mut totals = [0u64; 7];
     for spec in &idnre_datagen::TABLE_I {
         let tld = spec.tld;
         let idns = folded.idns.get(tld);
         let whois = if idns > 0 {
-            whois_by_tld.get(tld).copied().unwrap_or(0)
+            ctx.whois.records_in(tld)
         } else {
             0
         };
@@ -204,16 +197,7 @@ pub fn table2(ctx: &ReproContext) -> String {
 
 /// Figure 1 — creation dates of IDNs, malicious shown separately.
 pub fn fig1(ctx: &ReproContext) -> String {
-    let mut all = idnre_stats::YearHistogram::new();
-    let mut malicious = idnre_stats::YearHistogram::new();
-    for record in &ctx.eco.whois {
-        if let Some(date) = record.creation_date {
-            all.record(date.year);
-            if ctx.eco.blacklist.is_malicious(&record.domain) {
-                malicious.record(date.year);
-            }
-        }
-    }
+    let (all, malicious) = (&ctx.whois.created, &ctx.whois.created_malicious);
     let bars_all: Vec<(String, u64)> = all.iter().map(|(y, c)| (y.to_string(), c)).collect();
     let bars_bad: Vec<(String, u64)> = malicious.iter().map(|(y, c)| (y.to_string(), c)).collect();
     let ten_years_ago = ctx.eco.config.snapshot.year - 10;
@@ -237,17 +221,10 @@ pub fn fig1(ctx: &ReproContext) -> String {
     )
 }
 
-fn registration_analytics(ctx: &ReproContext) -> RegistrationAnalytics {
-    let mut analytics = RegistrationAnalytics::new();
-    analytics.extend(ctx.eco.whois.iter());
-    analytics
-}
-
 /// Table III — top-5 registrant emails (opportunistic clusters) with the
 /// portfolio topic the paper assigned manually, here derived by the topic
 /// classifier.
 pub fn table3(ctx: &ReproContext) -> String {
-    let analytics = registration_analytics(ctx);
     // The fused scan collected punycode→unicode for exactly the top
     // registrants' portfolios ([`crate::passes::Table3UnicodePass`]).
     let unicode_of = &ctx.outputs.table3_unicode;
@@ -255,17 +232,21 @@ pub fn table3(ctx: &ReproContext) -> String {
         vec!["Email Account", "# IDN", "IDN Characteristics"],
         vec![Align::Left, Align::Right, Align::Left],
     );
-    for (email, count) in analytics.top_registrants(5) {
-        let labels: Vec<&str> = analytics
-            .domains_of(&email)
+    for registrant in &ctx.whois.top_registrants {
+        let labels: Vec<&str> = registrant
+            .domains
             .iter()
             .filter_map(|d| unicode_of.get(d.as_str()))
             .filter_map(|u| u.split('.').next())
             .collect();
         let topic = idnre_core::topic::classify_portfolio(labels.iter().copied());
-        table.row(vec![email, group_thousands(count), topic.to_string()]);
+        table.row(vec![
+            registrant.email.clone(),
+            group_thousands(registrant.domains.len() as u64),
+            topic.to_string(),
+        ]);
     }
-    let mass = analytics.opportunistic_mass(10);
+    let mass = ctx.whois.opportunistic_mass;
     section(
         "Table III — Top 5 IDN registrants",
         "Bulk registrants (776053229@qq.com 1,562; daidesheng88@gmail.com 1,453; …) hold 29,318 (4%) opportunistic IDNs (Finding 3).",
@@ -279,27 +260,34 @@ pub fn table3(ctx: &ReproContext) -> String {
 
 /// Table IV — top-10 registrars.
 pub fn table4(ctx: &ReproContext) -> String {
-    let analytics = registration_analytics(ctx);
+    let facts = &ctx.whois;
     let mut table = Table::new(
         vec!["Registrar", "# IDN", "Rate"],
         vec![Align::Left, Align::Right, Align::Right],
     );
-    let total = analytics.total();
-    for (registrar, count) in analytics.top_registrars(10) {
+    let total = facts.records;
+    for (registrar, count) in &facts.top_registrars {
         table.row(vec![
-            registrar,
-            group_thousands(count),
-            percent(count, total),
+            registrar.clone(),
+            group_thousands(*count),
+            percent(*count, total),
         ]);
     }
+    // The "top-10 hold 55%" share (Finding 4).
+    let top: u64 = facts.top_registrars.iter().map(|&(_, count)| count).sum();
+    let share = if total == 0 {
+        0.0
+    } else {
+        top as f64 / total as f64
+    };
     section(
         "Table IV — Top 10 most active registrars offering IDNs",
         "GMO 22.99%, HiChina 10.86%, GoDaddy only 1.88%; >700 registrars; top-10 hold 55% (Finding 4).",
         format!(
             "{}\nDistinct registrars: {}; top-10 share: {:.1}%.\n",
             table.render(),
-            analytics.distinct_registrars(),
-            analytics.top_registrar_share(10) * 100.0
+            facts.distinct_registrars,
+            share * 100.0
         ),
     )
 }

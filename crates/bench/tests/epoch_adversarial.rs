@@ -16,7 +16,7 @@ use idnre_analyze::{
 use idnre_arena::CorpusColumns;
 use idnre_bench::epochs::grow_columns;
 use idnre_bench::passes::{self, ScanInputs, ScanOutputs, ScanPlan};
-use idnre_bench::CandidateSurvey;
+use idnre_bench::{CandidateSurvey, WhoisFacts};
 use idnre_core::SkeletonCache;
 use idnre_datagen::{
     DaySimulator, DomainRegistration, Ecosystem, EcosystemConfig, EpochCorpus, EpochDeltaKind,
@@ -54,9 +54,10 @@ struct Engine<'e> {
 impl<'e> Engine<'e> {
     fn new(eco: &'e Ecosystem) -> Self {
         let candidates = CandidateSurvey::build(&eco.brands, THREADS, &NoopRecorder);
+        let whois = WhoisFacts::build(&eco.whois, &eco.blacklist, THREADS);
         Engine {
             eco,
-            inputs: ScanInputs::new(eco, &candidates),
+            inputs: ScanInputs::new(&eco.brands, &whois, &candidates),
         }
     }
 

@@ -112,7 +112,13 @@ fn trace_tree_has_the_documented_shape() {
     let snapshot = registry.trace_snapshot().expect("tracing registry");
     let root = &snapshot.root;
     assert_eq!(root.name, "run");
-    for phase in ["build.ecosystem", "report.candidates", "analyze.scan"] {
+    for phase in [
+        "build.ecosystem",
+        "report.candidates",
+        "analyze.columns",
+        "analyze.inputs",
+        "analyze.scan",
+    ] {
         assert!(
             root.child(phase).is_some(),
             "missing top-level span {phase}"

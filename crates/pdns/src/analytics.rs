@@ -26,8 +26,21 @@ impl ActivityAnalytics {
         self.active_days.push(aggregate.active_days() as f64);
         self.query_counts.push(aggregate.query_count as f64);
         self.total_ips += aggregate.ips.len() as u64;
-        for segment in aggregate.segments() {
-            *self.segment_idns.entry(segment).or_insert(0) += 1;
+        // Each distinct /24 once, as [`DomainAggregate::segments`] lists
+        // them, without collecting the list: an IP counts unless an
+        // earlier IP of the aggregate shares its segment.
+        let segment = |ip: &std::net::Ipv4Addr| {
+            let [a, b, c, _] = ip.octets();
+            [a, b, c]
+        };
+        for (i, ip) in aggregate.ips.iter().enumerate() {
+            let own = segment(ip);
+            if aggregate.ips[..i]
+                .iter()
+                .all(|earlier| segment(earlier) != own)
+            {
+                *self.segment_idns.entry(own).or_insert(0) += 1;
+            }
         }
     }
 
@@ -230,6 +243,49 @@ mod tests {
         padded.merge(whole.clone());
         padded.merge(ActivityAnalytics::new());
         assert_eq!(padded, whole);
+    }
+
+    /// The inline /24 tally counts each aggregate once per distinct
+    /// segment, exactly as tallying [`DomainAggregate::segments`] does,
+    /// on aggregates whose IPs repeat a /24 (adjacent or not).
+    #[test]
+    fn inline_segment_tally_equals_the_segments_list() {
+        let ips: [&[[u8; 4]]; 5] = [
+            &[[10, 0, 0, 1], [10, 0, 0, 2], [10, 0, 1, 1], [10, 0, 0, 3]],
+            &[
+                [10, 0, 1, 9],
+                [192, 0, 2, 1],
+                [10, 0, 1, 7],
+                [192, 0, 2, 200],
+            ],
+            &[[203, 0, 113, 5]],
+            &[],
+            &[[10, 0, 0, 1], [10, 0, 0, 1], [10, 0, 0, 1]],
+        ];
+        let aggregates: Vec<DomainAggregate> = ips
+            .iter()
+            .enumerate()
+            .map(|(i, ips)| {
+                let mut agg = DomainAggregate::first_observation(&format!("d{i}.com"), 1);
+                agg.ips = ips
+                    .iter()
+                    .map(|&[a, b, c, d]| Ipv4Addr::new(a, b, c, d))
+                    .collect();
+                agg
+            })
+            .collect();
+        let mut analytics = ActivityAnalytics::new();
+        analytics.extend(aggregates.iter());
+        let mut expected: HashMap<[u8; 3], u64> = HashMap::new();
+        for agg in &aggregates {
+            for segment in agg.segments() {
+                *expected.entry(segment).or_insert(0) += 1;
+            }
+        }
+        assert_eq!(analytics.segment_idns, expected);
+        assert_eq!(expected[&[10, 0, 0]], 2);
+        assert_eq!(expected[&[10, 0, 1]], 2);
+        assert_eq!(analytics.total_ips(), 12);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! The passive-DNS store: the query interface both providers expose.
 
 use crate::aggregate::DomainAggregate;
+use idnre_arena::FnvBuildHasher;
 use idnre_telemetry::Recorder;
-use std::collections::HashMap;
+use std::borrow::{Borrow, Cow};
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
 /// An aggregated passive-DNS database.
@@ -10,9 +13,48 @@ use std::net::Ipv4Addr;
 /// Mirrors the provider interface the paper used: submit a domain, get back
 /// its aggregate (look-up count, first/last seen) or nothing if the domain
 /// was never observed.
+///
+/// Keys are lowercase ACE, computed once at insert: each aggregate is
+/// its own key, hashed (FNV-1a) and compared by its `domain`, so the
+/// store holds no second copy of a name. Look-ups borrow their argument
+/// unless it has an uppercase byte.
 #[derive(Debug, Clone, Default)]
 pub struct PdnsStore {
-    domains: HashMap<String, DomainAggregate>,
+    domains: HashSet<Keyed, FnvBuildHasher>,
+}
+
+/// A stored aggregate, hashed and compared by its lowercase `domain` so
+/// the set can be probed with a `&str`.
+#[derive(Debug, Clone)]
+struct Keyed(DomainAggregate);
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.domain == other.0.domain
+    }
+}
+
+impl Eq for Keyed {}
+
+impl Hash for Keyed {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.domain.as_str().hash(state);
+    }
+}
+
+impl Borrow<str> for Keyed {
+    fn borrow(&self) -> &str {
+        &self.0.domain
+    }
+}
+
+/// `domain` lowercased, borrowed when it already is.
+fn key(domain: &str) -> Cow<'_, str> {
+    if domain.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(domain.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(domain)
+    }
 }
 
 impl PdnsStore {
@@ -24,23 +66,26 @@ impl PdnsStore {
     /// Records one observed look-up of `domain` on `day`, optionally with
     /// the IP its DNS response carried.
     pub fn record_lookup(&mut self, domain: &str, day: i64, ip: Option<Ipv4Addr>) {
-        let key = domain.to_ascii_lowercase();
-        self.domains
-            .entry(key.clone())
-            .or_insert_with(|| DomainAggregate::first_observation(&key, day))
-            .record(day, ip);
+        let key = key(domain);
+        let mut aggregate = match self.domains.take(&*key) {
+            Some(Keyed(aggregate)) => aggregate,
+            None => DomainAggregate::first_observation(&key, day),
+        };
+        aggregate.record(day, ip);
+        self.domains.insert(Keyed(aggregate));
     }
 
     /// Inserts a pre-built aggregate (the simulator's bulk path). Replaces
-    /// any existing aggregate for the same domain.
-    pub fn insert_aggregate(&mut self, aggregate: DomainAggregate) {
-        self.domains
-            .insert(aggregate.domain.to_ascii_lowercase(), aggregate);
+    /// any existing aggregate for the same domain. The aggregate's
+    /// `domain` is its key, so it is lowercased in place.
+    pub fn insert_aggregate(&mut self, mut aggregate: DomainAggregate) {
+        aggregate.domain.make_ascii_lowercase();
+        self.domains.replace(Keyed(aggregate));
     }
 
     /// Queries one domain.
     pub fn lookup(&self, domain: &str) -> Option<&DomainAggregate> {
-        self.domains.get(&domain.to_ascii_lowercase())
+        self.domains.get(&*key(domain)).map(|keyed| &keyed.0)
     }
 
     /// Bulk query — the paper submitted all 1.4M IDNs to DNS Pai in one
@@ -79,7 +124,7 @@ impl PdnsStore {
 
     /// Iterates all aggregates (order unspecified).
     pub fn iter(&self) -> impl Iterator<Item = &DomainAggregate> {
-        self.domains.values()
+        self.domains.iter().map(|keyed| &keyed.0)
     }
 
     /// Merges another provider's view into this one — the union the paper
@@ -88,8 +133,8 @@ impl PdnsStore {
     /// maximum (the feeds overlap, so summing would double-count).
     pub fn merge(&mut self, other: &PdnsStore) {
         for aggregate in other.iter() {
-            match self.domains.get_mut(&aggregate.domain) {
-                Some(existing) => {
+            let merged = match self.domains.take(aggregate.domain.as_str()) {
+                Some(Keyed(mut existing)) => {
                     existing.first_seen = existing.first_seen.min(aggregate.first_seen);
                     existing.last_seen = existing.last_seen.max(aggregate.last_seen);
                     existing.query_count = existing.query_count.max(aggregate.query_count);
@@ -98,9 +143,11 @@ impl PdnsStore {
                             existing.ips.push(ip);
                         }
                     }
+                    existing
                 }
-                None => self.insert_aggregate(aggregate.clone()),
-            }
+                None => aggregate.clone(),
+            };
+            self.domains.insert(Keyed(merged));
         }
     }
 }
@@ -166,5 +213,48 @@ mod tests {
         store.insert_aggregate(agg);
         assert_eq!(store.lookup("a.com").unwrap().query_count, 99);
         assert_eq!(store.len(), 1);
+    }
+
+    /// Keys are lowercase: every spelling of a name, inserted or looked
+    /// up, reaches the one entry, which holds the lowercase name.
+    #[test]
+    fn mixed_case_inserts_and_lookups_share_one_lowercase_entry() {
+        let mut store = PdnsStore::new();
+        let mut upper = DomainAggregate::first_observation("x.com", 1);
+        upper.domain = "XN--FIQS8S.COM".to_string();
+        upper.query_count = 1;
+        store.insert_aggregate(upper);
+        store.record_lookup("Xn--Fiqs8s.Com", 9, None);
+        assert_eq!(store.len(), 1);
+        for spelling in ["xn--fiqs8s.com", "XN--FIQS8S.COM", "xN--fIQS8S.cOM"] {
+            let hit = store
+                .lookup(spelling)
+                .expect("one entry for every spelling");
+            assert_eq!(hit.domain, "xn--fiqs8s.com");
+            assert_eq!((hit.query_count, hit.last_seen), (2, 9));
+        }
+        assert!(store.lookup("xn--fiqs8s.co").is_none());
+    }
+
+    /// A re-inserted domain keeps the last aggregate, whatever the case
+    /// it arrives in, and `len` counts distinct domains.
+    #[test]
+    fn reinsertion_keeps_the_last_aggregate_and_len_counts_domains() {
+        let mut store = PdnsStore::new();
+        for (i, spelling) in ["a.com", "b.com", "A.com", "a.COM", "b.com"]
+            .into_iter()
+            .enumerate()
+        {
+            let mut agg = DomainAggregate::first_observation(spelling, 1);
+            agg.domain = spelling.to_string();
+            agg.query_count = i as u64;
+            store.insert_aggregate(agg);
+        }
+        assert_eq!(store.len(), 2);
+        assert_eq!(store.lookup("a.com").unwrap().query_count, 3);
+        assert_eq!(store.lookup("B.COM").unwrap().query_count, 4);
+        let mut domains: Vec<&str> = store.iter().map(|agg| agg.domain.as_str()).collect();
+        domains.sort_unstable();
+        assert_eq!(domains, ["a.com", "b.com"]);
     }
 }

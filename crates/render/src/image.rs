@@ -89,7 +89,8 @@ impl GrayImage {
         self.data = data;
     }
 
-    /// Total ink (sum of pixel values) — a cheap pre-filter signal.
+    /// Total ink (sum of pixel values). Only the font's unit tests read
+    /// it, to check that glyphs are not blank.
     pub fn ink_mass(&self) -> f32 {
         self.data.iter().sum()
     }

@@ -53,8 +53,6 @@ pub use font::{CELL_HEIGHT, CELL_WIDTH};
 pub use image::GrayImage;
 pub use metrics::{mse, ssim, ssim_windows, DimensionMismatch};
 
-use idnre_unicode::confusables;
-
 /// Renders `text` onto a grayscale image, one 8×16 cell per character.
 ///
 /// Rendering is deterministic: the same string always produces the same
@@ -89,14 +87,6 @@ pub fn ssim_strings(a: &str, b: &str) -> f64 {
     a.pad_to(cells);
     b.pad_to(cells);
     a.ssim(&b).expect("padded to equal cell counts")
-}
-
-/// Strips the marks of known confusables: renders `text` as if every
-/// confusable were its ASCII target. Used by the ablation bench to measure
-/// how much of the SSIM signal the marks carry.
-pub fn render_skeleton(text: &str) -> GrayImage {
-    let folded: String = text.chars().map(confusables::skeleton_char).collect();
-    render_text(&folded)
 }
 
 #[cfg(test)]
@@ -135,10 +125,5 @@ mod tests {
         let s = ssim_strings("google", "google.com");
         assert!(s < 1.0);
         assert!(s > 0.0);
-    }
-
-    #[test]
-    fn skeleton_render_matches_target_render() {
-        assert_eq!(render_skeleton("gõõgle"), render_text("google"));
     }
 }

@@ -98,6 +98,13 @@ impl YearHistogram {
         *self.years.entry(year).or_insert(0) += 1;
     }
 
+    /// Adds every count of `other` — the merge of two partial timelines.
+    pub fn merge(&mut self, other: &YearHistogram) {
+        for (year, count) in other.iter() {
+            *self.years.entry(year).or_insert(0) += count;
+        }
+    }
+
     /// Count for a specific year.
     pub fn count(&self, year: i32) -> u64 {
         self.years.get(&year).copied().unwrap_or(0)
@@ -166,6 +173,23 @@ mod tests {
         assert_eq!(h.total(), 4);
         let years: Vec<i32> = h.iter().map(|(y, _)| y).collect();
         assert_eq!(years, vec![2000, 2001, 2017]);
+    }
+
+    #[test]
+    fn year_histogram_merge_adds_counts() {
+        let (mut left, mut right, mut whole) = (
+            YearHistogram::new(),
+            YearHistogram::new(),
+            YearHistogram::new(),
+        );
+        for (i, y) in [2000, 2004, 2000, 2017, 2004, 1999].into_iter().enumerate() {
+            whole.record(y);
+            if i < 3 { &mut left } else { &mut right }.record(y);
+        }
+        left.merge(&right);
+        assert_eq!(left, whole);
+        left.merge(&YearHistogram::new());
+        assert_eq!(left, whole);
     }
 
     #[test]
