@@ -4,8 +4,8 @@
 //! A [`crate::ShardedScan`] folds every shard once, merges, and drops the
 //! per-shard partials. [`EpochState`] converts that into *fold, cache,
 //! invalidate, re-fold*: after an advance, every (shard, pass) partial
-//! stays resident, a [`DeltaStream`] of record-level events marks the
-//! shards it touches dirty, and the next advance re-folds **only** dirty
+//! stays resident, the IDN indices a day's deltas touched mark their
+//! shards dirty, and the next advance re-folds **only** dirty
 //! shards (plus cache misses — e.g. a tail shard whose boundary moved as
 //! the index space grew), reusing every clean shard's partial verbatim.
 //! Partials then merge sequentially in shard order exactly as the
@@ -44,97 +44,6 @@ use std::collections::{HashMap, HashSet};
 /// incremental win, and the scan-records metric exposes it).
 pub const EPOCH_SPAN: &str = "analyze.epoch";
 
-/// What a [`RecordDelta`] did to its record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeltaKind {
-    /// The record newly exists at this index.
-    Add,
-    /// The record at this index is gone (its shard re-folds without it).
-    Remove,
-    /// The record's fields changed in place.
-    Update,
-}
-
-/// One record-level change between two epochs of a corpus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordDelta {
-    /// Which population the record belongs to.
-    pub population: Population,
-    /// Stable global index within that population.
-    pub index: u64,
-    /// What happened.
-    pub kind: DeltaKind,
-}
-
-/// An epoch's record-level events, in application order.
-///
-/// The engine only uses deltas for **dirty-shard mapping** — the corpus
-/// the [`RecordSource`] presents must already reflect them. Deltas whose
-/// index falls outside the source's index space map to no shard and are
-/// ignored, which is what makes remove-nonexistent inert.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaStream {
-    deltas: Vec<RecordDelta>,
-}
-
-impl DeltaStream {
-    /// An empty stream (a quiet epoch).
-    pub fn new() -> Self {
-        DeltaStream::default()
-    }
-
-    /// Appends one event.
-    pub fn push(&mut self, delta: RecordDelta) {
-        self.deltas.push(delta);
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.deltas.len()
-    }
-
-    /// Whether the stream has no events.
-    pub fn is_empty(&self) -> bool {
-        self.deltas.is_empty()
-    }
-
-    /// The events, in application order.
-    pub fn iter(&self) -> std::slice::Iter<'_, RecordDelta> {
-        self.deltas.iter()
-    }
-
-    /// Maps a day simulator's IDN zone-diff events
-    /// ([`idnre_datagen::EpochDelta`]) onto engine deltas: adds stay
-    /// adds, removes stay removes, and every in-place mutation
-    /// (re-registration, registrar migration, lagged blacklist listing)
-    /// becomes [`DeltaKind::Update`].
-    pub fn from_epoch_deltas(deltas: &[idnre_datagen::EpochDelta]) -> Self {
-        use idnre_datagen::EpochDeltaKind;
-        DeltaStream {
-            deltas: deltas
-                .iter()
-                .map(|d| RecordDelta {
-                    population: Population::Idn,
-                    index: d.index,
-                    kind: match d.kind {
-                        EpochDeltaKind::Add => DeltaKind::Add,
-                        EpochDeltaKind::Remove => DeltaKind::Remove,
-                        EpochDeltaKind::Reregister
-                        | EpochDeltaKind::NsChange
-                        | EpochDeltaKind::Blacklist => DeltaKind::Update,
-                    },
-                })
-                .collect(),
-        }
-    }
-}
-
-impl From<Vec<RecordDelta>> for DeltaStream {
-    fn from(deltas: Vec<RecordDelta>) -> Self {
-        DeltaStream { deltas }
-    }
-}
-
 /// Shard accounting for one [`EpochState::advance`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EpochStats {
@@ -142,7 +51,7 @@ pub struct EpochStats {
     pub epoch: u64,
     /// Shards in the grid this epoch.
     pub total_shards: u64,
-    /// Shards the delta stream marked dirty.
+    /// Shards the touched indices marked dirty.
     pub dirty: u64,
     /// Shards whose resident partials were reused verbatim.
     pub clean: u64,
@@ -266,10 +175,17 @@ impl EpochState {
         self.cache.values().map(Vec::len).sum()
     }
 
-    /// Advances one epoch: maps `deltas` to owning shards, re-folds only
-    /// dirty shards and cache misses over `source` (fanned out across
-    /// `threads` workers), refreshes the resident cache, merges all
-    /// partials sequentially in shard order, and finishes every pass.
+    /// Advances one epoch: maps the `touched` IDN indices to owning
+    /// shards, re-folds only dirty shards and cache misses over `source`
+    /// (fanned out across `threads` workers), refreshes the resident
+    /// cache, merges all partials sequentially in shard order, and
+    /// finishes every pass.
+    ///
+    /// `touched` names every IDN record the epoch added, removed or
+    /// changed in place; the `source` must already reflect those changes,
+    /// since the indices only say which shards to re-fold. An index
+    /// outside the source's index space maps to no shard and is ignored,
+    /// which is what makes a remove of a nonexistent record inert.
     ///
     /// The returned [`ScanResult`] is byte-identical to
     /// [`ShardedScan::run_at`] over the same source and shard size —
@@ -284,7 +200,7 @@ impl EpochState {
         scan: ShardedScan<'_>,
         source: &dyn RecordSource,
         threads: usize,
-        deltas: &DeltaStream,
+        touched: &[u64],
         recorder: &dyn Recorder,
         parent: SpanCtx,
     ) -> (ScanResult, EpochStats) {
@@ -294,26 +210,18 @@ impl EpochState {
         recorder.preregister(&EPOCH_SHARD_COUNTERS);
         let groups = scan.pin(recorder, epoch_span.ctx());
 
-        // Sorted, deduplicated delta indices per population, for
-        // binary-searched shard ownership tests.
-        let mut touched: HashMap<Population, Vec<u64>> = HashMap::new();
-        for delta in deltas.iter() {
-            touched
-                .entry(delta.population)
-                .or_default()
-                .push(delta.index);
-        }
-        for indices in touched.values_mut() {
-            indices.sort_unstable();
-            indices.dedup();
-        }
+        // Sorted, deduplicated indices, for binary-searched shard
+        // ownership tests.
+        let mut touched = touched.to_vec();
+        touched.sort_unstable();
+        touched.dedup();
         let shard_is_dirty = |shard: &Shard| {
-            touched.get(&shard.population).is_some_and(|indices| {
-                let at = indices.partition_point(|&i| i < shard.start);
-                indices
+            shard.population == Population::Idn && {
+                let at = touched.partition_point(|&i| i < shard.start);
+                touched
                     .get(at)
                     .is_some_and(|&i| i < shard.start + shard.len as u64)
-            })
+            }
         };
 
         let shards = shards_of(source, self.shard_size);
@@ -488,18 +396,18 @@ mod tests {
         let base = small_corpus();
         let overlay = EpochCorpus::new(&base);
         let source = EpochSource::new(&overlay);
-        let quiet = DeltaStream::new();
+        let quiet: &[u64] = &[];
         let mut state = EpochState::new(64);
 
         let (scan0, counts0, domains0) = scan();
         let (mut first, stats0) =
-            state.advance(scan0, &source, 2, &quiet, &NoopRecorder, SpanCtx::NONE);
+            state.advance(scan0, &source, 2, quiet, &NoopRecorder, SpanCtx::NONE);
         assert_eq!(stats0.refolded, stats0.total_shards, "cold cache folds all");
         assert_eq!(stats0.clean, 0);
 
         let (scan1, counts1, domains1) = scan();
         let (mut second, stats1) =
-            state.advance(scan1, &source, 2, &quiet, &NoopRecorder, SpanCtx::NONE);
+            state.advance(scan1, &source, 2, quiet, &NoopRecorder, SpanCtx::NONE);
         assert_eq!(stats1.refolded, 0, "quiet epoch re-folds nothing");
         assert_eq!(stats1.refolded_records, 0);
         assert_eq!(stats1.clean, stats1.total_shards);
@@ -515,12 +423,16 @@ mod tests {
         let mut sim = DaySimulator::new(30);
         let mut state = EpochState::new(64);
         for epoch in 0..3u64 {
-            let deltas = DeltaStream::from_epoch_deltas(&sim.advance(&mut overlay, epoch));
+            let touched: Vec<u64> = sim
+                .advance(&mut overlay, epoch)
+                .iter()
+                .map(|d| d.index)
+                .collect();
             let source = EpochSource::new(&overlay);
 
             let (inc_scan, inc_counts, inc_domains) = scan();
             let (mut incremental, stats) =
-                state.advance(inc_scan, &source, 2, &deltas, &NoopRecorder, SpanCtx::NONE);
+                state.advance(inc_scan, &source, 2, &touched, &NoopRecorder, SpanCtx::NONE);
 
             let (re_scan, re_counts, re_domains) = scan();
             let mut rebuild = re_scan.run_at(&source, 64, 2, &NoopRecorder, SpanCtx::NONE);
@@ -556,22 +468,11 @@ mod tests {
         let source = EpochSource::new(&overlay);
         let mut state = EpochState::new(64);
         let (scan0, _, _) = scan();
-        state.advance(
-            scan0,
-            &source,
-            1,
-            &DeltaStream::new(),
-            &NoopRecorder,
-            SpanCtx::NONE,
-        );
+        state.advance(scan0, &source, 1, &[], &NoopRecorder, SpanCtx::NONE);
 
-        let ghost = DeltaStream::from(vec![RecordDelta {
-            population: Population::Idn,
-            index: u64::MAX,
-            kind: DeltaKind::Remove,
-        }]);
         let (scan1, _, _) = scan();
-        let (_, stats) = state.advance(scan1, &source, 1, &ghost, &NoopRecorder, SpanCtx::NONE);
+        let (_, stats) =
+            state.advance(scan1, &source, 1, &[u64::MAX], &NoopRecorder, SpanCtx::NONE);
         assert_eq!(stats.dirty, 0, "remove-nonexistent maps to no shard");
         assert_eq!(stats.refolded, 0);
     }
@@ -584,14 +485,7 @@ mod tests {
         let registry = Registry::new();
         let mut state = EpochState::new(64);
         let (scan0, _, _) = scan();
-        let (_, stats) = state.advance(
-            scan0,
-            &source,
-            2,
-            &DeltaStream::new(),
-            &registry,
-            SpanCtx::NONE,
-        );
+        let (_, stats) = state.advance(scan0, &source, 2, &[], &registry, SpanCtx::NONE);
         let snapshot = registry.snapshot();
         let counter = |name: &str| {
             snapshot

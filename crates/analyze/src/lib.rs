@@ -25,7 +25,7 @@ pub mod aggregate;
 pub mod epoch;
 
 pub use aggregate::KeyedTally;
-pub use epoch::{DeltaKind, DeltaStream, EpochSource, EpochState, EpochStats, RecordDelta};
+pub use epoch::{EpochSource, EpochState, EpochStats};
 
 /// Span name of the fused traversal; its record count equals the corpus
 /// size, which is how "exactly one corpus traversal" is asserted.

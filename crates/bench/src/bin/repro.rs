@@ -59,11 +59,11 @@
 //! `--metrics`, `--trace` and `--slo` output, same exit code), under a
 //! [`idnre_telemetry::Registry`]. Then [`idnre_bench::measure`] turns the
 //! registry's stages into `batch` or `streamed` entries and adds the
-//! probes as `probe` entries: decode, ingest, the indexed-vs-exhaustive
-//! homograph and mining pairs, the dataset render, the instrumented vs
-//! uninstrumented scan and the synchronous vs scheduled crawl survey.
-//! The stage table and the per-pass cost ledger go to stderr, and the
-//! entries to `BENCH_pipeline.json` (`idnre-bench-pipeline/7`). Under
+//! probes as `probe` entries: decode, ingest, the dataset render and the
+//! synchronous vs scheduled crawl survey. The exhaustive oracles run in
+//! tests, not here. The stage table and the per-pass cost ledger go to
+//! stderr, and the entries to `BENCH_pipeline.json`
+//! (`idnre-bench-pipeline/8`). Under
 //! `--stream` the JSON's top-level `peak_resident_records` reports the
 //! run's residency-gauge peak — the paper-scale memory contract
 //! (`≤ 4 × shard_size × threads`) read straight from the artifact.

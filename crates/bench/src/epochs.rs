@@ -30,7 +30,7 @@
 
 use crate::passes::{ScanInputs, ScanOutputs};
 use crate::ReproContext;
-use idnre_analyze::{DeltaStream, EpochSource, EpochState, EpochStats};
+use idnre_analyze::{EpochSource, EpochState, EpochStats};
 use idnre_arena::CorpusColumns;
 use idnre_core::SkeletonCache;
 use idnre_datagen::{
@@ -208,15 +208,15 @@ pub(crate) fn play(
     let mut per_epoch = Vec::with_capacity(spec.count as usize);
 
     for epoch in 1..=spec.count {
-        let raw_deltas = simulator.advance(&mut overlay, epoch);
+        let deltas = simulator.advance(&mut overlay, epoch);
         let mark = columns.mark();
-        grow_columns(&mut columns, &overlay, &ctx.eco, &raw_deltas);
+        grow_columns(&mut columns, &overlay, &ctx.eco, &deltas);
         assert!(
             mark.grew_monotonically_to(&columns.mark()),
             "epoch {epoch}: columns shrank — the append-only contract broke"
         );
         skeletons.extend_to(&columns, threads);
-        let deltas = DeltaStream::from_epoch_deltas(&raw_deltas);
+        let touched: Vec<u64> = deltas.iter().map(|d| d.index).collect();
         let source = EpochSource::new(&overlay);
 
         // Incremental leg: re-fold only the shards the deltas dirtied.
@@ -226,7 +226,7 @@ pub(crate) fn play(
             &mut state,
             &source,
             threads,
-            &deltas,
+            &touched,
             &*ctx.recorder,
             SpanCtx::ROOT,
         );
@@ -249,7 +249,7 @@ pub(crate) fn play(
         assert_folds_match(epoch, &outputs, &rebuild);
         ctx.outputs = outputs;
         per_epoch.push(EpochBenchStats {
-            deltas: raw_deltas.len(),
+            deltas: deltas.len(),
             live_idn: overlay.live_idn_len(),
             stats,
             incremental_ns,

@@ -48,7 +48,7 @@ pub use robust::{FaultSetup, IngestStats, RunHealth, SurveyStats};
 pub use slo::{slo_profile, SLO_PROFILES};
 pub use whois_facts::WhoisFacts;
 
-use idnre_analyze::{DeltaStream, EpochState, Population, RecordSource, SliceSource, StreamSource};
+use idnre_analyze::{EpochState, Population, RecordSource, SliceSource, StreamSource};
 use idnre_core::SkeletonCache;
 use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig};
 use idnre_telemetry::{Recorder, SpanCtx};
@@ -225,7 +225,7 @@ impl ReproContext {
                     &mut state,
                     view.source,
                     config.threads,
-                    &DeltaStream::new(),
+                    &[],
                     &*recorder,
                     SpanCtx::ROOT,
                 );

@@ -23,10 +23,9 @@
 //!
 //! Candidate generation therefore drops from `O(n²)` pairs to
 //! `O(Σ bucket²)`; [`verified_pairs_exhaustive`] retains the all-pairs
-//! oracle (capped, like `detect_exhaustive`) that pins the indexed result
-//! (the same [`verify_buckets`], via [`verified_pairs_lsh`]) to the
-//! exhaustive one and anchors the measured speedup in
-//! `BENCH_pipeline.json`.
+//! oracle, which the tests hold the indexed result (the same
+//! [`verify_buckets`], via [`verified_pairs_lsh`]) to, along with the
+//! candidate pairs each path generates.
 //!
 //! Mined output is byte-identical across thread counts and shard sizes:
 //! the bucket-index merge is associative (first-occurrence key order,
@@ -35,12 +34,13 @@
 //! is always the minimum `(sld, tld)` member.
 
 use idnre_analyze::{AnalysisPass, Merge, Observed, Population};
-use idnre_arena::{fnv1a, BucketIndex, CorpusColumns, LabelRef};
+use idnre_arena::{BucketIndex, CorpusColumns, FnvHasher, LabelRef};
 use idnre_core::{pair_score, SkeletonCache};
 use idnre_datagen::Ecosystem;
 use idnre_render::TextBitmap;
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::collections::HashMap;
+use std::hash::Hasher;
 
 /// Ledger stage of the bucket-index fold (pass A).
 pub const BUCKET_STAGE: &str = "analyze.pass.bucket_index";
@@ -60,25 +60,13 @@ pub const MINE_COUNTERS: [&str; 3] = [
 /// threshold, unchanged.
 pub const MINE_THRESHOLD: f64 = 0.95;
 
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Continues an FNV-1a hash over more bytes (the label part is hashed
-/// once per distinct label; the TLD suffix continues it per record).
-#[inline]
-fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// Precomputed key material for one corpus: everything both passes need
 /// to turn a column row into a bucket key or a display form without
 /// re-deriving strings per record.
 pub struct MiningPlan {
-    /// Per distinct label: FNV-1a over its confusable-folded skeleton.
-    label_hash: Vec<u64>,
+    /// Per distinct label: the FNV-1a state after its confusable-folded
+    /// skeleton, which each row's key continues over its TLD suffix.
+    label_hash: Vec<FnvHasher>,
     /// Per distinct label: whether it is pure ASCII (an ASCII label can
     /// only pair *with* an IDN, never with another ASCII label).
     label_ascii: Vec<bool>,
@@ -94,14 +82,19 @@ impl MiningPlan {
     /// reading both from `skeletons` (the run's one precompute), which
     /// must cover `columns`.
     pub fn new(columns: &CorpusColumns, skeletons: &SkeletonCache) -> Self {
+        let hashed = |bytes: &[u8]| {
+            let mut hasher = FnvHasher::default();
+            hasher.write(bytes);
+            hasher
+        };
         let (label_hash, label_ascii) = columns
             .labels()
             .iter()
             .enumerate()
             .map(|(i, label)| match skeletons.label(i) {
                 // ASCII passes through the skeleton untouched.
-                None => (fnv1a(label.as_bytes()), true),
-                Some(folded) => (fnv1a(folded.as_bytes()), false),
+                None => (hashed(label.as_bytes()), true),
+                Some(folded) => (hashed(folded.as_bytes()), false),
             })
             .unzip();
         let (tld_suffix, tld_unicode) = columns
@@ -125,10 +118,9 @@ impl MiningPlan {
     /// folded display form, assembled from the precomputed pieces.
     #[inline]
     fn key(&self, sld: idnre_arena::Symbol, tld: u16) -> u64 {
-        fnv1a_extend(
-            self.label_hash[sld.index()],
-            &self.tld_suffix[usize::from(tld)],
-        )
+        let mut hasher = self.label_hash[sld.index()];
+        hasher.write(&self.tld_suffix[usize::from(tld)]);
+        hasher.finish()
     }
 
     /// The display form behind a [`LabelRef`].
@@ -464,18 +456,16 @@ fn normalize(mut pairs: Vec<VerifiedPair>) -> Vec<VerifiedPair> {
     pairs
 }
 
-/// The LSH path over the first `cap` column rows, as a standalone probe:
-/// bucket the rows under pass A's keys, then run pass B's
-/// [`verify_buckets`]. Returns normalized pairs.
+/// The LSH path over every column row, standalone: bucket the rows under
+/// pass A's keys, then run pass B's [`verify_buckets`]. Returns
+/// normalized pairs.
 pub fn verified_pairs_lsh(
     columns: &CorpusColumns,
     plan: &MiningPlan,
-    cap: usize,
     threads: usize,
 ) -> Vec<VerifiedPair> {
-    let rows = columns.len().min(cap);
     let mut index = BucketIndex::new();
-    for row in 0..rows {
+    for row in 0..columns.len() {
         let sld = columns.sld_symbol(row);
         let tld = columns.tld_id(row);
         index.insert(plan.key(sld, tld), LabelRef { sld, tld });
@@ -483,19 +473,17 @@ pub fn verified_pairs_lsh(
     verify_buckets(&index, columns, plan, threads).2
 }
 
-/// The exhaustive oracle over the first `cap` column rows: every pair of
-/// rows (no skeleton pre-filter) of equal cell count, SSIM-scored with the
-/// same kernel, at least one side a genuine IDN label. `O(rows²)` pair
-/// generation — the thing the LSH index exists to avoid; retained (and
-/// capped, like `detect_exhaustive`) as the equivalence oracle and the
-/// speedup baseline.
+/// The exhaustive oracle over every column row: every pair of rows (no
+/// skeleton pre-filter) of equal cell count, SSIM-scored with the same
+/// kernel, at least one side a genuine IDN label. `O(rows²)` pair
+/// generation — the thing the LSH index exists to avoid; the tests hold
+/// [`verified_pairs_lsh`] to it.
 pub fn verified_pairs_exhaustive(
     columns: &CorpusColumns,
     plan: &MiningPlan,
-    cap: usize,
     threads: usize,
 ) -> Vec<VerifiedPair> {
-    let rows: Vec<usize> = (0..columns.len().min(cap)).collect();
+    let rows: Vec<usize> = (0..columns.len()).collect();
     let rendered: Vec<(LabelRef, bool, TextBitmap)> = idnre_par::par_map(&rows, threads, |&row| {
         let member = LabelRef {
             sld: columns.sld_symbol(row),

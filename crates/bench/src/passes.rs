@@ -16,8 +16,8 @@ use crate::mine::{BucketIndexPass, MiningPlan};
 use crate::robust::{sample_crawl, usage_index};
 use crate::{CandidateSurvey, WhoisFacts};
 use idnre_analyze::{
-    AnalysisPass, DeltaStream, EpochState, EpochStats, KeyedTally, Merge, Observed, PassHandle,
-    Population, RecordSource, ScanResult, ShardedScan,
+    AnalysisPass, EpochState, EpochStats, KeyedTally, Merge, Observed, PassHandle, Population,
+    RecordSource, ScanResult, ShardedScan,
 };
 use idnre_arena::{BucketIndex, ColumnsBuilder, CorpusColumns, Symbol};
 use idnre_core::{
@@ -546,7 +546,7 @@ pub fn finish_columns(
 /// or each epoch's incremental fold and shadow rebuild — borrows them.
 pub struct ScanInputs {
     /// The SSIM homograph detector, at the paper's 0.95 threshold.
-    pub(crate) homograph: HomographDetector,
+    homograph: HomographDetector,
     semantic: SemanticDetector,
     table3_wanted: HashSet<String>,
     fig6_pool: HashSet<String>,
@@ -684,7 +684,7 @@ impl ScanPlan<'_> {
     }
 
     /// Advances one epoch through `state` instead of folding every shard:
-    /// only shards the delta stream dirtied (plus cache misses) re-fold;
+    /// only shards holding a `touched` IDN index (plus cache misses) re-fold;
     /// clean shards reuse their resident partials. Outputs are
     /// byte-identical to [`ScanPlan::run_at`] over the same source at
     /// `state`'s shard size. Mining plans are one-shot by design and not
@@ -694,7 +694,7 @@ impl ScanPlan<'_> {
         state: &mut EpochState,
         source: &dyn RecordSource,
         threads: usize,
-        deltas: &DeltaStream,
+        touched: &[u64],
         recorder: &dyn Recorder,
         parent: SpanCtx,
     ) -> (ScanOutputs, EpochStats) {
@@ -702,7 +702,7 @@ impl ScanPlan<'_> {
             self.handles.bucket.is_none(),
             "mining pass A is one-shot; epochs exclude --mine-portfolios"
         );
-        let (result, stats) = state.advance(self.scan, source, threads, deltas, recorder, parent);
+        let (result, stats) = state.advance(self.scan, source, threads, touched, recorder, parent);
         (self.handles.redeem(result).0, stats)
     }
 }

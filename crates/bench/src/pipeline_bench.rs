@@ -8,27 +8,32 @@
 //! and runs the probes. Two sources feed the entries:
 //!
 //! 1. **The run's stage spans.** Every stage the build and the render
-//!    recorded (generation sub-stages, the fused scan's passes or an
-//!    epochs run's folds and shadow rebuilds, each report generator)
-//!    becomes one entry with its measured wall time and record count. Its
-//!    `mode` is the build's: `batch`, or `streamed` under `--stream`.
-//! 2. **Probes** (`mode` `probe`). Stages the spans do not isolate are
+//!    recorded (generation sub-stages, the fused scan's passes, the
+//!    miner's `mine.pairs` or an epochs run's folds and shadow rebuilds,
+//!    each report generator) becomes one entry with its measured wall time
+//!    and record count. Its `mode` is the build's: `batch`, or `streamed`
+//!    under `--stream`.
+//! 2. **Probes** (`mode` `probe`). Stages the run does not execute are
 //!    timed directly over one resident batch corpus that [`measure`]
 //!    regenerates untimed, so the probes see the same inputs in every
 //!    mode and record nothing into the run's registry: punycode decode,
-//!    lenient zone ingest, the homograph scan indexed over a size ladder
-//!    and against its exhaustive oracle, the dataset render (whose
-//!    fingerprint the JSON carries), the portfolio miner's LSH pairs
-//!    against the all-pairs oracle, the fused scan instrumented and
-//!    uninstrumented, and the crawl survey synchronous and scheduled.
-//!    The indexed-vs-exhaustive pairs are the regression gates CI holds
-//!    every future change to.
+//!    lenient zone ingest, the dataset render (whose fingerprint the JSON
+//!    carries), and the crawl survey synchronous and scheduled.
 //!
-//! # Schema (`idnre-bench-pipeline/7`)
+//! The bench times only the paths a run executes. The exhaustive oracles
+//! the indexed paths are checked against run in tests, not here:
+//! `tests/oracles.rs` holds the run's homograph findings to
+//! `HomographDetector::scan_exhaustive` and the LSH miner's pairs to
+//! `mine::verified_pairs_exhaustive`, and counts the SSIM verifications
+//! each path makes; `benches/bench_homograph_scan.rs` times the indexed
+//! scan against the exhaustive one; `tests/scan_overhead.rs` holds the
+//! per-pass attribution to its ≤ 1.05× budget.
+//!
+//! # Schema (`idnre-bench-pipeline/8`)
 //!
 //! ```json
 //! {
-//!   "schema": "idnre-bench-pipeline/7",
+//!   "schema": "idnre-bench-pipeline/8",
 //!   "scale": 50, "attack_scale": 1, "threads": 8, "seed": 497885208,
 //!   "dataset_fingerprint": "0xa30479eed80c6bdf",
 //!   "shard_size": 1024, "peak_resident_records": 0,
@@ -58,40 +63,21 @@
 //! `ns_per_record` is the wall per call. Wall times are measurements, not
 //! part of the byte-identical report contract.
 
-use crate::passes::{finish_columns, ScanInputs};
 use crate::{CorpusView, FaultSetup, ReproContext, RunSpec};
 use idnre_analyze::SliceSource;
-use idnre_core::SkeletonCache;
-use idnre_telemetry::{NoopRecorder, Recorder, Registry, SpanCtx};
+use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
 use std::time::Instant;
 
 /// Schema tag of the JSON this module writes.
-pub const BENCH_SCHEMA: &str = "idnre-bench-pipeline/7";
+pub const BENCH_SCHEMA: &str = "idnre-bench-pipeline/8";
 
 /// Prefix of the per-pass attribution stages the fused scan records.
 pub const PASS_STAGE_PREFIX: &str = "analyze.pass.";
 
-/// Rounds of the instrumented/uninstrumented probe pair; the entries keep
-/// the minimum wall of each, so transient scheduler noise on one round
-/// cannot masquerade as instrumentation overhead. With 2 rounds over the
-/// ~30 ms scale-50 scan, one loaded 2-vCPU host read from 1.01× to 1.21×
-/// for the same code, so the < 1.05× gate could fail on noise alone.
-pub const OVERHEAD_PROBE_ROUNDS: usize = 8;
-
-/// Corpus sizes the indexed homograph scan is timed at (intersected with
-/// the generated corpus); the exhaustive oracle runs only at the capped
-/// size ([`EXHAUSTIVE_CAP`]).
-pub const HOMOGRAPH_BENCH_SIZES: [usize; 3] = [1_000, 10_000, 100_000];
-
-/// The exhaustive oracle is O(brands) per domain, so its probe corpus is
-/// capped to keep a bench run in seconds; the indexed path is measured at
-/// the same capped size so the pair stays comparable.
-pub const EXHAUSTIVE_CAP: usize = 10_000;
-
 /// One timed stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchEntry {
-    /// Dotted stage name (`homograph.scan.indexed`, `report.table1`, …).
+    /// Dotted stage name (`build.ecosystem`, `report.table1`, …).
     pub stage: String,
     /// What produced the entry: the run's `batch` or `streamed` build, or
     /// a `probe`.
@@ -160,40 +146,6 @@ impl PipelineBench {
             .iter()
             .filter(|e| e.stage == stage)
             .max_by_key(|e| e.records)
-    }
-
-    /// Indexed-over-exhaustive speedup on the capped comparison corpus
-    /// (>1 means the index wins). `None` before both probes ran.
-    pub fn homograph_speedup(&self) -> Option<f64> {
-        let indexed = self.entry("homograph.scan.indexed")?;
-        let exhaustive = self.entry("homograph.scan.exhaustive")?;
-        if indexed.wall_ns == 0 {
-            return None;
-        }
-        Some(exhaustive.wall_ns as f64 / indexed.wall_ns as f64)
-    }
-
-    /// LSH-over-exhaustive speedup of the portfolio pair miner on the
-    /// capped comparison prefix (>1 means the bucket index wins). `None`
-    /// before both probes ran.
-    pub fn mining_speedup(&self) -> Option<f64> {
-        let lsh = self.entry("mine.pairs.lsh")?;
-        let exhaustive = self.entry("mine.pairs.exhaustive")?;
-        if lsh.wall_ns == 0 {
-            return None;
-        }
-        Some(exhaustive.wall_ns as f64 / lsh.wall_ns as f64)
-    }
-
-    /// Instrumented-over-uninstrumented wall ratio of the fused scan
-    /// (1.03 = 3% attribution overhead). `None` before both probes ran.
-    pub fn instrumentation_overhead(&self) -> Option<f64> {
-        let on = self.entry("analyze.scan.instrumented")?;
-        let off = self.entry("analyze.scan.uninstrumented")?;
-        if off.wall_ns == 0 {
-            return None;
-        }
-        Some(on.wall_ns as f64 / off.wall_ns as f64)
     }
 }
 
@@ -317,11 +269,6 @@ impl RunLedger {
 /// probes regenerate one resident batch corpus from `ctx`'s config,
 /// untimed, and record nothing into `registry`, so their entries do not
 /// depend on `spec` and the registry keeps only the run's own stages.
-///
-/// # Panics
-///
-/// Panics when the indexed homograph scan differs from its exhaustive
-/// oracle, or the LSH miner verifies a pair the all-pairs oracle rejects.
 pub fn measure(ctx: &ReproContext, spec: &RunSpec, registry: &Registry) -> PipelineBench {
     let config = &ctx.eco.config;
     let threads = config.threads;
@@ -350,11 +297,9 @@ pub fn measure(ctx: &ReproContext, spec: &RunSpec, registry: &Registry) -> Pipel
         });
     };
 
-    // The probes' corpus: the records, zones and interned columns of a
-    // batch build of the run's config.
-    let (eco, _, rows) = idnre_datagen::generate_traced(config, None, &NoopRecorder, SpanCtx::NONE);
-    let columns = finish_columns(rows, threads, &NoopRecorder, SpanCtx::NONE);
-    let skeletons = SkeletonCache::build(&columns, threads);
+    // The probes' corpus: the records and zones of a batch build of the
+    // run's config.
+    let (eco, _, _) = idnre_datagen::generate_traced(config, None, &NoopRecorder, SpanCtx::NONE);
     let zones = eco.derive_zones().zones;
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
     let corpus_len = (eco.idn_registrations.len() + eco.non_idn_registrations.len()) as u64;
@@ -384,101 +329,11 @@ pub fn measure(ctx: &ReproContext, spec: &RunSpec, registry: &Registry) -> Pipel
     .sum();
     probe("zone.ingest.lenient", elapsed_ns(started), attempted);
 
-    // The indexed scan across the size ladder, then the indexed-vs-
-    // exhaustive pair at the capped size — the entries CI gates on. The
-    // rung at the cap is timed once, as the exhaustive probe's partner.
-    let inputs = ScanInputs::new(&eco.brands, &ctx.whois, &ctx.candidates);
-    let detector = &inputs.homograph;
-    let cap = domains.len().min(EXHAUSTIVE_CAP);
-    for size in HOMOGRAPH_BENCH_SIZES {
-        if size > domains.len() {
-            break;
-        }
-        if size == cap {
-            continue;
-        }
-        let started = Instant::now();
-        let _ = detector.scan(domains[..size].iter().copied(), threads);
-        probe("homograph.scan.indexed", elapsed_ns(started), size as u64);
-    }
-    let slice = &domains[..cap];
-    let started = Instant::now();
-    let indexed = detector.scan(slice.iter().copied(), threads);
-    let indexed_ns = elapsed_ns(started);
-    let started = Instant::now();
-    let exhaustive = detector.scan_exhaustive(slice.iter().copied(), threads);
-    let exhaustive_ns = elapsed_ns(started);
-    assert_eq!(
-        indexed, exhaustive,
-        "indexed scan diverged from the exhaustive oracle"
-    );
-    probe("homograph.scan.indexed", indexed_ns, cap as u64);
-    probe("homograph.scan.exhaustive", exhaustive_ns, cap as u64);
-
     // Render the canonical dataset — the byte artifact `--dump-dataset`
     // writes; its fingerprint identifies the corpus in the JSON.
     let started = Instant::now();
     let dataset = idnre_datagen::render_dataset(&eco);
     probe("dataset.render", elapsed_ns(started), dataset.len() as u64);
-
-    // The portfolio-mining pair: skeleton-LSH bucketed pair verification
-    // vs the all-pairs oracle over the same capped corpus prefix — the
-    // second indexed-vs-exhaustive regression gate CI holds. Containment
-    // is asserted, not equality: the oracle also surfaces pairs that clear
-    // the SSIM bar without sharing a confusable skeleton (visual
-    // near-misses outside the confusables table), which skeleton blocking
-    // deliberately does not chase. Equality is the contract on forged
-    // confusable corpora, pinned by the proptest oracle-equivalence test.
-    let mining_plan = crate::mine::MiningPlan::new(&columns, &skeletons);
-    let mine_cap = columns.len().min(EXHAUSTIVE_CAP);
-    let started = Instant::now();
-    let lsh_pairs = crate::mine::verified_pairs_lsh(&columns, &mining_plan, mine_cap, threads);
-    let lsh_ns = elapsed_ns(started);
-    let started = Instant::now();
-    let oracle_pairs =
-        crate::mine::verified_pairs_exhaustive(&columns, &mining_plan, mine_cap, threads);
-    let oracle_ns = elapsed_ns(started);
-    let oracle_set: std::collections::HashSet<_> =
-        oracle_pairs.iter().map(|p| (p.a, p.b)).collect();
-    for pair in &lsh_pairs {
-        assert!(
-            oracle_set.contains(&(pair.a, pair.b)),
-            "LSH mined a pair the exhaustive oracle rejects: {pair:?}"
-        );
-    }
-    probe("mine.pairs.lsh", lsh_ns, mine_cap as u64);
-    probe("mine.pairs.exhaustive", oracle_ns, mine_cap as u64);
-
-    // Attribution-overhead pair: the same fused scan re-run back to back
-    // under a live registry and under the no-op recorder, timed
-    // externally. Rounds interleave the two, each round swapping which
-    // runs first, and each probe keeps its minimum wall, so
-    // `instrumented / uninstrumented` read from the JSON is the
-    // per-pass-attribution overhead the <5% budget gates.
-    let mut instrumented_ns = u64::MAX;
-    let mut uninstrumented_ns = u64::MAX;
-    for round in 0..OVERHEAD_PROBE_ROUNDS {
-        let mut pair = [
-            (&Registry::new() as &dyn Recorder, &mut instrumented_ns),
-            (&NoopRecorder, &mut uninstrumented_ns),
-        ];
-        if round % 2 == 1 {
-            pair.reverse();
-        }
-        for (recorder, wall_ns) in pair {
-            let started = Instant::now();
-            let _ = inputs.plan(&columns, &skeletons, &eco.pdns, None).run_at(
-                &source,
-                crate::DEFAULT_SHARD_SIZE,
-                threads,
-                recorder,
-                SpanCtx::NONE,
-            );
-            *wall_ns = (*wall_ns).min(elapsed_ns(started));
-        }
-    }
-    probe("analyze.scan.instrumented", instrumented_ns, corpus_len);
-    probe("analyze.scan.uninstrumented", uninstrumented_ns, corpus_len);
 
     // Crawl-survey throughput pair: the same fault-free population walked
     // by the synchronous per-domain path and by the event-driven scheduler
@@ -527,7 +382,7 @@ pub fn measure(ctx: &ReproContext, spec: &RunSpec, registry: &Registry) -> Pipel
     }
 }
 
-/// Renders a bench result as schema-stable JSON (`idnre-bench-pipeline/7`).
+/// Renders a bench result as schema-stable JSON (`idnre-bench-pipeline/8`).
 pub fn render_bench_json(bench: &PipelineBench) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -596,25 +451,10 @@ pub fn render_bench_text(bench: &PipelineBench) -> String {
         "peak residency: {} records (shard size {})\n",
         bench.peak_resident_records, bench.shard_size
     ));
-    if let Some(speedup) = bench.homograph_speedup() {
-        out.push_str(&format!(
-            "homograph index speedup over exhaustive oracle: {speedup:.1}x\n"
-        ));
-    }
     if let Some(mining) = &bench.mining {
         out.push_str(&format!(
             "portfolio mining: {} candidate pairs, {} verified, {} portfolios\n",
             mining.candidate_pairs, mining.verified_pairs, mining.portfolios
-        ));
-    }
-    if let Some(speedup) = bench.mining_speedup() {
-        out.push_str(&format!(
-            "pair-mining LSH speedup over exhaustive oracle: {speedup:.1}x\n"
-        ));
-    }
-    if let Some(overhead) = bench.instrumentation_overhead() {
-        out.push_str(&format!(
-            "scan attribution overhead (instrumented/uninstrumented): {overhead:.3}x\n"
         ));
     }
     if let Some(ledger) = RunLedger::collect(bench) {
@@ -668,29 +508,34 @@ mod tests {
     #[test]
     fn bench_json_is_well_formed_and_gated() {
         let (ctx, bench) = measured_batch();
-        // Stage coverage: the run's generation, passes and reports, then
-        // decode, ingest, both scan paths, both miners and the dataset.
+        // Stage coverage: the run's generation, passes, miner and reports,
+        // then decode, ingest, the dataset render and the crawl pair.
         for stage in [
             "build.ecosystem",
             "idna.decode",
             "zone.ingest.lenient",
-            "homograph.scan.indexed",
-            "homograph.scan.exhaustive",
             "analyze.pass.semantic1",
             "analyze.pass.bucket_index",
             "mine.pairs",
-            "mine.pairs.lsh",
-            "mine.pairs.exhaustive",
-            "analyze.scan.instrumented",
-            "analyze.scan.uninstrumented",
             "dataset.render",
+            "crawl.survey.sync",
+            "crawl.survey.sched",
         ] {
             assert!(bench.entry(stage).is_some(), "missing stage {stage}");
         }
         assert!(bench.entries.iter().any(|e| e.stage.starts_with("report.")));
-        assert!(bench.homograph_speedup().is_some());
-        assert!(bench.mining_speedup().is_some());
-        assert!(bench.instrumentation_overhead().is_some());
+        // The oracles and the attribution-overhead pair run in tests, not
+        // in the bench.
+        for stage in [
+            "homograph.scan.indexed",
+            "homograph.scan.exhaustive",
+            "mine.pairs.lsh",
+            "mine.pairs.exhaustive",
+            "analyze.scan.instrumented",
+            "analyze.scan.uninstrumented",
+        ] {
+            assert!(bench.entry(stage).is_none(), "oracle probe {stage} is back");
+        }
 
         // The probes' batch corpus is the run's: same dataset bytes.
         let dataset = idnre_datagen::render_dataset(&ctx.eco);
@@ -708,14 +553,12 @@ mod tests {
         assert_eq!(bench.peak_resident_records, 0);
 
         let json = render_bench_json(&bench);
-        assert!(json.starts_with("{\"schema\":\"idnre-bench-pipeline/7\""));
+        assert!(json.starts_with("{\"schema\":\"idnre-bench-pipeline/8\""));
         assert!(json.contains("\"shard_size\":1024,\"peak_resident_records\":0,"));
         assert!(json.contains("\"mining\":{\"candidate_pairs\":"));
         assert!(json.contains("\"verified_pairs\":"));
         assert!(json.contains("\"portfolios\":"));
         assert!(!json.contains("\"epochs\""));
-        assert!(json.contains("\"stage\":\"mine.pairs.lsh\""));
-        assert!(json.contains("\"stage\":\"homograph.scan.exhaustive\""));
         assert!(json.contains("\"stage\":\"analyze.pass.homograph\",\"pass\":\"homograph\""));
         assert!(json.contains("\"stage\":\"build.ecosystem\",\"pass\":\"\""));
         assert!(json.contains("\"mode\":\"batch\""));
@@ -731,10 +574,7 @@ mod tests {
         let text = render_bench_text(&bench);
         assert!(text.contains("pipeline bench"));
         assert!(text.contains("peak residency"));
-        assert!(text.contains("homograph index speedup"));
         assert!(text.contains("portfolio mining:"));
-        assert!(text.contains("pair-mining LSH speedup"));
-        assert!(text.contains("scan attribution overhead"));
         assert!(text.contains("pass ledger"));
     }
 

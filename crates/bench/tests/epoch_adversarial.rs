@@ -1,4 +1,4 @@
-//! Adversarial delta streams against the epoch engine, with exact pins
+//! Adversarial epoch deltas against the epoch engine, with exact pins
 //! on the `epoch.shards.*` counters and the resident-partials gauge:
 //!
 //! * a removal of a record that never existed must dirty nothing;
@@ -10,9 +10,7 @@
 //!   in one epoch, applied in a later one — without ever diverging from
 //!   the from-scratch rebuild.
 
-use idnre_analyze::{
-    DeltaKind, DeltaStream, EpochSource, EpochState, EpochStats, Population, RecordDelta,
-};
+use idnre_analyze::{EpochSource, EpochState, EpochStats};
 use idnre_arena::CorpusColumns;
 use idnre_bench::epochs::grow_columns;
 use idnre_bench::passes::{self, ScanInputs, ScanOutputs, ScanPlan};
@@ -71,11 +69,17 @@ impl<'e> Engine<'e> {
         source: &EpochSource<'_>,
         columns: &CorpusColumns,
         cache: &SkeletonCache,
-        deltas: &DeltaStream,
+        touched: &[u64],
         recorder: &dyn Recorder,
     ) -> (ScanOutputs, EpochStats) {
-        self.plan(columns, cache)
-            .run_epoch(state, source, THREADS, deltas, recorder, SpanCtx::ROOT)
+        self.plan(columns, cache).run_epoch(
+            state,
+            source,
+            THREADS,
+            touched,
+            recorder,
+            SpanCtx::ROOT,
+        )
     }
 
     fn rebuild(
@@ -126,23 +130,12 @@ fn removing_a_nonexistent_record_dirties_nothing() {
     let mut state = EpochState::new(SHARD);
 
     let source = EpochSource::new(&overlay);
-    let (cold, _) = engine.advance(
-        &mut state,
-        &source,
-        &columns,
-        &cache,
-        &DeltaStream::new(),
-        &NoopRecorder,
-    );
+    let (cold, _) = engine.advance(&mut state, &source, &columns, &cache, &[], &NoopRecorder);
 
-    let mut deltas = DeltaStream::new();
-    deltas.push(RecordDelta {
-        population: Population::Idn,
-        index: overlay.idn_index_space() + 7,
-        kind: DeltaKind::Remove,
-    });
+    // A remove of a record past the end of the index space.
+    let touched = [overlay.idn_index_space() + 7];
     let registry = Registry::new();
-    let (warm, stats) = engine.advance(&mut state, &source, &columns, &cache, &deltas, &registry);
+    let (warm, stats) = engine.advance(&mut state, &source, &columns, &cache, &touched, &registry);
 
     // Exact pins: the out-of-space delta maps to no shard at all.
     assert_eq!(stats.dirty, 0);
@@ -173,14 +166,7 @@ fn add_then_expire_in_one_epoch_leaves_a_stable_hole() {
 
     {
         let source = EpochSource::new(&overlay);
-        engine.advance(
-            &mut state,
-            &source,
-            &columns,
-            &cache,
-            &DeltaStream::new(),
-            &NoopRecorder,
-        );
+        engine.advance(&mut state, &source, &columns, &cache, &[], &NoopRecorder);
     }
 
     let template = clone_record(&overlay, 0);
@@ -194,17 +180,11 @@ fn add_then_expire_in_one_epoch_leaves_a_stable_hole() {
     grow_columns(&mut columns, &overlay, &eco, &[]);
     cache.extend_to(&columns, THREADS);
 
-    let mut deltas = DeltaStream::new();
-    for kind in [DeltaKind::Add, DeltaKind::Remove] {
-        deltas.push(RecordDelta {
-            population: Population::Idn,
-            index,
-            kind,
-        });
-    }
+    // The add and the remove both touch the new index.
+    let touched = [index, index];
     let registry = Registry::new();
     let source = EpochSource::new(&overlay);
-    let (warm, stats) = engine.advance(&mut state, &source, &columns, &cache, &deltas, &registry);
+    let (warm, stats) = engine.advance(&mut state, &source, &columns, &cache, &touched, &registry);
 
     // Both deltas land in the one tail shard; everything else is resident.
     assert_eq!(stats.dirty, 1);
@@ -227,14 +207,7 @@ fn duplicate_bulk_adds_share_the_interned_label() {
 
     {
         let source = EpochSource::new(&overlay);
-        engine.advance(
-            &mut state,
-            &source,
-            &columns,
-            &cache,
-            &DeltaStream::new(),
-            &NoopRecorder,
-        );
+        engine.advance(&mut state, &source, &columns, &cache, &[], &NoopRecorder);
     }
 
     let template = clone_record(&overlay, 3);
@@ -253,17 +226,10 @@ fn duplicate_bulk_adds_share_the_interned_label() {
     assert_eq!(columns.sld_symbol(first as usize), columns.sld_symbol(3));
     assert_eq!(columns.labels().len(), labels_before);
 
-    let mut deltas = DeltaStream::new();
-    for index in [first, second] {
-        deltas.push(RecordDelta {
-            population: Population::Idn,
-            index,
-            kind: DeltaKind::Add,
-        });
-    }
+    let touched = [first, second];
     let registry = Registry::new();
     let source = EpochSource::new(&overlay);
-    let (warm, stats) = engine.advance(&mut state, &source, &columns, &cache, &deltas, &registry);
+    let (warm, stats) = engine.advance(&mut state, &source, &columns, &cache, &touched, &registry);
 
     assert_eq!(stats.dirty, 1, "both adds share the tail shard");
     assert_eq!(counter(&registry, EPOCH_SHARD_COUNTERS[0]), 1);
@@ -283,14 +249,7 @@ fn lagged_blacklist_listings_straddle_epoch_boundaries() {
 
     {
         let source = EpochSource::new(&overlay);
-        engine.advance(
-            &mut state,
-            &source,
-            &columns,
-            &cache,
-            &DeltaStream::new(),
-            &NoopRecorder,
-        );
+        engine.advance(&mut state, &source, &columns, &cache, &[], &NoopRecorder);
     }
 
     let mut saw_listing = false;
@@ -312,11 +271,11 @@ fn lagged_blacklist_listings_straddle_epoch_boundaries() {
 
         grow_columns(&mut columns, &overlay, &eco, &raw);
         cache.extend_to(&columns, THREADS);
-        let deltas = DeltaStream::from_epoch_deltas(&raw);
+        let touched: Vec<u64> = raw.iter().map(|d| d.index).collect();
         let registry = Registry::new();
         let source = EpochSource::new(&overlay);
         let (warm, stats) =
-            engine.advance(&mut state, &source, &columns, &cache, &deltas, &registry);
+            engine.advance(&mut state, &source, &columns, &cache, &touched, &registry);
 
         // The counters mirror the accounting exactly, every epoch.
         assert_eq!(counter(&registry, EPOCH_SHARD_COUNTERS[0]), stats.dirty);

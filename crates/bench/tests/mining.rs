@@ -206,8 +206,8 @@ proptest! {
         slds.dedup();
         let columns = forged_columns(&slds);
         let plan = mine::MiningPlan::new(&columns, &SkeletonCache::build(&columns, 2));
-        let lsh = mine::verified_pairs_lsh(&columns, &plan, columns.len(), 2);
-        let oracle = mine::verified_pairs_exhaustive(&columns, &plan, columns.len(), 2);
+        let lsh = mine::verified_pairs_lsh(&columns, &plan, 2);
+        let oracle = mine::verified_pairs_exhaustive(&columns, &plan, 2);
         prop_assert_eq!(lsh, oracle);
     }
 }

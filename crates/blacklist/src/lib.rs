@@ -23,6 +23,7 @@
 #![warn(missing_docs)]
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -54,6 +55,16 @@ impl fmt::Display for Source {
     }
 }
 
+/// `domain` lowercased, borrowed when it already is: stored domains are
+/// lowercase, so probes need no copy of an already-lowercase name.
+fn key(domain: &str) -> Cow<'_, str> {
+    if domain.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(domain.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(domain)
+    }
+}
+
 /// An aggregated, source-attributed URL blacklist.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BlacklistSet {
@@ -76,16 +87,16 @@ impl BlacklistSet {
 
     /// Whether any source flags `domain` — the paper's union semantics.
     pub fn is_malicious(&self, domain: &str) -> bool {
-        let key = domain.to_ascii_lowercase();
-        self.by_source.values().any(|set| set.contains(&key))
+        let key = key(domain);
+        self.by_source.values().any(|set| set.contains(&*key))
     }
 
     /// The sources flagging `domain`, in provider order.
     pub fn verdict(&self, domain: &str) -> Vec<Source> {
-        let key = domain.to_ascii_lowercase();
+        let key = key(domain);
         Source::ALL
             .into_iter()
-            .filter(|s| self.by_source.get(s).is_some_and(|set| set.contains(&key)))
+            .filter(|s| self.by_source.get(s).is_some_and(|set| set.contains(&*key)))
             .collect()
     }
 

@@ -26,6 +26,7 @@
 use crate::{classify, fetch, outcome_counter, usage_counter};
 use crate::{Crawler, FetchOutcome, ResolutionOutcome, UsageCategory};
 use crate::{ATTEMPTS_HISTOGRAM, RETRY_COUNTERS};
+use idnre_arena::fnv1a;
 use idnre_fault::FaultPlan;
 use idnre_sched::{run_schedule, QueryDriver, SchedConfig, SchedStats, ShedCause, StepVerdict};
 use idnre_telemetry::{Recorder, Span, SpanCtx};
@@ -107,15 +108,6 @@ pub struct SliceSchedule {
 enum CrawlStep {
     Dns(ResolutionOutcome),
     Http(FetchOutcome),
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 #[derive(Debug, Clone, Default)]

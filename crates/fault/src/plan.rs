@@ -1,6 +1,7 @@
 //! The seeded fault schedule: which attempt against which target fails how.
 
-use crate::{fnv1a, mix64};
+use crate::mix64;
+use idnre_arena::fnv1a;
 use std::error::Error;
 use std::fmt;
 
