@@ -52,20 +52,21 @@
 //! `--dump-dataset`, and `--shard-size` requires it.
 //!
 //! `--dump-dataset PATH` writes the canonical `idnre-dataset/2` bytes of
-//! a batch build, so CI can `cmp` runs at different thread counts.
+//! a batch build, so CI can `cmp` runs at different thread counts. The
+//! render is one top-level `dataset.render` stage (records = bytes).
 //!
 //! `--bench` times the run the other flags describe: the run is built,
 //! rendered and written exactly as without `--bench` (same stdout, same
 //! `--metrics`, `--trace` and `--slo` output, same exit code), under a
 //! [`idnre_telemetry::Registry`]. Then [`idnre_bench::measure`] turns the
-//! registry's stages into `batch` or `streamed` entries and adds the
-//! probes as `probe` entries: decode, ingest, the dataset render and the
-//! synchronous vs scheduled crawl survey. The exhaustive oracles run in
-//! tests, not here. The stage table and the per-pass cost ledger go to
-//! stderr, and the entries to `BENCH_pipeline.json`
-//! (`idnre-bench-pipeline/8`). Under
-//! `--stream` the JSON's top-level `peak_resident_records` reports the
-//! run's residency-gauge peak — the paper-scale memory contract
+//! registry's stages into entries, and nothing else: a stage is timed
+//! when the run executes it (`--faults none` runs the surveys,
+//! `--dump-dataset` the dataset render), and the exhaustive oracles run
+//! in tests. The stage table and the per-pass cost ledger go to stderr,
+//! and the entries to `BENCH_pipeline.json` (`idnre-bench-pipeline/9`,
+//! with the run's `batch` or `streamed` mode). Under `--stream` the
+//! JSON's top-level `peak_resident_records` reports the run's
+//! residency-gauge peak — the paper-scale memory contract
 //! (`≤ 4 × shard_size × threads`) read straight from the artifact.
 //!
 //! `--trace PATH` runs the pipeline under a tracing registry and writes
@@ -142,7 +143,7 @@ use idnre_bench::{
 use idnre_datagen::EcosystemConfig;
 use idnre_fault::FaultPlan;
 use idnre_sched::SchedConfig;
-use idnre_telemetry::Registry;
+use idnre_telemetry::{Registry, SpanCtx};
 use std::io::Write as _;
 use std::sync::Arc;
 
@@ -179,13 +180,15 @@ fn main() {
                 config.scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--scale needs a number"));
+                    .filter(|n| *n >= 1)
+                    .unwrap_or_else(|| usage("--scale needs a number >= 1"));
             }
             "--attack-scale" => {
                 config.attack_scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--attack-scale needs a number"));
+                    .filter(|n| *n >= 1)
+                    .unwrap_or_else(|| usage("--attack-scale needs a number >= 1"));
             }
             "--threads" => {
                 let n: usize = args
@@ -395,7 +398,10 @@ fn main() {
     }
 
     if let Some(path) = &dump_dataset {
+        let mut span = ctx.recorder.span_at("dataset.render", SpanCtx::ROOT, 0);
         let dataset = idnre_datagen::render_dataset(&ctx.eco);
+        span.add_records(dataset.len() as u64);
+        drop(span);
         std::fs::write(path, &dataset).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);

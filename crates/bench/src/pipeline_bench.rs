@@ -1,50 +1,47 @@
 //! The `repro --bench` measurement: the timed stages of the run the other
-//! flags describe, plus a fixed set of probes, written as
-//! `BENCH_pipeline.json` so every change leaves a perf-trajectory point
-//! behind.
+//! flags describe, written as `BENCH_pipeline.json` so every change leaves
+//! a perf-trajectory point behind.
 //!
 //! `repro --bench` builds and renders its run exactly as it would without
-//! `--bench`, under a [`Registry`]; then [`measure`] reads that registry
-//! and runs the probes. Two sources feed the entries:
+//! `--bench`, under a [`Registry`]; then [`measure`] reads that registry.
+//! Every stage the build and the render recorded (generation sub-stages,
+//! the fused scan's passes, the miner's `mine.pairs`, an epochs run's
+//! folds and shadow rebuilds, a faulted run's surveys, the dataset render
+//! of `--dump-dataset`, each report generator) becomes one entry with its
+//! measured wall time and record count. The bench runs nothing of its
+//! own, so a stage has an entry exactly when the run executed it:
+//! `--faults none` times lenient zone ingest, the WHOIS survey and the
+//! crawl survey (`crawl.survey.faulted`, or `crawl.survey.sched` under
+//! `--crawl-sched`), and `--dump-dataset` times `dataset.render`. The two
+//! crawler histograms that record something other than wall time,
+//! `crawler.retry.attempts` (attempt counts) and `crawler.sched.latency`
+//! (virtual latency), are not entries; `--metrics` and `--slo` read them.
 //!
-//! 1. **The run's stage spans.** Every stage the build and the render
-//!    recorded (generation sub-stages, the fused scan's passes, the
-//!    miner's `mine.pairs` or an epochs run's folds and shadow rebuilds,
-//!    each report generator) becomes one entry with its measured wall time
-//!    and record count. Its `mode` is the build's: `batch`, or `streamed`
-//!    under `--stream`.
-//! 2. **Probes** (`mode` `probe`). Stages the run does not execute are
-//!    timed directly over one resident batch corpus that [`measure`]
-//!    regenerates untimed, so the probes see the same inputs in every
-//!    mode and record nothing into the run's registry: punycode decode,
-//!    lenient zone ingest, the dataset render (whose fingerprint the JSON
-//!    carries), and the crawl survey synchronous and scheduled.
-//!
-//! The bench times only the paths a run executes. The exhaustive oracles
-//! the indexed paths are checked against run in tests, not here:
-//! `tests/oracles.rs` holds the run's homograph findings to
-//! `HomographDetector::scan_exhaustive` and the LSH miner's pairs to
+//! The exhaustive oracles the indexed paths are checked against run in
+//! tests, not here: `tests/oracles.rs` holds the run's homograph findings
+//! to `HomographDetector::scan_exhaustive` and the LSH miner's pairs to
 //! `mine::verified_pairs_exhaustive`, and counts the SSIM verifications
 //! each path makes; `benches/bench_homograph_scan.rs` times the indexed
-//! scan against the exhaustive one; `tests/scan_overhead.rs` holds the
-//! per-pass attribution to its ≤ 1.05× budget.
+//! scan against the exhaustive one, `benches/bench_punycode.rs` the
+//! punycode codec; `tests/scan_overhead.rs` holds the per-pass
+//! attribution to its ≤ 1.05× budget.
 //!
-//! # Schema (`idnre-bench-pipeline/8`)
+//! # Schema (`idnre-bench-pipeline/9`)
 //!
 //! ```json
 //! {
-//!   "schema": "idnre-bench-pipeline/8",
+//!   "schema": "idnre-bench-pipeline/9", "mode": "batch",
 //!   "scale": 50, "attack_scale": 1, "threads": 8, "seed": 497885208,
-//!   "dataset_fingerprint": "0xa30479eed80c6bdf",
 //!   "shard_size": 1024, "peak_resident_records": 0,
 //!   "mining": {"candidate_pairs": 18022, "verified_pairs": 13345, "portfolios": 771},
 //!   "entries": [
-//!     {"stage": "build.ecosystem", "pass": "", "mode": "batch", "scale": 50,
-//!      "threads": 8, "wall_ns": 75630000, "records": 56241, "ns_per_record": 1344}
+//!     {"stage": "build.ecosystem", "pass": "", "wall_ns": 75630000,
+//!      "records": 56241, "ns_per_record": 1344}
 //!   ]
 //! }
 //! ```
 //!
+//! `mode` is the build's: `batch`, or `streamed` under `--stream`.
 //! `shard_size` is the shard the run's scan walked (`--shard-size` under
 //! `--stream`, else [`crate::DEFAULT_SHARD_SIZE`]), and
 //! `peak_resident_records` is the run's `datagen.peak_resident_records`
@@ -63,25 +60,26 @@
 //! `ns_per_record` is the wall per call. Wall times are measurements, not
 //! part of the byte-identical report contract.
 
-use crate::{CorpusView, FaultSetup, ReproContext, RunSpec};
-use idnre_analyze::SliceSource;
-use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
-use std::time::Instant;
+use crate::{ReproContext, RunSpec};
+use idnre_crawler::{ATTEMPTS_HISTOGRAM, SCHED_LATENCY_HISTOGRAM};
+use idnre_telemetry::Registry;
 
 /// Schema tag of the JSON this module writes.
-pub const BENCH_SCHEMA: &str = "idnre-bench-pipeline/8";
+pub const BENCH_SCHEMA: &str = "idnre-bench-pipeline/9";
 
 /// Prefix of the per-pass attribution stages the fused scan records.
 pub const PASS_STAGE_PREFIX: &str = "analyze.pass.";
+
+/// Registry stages [`measure`] leaves out: the crawler feeds them through
+/// `Recorder::record_nanos` with attempt counts and virtual latency, which
+/// are not wall time.
+const NOT_WALL_TIME: [&str; 2] = [ATTEMPTS_HISTOGRAM, SCHED_LATENCY_HISTOGRAM];
 
 /// One timed stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchEntry {
     /// Dotted stage name (`build.ecosystem`, `report.table1`, …).
     pub stage: String,
-    /// What produced the entry: the run's `batch` or `streamed` build, or
-    /// a `probe`.
-    pub mode: &'static str,
     /// Wall time of the stage, in nanoseconds.
     pub wall_ns: u64,
     /// Records the stage processed (domains, zone lines, dataset bytes),
@@ -113,19 +111,19 @@ pub struct MiningSummary {
     pub portfolios: u64,
 }
 
-/// A `repro --bench` result: the run's timed stages, then the probes.
+/// A `repro --bench` result: the run's timed stages.
 #[derive(Debug, Clone)]
 pub struct PipelineBench {
+    /// Which build the run was: `batch`, or `streamed` under `--stream`.
+    pub mode: &'static str,
     /// Ecosystem scale denominator the run used.
     pub scale: u64,
     /// Attack-population scale denominator.
     pub attack_scale: u64,
-    /// Worker threads the run and the probes ran on.
+    /// Worker threads the run ran on.
     pub threads: usize,
     /// RNG seed (the run is reproducible from `scale` + `seed`).
     pub seed: u64,
-    /// FNV-1a fingerprint of the rendered `idnre-dataset/2` artifact.
-    pub dataset_fingerprint: u64,
     /// Shard size the run's fused scan walked.
     pub shard_size: usize,
     /// Peak of the run's `datagen.peak_resident_records` gauge (0 in
@@ -135,17 +133,14 @@ pub struct PipelineBench {
     pub peak_resident_records: u64,
     /// The mined-portfolio summary, present only when the run mined.
     pub mining: Option<MiningSummary>,
-    /// The run's stages in first-use order, then the probes.
+    /// The run's stages in first-use order.
     pub entries: Vec<BenchEntry>,
 }
 
 impl PipelineBench {
-    /// The entry for `stage` with the largest record count, if any.
+    /// The entry for `stage`, if the run recorded it.
     pub fn entry(&self, stage: &str) -> Option<&BenchEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.stage == stage)
-            .max_by_key(|e| e.records)
+        self.entries.iter().find(|e| e.stage == stage)
     }
 }
 
@@ -187,18 +182,15 @@ pub struct RunLedger {
 }
 
 impl RunLedger {
-    /// The run's ledger: its `analyze.scan` entry and the pass rows of the
-    /// same mode. `None` for a run without a one-shot scan (an epochs run
-    /// folds through `analyze.epoch` instead).
+    /// The run's ledger: its `analyze.scan` entry and the pass rows.
+    /// `None` for a run without a one-shot scan (an epochs run folds
+    /// through `analyze.epoch` instead).
     pub fn collect(bench: &PipelineBench) -> Option<RunLedger> {
-        let scan = bench
-            .entries
-            .iter()
-            .find(|e| e.stage == idnre_analyze::SCAN_SPAN)?;
+        let scan = bench.entry(idnre_analyze::SCAN_SPAN)?;
         let rows = bench
             .entries
             .iter()
-            .filter(|e| e.mode == scan.mode && e.stage.starts_with(PASS_STAGE_PREFIX))
+            .filter(|e| e.stage.starts_with(PASS_STAGE_PREFIX))
             .map(|e| LedgerRow {
                 stage: e.stage.clone(),
                 pass: e.pass().to_string(),
@@ -207,7 +199,7 @@ impl RunLedger {
             })
             .collect();
         Some(RunLedger {
-            mode: scan.mode,
+            mode: bench.mode,
             threads: bench.threads,
             scan_wall_ns: scan.wall_ns,
             rows,
@@ -265,112 +257,32 @@ impl RunLedger {
 }
 
 /// Benchmarks a built run: one entry per stage `registry` recorded while
-/// `ctx` was built from `spec` (and rendered), then the probes. The
-/// probes regenerate one resident batch corpus from `ctx`'s config,
-/// untimed, and record nothing into `registry`, so their entries do not
-/// depend on `spec` and the registry keeps only the run's own stages.
+/// `ctx` was built from `spec` (and rendered), in first-use order, except
+/// the crawler's attempt-count and virtual-latency histograms. Reads the
+/// registry only.
 pub fn measure(ctx: &ReproContext, spec: &RunSpec, registry: &Registry) -> PipelineBench {
     let config = &ctx.eco.config;
-    let threads = config.threads;
-    let mode = if spec.shard_size.is_some() {
-        "streamed"
-    } else {
-        "batch"
-    };
-    let mut entries: Vec<BenchEntry> = registry
+    let entries = registry
         .snapshot()
         .stages
         .iter()
+        .filter(|s| !NOT_WALL_TIME.contains(&s.name.as_str()))
         .map(|s| BenchEntry {
             stage: s.name.clone(),
-            mode,
             wall_ns: s.wall_nanos,
             records: s.records.max(s.calls),
         })
         .collect();
-    let mut probe = |stage: &str, wall_ns: u64, records: u64| {
-        entries.push(BenchEntry {
-            stage: stage.to_string(),
-            mode: "probe",
-            wall_ns,
-            records,
-        });
-    };
-
-    // The probes' corpus: the records and zones of a batch build of the
-    // run's config.
-    let (eco, _, _) = idnre_datagen::generate_traced(config, None, &NoopRecorder, SpanCtx::NONE);
-    let zones = eco.derive_zones().zones;
-    let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-    let corpus_len = (eco.idn_registrations.len() + eco.non_idn_registrations.len()) as u64;
-    let domains: Vec<&str> = eco
-        .idn_registrations
-        .iter()
-        .map(|r| r.domain.as_str())
-        .collect();
-
-    // Punycode decode throughput over the registered IDN corpus.
-    let started = Instant::now();
-    let decoded = idnre_par::par_map(&domains, threads, |d| idnre_idna::to_unicode(d).is_ok());
-    probe(
-        "idna.decode",
-        elapsed_ns(started),
-        decoded.iter().filter(|ok| **ok).count() as u64,
-    );
-
-    // Lenient ingest throughput: the derived zones round-tripped through
-    // master-file text and re-parsed with the skip-and-count parser.
-    let started = Instant::now();
-    let attempted: u64 = idnre_par::par_map(&zones, threads, |zone| {
-        let text = idnre_zonefile::write_zone(zone);
-        idnre_zonefile::parse_zone_lenient(&zone.origin.to_string(), &text).attempted as u64
-    })
-    .into_iter()
-    .sum();
-    probe("zone.ingest.lenient", elapsed_ns(started), attempted);
-
-    // Render the canonical dataset — the byte artifact `--dump-dataset`
-    // writes; its fingerprint identifies the corpus in the JSON.
-    let started = Instant::now();
-    let dataset = idnre_datagen::render_dataset(&eco);
-    probe("dataset.render", elapsed_ns(started), dataset.len() as u64);
-
-    // Crawl-survey throughput pair: the same fault-free population walked
-    // by the synchronous per-domain path and by the event-driven scheduler
-    // (wheel, rate limits, breakers). `crawl.survey.sched` vs
-    // `crawl.survey.sync` read from the JSON is the scheduler's overhead
-    // on a clean run — the throughput floor CI gates.
-    let clean = FaultSetup::from_plan(idnre_fault::FaultPlan::new(
-        config.seed,
-        idnre_fault::FaultProfile::none(),
-    ));
-    let view = CorpusView::resident(&source);
-    for (stage, setup) in [
-        ("crawl.survey.sync", clean),
-        (
-            "crawl.survey.sched",
-            clean.with_sched(idnre_sched::SchedConfig::default()),
-        ),
-    ] {
-        let started = Instant::now();
-        let _ = crate::robust::crawl_survey(
-            &view,
-            &zones,
-            &setup,
-            threads,
-            &idnre_fault::ErrorBudget::new(0),
-            &NoopRecorder,
-            SpanCtx::NONE,
-        );
-        probe(stage, elapsed_ns(started), corpus_len);
-    }
-
     PipelineBench {
+        mode: if spec.shard_size.is_some() {
+            "streamed"
+        } else {
+            "batch"
+        },
         scale: config.scale,
         attack_scale: config.attack_scale,
-        threads,
+        threads: config.threads,
         seed: config.seed,
-        dataset_fingerprint: idnre_datagen::dataset_fingerprint(&dataset),
         shard_size: spec.shard_size.unwrap_or(crate::DEFAULT_SHARD_SIZE),
         peak_resident_records: registry.gauge_peak(idnre_datagen::PEAK_RESIDENT_RECORDS),
         mining: ctx.mining.as_ref().map(|m| MiningSummary {
@@ -382,18 +294,18 @@ pub fn measure(ctx: &ReproContext, spec: &RunSpec, registry: &Registry) -> Pipel
     }
 }
 
-/// Renders a bench result as schema-stable JSON (`idnre-bench-pipeline/8`).
+/// Renders a bench result as schema-stable JSON (`idnre-bench-pipeline/9`).
 pub fn render_bench_json(bench: &PipelineBench) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{{\"schema\":\"{BENCH_SCHEMA}\",\"scale\":{},\"attack_scale\":{},\
-         \"threads\":{},\"seed\":{},\"dataset_fingerprint\":\"{:#018x}\",\
+        "{{\"schema\":\"{BENCH_SCHEMA}\",\"mode\":\"{}\",\"scale\":{},\
+         \"attack_scale\":{},\"threads\":{},\"seed\":{},\
          \"shard_size\":{},\"peak_resident_records\":{},",
+        bench.mode,
         bench.scale,
         bench.attack_scale,
         bench.threads,
         bench.seed,
-        bench.dataset_fingerprint,
         bench.shard_size,
         bench.peak_resident_records
     ));
@@ -410,13 +322,10 @@ pub fn render_bench_json(bench: &PipelineBench) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"stage\":\"{}\",\"pass\":\"{}\",\"mode\":\"{}\",\"scale\":{},\"threads\":{},\
-             \"wall_ns\":{},\"records\":{},\"ns_per_record\":{}}}",
+            "{{\"stage\":\"{}\",\"pass\":\"{}\",\"wall_ns\":{},\"records\":{},\
+             \"ns_per_record\":{}}}",
             entry.stage,
             entry.pass(),
-            entry.mode,
-            bench.scale,
-            bench.threads,
             entry.wall_ns,
             entry.records,
             entry.ns_per_record(),
@@ -430,18 +339,17 @@ pub fn render_bench_json(bench: &PipelineBench) -> String {
 pub fn render_bench_text(bench: &PipelineBench) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "pipeline bench — scale 1:{}, {} threads, dataset {:#018x}\n",
-        bench.scale, bench.threads, bench.dataset_fingerprint
+        "pipeline bench — mode {}, scale 1:{}, {} threads\n",
+        bench.mode, bench.scale, bench.threads
     ));
     out.push_str(&format!(
-        "{:<28} {:>8} {:>12} {:>12} {:>10}\n",
-        "stage", "mode", "wall_ms", "records", "ns/rec"
+        "{:<28} {:>12} {:>12} {:>10}\n",
+        "stage", "wall_ms", "records", "ns/rec"
     ));
     for entry in &bench.entries {
         out.push_str(&format!(
-            "{:<28} {:>8} {:>12.3} {:>12} {:>10}\n",
+            "{:<28} {:>12.3} {:>12} {:>10}\n",
             entry.stage,
-            entry.mode,
             entry.wall_ns as f64 / 1e6,
             entry.records,
             entry.ns_per_record(),
@@ -463,14 +371,13 @@ pub fn render_bench_text(bench: &PipelineBench) -> String {
     out
 }
 
-fn elapsed_ns(started: Instant) -> u64 {
-    started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultSetup;
     use idnre_datagen::EcosystemConfig;
+    use idnre_fault::FaultPlan;
+    use idnre_sched::SchedConfig;
     use std::sync::Arc;
 
     fn config() -> EcosystemConfig {
@@ -482,89 +389,82 @@ mod tests {
         }
     }
 
-    /// A mined run at `shard_size`, built and rendered under a registry,
-    /// as `repro --bench --mine-portfolios all` runs it.
-    fn mined_run(
-        config: &EcosystemConfig,
-        shard_size: Option<usize>,
-    ) -> (ReproContext, RunSpec, Arc<Registry>) {
-        let spec = RunSpec {
+    /// `spec`'s run, built and rendered under a registry, as
+    /// `repro --bench all` runs it.
+    fn run(config: &EcosystemConfig, spec: &RunSpec) -> (ReproContext, Arc<Registry>) {
+        let registry = Arc::new(Registry::new());
+        let ctx = ReproContext::build(config, spec, registry.clone());
+        let _ = ctx.full_report();
+        (ctx, registry)
+    }
+
+    /// A mined run at `shard_size`, as `--mine-portfolios` runs it.
+    fn mined(shard_size: Option<usize>) -> RunSpec {
+        RunSpec {
             shard_size,
             mine: true,
             ..RunSpec::default()
-        };
-        let registry = Arc::new(Registry::new());
-        let ctx = ReproContext::build(config, &spec, registry.clone());
-        let _ = ctx.full_report();
-        (ctx, spec, registry)
+        }
     }
 
-    fn measured_batch() -> (ReproContext, PipelineBench) {
-        let (ctx, spec, registry) = mined_run(&config(), None);
-        let bench = measure(&ctx, &spec, &registry);
-        (ctx, bench)
+    fn measured_batch() -> PipelineBench {
+        let spec = mined(None);
+        let (ctx, registry) = run(&config(), &spec);
+        measure(&ctx, &spec, &registry)
     }
 
     #[test]
     fn bench_json_is_well_formed_and_gated() {
-        let (ctx, bench) = measured_batch();
-        // Stage coverage: the run's generation, passes, miner and reports,
-        // then decode, ingest, the dataset render and the crawl pair.
+        let bench = measured_batch();
+        // Stage coverage: the run's generation, passes, miner and reports.
         for stage in [
             "build.ecosystem",
-            "idna.decode",
-            "zone.ingest.lenient",
             "analyze.pass.semantic1",
             "analyze.pass.bucket_index",
             "mine.pairs",
-            "dataset.render",
-            "crawl.survey.sync",
-            "crawl.survey.sched",
         ] {
             assert!(bench.entry(stage).is_some(), "missing stage {stage}");
         }
         assert!(bench.entries.iter().any(|e| e.stage.starts_with("report.")));
-        // The oracles and the attribution-overhead pair run in tests, not
-        // in the bench.
+        // A clean run executes no survey, no dataset render and no oracle,
+        // so the bench times none of them.
         for stage in [
-            "homograph.scan.indexed",
+            "idna.decode",
+            "zone.ingest.lenient",
+            "dataset.render",
+            "crawl.survey.faulted",
+            "crawl.survey.sync",
+            "crawl.survey.sched",
             "homograph.scan.exhaustive",
-            "mine.pairs.lsh",
             "mine.pairs.exhaustive",
-            "analyze.scan.instrumented",
             "analyze.scan.uninstrumented",
         ] {
-            assert!(bench.entry(stage).is_none(), "oracle probe {stage} is back");
+            assert!(bench.entry(stage).is_none(), "{stage} is not a run stage");
         }
 
-        // The probes' batch corpus is the run's: same dataset bytes.
-        let dataset = idnre_datagen::render_dataset(&ctx.eco);
-        assert_eq!(
-            bench.dataset_fingerprint,
-            idnre_datagen::dataset_fingerprint(&dataset)
-        );
         let mining = bench.mining.expect("the run mined");
         assert!(mining.candidate_pairs >= mining.verified_pairs);
         assert!(mining.verified_pairs >= mining.portfolios);
 
         // A batch run scans in the default shard and records no residency
         // gauge.
+        assert_eq!(bench.mode, "batch");
         assert_eq!(bench.shard_size, crate::DEFAULT_SHARD_SIZE);
         assert_eq!(bench.peak_resident_records, 0);
 
         let json = render_bench_json(&bench);
-        assert!(json.starts_with("{\"schema\":\"idnre-bench-pipeline/8\""));
+        assert!(json.starts_with("{\"schema\":\"idnre-bench-pipeline/9\",\"mode\":\"batch\","));
         assert!(json.contains("\"shard_size\":1024,\"peak_resident_records\":0,"));
         assert!(json.contains("\"mining\":{\"candidate_pairs\":"));
         assert!(json.contains("\"verified_pairs\":"));
         assert!(json.contains("\"portfolios\":"));
         assert!(!json.contains("\"epochs\""));
-        assert!(json.contains("\"stage\":\"analyze.pass.homograph\",\"pass\":\"homograph\""));
-        assert!(json.contains("\"stage\":\"build.ecosystem\",\"pass\":\"\""));
-        assert!(json.contains("\"mode\":\"batch\""));
-        assert!(json.contains("\"mode\":\"probe\""));
-        assert!(!json.contains("\"mode\":\"streamed\""));
-        assert!(json.contains("\"dataset_fingerprint\":\"0x"));
+        assert!(!json.contains("dataset_fingerprint"));
+        assert!(json
+            .contains("{\"stage\":\"analyze.pass.homograph\",\"pass\":\"homograph\",\"wall_ns\":"));
+        assert!(json.contains("{\"stage\":\"build.ecosystem\",\"pass\":\"\",\"wall_ns\":"));
+        assert_eq!(json.matches("\"mode\"").count(), 1);
+        assert_eq!(json.matches("\"stage\"").count(), bench.entries.len());
         assert!(json.ends_with("]}"));
         // Balanced braces — the render is hand-built.
         let opens = json.matches('{').count();
@@ -572,7 +472,7 @@ mod tests {
         assert_eq!(opens, closes);
 
         let text = render_bench_text(&bench);
-        assert!(text.contains("pipeline bench"));
+        assert!(text.contains("pipeline bench — mode batch"));
         assert!(text.contains("peak residency"));
         assert!(text.contains("portfolio mining:"));
         assert!(text.contains("pass ledger"));
@@ -580,7 +480,7 @@ mod tests {
 
     #[test]
     fn ledger_decomposes_the_scan_wall() {
-        let (_, bench) = measured_batch();
+        let bench = measured_batch();
         let ledger = RunLedger::collect(&bench).expect("a one-shot run scans");
         assert_eq!(ledger.mode, "batch");
         // Exactly the registered passes show up: 3 core detectors + 6
@@ -597,18 +497,60 @@ mod tests {
         assert!(ledger.coverage() > 0.5, "coverage {:.3}", ledger.coverage());
     }
 
-    /// The probes read their own batch corpus, so a streamed run measures
-    /// the same probe work, dataset and mined result as a batch run, plus
-    /// its own residency peak; and measuring records nothing into the
-    /// run's registry.
+    /// The entries are the run's wall-time stages: every stage its
+    /// registry recorded, in order, except the crawler's attempt-count and
+    /// virtual-latency histograms, which a scheduled storm run feeds.
     #[test]
-    fn measure_is_mode_independent() {
+    fn entries_are_the_registry_stages_minus_the_crawler_histograms() {
+        let config = EcosystemConfig {
+            scale: 2000,
+            attack_scale: 25,
+            ..EcosystemConfig::default()
+        };
+        let plan = FaultPlan::from_spec("storm").expect("a known profile");
+        let spec = RunSpec {
+            faults: Some(FaultSetup::from_plan(plan).with_sched(SchedConfig::default())),
+            ..RunSpec::default()
+        };
+        let (ctx, registry) = run(&config, &spec);
+        let recorded: Vec<String> = registry
+            .snapshot()
+            .stages
+            .into_iter()
+            .map(|s| s.name)
+            .collect();
+        for histogram in [ATTEMPTS_HISTOGRAM, SCHED_LATENCY_HISTOGRAM] {
+            assert!(
+                recorded.iter().any(|name| name == histogram),
+                "the storm run recorded no {histogram}"
+            );
+        }
+        let wall_time: Vec<&str> = recorded
+            .iter()
+            .map(String::as_str)
+            .filter(|name| *name != ATTEMPTS_HISTOGRAM && *name != SCHED_LATENCY_HISTOGRAM)
+            .collect();
+        let bench = measure(&ctx, &spec, &registry);
+        let stages: Vec<&str> = bench.entries.iter().map(|e| e.stage.as_str()).collect();
+        assert_eq!(stages, wall_time);
+        // The faulted surveys are run stages, timed by the run.
+        for stage in ["zone.ingest.lenient", "whois.survey", "crawl.survey.sched"] {
+            assert!(stages.contains(&stage), "missing run stage {stage}");
+        }
+    }
+
+    /// A streamed run's bench carries its own mode, shard and residency
+    /// peak, and the batch run's mined result; measuring records nothing
+    /// into the run's registry.
+    #[test]
+    fn streamed_bench_reads_its_own_run() {
         let config = EcosystemConfig {
             threads: 2,
             ..config()
         };
         let measured = |shard_size| {
-            let (ctx, spec, registry) = mined_run(&config, shard_size);
+            let spec = mined(shard_size);
+            let (ctx, registry) = run(&config, &spec);
             let before = registry.snapshot().render_deterministic_json();
             let bench = measure(&ctx, &spec, &registry);
             assert_eq!(
@@ -619,23 +561,10 @@ mod tests {
             bench
         };
         let (batch, streamed) = (measured(None), measured(Some(64)));
-        let probes = |bench: &PipelineBench| -> Vec<(String, u64)> {
-            bench
-                .entries
-                .iter()
-                .filter(|e| e.mode == "probe")
-                .map(|e| (e.stage.clone(), e.records))
-                .collect()
-        };
-        assert!(!probes(&batch).is_empty());
-        assert_eq!(probes(&batch), probes(&streamed));
-        assert_eq!(batch.dataset_fingerprint, streamed.dataset_fingerprint);
+        assert_eq!(streamed.mode, "streamed");
         assert!(batch.mining.is_some());
         assert_eq!(batch.mining, streamed.mining);
-        assert!(streamed
-            .entries
-            .iter()
-            .all(|e| e.mode == "streamed" || e.mode == "probe"));
+        assert!(render_bench_json(&streamed).contains("\"mode\":\"streamed\""));
 
         assert_eq!(streamed.shard_size, 64);
         assert!(streamed.peak_resident_records > 0);

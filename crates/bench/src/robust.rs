@@ -565,7 +565,7 @@ enum SurveyMode<'a> {
 /// ([`idnre_crawler::Resolver::set_behavior`]), so a zone line lost to
 /// lenient ingest changes nothing. The zones are loaded for fidelity to
 /// the paper's front end only.
-pub(crate) fn crawl_survey(
+fn crawl_survey(
     view: &CorpusView<'_>,
     zones: &[Zone],
     setup: &FaultSetup,

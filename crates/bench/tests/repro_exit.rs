@@ -1,7 +1,8 @@
 //! The `repro` binary's exit path: it returns from `main` without
 //! dropping the built context, so these runs check from outside the
 //! process that every byte of the report still reaches stdout or the
-//! `--write` file, and that the exit code is 0.
+//! `--write` file, and that the exit code is 0; and that a zero scale is
+//! refused before any work.
 
 use idnre_bench::{ReproContext, RunSpec};
 use idnre_datagen::EcosystemConfig;
@@ -71,4 +72,36 @@ fn write_carries_the_whole_report_and_exits_zero() {
         written.len(),
         expected().len()
     );
+}
+
+/// A zero scale would divide the populations by zero: it is a usage error
+/// (exit 2, the flag named on stderr), checked before anything is
+/// generated.
+#[test]
+fn zero_scales_are_usage_errors_before_generation() {
+    for args in [
+        ["--scale", "0", "--attack-scale", "25", "table1"],
+        ["--scale", "2000", "--attack-scale", "0", "table1"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = if args[1] == "0" {
+            "--scale"
+        } else {
+            "--attack-scale"
+        };
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {flag} needs a number")),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("generating ecosystem"),
+            "{args:?} generated before the check: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+    }
 }

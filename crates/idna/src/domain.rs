@@ -107,18 +107,6 @@ impl DomainName {
         Ok(DomainName { labels })
     }
 
-    /// Builds a domain from pre-parsed labels.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseDomainError::Empty`] if `labels` is empty.
-    pub fn from_labels(labels: Vec<Label>) -> Result<Self, ParseDomainError> {
-        if labels.is_empty() {
-            return Err(ParseDomainError::Empty);
-        }
-        Ok(DomainName { labels })
-    }
-
     /// Iterates over labels from leftmost (deepest) to the TLD.
     pub fn labels(&self) -> impl Iterator<Item = &Label> {
         self.labels.iter()

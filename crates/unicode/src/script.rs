@@ -48,14 +48,6 @@ pub enum Script {
     Unknown,
 }
 
-impl Script {
-    /// Whether a label written purely in this script is plausible in a
-    /// domain name (used by the registry model's script policy).
-    pub fn is_registrable(self) -> bool {
-        !matches!(self, Script::Unknown)
-    }
-}
-
 impl fmt::Display for Script {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
