@@ -12,8 +12,6 @@
 //! repro --stream --shard-size 64 all       # smaller resident shards
 //! repro --faults smoke all       # inject the `smoke` fault schedule
 //! repro --faults storm:7 all     # `storm` profile, replay seed 7
-//! repro --bench all              # also time the run, writes BENCH_pipeline.json
-//! repro --bench --stream --shard-size 64 all  # time the streamed run at shard 64
 //! repro --dump-dataset D.txt all # write the idnre-dataset/2 bytes
 //! repro --trace trace.json all   # hierarchical span tree, Chrome trace JSON
 //! repro --slo smoke all          # evaluate an SLO profile, gate the exit code
@@ -29,7 +27,9 @@
 //! passes — Table V's sample crawl among them — each report generator) is
 //! timed through [`idnre_telemetry::Registry`] and the snapshot is
 //! rendered to stderr, so stdout stays a clean report stream. `--write PATH` combined with
-//! `--metrics json` also writes the snapshot to `PATH.metrics.json`.
+//! `--metrics json` also writes the snapshot to `PATH.metrics.json`: each
+//! stage's wall, records and calls, the counters and the gauges. That file
+//! is the run's perf record; the committed `BENCH_pipeline.json` is one.
 //!
 //! With `--faults`, the run adds the corpus-wide surveys: lenient zone
 //! ingest, the WHOIS crawl and the crawl survey run under a seeded fault
@@ -54,20 +54,6 @@
 //! `--dump-dataset PATH` writes the canonical `idnre-dataset/2` bytes of
 //! a batch build, so CI can `cmp` runs at different thread counts. The
 //! render is one top-level `dataset.render` stage (records = bytes).
-//!
-//! `--bench` times the run the other flags describe: the run is built,
-//! rendered and written exactly as without `--bench` (same stdout, same
-//! `--metrics`, `--trace` and `--slo` output, same exit code), under a
-//! [`idnre_telemetry::Registry`]. Then [`idnre_bench::measure`] turns the
-//! registry's stages into entries, and nothing else: a stage is timed
-//! when the run executes it (`--faults none` runs the surveys,
-//! `--dump-dataset` the dataset render), and the exhaustive oracles run
-//! in tests. The stage table and the per-pass cost ledger go to stderr,
-//! and the entries to `BENCH_pipeline.json` (`idnre-bench-pipeline/9`,
-//! with the run's `batch` or `streamed` mode). Under `--stream` the
-//! JSON's top-level `peak_resident_records` reports the run's
-//! residency-gauge peak — the paper-scale memory contract
-//! (`≤ 4 × shard_size × threads`) read straight from the artifact.
 //!
 //! `--trace PATH` runs the pipeline under a tracing registry and writes
 //! the assembled span tree (run → build/scan → pass → shard) as Chrome
@@ -124,8 +110,8 @@
 //! of it, stderr a per-epoch summary plus one machine-greppable
 //! `epochs=... speedup=...` line. Under `--metrics`/`--trace` every fold
 //! and the one render are metered, each shadow rebuild as one
-//! `analyze.epoch.rebuild` span, and so are the entries `--bench`
-//! writes. Not combinable with `--faults` or `--mine-portfolios`.
+//! `analyze.epoch.rebuild` span. `N` is at least 1. Not combinable with
+//! `--faults` or `--mine-portfolios`.
 //!
 //! Flag compatibility is validated against one table
 //! ([`idnre_bench::FLAG_CONFLICTS`] / [`idnre_bench::FLAG_REQUIRES`]);
@@ -162,7 +148,6 @@ fn main() {
     let mut metrics: Option<MetricsFormat> = None;
     let mut faults: Option<FaultSetup> = None;
     let mut threads: Option<usize> = None;
-    let mut bench = false;
     let mut stream = false;
     let mut shard_size: Option<usize> = None;
     let mut dump_dataset: Option<String> = None;
@@ -198,7 +183,6 @@ fn main() {
                     .unwrap_or_else(|| usage("--threads needs a number >= 1"));
                 threads = Some(n.min(idnre_par::MAX_THREADS));
             }
-            "--bench" => bench = true,
             "--stream" => stream = true,
             "--shard-size" => {
                 shard_size = Some(
@@ -237,7 +221,8 @@ fn main() {
                 epochs = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| usage("--epochs needs a number")),
+                        .filter(|n| *n >= 1)
+                        .unwrap_or_else(|| usage("--epochs needs a number >= 1")),
                 );
             }
             "--churn-per-mille" => {
@@ -310,7 +295,7 @@ fn main() {
     }
     let shard_size = stream.then(|| shard_size.unwrap_or(idnre_bench::DEFAULT_SHARD_SIZE));
 
-    let need_registry = bench || metrics.is_some() || trace_path.is_some() || slo.is_some();
+    let need_registry = metrics.is_some() || trace_path.is_some() || slo.is_some();
     let registry = need_registry.then(|| {
         let registry = if trace_path.is_some() {
             Registry::with_trace()
@@ -475,20 +460,6 @@ fn main() {
         );
     }
 
-    if bench {
-        let registry = registry.as_deref().expect("--bench runs under a registry");
-        let bench = idnre_bench::measure(&ctx, &spec, registry);
-        eprint!("{}", idnre_bench::render_bench_text(&bench));
-        let bench_path = "BENCH_pipeline.json";
-        let mut json = idnre_bench::render_bench_json(&bench);
-        json.push('\n');
-        std::fs::write(bench_path, json).unwrap_or_else(|e| {
-            eprintln!("cannot write {bench_path}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("wrote {bench_path}");
-    }
-
     if let (Some(spec), Some(registry)) = (&slo, &registry) {
         let report = spec.evaluate(&registry.snapshot());
         eprint!("{}", report.render_text());
@@ -536,7 +507,7 @@ fn usage(error: &str) -> ! {
         "usage: repro [--scale N] [--attack-scale N] [--seed N] [--threads N] [--write PATH] \
          [--metrics text|json|det] [--stream] [--shard-size N] \
          [--faults none|smoke|flaky|storm|SEED|PROFILE:SEED] \
-         [--crawl-sched] [--bench] [--dump-dataset PATH] [--trace PATH] \
+         [--crawl-sched] [--dump-dataset PATH] [--trace PATH] \
          [--slo smoke|tight] [--mine-portfolios] \
          [--epochs N] [--churn-per-mille M] <experiment...>\n\
          exit codes with --faults or --slo: 0 clean, 3 degraded, 4 budget/bound exceeded\n\

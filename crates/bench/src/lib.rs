@@ -31,7 +31,6 @@ pub mod cli;
 pub mod epochs;
 pub mod mine;
 pub mod passes;
-pub mod pipeline_bench;
 pub mod reports;
 pub mod robust;
 pub mod slo;
@@ -41,9 +40,6 @@ pub use candidates::CandidateSurvey;
 pub use cli::{validate_flags, CliFlags, FLAG_CONFLICTS, FLAG_REQUIRES};
 pub use epochs::{EpochBenchStats, EpochRun, EpochSpec, DEFAULT_CHURN_PER_MILLE};
 pub use mine::{MiningOutputs, Portfolio, PortfolioMember};
-pub use pipeline_bench::{
-    measure, render_bench_json, render_bench_text, LedgerRow, PipelineBench, RunLedger,
-};
 pub use robust::{FaultSetup, IngestStats, RunHealth, SurveyStats};
 pub use slo::{slo_profile, SLO_PROFILES};
 pub use whois_facts::WhoisFacts;
@@ -301,10 +297,11 @@ impl ReproContext {
              reproduction target.\n\n\
              Paper-scale invocation: `--scale` divides the paper's populations, \
              so `repro --stream --shard-size 1024 --scale 1 all` runs the paper's \
-             1:1 corpus (1,481,378 IDNs plus the 1.2M non-IDN sample) in bounded \
-             memory — peak resident records stay ≤ 4 × shard_size × threads at \
-             any scale. `repro --bench --stream` records the measured peak as \
-             `peak_resident_records` in `BENCH_pipeline.json`.\n\n",
+             1:1 corpus (1,481,378 IDNs plus the 1.2M non-IDN sample) with bounded \
+             registration residency — peak resident records stay ≤ 4 × shard_size × \
+             threads at any scale, and `--metrics` reports the peak as the \
+             `datagen.peak_resident_records` gauge. The process's memory is not \
+             bounded: the WHOIS, pDNS and certificate artifacts stay resident.\n\n",
             self.eco.config.seed
         ));
         let enabled = self.recorder.enabled();

@@ -20,9 +20,9 @@ use idnre_analyze::Population;
 use idnre_arena::fnv1a;
 use idnre_crawler::{
     sched_slice_span, survey_slice_span, AuthBehavior, Crawler, FaultContext, Page, PageKind,
-    ResolutionOutcome, UsageCategory, ATTEMPTS_HISTOGRAM, FAULT_COUNTERS, OUTCOME_COUNTERS,
-    RETRY_COUNTERS, SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, SCHED_SLICE_SPAN,
-    SURVEY_SLICE_RECORDS, SURVEY_SLICE_SPAN, USAGE_COUNTERS,
+    UsageCategory, ATTEMPTS_HISTOGRAM, FAULT_COUNTERS, OUTCOME_COUNTERS, RETRY_COUNTERS,
+    SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, SCHED_SLICE_SPAN, SURVEY_SLICE_RECORDS,
+    SURVEY_SLICE_SPAN, USAGE_COUNTERS,
 };
 use idnre_datagen::{DerivedZones, DomainRegistration, Ecosystem};
 use idnre_fault::{ErrorBudget, FaultPlan, RetryPolicy, RunStatus, SimClock};
@@ -111,12 +111,6 @@ pub struct SurveyStats {
     pub terminal_faulted: u64,
     /// Virtual backoff slept, in nanoseconds.
     pub backoff_nanos: u64,
-    /// Virtual time consumed, in nanoseconds.
-    pub elapsed_nanos: u64,
-    /// Resolution outcomes in [`OUTCOME_COUNTERS`] order.
-    pub outcomes: [u64; 5],
-    /// Usage categories in [`UsageCategory::ALL`] order.
-    pub usage: [u64; 7],
 }
 
 impl SurveyStats {
@@ -129,23 +123,6 @@ impl SurveyStats {
         self.faults_injected += other.faults_injected;
         self.terminal_faulted += other.terminal_faulted;
         self.backoff_nanos += other.backoff_nanos;
-        self.elapsed_nanos += other.elapsed_nanos;
-        for i in 0..self.outcomes.len() {
-            self.outcomes[i] += other.outcomes[i];
-        }
-        for i in 0..self.usage.len() {
-            self.usage[i] += other.usage[i];
-        }
-    }
-}
-
-fn outcome_index(outcome: ResolutionOutcome) -> usize {
-    match outcome {
-        ResolutionOutcome::Resolved(_) => 0,
-        ResolutionOutcome::NxDomain => 1,
-        ResolutionOutcome::Refused => 2,
-        ResolutionOutcome::ServFail => 3,
-        _ => 4, // Timeout (and any future outcome folds into the slowest bin)
     }
 }
 
@@ -648,9 +625,6 @@ fn crawl_survey(
                     local.faults_injected += u64::from(crawl.faults_injected);
                     local.terminal_faulted += u64::from(crawl.terminal_faulted);
                     local.backoff_nanos += crawl.resolution.backoff_nanos;
-                    local.elapsed_nanos += crawl.elapsed_nanos;
-                    local.outcomes[outcome_index(crawl.resolution.outcome)] += 1;
-                    local.usage[usage_index(crawl.category)] += 1;
                     charge(budget, false, crawl.terminal_faulted);
                 });
                 None
@@ -668,13 +642,6 @@ fn crawl_survey(
                     local.faults_injected += u64::from(crawl.faults_injected);
                     local.terminal_faulted += u64::from(crawl.terminal_faulted);
                     local.backoff_nanos += crawl.backoff_nanos;
-                    local.elapsed_nanos += crawl.latency_nanos;
-                    if let Some(outcome) = crawl.dns_outcome {
-                        local.outcomes[outcome_index(outcome)] += 1;
-                    }
-                    if let Some(category) = crawl.category {
-                        local.usage[usage_index(category)] += 1;
-                    }
                     charge(budget, crawl.shed.is_some(), crawl.terminal_faulted);
                 }
                 Some(out.stats)

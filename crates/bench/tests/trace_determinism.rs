@@ -124,7 +124,12 @@ fn trace_tree_has_the_documented_shape() {
             "missing top-level span {phase}"
         );
     }
-    for survey in ["crawl.survey", "whois.survey"] {
+    for survey in [
+        "zone.ingest.lenient",
+        "whois.survey",
+        "crawl.survey.faulted",
+        "crawl.survey.sched",
+    ] {
         assert!(root.child(survey).is_none(), "clean build ran {survey}");
     }
     // Both builds run the one generator: the plan, then the artifact

@@ -2,8 +2,8 @@
 //! corpus volume is where bulk registrants first draw duplicate domains,
 //! which desynchronizes any code that assumes one arena slot per record.
 //! The scale-500 unit tests never hit that case, so this test pins the
-//! streamed planner's record/artifact equivalence at the config the
-//! committed BENCH_pipeline.json is generated from, and pins that
+//! streamed planner's record/artifact equivalence at the scale the
+//! committed BENCH_pipeline.json snapshot is metered at, and pins that
 //! config's dataset fingerprint so the corpus has an oracle independent
 //! of any batch-vs-streamed comparison. (EXPERIMENTS.md is `repro all` at
 //! the default config, scale 100 and attack scale 1; the
@@ -16,7 +16,8 @@ use idnre_datagen::{
 use idnre_telemetry::NoopRecorder;
 
 /// `idnre-dataset/2` fingerprint of `repro --scale 50` (default seed,
-/// attack scale and brand list) — the value `BENCH_pipeline.json` reports.
+/// attack scale and brand list) — the value `repro --scale 50
+/// --dump-dataset PATH all` prints on stderr.
 const SCALE50_FINGERPRINT: u64 = 0xa304_79ee_d80c_6bdf;
 
 #[test]

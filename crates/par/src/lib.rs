@@ -100,9 +100,9 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let slots: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(n_chunks));
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n_chunks {
                     break;
@@ -116,8 +116,7 @@ where
                     .push((i, result));
             });
         }
-    })
-    .expect("worker panicked");
+    });
     let mut per_chunk = slots.into_inner().expect("result slot poisoned");
     per_chunk.sort_unstable_by_key(|&(i, _)| i);
     per_chunk.into_iter().map(|(_, r)| r).collect()
@@ -156,9 +155,9 @@ where
     });
     let changed = Condvar::new();
     let lock = || state.lock().expect("reorder state poisoned");
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| {
+            scope.spawn(|| {
                 let _abort = AbortOnPanic(&state, &changed);
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -197,8 +196,7 @@ where
             changed.notify_all();
             sink(result);
         }
-    })
-    .expect("worker panicked");
+    });
 }
 
 /// [`par_map_ordered`]'s shared state: how many results the sink has

@@ -1,13 +1,12 @@
 //! A minimal calendar date with the arithmetic the analytics need (day
 //! numbers for active-time spans, year extraction for Figure 1).
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
 /// A calendar date (proleptic Gregorian).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Date {
     /// Calendar year, e.g. 2017.
     pub year: i32,

@@ -1,10 +1,9 @@
 //! The normalized WHOIS record model.
 
 use crate::date::Date;
-use serde::{Deserialize, Serialize};
 
 /// Which response dialect a record was parsed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum WhoisDialect {
     /// `Key: Value` lines (ICANN RDAP-era gTLD format; Verisign, GoDaddy…).
@@ -19,7 +18,7 @@ pub enum WhoisDialect {
 }
 
 /// A normalized WHOIS record.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WhoisRecord {
     /// The registered domain, lowercased, in ACE form.
     pub domain: String,
