@@ -162,7 +162,6 @@ fn assert_folds_match(epoch: u64, incremental: &ScanOutputs, rebuild: &ScanOutpu
         content,
         activity,
         semantic2,
-        table3_unicode,
         fig6_registered,
         idn_len,
         non_idn_len,
@@ -175,7 +174,6 @@ fn assert_folds_match(epoch: u64, incremental: &ScanOutputs, rebuild: &ScanOutpu
         ("content", *content == rebuild.content),
         ("activity", *activity == rebuild.activity),
         ("semantic2", *semantic2 == rebuild.semantic2),
-        ("table3_unicode", *table3_unicode == rebuild.table3_unicode),
         (
             "fig6_registered",
             *fig6_registered == rebuild.fig6_registered,
@@ -346,6 +344,52 @@ mod tests {
         let mut short = ctx.outputs.clone();
         assert!(short.homographs.pop().is_some(), "no homograph findings");
         assert_folds_match(7, &ctx.outputs, &short);
+    }
+
+    /// Heavy churn removes records that the one-shot build reads. Table
+    /// III still reads only the run's WHOIS fold, so it is the one-shot
+    /// build's table: each row's topic is that of the whole portfolio its
+    /// `# IDN` counts. Table V divides each count by the records its
+    /// sample crawled, which removed head records push below the sample
+    /// size.
+    #[test]
+    fn heavy_churn_keeps_the_whois_tables_and_rates_table_v_over_its_crawl() {
+        let cfg = EcosystemConfig {
+            attack_scale: 25,
+            ..config(2000)
+        };
+        let streamed = |epochs| RunSpec {
+            shard_size: Some(32),
+            epochs,
+            ..RunSpec::default()
+        };
+        let churned = streamed(Some(EpochSpec {
+            count: 8,
+            churn_per_mille: 500,
+        }));
+        let played = ReproContext::build(&cfg, &churned, Arc::new(NoopRecorder));
+        let one_shot = ReproContext::build(&cfg, &streamed(None), Arc::new(NoopRecorder));
+        assert_eq!(
+            crate::reports::table3(&played),
+            crate::reports::table3(&one_shot)
+        );
+
+        let counts = played.outputs.content.idn;
+        let crawled: u64 = counts.iter().sum();
+        assert!(
+            crawled < crate::passes::CONTENT_SAMPLE,
+            "no head record was removed: {crawled} crawled"
+        );
+        let table = crate::reports::table5(&played);
+        for (category, n) in idnre_crawler::UsageCategory::ALL.iter().zip(counts) {
+            let row = table
+                .lines()
+                .find(|line| line.starts_with(&format!("| {} ", category.label())))
+                .unwrap_or_else(|| panic!("no {category:?} row"));
+            let idn_cell = row.split('|').nth(2).map(str::trim);
+            let expected = format!("{n} ({})", idnre_stats::percent(n, crawled));
+            assert_eq!(idn_cell, Some(expected.as_str()), "{row}");
+        }
     }
 
     #[test]

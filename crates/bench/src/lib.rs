@@ -197,7 +197,7 @@ impl ReproContext {
         let span = recorder.span_at("analyze.inputs", SpanCtx::ROOT, 0);
         let skeletons = SkeletonCache::build(&columns, config.threads);
         let whois = WhoisFacts::build(&eco.whois, &eco.blacklist, config.threads);
-        let inputs = passes::ScanInputs::new(&eco.brands, &whois, &candidates);
+        let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
         drop(span);
         let mining_plan = spec
             .mine

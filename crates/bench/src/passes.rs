@@ -7,14 +7,13 @@
 //! here instead: per-TLD blacklist tallies (Table I), the language mix
 //! (Table II), the crawled content-category samples (Table V), the three
 //! passive-DNS activity populations (Figures 2–4), Type-2 semantic
-//! findings (Table X), the top-registrant unicode portfolio (Table III)
-//! and the registered-lookalike set (Figure 6). The partials are
-//! [`Merge`]-able and merged in shard order, so the outputs are
-//! byte-identical across thread counts and shard sizes.
+//! findings (Table X) and the registered-lookalike set (Figure 6). The
+//! partials are [`Merge`]-able and merged in shard order, so the outputs
+//! are byte-identical across thread counts and shard sizes.
 
 use crate::mine::{BucketIndexPass, MiningPlan};
 use crate::robust::{sample_crawl, usage_index};
-use crate::{CandidateSurvey, WhoisFacts};
+use crate::CandidateSurvey;
 use idnre_analyze::{
     AnalysisPass, EpochState, EpochStats, KeyedTally, Merge, Observed, PassHandle, Population,
     RecordSource, ScanResult, ShardedScan,
@@ -29,7 +28,7 @@ use idnre_datagen::BrandList;
 use idnre_langid::{Classifier, Language};
 use idnre_pdns::{ActivityAnalytics, PdnsStore};
 use idnre_telemetry::{Recorder, SpanCtx};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The passive-DNS lookup counters the activity pass touches from worker
 /// threads (pre-registered before the fan-out).
@@ -59,8 +58,6 @@ pub struct ScanOutputs {
     pub activity: PopulationActivity,
     /// Type-2 semantic findings in corpus order (Table X).
     pub semantic2: Vec<SemanticFinding>,
-    /// `punycode → unicode` for the top-registrant portfolios (Table III).
-    pub table3_unicode: HashMap<String, String>,
     /// Enumerated lookalike candidates that are actually registered
     /// (Figure 6).
     pub fig6_registered: HashSet<String>,
@@ -287,7 +284,8 @@ impl AnalysisPass for LanguagePass<'_> {
 }
 
 /// Table V's crawled content-category counts, one bucket per
-/// [`UsageCategory::ALL`] entry and population.
+/// [`UsageCategory::ALL`] entry and population. A population's sum is the
+/// number of records its sample crawled, Table V's denominator.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContentCounts {
     /// IDN sample counts in [`UsageCategory::ALL`] order.
@@ -433,45 +431,6 @@ impl AnalysisPass for ActivityPass<'_> {
     }
 }
 
-/// Collects `punycode → unicode` for the domains Table III needs: the
-/// portfolios of the top WHOIS registrants (the batch pipeline built this
-/// map over the whole corpus).
-#[derive(Debug, Clone, Copy)]
-pub struct Table3UnicodePass<'a> {
-    wanted: &'a HashSet<String>,
-}
-
-impl<'a> Table3UnicodePass<'a> {
-    /// Collects only domains in `wanted` (the top-5 registrants'
-    /// portfolios, see [`ScanInputs`]).
-    pub fn new(wanted: &'a HashSet<String>) -> Self {
-        Table3UnicodePass { wanted }
-    }
-}
-
-impl AnalysisPass for Table3UnicodePass<'_> {
-    type Partial = Vec<(String, String)>;
-    type Output = HashMap<String, String>;
-
-    fn name(&self) -> &'static str {
-        "analyze.pass.table3"
-    }
-
-    fn empty(&self) -> Self::Partial {
-        Vec::new()
-    }
-
-    fn observe(&self, partial: &mut Self::Partial, rec: &Observed<'_>, _: &dyn Recorder) {
-        if rec.population == Population::Idn && self.wanted.contains(rec.reg.domain.as_str()) {
-            partial.push((rec.reg.domain.clone(), rec.reg.unicode.clone()));
-        }
-    }
-
-    fn finish(&self, partial: Self::Partial) -> Self::Output {
-        partial.into_iter().collect()
-    }
-}
-
 /// Marks which enumerated homographic candidates are actually registered
 /// (Figure 6's registered/unregistered split over the whole IDN corpus).
 #[derive(Debug, Clone, Copy)]
@@ -541,31 +500,24 @@ pub fn finish_columns(
 }
 
 /// The scan inputs that stay constant for a run: both detectors over the
-/// ecosystem's brands, Table III's wanted set and Figure 6's candidate
-/// pool. Built once; every [`ScanPlan`] of the run — the one-shot scan,
-/// or each epoch's incremental fold and shadow rebuild — borrows them.
+/// ecosystem's brands and Figure 6's candidate pool. Built once; every
+/// [`ScanPlan`] of the run — the one-shot scan, or each epoch's
+/// incremental fold and shadow rebuild — borrows them.
 pub struct ScanInputs {
     /// The SSIM homograph detector, at the paper's 0.95 threshold.
     homograph: HomographDetector,
     semantic: SemanticDetector,
-    table3_wanted: HashSet<String>,
     fig6_pool: HashSet<String>,
 }
 
 impl ScanInputs {
-    /// Builds the detectors over `brands`, Table III's wanted set — every
-    /// domain of the top registrants' portfolios in `whois` — and Figure
-    /// 6's pool from `candidates`.
-    pub fn new(brands: &BrandList, whois: &WhoisFacts, candidates: &CandidateSurvey) -> Self {
+    /// Builds the detectors over `brands` and Figure 6's pool from
+    /// `candidates`.
+    pub fn new(brands: &BrandList, candidates: &CandidateSurvey) -> Self {
         let brands: Vec<String> = brands.iter().map(|b| b.domain()).collect();
         ScanInputs {
             homograph: HomographDetector::new(&brands, 0.95),
             semantic: SemanticDetector::new(&brands),
-            table3_wanted: whois
-                .top_registrants
-                .iter()
-                .flat_map(|registrant| registrant.domains.iter().cloned())
-                .collect(),
             fig6_pool: candidates.fig6_pool(),
         }
     }
@@ -575,7 +527,7 @@ impl ScanInputs {
     /// reads its label skeletons from `skeletons`, which must cover
     /// `columns`. With `mining` set, the portfolio miner's pass A — the
     /// skeleton-LSH [`BucketIndexPass`] — is fused onto the same
-    /// traversal, registered last so the default nine passes keep their
+    /// traversal, registered last so the default eight passes keep their
     /// telemetry positions; the folded index comes back from
     /// [`ScanPlan::run_at`].
     pub fn plan<'p>(
@@ -598,7 +550,6 @@ impl ScanInputs {
             language: scan.register(LanguagePass::new(columns)),
             content: scan.register(ContentPass),
             activity: scan.register(ActivityPass::new(pdns)),
-            table3: scan.register(Table3UnicodePass::new(&self.table3_wanted)),
             fig6: scan.register(Fig6Pass::new(&self.fig6_pool)),
             bucket: mining.map(|plan| scan.register(BucketIndexPass::new(columns, plan))),
         };
@@ -623,7 +574,6 @@ struct PlanHandles {
     language: PassHandle<LanguageMix>,
     content: PassHandle<ContentCounts>,
     activity: PassHandle<PopulationActivity>,
-    table3: PassHandle<HashMap<String, String>>,
     fig6: PassHandle<HashSet<String>>,
     bucket: Option<PassHandle<BucketIndex>>,
 }
@@ -639,7 +589,6 @@ impl PlanHandles {
             content: result.take(&self.content),
             activity: result.take(&self.activity),
             semantic2: result.take(&self.semantic2),
-            table3_unicode: result.take(&self.table3),
             fig6_registered: result.take(&self.fig6),
             idn_len: result.idn_len(),
             non_idn_len: result.non_idn_len(),

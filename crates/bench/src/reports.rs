@@ -225,21 +225,20 @@ pub fn fig1(ctx: &ReproContext) -> String {
 /// portfolio topic the paper assigned manually, here derived by the topic
 /// classifier.
 pub fn table3(ctx: &ReproContext) -> String {
-    // The fused scan collected punycode→unicode for exactly the top
-    // registrants' portfolios ([`crate::passes::Table3UnicodePass`]).
-    let unicode_of = &ctx.outputs.table3_unicode;
     let mut table = Table::new(
         vec!["Email Account", "# IDN", "IDN Characteristics"],
         vec![Align::Left, Align::Right, Align::Left],
     );
     for registrant in &ctx.whois.top_registrants {
-        let labels: Vec<&str> = registrant
+        // The WHOIS fold holds A-labels; the topic is read from each
+        // domain's display form, its U-label SLD.
+        let unicode: Vec<String> = registrant
             .domains
             .iter()
-            .filter_map(|d| unicode_of.get(d.as_str()))
-            .filter_map(|u| u.split('.').next())
+            .filter_map(|d| idnre_idna::to_unicode(d).ok())
             .collect();
-        let topic = idnre_core::topic::classify_portfolio(labels.iter().copied());
+        let labels = unicode.iter().filter_map(|u| u.split('.').next());
+        let topic = idnre_core::topic::classify_portfolio(labels);
         table.row(vec![
             registrant.email.clone(),
             group_thousands(registrant.domains.len() as u64),
@@ -407,14 +406,15 @@ pub fn fig4(ctx: &ReproContext) -> String {
 
 /// Table V — usage of domain names (content categories, 500 samples each).
 pub fn table5(ctx: &ReproContext) -> String {
-    let sample = crate::passes::CONTENT_SAMPLE;
     let mut table = Table::new(
         vec!["Type", "IDN", "Non-IDN"],
         vec![Align::Left, Align::Right, Align::Right],
     );
+    // Each rate is over the records that population's sample crawled: an
+    // epoch can remove a head record, which then is never crawled.
     let counts = &ctx.outputs.content;
-    let idn_total = sample.min(ctx.outputs.idn_len);
-    let non_total = sample.min(ctx.outputs.non_idn_len);
+    let idn_total: u64 = counts.idn.iter().sum();
+    let non_total: u64 = counts.non_idn.iter().sum();
     for (i, category) in UsageCategory::ALL.iter().enumerate() {
         let a = counts.idn[i];
         let b = counts.non_idn[i];

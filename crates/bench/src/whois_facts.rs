@@ -6,10 +6,10 @@
 //! records once, in parallel chunks merged in corpus order, and keeps
 //! only what those reports print: a few tallies and the top registrants'
 //! portfolios, not the per-registrant domain lists of a whole
-//! [`idnre_whois::analytics::RegistrationAnalytics`]. The fused scan's
-//! Table III pass reads the same portfolios ([`crate::passes::ScanInputs`]).
-//! Tables XIII and XIV and the miner's registrant join still read the
-//! records: they join single domains, not aggregates.
+//! [`idnre_whois::analytics::RegistrationAnalytics`]. The portfolios hold
+//! A-labels; Table III decodes them where it prints them. Tables XIII and
+//! XIV and the miner's registrant join still read the records: they join
+//! single domains, not aggregates.
 
 use idnre_arena::FnvBuildHasher;
 use idnre_blacklist::BlacklistSet;
@@ -32,7 +32,7 @@ pub const OPPORTUNISTIC_PORTFOLIO: u64 = 10;
 pub struct Registrant {
     /// The registrant email.
     pub email: String,
-    /// Every domain registered under `email`, in corpus order.
+    /// Every domain (A-label) registered under `email`, in corpus order.
     pub domains: Vec<String>,
 }
 

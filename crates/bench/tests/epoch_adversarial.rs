@@ -14,7 +14,7 @@ use idnre_analyze::{EpochSource, EpochState, EpochStats};
 use idnre_arena::CorpusColumns;
 use idnre_bench::epochs::grow_columns;
 use idnre_bench::passes::{self, ScanInputs, ScanOutputs, ScanPlan};
-use idnre_bench::{CandidateSurvey, WhoisFacts};
+use idnre_bench::CandidateSurvey;
 use idnre_core::SkeletonCache;
 use idnre_datagen::{
     DaySimulator, DomainRegistration, Ecosystem, EcosystemConfig, EpochCorpus, EpochDeltaKind,
@@ -42,8 +42,7 @@ fn fixture() -> (Ecosystem, KeyedCorpus, CorpusColumns) {
 
 /// Scan inputs shared across every fold of one test — the epoch
 /// contract the build also relies on: passes are rebuilt per epoch, the
-/// detectors, the Table III and Figure 6 sets and the skeleton cache are
-/// not.
+/// detectors, the Figure 6 pool and the skeleton cache are not.
 struct Engine<'e> {
     eco: &'e Ecosystem,
     inputs: ScanInputs,
@@ -52,10 +51,9 @@ struct Engine<'e> {
 impl<'e> Engine<'e> {
     fn new(eco: &'e Ecosystem) -> Self {
         let candidates = CandidateSurvey::build(&eco.brands, THREADS, &NoopRecorder);
-        let whois = WhoisFacts::build(&eco.whois, &eco.blacklist, THREADS);
         Engine {
             eco,
-            inputs: ScanInputs::new(&eco.brands, &whois, &candidates),
+            inputs: ScanInputs::new(&eco.brands, &candidates),
         }
     }
 

@@ -11,7 +11,7 @@
 
 use idnre_analyze::SliceSource;
 use idnre_arena::{ColumnRow, ColumnsBuilder};
-use idnre_bench::{mine, passes, CandidateSurvey, ReproContext, RunSpec, WhoisFacts};
+use idnre_bench::{mine, passes, CandidateSurvey, ReproContext, RunSpec};
 use idnre_core::SkeletonCache;
 use idnre_datagen::{generate_traced, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
@@ -88,8 +88,7 @@ fn bucket_index_merge_is_associative_at_chunk_97() {
     let skeletons = SkeletonCache::build(&columns, 4);
     let mining_plan = mine::MiningPlan::new(&columns, &skeletons);
     let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
-    let whois = WhoisFacts::build(&eco.whois, &eco.blacklist, 4);
-    let inputs = passes::ScanInputs::new(&eco.brands, &whois, &candidates);
+    let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
     inputs
         .plan(&columns, &skeletons, &eco.pdns, Some(&mining_plan))
         .check_associative(&source, 97, &NoopRecorder)

@@ -6,7 +6,7 @@
 //! uninstrumented wall at CI's smoke scale (1:50).
 
 use idnre_analyze::SliceSource;
-use idnre_bench::{passes, CandidateSurvey, WhoisFacts};
+use idnre_bench::{passes, CandidateSurvey};
 use idnre_core::SkeletonCache;
 use idnre_datagen::{generate_traced, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, Recorder, Registry, SpanCtx};
@@ -30,8 +30,7 @@ fn instrumented_scan_stays_within_five_percent_of_uninstrumented() {
     let columns = passes::finish_columns(rows, config.threads, &NoopRecorder, SpanCtx::NONE);
     let skeletons = SkeletonCache::build(&columns, config.threads);
     let candidates = CandidateSurvey::build(&eco.brands, config.threads, &NoopRecorder);
-    let whois = WhoisFacts::build(&eco.whois, &eco.blacklist, config.threads);
-    let inputs = passes::ScanInputs::new(&eco.brands, &whois, &candidates);
+    let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
     let scan_once = |recorder: &dyn Recorder| {
         inputs.plan(&columns, &skeletons, &eco.pdns, None).run_at(
             &source,

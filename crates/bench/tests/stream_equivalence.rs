@@ -6,7 +6,7 @@
 //! directly rather than trusted.
 
 use idnre_analyze::{SliceSource, SCAN_SPAN};
-use idnre_bench::{passes, CandidateSurvey, FaultSetup, ReproContext, RunSpec, WhoisFacts};
+use idnre_bench::{passes, CandidateSurvey, FaultSetup, ReproContext, RunSpec};
 use idnre_core::SkeletonCache;
 use idnre_datagen::{generate_traced, EcosystemConfig, PEAK_RESIDENT_RECORDS};
 use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
@@ -64,8 +64,7 @@ fn every_pass_merge_is_associative() {
     let columns = passes::finish_columns(rows, 4, &NoopRecorder, SpanCtx::NONE);
     let skeletons = SkeletonCache::build(&columns, 4);
     let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
-    let whois = WhoisFacts::build(&eco.whois, &eco.blacklist, 4);
-    let inputs = passes::ScanInputs::new(&eco.brands, &whois, &candidates);
+    let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
     let plan = inputs.plan(&columns, &skeletons, &eco.pdns, None);
     plan.check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));

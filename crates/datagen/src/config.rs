@@ -107,11 +107,6 @@ impl EcosystemConfig {
         };
         share * self.non_idn_sample / 1_200_000 / self.scale
     }
-
-    /// Scaled WHOIS coverage count for a TLD spec.
-    pub fn scaled_whois(&self, spec: &TldSpec) -> u64 {
-        spec.declared_whois / self.scale
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +131,6 @@ mod tests {
         let com = &TABLE_I[0];
         assert_eq!(config.scaled_idns(com), 10_071);
         assert_eq!(config.scaled_non_idn_sample(com), 10_000);
-        assert_eq!(config.scaled_whois(com), 5_905);
         let itld = &TABLE_I[3];
         assert_eq!(config.scaled_non_idn_sample(itld), 0);
     }

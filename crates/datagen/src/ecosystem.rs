@@ -30,7 +30,6 @@ use crate::brands::BrandList;
 use crate::config::{EcosystemConfig, TABLE_I};
 use crate::content;
 use crate::hosting::HostingProfile;
-use crate::labels;
 use crate::registration::{
     sample_creation_date, sample_malicious_creation_date, sample_registrant, sample_registrar,
     DomainRegistration, MaliciousKind,
@@ -42,14 +41,11 @@ use idnre_certs::Certificate;
 use idnre_crawler::UsageCategory;
 use idnre_langid::Language;
 use idnre_pdns::{DomainAggregate, PdnsStore, PopulationClass, TrafficModel};
-use idnre_rng::{Key, StageId};
+use idnre_rng::Key;
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 use idnre_whois::{WhoisDialect, WhoisRecord};
 use idnre_zonefile::{RData, ResourceRecord, Zone};
 use rand::Rng;
-
-/// How many label-grow retries a colliding ordinary registration gets.
-pub(crate) const ORDINARY_ATTEMPTS: u64 = 4;
 
 /// A fully generated synthetic ecosystem.
 #[derive(Debug, Clone)]
@@ -102,105 +98,15 @@ impl Ecosystem {
             .chain(&self.non_idn_registrations)
             .find(|r| r.domain == domain)
     }
-
-    /// The keyed candidate stream behind the ordinary-registration stage:
-    /// one retry ladder per record index, before cross-record dedup.
-    ///
-    /// Exposed for the prefix-stability oracle: because every ladder is a
-    /// pure function of `(seed, spec_index, record index)`, the first `m`
-    /// ladders of a `count = n` stream equal the full `count = m` stream
-    /// for any `m <= n`.
-    pub fn ordinary_candidate_stream(
-        config: &EcosystemConfig,
-        spec_index: usize,
-        count: u64,
-    ) -> Vec<Vec<Option<DomainRegistration>>> {
-        let spec = &TABLE_I[spec_index];
-        ordinary_candidates(
-            Key::root(config.seed),
-            config,
-            spec_index as u64,
-            spec.tld,
-            count,
-            config.threads,
-        )
-    }
-
-    /// The keyed non-IDN sample stream for one TLD spec (same prefix
-    /// stability as [`Ecosystem::ordinary_candidate_stream`]).
-    pub fn non_idn_stream(
-        config: &EcosystemConfig,
-        spec_index: usize,
-        count: u64,
-    ) -> Vec<DomainRegistration> {
-        let spec = &TABLE_I[spec_index];
-        let key = Key::root(config.seed)
-            .stage(StageId::NonIdnSample)
-            .derive(spec_index as u64);
-        let indices: Vec<u64> = (0..count).collect();
-        idnre_par::par_map(&indices, config.threads, |&i| {
-            let mut rng = key.record(i).rng();
-            build_non_idn(&mut rng, config, i, spec.tld)
-        })
-    }
 }
 
-/// Precomputes the keyed retry ladders for one TLD's ordinary
-/// registrations. Ladder rung `k` draws from the record key's child
-/// `derive(k + 1)` (word 0 is the record's own meta stream), so a rung's
-/// bytes never depend on which earlier rungs collided.
-fn ordinary_candidates(
-    root: Key,
-    config: &EcosystemConfig,
-    spec_idx: u64,
-    tld: &str,
-    count: u64,
-    threads: usize,
-) -> Vec<Vec<Option<DomainRegistration>>> {
-    let spec_key = root.stage(StageId::OrdinaryRegistrations).derive(spec_idx);
-    let indices: Vec<u64> = (0..count).collect();
-    idnre_par::par_map(&indices, threads, |&i| {
-        let record_key = spec_key.record(i);
-        let mut meta = record_key.rng();
-        let language = labels::sample_language(&mut meta);
-        let mut label = labels::generate_label(&mut meta, language);
-        let (email, _) = sample_registrant(&mut meta, i);
-        (0..ORDINARY_ATTEMPTS)
-            .map(|attempt| {
-                let mut rng = record_key.derive(attempt + 1).rng();
-                if attempt > 0 {
-                    // Digit-bearing IDNs are common in the wild corpus, so
-                    // collision retries grow the label rather than resample.
-                    label.push_str(&rng.gen_range(2..1000u32).to_string());
-                }
-                build_idn(&mut rng, config, &label, language, tld, email.clone())
-            })
-            .collect()
-    })
-}
-
-/// Builds one IDN registration; returns `None` when the label fails IDNA
-/// validation (rare).
-fn build_idn<R: Rng + ?Sized>(
-    rng: &mut R,
-    config: &EcosystemConfig,
-    label: &str,
-    language: Language,
-    tld: &str,
-    email: Option<String>,
-) -> Option<DomainRegistration> {
-    let (domain, unicode) = draw_idn_domain(rng, label, tld)?;
-    Some(finish_idn(
-        rng, config, domain, unicode, language, tld, email,
-    ))
-}
-
-/// The domain-construction prefix of [`build_idn`]: the decorative
-/// confusable pick (ASCII labels only) and one IDNA conversion to the ACE
-/// and display forms. Split out so the corpus planner can decide record
-/// survival from exactly the stream positions regeneration consumes — any
-/// draw-order divergence here breaks the `idnre-dataset/2` golden
-/// fingerprint.
+/// The domain-construction prefix of an IDN record's keyed stream: the
+/// decorative confusable pick (ASCII labels only) and one IDNA conversion
+/// to the ACE and display forms; `None` when the label fails IDNA
+/// validation (rare). Split from [`finish_idn`] so the corpus planner can
+/// decide record survival from exactly the stream positions regeneration
+/// consumes — any draw-order divergence here breaks the `idnre-dataset/2`
+/// golden fingerprint.
 pub(crate) fn draw_idn_domain<R: Rng + ?Sized>(
     rng: &mut R,
     label: &str,
@@ -218,8 +124,8 @@ pub(crate) fn draw_idn_domain<R: Rng + ?Sized>(
     idnre_idna::to_ascii_and_unicode(&format!("{unicode_sld}.{tld}")).ok()
 }
 
-/// The record-body suffix of [`build_idn`], continuing on the same RNG
-/// stream after [`draw_idn_domain`].
+/// The record-body suffix of an IDN record's keyed stream, continuing on
+/// the same RNG after [`draw_idn_domain`].
 pub(crate) fn finish_idn<R: Rng + ?Sized>(
     rng: &mut R,
     config: &EcosystemConfig,
@@ -694,13 +600,5 @@ mod tests {
             .filter(|r| eco.pdns.lookup(&r.domain).is_some())
             .count();
         assert!(idn_hits > eco.idn_registrations.len() / 4);
-    }
-
-    #[test]
-    fn ordinary_stream_is_prefix_stable() {
-        let config = small_config();
-        let full = Ecosystem::ordinary_candidate_stream(&config, 0, 50);
-        let prefix = Ecosystem::ordinary_candidate_stream(&config, 0, 20);
-        assert_eq!(&full[..20], &prefix[..]);
     }
 }

@@ -30,7 +30,7 @@ use crate::brands::BrandList;
 use crate::config::{EcosystemConfig, TABLE_I};
 use crate::ecosystem::{
     attack_registration, attack_rolls, build_non_idn, certificate_for, column_row, draw_idn_domain,
-    finish_idn, traffic_for, whois_record_for, Ecosystem, ORDINARY_ATTEMPTS,
+    finish_idn, traffic_for, whois_record_for, Ecosystem,
 };
 use crate::labels;
 use crate::registration::{
@@ -65,6 +65,9 @@ const ATTACK_CHANNELS: [(MaliciousKind, u32); 3] = [
     (MaliciousKind::SemanticType1, 13),
     (MaliciousKind::SemanticType2, 100),
 ];
+
+/// How many label-grow retries a colliding ordinary registration gets.
+const ORDINARY_ATTEMPTS: u64 = 4;
 
 /// Records per shard of the batch build's artifact traversal. Scheduling
 /// only: the bytes do not depend on it.

@@ -1,12 +1,13 @@
 //! Property tests for the keyed counter-based generation pipeline
-//! (`idnre-dataset/2`): schedule independence and prefix stability.
+//! (`idnre-dataset/2`): schedule independence and window stability.
 //!
 //! The oracle in both cases is the sequential keyed path (`threads == 1`
 //! runs inline, with no worker threads at all), so these tests pin the
 //! parallel fan-out to the exact bytes a single-threaded pass produces —
 //! not merely to "some deterministic output".
 
-use idnre_datagen::{render_dataset, Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_streamed, render_dataset, Ecosystem, EcosystemConfig};
+use idnre_telemetry::NoopRecorder;
 use proptest::prelude::*;
 
 /// A configuration small enough to generate dozens of times per test run
@@ -22,57 +23,59 @@ fn config(seed: u64, threads: usize) -> EcosystemConfig {
     }
 }
 
+/// A window of `len` records (at most) starting `start_frac` of the way
+/// into a population of `total`.
+fn window(total: u64, start_frac: f64, len: usize) -> (u64, usize) {
+    let start = ((total as f64 * start_frac) as u64).min(total.saturating_sub(1));
+    (start, len.min((total - start) as usize))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// (a) Parallel generation is byte-identical to the sequential keyed
     /// path for any worker count: the rendered dataset — every
     /// registration, attack, WHOIS record, aggregate, certificate and
-    /// zone byte — survives `cmp` across thread counts.
+    /// zone byte — survives `cmp` across thread counts. The executor
+    /// derives its steal-unit size from the thread count, so sweeping
+    /// widely different worker counts also varies the chunk boundaries
+    /// across every record.
     #[test]
-    fn dataset_bytes_are_thread_count_invariant(seed in 0u64..1_000_000, threads in 2usize..9) {
+    fn dataset_bytes_are_thread_count_invariant(seed in 0u64..1_000_000, threads in 2usize..33) {
         let sequential = render_dataset(&Ecosystem::generate(&config(seed, 1)));
         let parallel = render_dataset(&Ecosystem::generate(&config(seed, threads)));
         prop_assert_eq!(sequential, parallel);
     }
 
-    /// (a, continued) Chunk size is scheduling too: the executor derives
-    /// its steal-unit size from the thread count, so sweeping widely
-    /// different worker counts over the *candidate streams* (the
-    /// finest-grained keyed surface) varies chunk boundaries across every
-    /// record. The streams must not notice.
+    /// (b) Window stability: regenerating any window `[start, start +
+    /// len)` of either population equals that slice of a full
+    /// regeneration. Each record's randomness is keyed by `(seed, stage,
+    /// index)`, never by which records precede it in the call or how
+    /// many draws they consumed; the streamed scan and the epoch overlay
+    /// regenerate shards this way.
     #[test]
-    fn candidate_streams_are_chunk_size_invariant(
+    fn regenerated_windows_equal_slices_of_the_full_corpus(
         seed in 0u64..1_000_000,
-        spec_index in 0usize..4,
-        threads in 2usize..33,
+        idn_at in 0.0f64..1.0,
+        non_idn_at in 0.0f64..1.0,
+        len in 1usize..200,
     ) {
-        let n = 40;
-        let one = Ecosystem::ordinary_candidate_stream(&config(seed, 1), spec_index, n);
-        let many = Ecosystem::ordinary_candidate_stream(&config(seed, threads), spec_index, n);
-        prop_assert_eq!(one, many);
-        let one = Ecosystem::non_idn_stream(&config(seed, 1), 0, n);
-        let many = Ecosystem::non_idn_stream(&config(seed, threads), 0, n);
-        prop_assert_eq!(one, many);
-    }
+        let full = Ecosystem::generate(&config(seed, 1));
+        let (_, corpus, _) = generate_streamed(&config(seed, 4), 64, &NoopRecorder);
+        prop_assert_eq!(corpus.idn_len(), full.idn_registrations.len() as u64);
+        prop_assert_eq!(corpus.non_idn_len(), full.non_idn_registrations.len() as u64);
 
-    /// (b) Prefix stability: generating records `0..n` and then `0..m`
-    /// (`m < n`) yields the same first `m` records. Each record's
-    /// randomness is keyed by `(seed, stage, index)`, never by how many
-    /// records precede it or how many draws they consumed.
-    #[test]
-    fn keyed_streams_are_prefix_stable(
-        seed in 0u64..1_000_000,
-        spec_index in 0usize..4,
-        n in 10u64..60,
-        m in 1u64..10,
-    ) {
-        let cfg = config(seed, 4);
-        let full = Ecosystem::ordinary_candidate_stream(&cfg, spec_index, n);
-        let prefix = Ecosystem::ordinary_candidate_stream(&cfg, spec_index, m);
-        prop_assert_eq!(&full[..m as usize], &prefix[..]);
-        let full = Ecosystem::non_idn_stream(&cfg, 0, n);
-        let prefix = Ecosystem::non_idn_stream(&cfg, 0, m);
-        prop_assert_eq!(&full[..m as usize], &prefix[..]);
+        let (start, n) = window(corpus.idn_len(), idn_at, len);
+        let mut shard = Vec::new();
+        corpus.with_idn_shard(start, n, &mut |records| shard.extend_from_slice(records));
+        prop_assert_eq!(&shard[..], &full.idn_registrations[start as usize..start as usize + n]);
+
+        let (start, n) = window(corpus.non_idn_len(), non_idn_at, len);
+        let mut shard = Vec::new();
+        corpus.with_non_idn_shard(start, n, &mut |records| shard.extend_from_slice(records));
+        prop_assert_eq!(
+            &shard[..],
+            &full.non_idn_registrations[start as usize..start as usize + n]
+        );
     }
 }
