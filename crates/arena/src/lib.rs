@@ -12,13 +12,13 @@
 //!   no allocation. Symbols are assigned in **insertion order**, so any
 //!   two walks that feed the same strings in the same order produce the
 //!   same [`Symbol`] ids — interning is as deterministic as the corpus
-//!   order itself, regardless of thread count (the builder walks shards
-//!   in corpus order; workers never intern).
+//!   order itself, regardless of thread count (the generator applies
+//!   shards in corpus order; workers never intern).
 //! - [`CorpusColumns`]: a struct-of-arrays projection of the registered
-//!   IDN corpus — label symbols, TLD ids, classifier language ids and
-//!   the per-source blacklist bits — so each analysis pass touches only
-//!   the columns it reads. A record costs a few bytes per pass instead
-//!   of a struct walk.
+//!   IDN corpus — label symbols, TLD ids, classifier language ids, the
+//!   per-source blacklist bits and each distinct label's confusable
+//!   skeleton — so each analysis pass touches only the columns it reads.
+//!   A record costs a few bytes per pass instead of a struct walk.
 //!
 //! Neither structure owns any randomness or ordering decisions: both are
 //! pure functions of the record stream they are fed, which is why report
@@ -27,6 +27,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::borrow::Cow;
 
 /// Handle to an interned string: the string's insertion index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -401,22 +403,28 @@ impl BucketIndex {
 
 /// Struct-of-arrays projection of the registered IDN corpus.
 ///
-/// One row per IDN registration, in corpus order. The label and TLD
-/// strings live once in their interners; per-record columns hold only
-/// fixed-width ids and bits, so a pass touching one aspect of the corpus
-/// streams through a dense array instead of pointer-chasing records.
+/// One row per IDN registration, in corpus order, appended by
+/// [`CorpusColumns::push_row`]. The label and TLD strings live once in
+/// their interners, and each distinct label's skeleton once next to them;
+/// per-record columns hold only fixed-width ids and bits, so a pass
+/// touching one aspect of the corpus streams through a dense array
+/// instead of pointer-chasing records.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusColumns {
     /// Distinct Unicode SLD labels, interned in first-occurrence order.
     labels: Interner,
+    /// Per distinct label, in symbol order: the span of its confusable
+    /// skeleton in `skeleton_text`; `None` for an ASCII label.
+    skeletons: Vec<Option<(u32, u32)>>,
+    /// The non-ASCII labels' skeletons, concatenated.
+    skeleton_text: String,
     /// Distinct TLD names, interned in first-occurrence order.
     tlds: Interner,
     /// Per-record SLD label symbol.
     sld: Vec<Symbol>,
     /// Per-record TLD id (index into `tlds`).
     tld: Vec<u16>,
-    /// Per-record classifier language id (one classification per
-    /// *distinct* label, broadcast here).
+    /// Per-record classifier language id.
     lang: Vec<u8>,
     /// Per-record "registration carries a malicious flag" bit.
     malicious: BitSet,
@@ -470,6 +478,14 @@ impl CorpusColumns {
         self.tlds.resolve(Symbol(u32::from(id)))
     }
 
+    /// The confusable skeleton of label `sym`; `None` when the label is
+    /// ASCII (nothing to spoof).
+    #[inline]
+    pub fn label_skeleton(&self, sym: Symbol) -> Option<&str> {
+        self.skeletons[sym.index()]
+            .map(|(start, end)| &self.skeleton_text[start as usize..end as usize])
+    }
+
     /// Record `i`'s classifier language id.
     #[inline]
     pub fn lang_id(&self, i: usize) -> u8 {
@@ -494,24 +510,26 @@ impl CorpusColumns {
         (self.vt.get(i), self.q.get(i), self.b.get(i))
     }
 
-    /// Appends one row after [`ColumnsBuilder::finish`] — the epoch-growth
-    /// path. Interners grow append-only, so every symbol and TLD id handed
-    /// out before the append still resolves to the same string (the
-    /// high-water-mark rule; see [`CorpusColumns::mark`]). `lang_of`
-    /// supplies the classifier id for the row's label; it is a pure
-    /// function of the label string, so re-invoking it per appended row
-    /// broadcasts exactly the ids a batch [`ColumnsBuilder::finish`] would.
-    pub fn push_row(&mut self, row: ColumnRow<'_>, lang_of: impl FnOnce(&str) -> u8) {
-        self.append(row);
-        self.lang.push(lang_of(row.sld));
-    }
-
-    /// Interns `row`'s label and TLD and pushes every column but the
-    /// language id.
-    fn append(&mut self, row: ColumnRow<'_>) {
-        self.sld.push(self.labels.intern(row.sld));
+    /// Appends one row, in corpus order: the one interning loop of every
+    /// column build, the generator's traversal and epoch growth alike.
+    /// Interners grow append-only, so every symbol and TLD id handed out
+    /// before the append still resolves to the same string (the
+    /// high-water-mark rule; see [`CorpusColumns::mark`]). The row's
+    /// skeleton is stored when its label is first interned.
+    pub fn push_row(&mut self, row: ColumnRow<'_>) {
+        let (sym, fresh) = self.labels.intern_full(row.sld);
+        if fresh {
+            let span = row.skeleton.map(|skeleton| {
+                let start = self.skeleton_text.len() as u32;
+                self.skeleton_text.push_str(&skeleton);
+                (start, self.skeleton_text.len() as u32)
+            });
+            self.skeletons.push(span);
+        }
+        self.sld.push(sym);
         let tld_sym = self.tlds.intern(row.tld);
         self.tld.push(tld_sym.index() as u16);
+        self.lang.push(row.lang);
         self.malicious.push(row.malicious);
         self.organic.push(row.organic);
         self.vt.push(row.vt);
@@ -567,13 +585,18 @@ impl ColumnsMark {
 }
 
 /// One IDN record's column values before interning: its Unicode SLD
-/// label, its TLD, and the five per-record bits.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// label and the two facts derived from it, its TLD, and the five
+/// per-record bits.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnRow<'a> {
     /// The Unicode SLD label (the registered name up to its first dot).
     pub sld: &'a str,
     /// The TLD name.
     pub tld: &'a str,
+    /// The label's classifier language id.
+    pub lang: u8,
+    /// The label's confusable skeleton; `None` when the label is ASCII.
+    pub skeleton: Option<Cow<'a, str>>,
     /// The registration carries a malicious flag.
     pub malicious: bool,
     /// The ground-truth language is known (the organic population).
@@ -587,16 +610,19 @@ pub struct ColumnRow<'a> {
 }
 
 /// An owned run of [`ColumnRow`]s, carried from the worker that derived
-/// them to the sequential interning loop. Every row's label and TLD share
-/// one text buffer, so a run costs two allocations however many rows it
-/// holds.
+/// them to the sequential interning loop. Every row's label, TLD and
+/// skeleton share one text buffer, so a run costs two allocations however
+/// many rows it holds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnRows {
     text: String,
-    /// Per row: end of its label in `text`, end of its TLD, and its
-    /// malicious, organic, vt, q and b bits.
-    rows: Vec<(usize, usize, [bool; 5])>,
+    rows: Vec<PackedRow>,
 }
+
+/// One row of a [`ColumnRows`] run: the ends of its label, TLD and
+/// skeleton (`None` for an ASCII label) in the run's text, its language
+/// id, and its malicious, organic, vt, q and b bits.
+type PackedRow = (usize, usize, Option<usize>, u8, [bool; 5]);
 
 impl ColumnRows {
     /// Copies `row` onto the end of the run.
@@ -604,75 +630,37 @@ impl ColumnRows {
         self.text.push_str(row.sld);
         let sld_end = self.text.len();
         self.text.push_str(row.tld);
+        let tld_end = self.text.len();
+        let skeleton_end = row.skeleton.map(|skeleton| {
+            self.text.push_str(&skeleton);
+            self.text.len()
+        });
         let bits = [row.malicious, row.organic, row.vt, row.q, row.b];
-        self.rows.push((sld_end, self.text.len(), bits));
+        self.rows
+            .push((sld_end, tld_end, skeleton_end, row.lang, bits));
     }
 
     /// The rows, in push order.
     pub fn iter(&self) -> impl Iterator<Item = ColumnRow<'_>> {
         let mut start = 0usize;
-        self.rows.iter().map(move |&(sld_end, tld_end, bits)| {
-            let [malicious, organic, vt, q, b] = bits;
-            let row = ColumnRow {
-                sld: &self.text[start..sld_end],
-                tld: &self.text[sld_end..tld_end],
-                malicious,
-                organic,
-                vt,
-                q,
-                b,
-            };
-            start = tld_end;
-            row
-        })
-    }
-}
-
-/// Row-at-a-time builder for [`CorpusColumns`].
-///
-/// Rows must be pushed in corpus order (the caller walks shards
-/// sequentially); symbol ids then depend only on the corpus, never on
-/// scheduling. The language column is filled by [`ColumnsBuilder::finish`]
-/// from one classification per distinct label — the caller supplies the
-/// classifier (and may parallelize it), keeping this crate dependency-free.
-#[derive(Debug, Default)]
-pub struct ColumnsBuilder {
-    cols: CorpusColumns,
-}
-
-impl ColumnsBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        ColumnsBuilder::default()
-    }
-
-    /// Appends one record's row: the one interning loop every column
-    /// build runs, sequentially and in corpus order.
-    pub fn push(&mut self, row: ColumnRow<'_>) {
-        self.cols.append(row);
-    }
-
-    /// Finalizes the columns. `classify` receives the distinct labels (in
-    /// symbol order) and returns one language id per label; the per-record
-    /// language column broadcasts those ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classify` returns the wrong number of ids.
-    pub fn finish(mut self, classify: impl FnOnce(&Interner) -> Vec<u8>) -> CorpusColumns {
-        let per_label = classify(&self.cols.labels);
-        assert_eq!(
-            per_label.len(),
-            self.cols.labels.len(),
-            "one language id per distinct label"
-        );
-        self.cols.lang = self
-            .cols
-            .sld
+        self.rows
             .iter()
-            .map(|sym| per_label[sym.index()])
-            .collect();
-        self.cols
+            .map(move |&(sld_end, tld_end, skeleton_end, lang, bits)| {
+                let [malicious, organic, vt, q, b] = bits;
+                let row = ColumnRow {
+                    sld: &self.text[start..sld_end],
+                    tld: &self.text[sld_end..tld_end],
+                    lang,
+                    skeleton: skeleton_end.map(|end| Cow::Borrowed(&self.text[tld_end..end])),
+                    malicious,
+                    organic,
+                    vt,
+                    q,
+                    b,
+                };
+                start = skeleton_end.unwrap_or(tld_end);
+                row
+            })
     }
 }
 
@@ -842,43 +830,54 @@ mod tests {
         assert_eq!(bits.count_ones(), (0..200).filter(|i| i % 3 == 0).count());
     }
 
+    fn row<'a>(sld: &'a str, tld: &'a str, lang: u8, skeleton: Option<&'a str>) -> ColumnRow<'a> {
+        ColumnRow {
+            sld,
+            tld,
+            lang,
+            skeleton: skeleton.map(Cow::Borrowed),
+            ..ColumnRow::default()
+        }
+    }
+
+    fn columns_of(rows: Vec<ColumnRow<'_>>) -> CorpusColumns {
+        let mut cols = CorpusColumns::default();
+        for row in rows {
+            cols.push_row(row);
+        }
+        cols
+    }
+
     #[test]
-    fn columns_builder_broadcasts_label_classes() {
-        let mut builder = ColumnsBuilder::new();
-        builder.push(ColumnRow {
-            sld: "彩票",
-            tld: "com",
-            organic: true,
-            ..ColumnRow::default()
-        });
-        builder.push(ColumnRow {
-            sld: "news",
-            tld: "net",
-            malicious: true,
-            organic: true,
-            vt: true,
-            q: true,
-            ..ColumnRow::default()
-        });
-        builder.push(ColumnRow {
-            sld: "彩票",
-            tld: "com",
-            b: true,
-            ..ColumnRow::default()
-        });
-        let cols = builder.finish(|labels| {
-            labels
-                .iter()
-                .map(|label| if label == "彩票" { 7 } else { 1 })
-                .collect()
-        });
-        assert_eq!(cols.len(), 3);
-        assert_eq!(cols.labels().len(), 2, "labels deduplicate");
+    fn push_row_keeps_lang_per_row_and_skeleton_per_label() {
+        let cols = columns_of(vec![
+            ColumnRow {
+                organic: true,
+                ..row("彩票", "com", 7, Some("彩票"))
+            },
+            ColumnRow {
+                malicious: true,
+                organic: true,
+                vt: true,
+                q: true,
+                ..row("news", "net", 1, None)
+            },
+            ColumnRow {
+                b: true,
+                ..row("彩票", "com", 7, Some("彩票"))
+            },
+            row("gооgle", "com", 1, Some("google")),
+        ]);
+        assert_eq!(cols.len(), 4);
+        assert_eq!(cols.labels().len(), 3, "labels deduplicate");
         assert_eq!(cols.tlds().len(), 2);
         assert_eq!(cols.lang_id(0), 7);
         assert_eq!(cols.lang_id(1), 1);
         assert_eq!(cols.lang_id(2), 7);
         assert_eq!(cols.sld_symbol(0), cols.sld_symbol(2));
+        assert_eq!(cols.label_skeleton(cols.sld_symbol(0)), Some("彩票"));
+        assert_eq!(cols.label_skeleton(cols.sld_symbol(1)), None);
+        assert_eq!(cols.label_skeleton(cols.sld_symbol(3)), Some("google"));
         assert_eq!(cols.tld_name(cols.tld_id(1)), "net");
         assert!(cols.is_malicious(1) && !cols.is_malicious(0));
         assert!(cols.is_organic(0) && !cols.is_organic(2));
@@ -909,42 +908,20 @@ mod tests {
 
     #[test]
     fn push_row_grows_append_only_and_keeps_symbols_stable() {
-        let mut builder = ColumnsBuilder::new();
-        builder.push(ColumnRow {
-            sld: "彩票",
-            tld: "com",
-            organic: true,
-            ..ColumnRow::default()
-        });
-        builder.push(ColumnRow {
-            sld: "news",
-            tld: "net",
-            organic: true,
-            ..ColumnRow::default()
-        });
-        let mut cols = builder.finish(|labels| vec![7; labels.len()]);
+        let mut cols = columns_of(vec![
+            row("彩票", "com", 7, Some("彩票")),
+            row("news", "net", 7, None),
+        ]);
         let before = cols.mark();
         let sym0 = cols.sld_symbol(0);
-        // Appending a duplicate label re-uses its symbol; a fresh one
-        // extends the interner past the mark.
-        cols.push_row(
-            ColumnRow {
-                sld: "彩票",
-                tld: "net",
-                malicious: true,
-                q: true,
-                ..ColumnRow::default()
-            },
-            |_| 7,
-        );
-        cols.push_row(
-            ColumnRow {
-                sld: "neu",
-                tld: "org",
-                ..ColumnRow::default()
-            },
-            |_| 3,
-        );
+        // Appending a duplicate label re-uses its symbol and its stored
+        // skeleton; a fresh one extends the interner past the mark.
+        cols.push_row(ColumnRow {
+            malicious: true,
+            q: true,
+            ..row("彩票", "net", 7, Some("ignored"))
+        });
+        cols.push_row(row("neu", "org", 3, None));
         let after = cols.mark();
         assert!(before.grew_monotonically_to(&after));
         assert_eq!(after.rows, 4);
@@ -955,6 +932,7 @@ mod tests {
             sym0,
             "duplicate label shares its symbol"
         );
+        assert_eq!(cols.label_skeleton(sym0), Some("彩票"));
         assert_eq!(cols.tld_name(cols.tld_id(2)), "net");
         assert_eq!(cols.lang_id(3), 3);
         assert!(cols.is_malicious(2) && !cols.is_malicious(0));
@@ -967,16 +945,7 @@ mod tests {
 
     #[test]
     fn set_malicious_flips_one_row_only() {
-        let mut builder = ColumnsBuilder::new();
-        for _ in 0..3 {
-            builder.push(ColumnRow {
-                sld: "标签",
-                tld: "com",
-                organic: true,
-                ..ColumnRow::default()
-            });
-        }
-        let mut cols = builder.finish(|labels| vec![0; labels.len()]);
+        let mut cols = columns_of(vec![row("标签", "com", 0, Some("标签")); 3]);
         cols.set_malicious(1, true);
         assert!(!cols.is_malicious(0));
         assert!(cols.is_malicious(1));
@@ -989,28 +958,23 @@ mod tests {
     fn column_rows_round_trip_every_row() {
         let rows = [
             ColumnRow {
-                sld: "彩票",
-                tld: "com",
                 organic: true,
                 vt: true,
-                ..ColumnRow::default()
+                ..row("彩票", "com", 7, Some("彩票"))
             },
             ColumnRow {
-                sld: "",
-                tld: "公司",
                 malicious: true,
                 b: true,
-                ..ColumnRow::default()
+                ..row("", "公司", 2, None)
             },
             ColumnRow {
-                sld: "neu",
-                tld: "",
                 q: true,
-                ..ColumnRow::default()
+                ..row("nеu", "", 0, Some("neu"))
             },
+            row("neu", "org", 1, None),
         ];
         let mut run = ColumnRows::default();
-        for row in rows {
+        for row in rows.clone() {
             run.push(row);
         }
         assert!(run.iter().eq(rows));

@@ -254,7 +254,10 @@ fn main() {
                 let plan = FaultPlan::from_spec(&spec).unwrap_or_else(|e| usage(&e.to_string()));
                 faults = Some(FaultSetup::from_plan(plan));
             }
-            "--help" | "-h" => usage(""),
+            "--help" | "-h" => {
+                let _ = writeln!(std::io::stdout(), "{}", usage_text());
+                return;
+            }
             other if other.starts_with('-') => usage(&format!("unknown flag {other:?}")),
             other => wanted.push(other.to_string()),
         }
@@ -499,11 +502,14 @@ fn main() {
     std::mem::forget(ctx);
 }
 
+/// A usage error: names it and the usage on stderr, then exits 2.
 fn usage(error: &str) -> ! {
-    if !error.is_empty() {
-        eprintln!("error: {error}\n");
-    }
-    eprintln!(
+    eprintln!("error: {error}\n\n{}", usage_text());
+    std::process::exit(2);
+}
+
+fn usage_text() -> String {
+    format!(
         "usage: repro [--scale N] [--attack-scale N] [--seed N] [--threads N] [--write PATH] \
          [--metrics text|json|det] [--stream] [--shard-size N] \
          [--faults none|smoke|flaky|storm|SEED|PROFILE:SEED] \
@@ -517,6 +523,5 @@ fn usage(error: &str) -> ! {
             .map(|(n, _)| *n)
             .collect::<Vec<_>>()
             .join(" ")
-    );
-    std::process::exit(2);
+    )
 }

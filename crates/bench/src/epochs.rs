@@ -9,9 +9,10 @@
 //!
 //! 1. Per warm epoch: let the [`DaySimulator`] mutate the
 //!    [`EpochCorpus`] overlay, grow the interned columns append-only over
-//!    the new tail (the epoch high-water-mark rule — existing symbol ids
-//!    never move), extend the run's [`SkeletonCache`] past the same
-//!    high-water mark, and re-fold **only the dirty shards**.
+//!    the new tail through the generator's column emitter (the epoch
+//!    high-water-mark rule — existing symbol ids never move, and a fresh
+//!    label's skeleton is stored as it is interned), and re-fold **only
+//!    the dirty shards**.
 //! 2. Shadow every incremental epoch with a from-scratch rebuild over the
 //!    same effective corpus, and panic unless the two [`ScanOutputs`] are
 //!    equal — the proof-of-equivalence contract, enforced on every run,
@@ -21,7 +22,7 @@
 //!    any experiment. Nothing renders here: the built context holds the
 //!    final epoch's incremental fold, and the caller renders it once.
 //!
-//! Both legs share the grown columns and skeleton cache, so the measured
+//! Both legs share the grown columns, so the measured
 //! [`EpochRun::speedup`] isolates the fold itself: resident partials
 //! versus re-folding every shard. The incremental fold reports to the
 //! run's recorder; the shadow fold runs on a [`NoopRecorder`] inside one
@@ -32,11 +33,9 @@ use crate::passes::{ScanInputs, ScanOutputs};
 use crate::ReproContext;
 use idnre_analyze::{EpochSource, EpochState, EpochStats};
 use idnre_arena::CorpusColumns;
-use idnre_core::SkeletonCache;
 use idnre_datagen::{
     column_row, DaySimulator, Ecosystem, EpochCorpus, EpochDelta, EpochDeltaKind, KeyedCorpus,
 };
-use idnre_langid::Classifier;
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 use std::time::Instant;
 
@@ -121,9 +120,9 @@ impl EpochRun {
 
 /// Appends this epoch's new registrations to the interned columns and
 /// flips the malicious bit for lagged blacklist listings. Each row comes
-/// from [`column_row`], the emitter every column build shares, and each
-/// label gets the same classification [`crate::passes::finish_columns`]
-/// gives it. Columns only ever grow — the
+/// from [`column_row`], the emitter every column build shares, so each
+/// label gets the language id and skeleton the generator gives it.
+/// Columns only ever grow — the
 /// [`idnre_arena::ColumnsMark`] taken before the epoch must report
 /// monotonic growth after it. Public so adversarial delta-stream tests
 /// can drive the engine with hand-built overlays.
@@ -137,9 +136,7 @@ pub fn grow_columns(
     let have = columns.mark().rows;
     debug_assert!(have >= base, "columns shorter than the base corpus");
     for reg in &overlay.appended()[have - base..] {
-        columns.push_row(column_row(reg, &eco.blacklist), |label| {
-            Classifier::global().classify(label).id()
-        });
+        columns.push_row(column_row(reg, &eco.blacklist));
     }
     for delta in deltas {
         if delta.kind == EpochDeltaKind::Blacklist {
@@ -188,14 +185,13 @@ fn assert_folds_match(epoch: u64, incremental: &ScanOutputs, rebuild: &ScanOutpu
 
 /// Plays `spec`'s warm epochs on a built context whose fold ran cold
 /// through `cold`'s state, leaving `ctx` holding the final epoch. The
-/// columns and skeletons are the ones the cold fold read; both only grow.
+/// columns are the ones the cold fold read; they only grow.
 pub(crate) fn play(
     ctx: &mut ReproContext,
     spec: EpochSpec,
     corpus: &KeyedCorpus,
     cold: (EpochState, EpochStats),
     mut columns: CorpusColumns,
-    mut skeletons: SkeletonCache,
     inputs: &ScanInputs,
 ) -> EpochRun {
     let (mut state, initial) = cold;
@@ -213,12 +209,11 @@ pub(crate) fn play(
             mark.grew_monotonically_to(&columns.mark()),
             "epoch {epoch}: columns shrank — the append-only contract broke"
         );
-        skeletons.extend_to(&columns, threads);
         let touched: Vec<u64> = deltas.iter().map(|d| d.index).collect();
         let source = EpochSource::new(&overlay);
 
         // Incremental leg: re-fold only the shards the deltas dirtied.
-        let plan = inputs.plan(&columns, &skeletons, &ctx.eco.pdns, None);
+        let plan = inputs.plan(&columns, &ctx.eco.pdns, None);
         let started = Instant::now();
         let (outputs, stats) = plan.run_epoch(
             &mut state,
@@ -236,7 +231,7 @@ pub(crate) fn play(
         let mut span = ctx
             .recorder
             .span_at(EPOCH_REBUILD_SPAN, SpanCtx::ROOT, epoch);
-        let plan = inputs.plan(&columns, &skeletons, &ctx.eco.pdns, None);
+        let plan = inputs.plan(&columns, &ctx.eco.pdns, None);
         let started = Instant::now();
         let (rebuild, _bucket) =
             plan.run_at(&source, shard_size, threads, &NoopRecorder, SpanCtx::NONE);

@@ -45,7 +45,6 @@ pub use slo::{slo_profile, SLO_PROFILES};
 pub use whois_facts::WhoisFacts;
 
 use idnre_analyze::{EpochState, Population, RecordSource, SliceSource, StreamSource};
-use idnre_core::SkeletonCache;
 use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig};
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::ops::Range;
@@ -170,7 +169,7 @@ impl ReproContext {
         }
         let shard_size = spec.shard_size.unwrap_or(DEFAULT_SHARD_SIZE);
         let mut span = recorder.span_at("build.ecosystem", SpanCtx::ROOT, 0);
-        let (eco, corpus, rows) =
+        let (eco, corpus, columns) =
             idnre_datagen::generate_traced(config, spec.shard_size, &*recorder, span.ctx());
         let slice_source;
         let stream_source;
@@ -191,18 +190,13 @@ impl ReproContext {
         drop(span);
 
         let candidates = CandidateSurvey::build(&eco.brands, config.threads, &*recorder);
-        // The generator's traversal already interned the rows.
-        let columns = passes::finish_columns(rows, config.threads, &*recorder, SpanCtx::ROOT);
         // The inputs every scan plan of the run borrows.
         let span = recorder.span_at("analyze.inputs", SpanCtx::ROOT, 0);
-        let skeletons = SkeletonCache::build(&columns, config.threads);
         let whois = WhoisFacts::build(&eco.whois, &eco.blacklist, config.threads);
         let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
         drop(span);
-        let mining_plan = spec
-            .mine
-            .then(|| mine::MiningPlan::new(&columns, &skeletons));
-        let plan = inputs.plan(&columns, &skeletons, &eco.pdns, mining_plan.as_ref());
+        let mining_plan = spec.mine.then(|| mine::MiningPlan::new(&columns));
+        let plan = inputs.plan(&columns, &eco.pdns, mining_plan.as_ref());
         let mut cold = None;
         let (outputs, index) = match spec.epochs {
             None => plan.run_at(
@@ -258,7 +252,7 @@ impl ReproContext {
         };
         if let (Some(epoch_spec), Some(cold)) = (spec.epochs, cold) {
             ctx.epochs = Some(epochs::play(
-                &mut ctx, epoch_spec, &corpus, cold, columns, skeletons, &inputs,
+                &mut ctx, epoch_spec, &corpus, cold, columns, &inputs,
             ));
         }
         if spec.shard_size.is_some() {

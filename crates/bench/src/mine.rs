@@ -34,8 +34,8 @@
 //! is always the minimum `(sld, tld)` member.
 
 use idnre_analyze::{AnalysisPass, Merge, Observed, Population};
-use idnre_arena::{BucketIndex, CorpusColumns, FnvHasher, LabelRef};
-use idnre_core::{pair_score, SkeletonCache};
+use idnre_arena::{BucketIndex, CorpusColumns, FnvHasher, LabelRef, Symbol};
+use idnre_core::{pair_score, tld_suffix_skeletons};
 use idnre_datagen::Ecosystem;
 use idnre_render::TextBitmap;
 use idnre_telemetry::{Recorder, SpanCtx};
@@ -78,34 +78,31 @@ pub struct MiningPlan {
 }
 
 impl MiningPlan {
-    /// Hashes every distinct label's skeleton and folds every TLD suffix,
-    /// reading both from `skeletons` (the run's one precompute), which
-    /// must cover `columns`.
-    pub fn new(columns: &CorpusColumns, skeletons: &SkeletonCache) -> Self {
-        let hashed = |bytes: &[u8]| {
-            let mut hasher = FnvHasher::default();
-            hasher.write(bytes);
-            hasher
-        };
+    /// Hashes every distinct label's skeleton, as `columns` stores it, and
+    /// folds every TLD suffix ([`tld_suffix_skeletons`], which the
+    /// homograph pass reads too).
+    pub fn new(columns: &CorpusColumns) -> Self {
         let (label_hash, label_ascii) = columns
             .labels()
             .iter()
             .enumerate()
-            .map(|(i, label)| match skeletons.label(i) {
+            .map(|(i, label)| {
                 // ASCII passes through the skeleton untouched.
-                None => (hashed(label.as_bytes()), true),
-                Some(folded) => (hashed(folded.as_bytes()), false),
+                let folded = columns.label_skeleton(Symbol::from_index(i));
+                let mut hasher = FnvHasher::default();
+                hasher.write(folded.unwrap_or(label).as_bytes());
+                (hasher, folded.is_none())
             })
             .unzip();
-        let (tld_suffix, tld_unicode) = columns
+        let tld_suffix = tld_suffix_skeletons(columns)
+            .into_iter()
+            .map(String::into_bytes)
+            .collect();
+        let tld_unicode = columns
             .tlds()
             .iter()
-            .enumerate()
-            .map(|(id, tld)| {
-                let decoded = idnre_idna::to_unicode(tld).unwrap_or_else(|_| tld.to_string());
-                (skeletons.tld_suffix(id as u16).as_bytes().to_vec(), decoded)
-            })
-            .unzip();
+            .map(|tld| idnre_idna::to_unicode(tld).unwrap_or_else(|_| tld.to_string()))
+            .collect();
         MiningPlan {
             label_hash,
             label_ascii,
@@ -117,7 +114,7 @@ impl MiningPlan {
     /// The bucket key of one column row: the FNV-1a hash of the full
     /// folded display form, assembled from the precomputed pieces.
     #[inline]
-    fn key(&self, sld: idnre_arena::Symbol, tld: u16) -> u64 {
+    fn key(&self, sld: Symbol, tld: u16) -> u64 {
         let mut hasher = self.label_hash[sld.index()];
         hasher.write(&self.tld_suffix[usize::from(tld)]);
         hasher.finish()

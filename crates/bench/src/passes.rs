@@ -18,14 +18,14 @@ use idnre_analyze::{
     AnalysisPass, EpochState, EpochStats, KeyedTally, Merge, Observed, PassHandle, Population,
     RecordSource, ScanResult, ShardedScan,
 };
-use idnre_arena::{BucketIndex, ColumnsBuilder, CorpusColumns, Symbol};
+use idnre_arena::{BucketIndex, CorpusColumns};
 use idnre_core::{
     ColumnedHomographPass, HomographDetector, HomographFinding, Semantic1Pass, Semantic2Pass,
-    SemanticDetector, SemanticFinding, SkeletonCache,
+    SemanticDetector, SemanticFinding,
 };
 use idnre_crawler::UsageCategory;
 use idnre_datagen::BrandList;
-use idnre_langid::{Classifier, Language};
+use idnre_langid::Language;
 use idnre_pdns::{ActivityAnalytics, PdnsStore};
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::collections::HashSet;
@@ -228,9 +228,10 @@ impl Merge for LanguageMix {
 }
 
 /// Tallies the Table II populations from the precomputed language-id
-/// column. Classification ran once per **distinct** SLD label when the
-/// columns were finished ([`finish_columns`]); the per-record observe is a
-/// column read plus three bit probes, touching no registration fields.
+/// column. The generator's column emitter ([`idnre_datagen::column_row`])
+/// classified each record's label on its workers; the per-record observe
+/// is a column read plus three bit probes, touching no registration
+/// fields.
 #[derive(Debug, Clone, Copy)]
 pub struct LanguagePass<'a> {
     columns: &'a CorpusColumns,
@@ -469,36 +470,6 @@ impl AnalysisPass for Fig6Pass<'_> {
     }
 }
 
-/// Finishes the struct-of-arrays corpus columns the report passes read,
-/// from the rows the generator's artifact traversal interned
-/// ([`idnre_datagen::generate_traced`]): interned SLD labels, TLD ids, and
-/// the per-record malicious/organic/blacklist bits, in corpus order.
-///
-/// What remains is the language-id column. Each **distinct** label is
-/// classified once, in parallel over the interner, and the ids are
-/// broadcast to the per-record column under the `analyze.columns` span.
-/// The classifier is a pure function of the label string, so the
-/// broadcast ids equal a per-record classification exactly, at any
-/// thread count.
-pub fn finish_columns(
-    builder: ColumnsBuilder,
-    threads: usize,
-    recorder: &dyn Recorder,
-    parent: SpanCtx,
-) -> CorpusColumns {
-    let mut span = recorder.span_at("analyze.columns", parent, 0);
-    let columns = builder.finish(|labels| {
-        let clf = Classifier::global();
-        let indices: Vec<u32> = (0..labels.len() as u32).collect();
-        idnre_par::par_map(&indices, threads, |&i| {
-            clf.classify(labels.resolve(Symbol::from_index(i as usize)))
-                .id()
-        })
-    });
-    span.add_records(columns.len() as u64);
-    columns
-}
-
 /// The scan inputs that stay constant for a run: both detectors over the
 /// ecosystem's brands and Figure 6's candidate pool. Built once; every
 /// [`ScanPlan`] of the run — the one-shot scan, or each epoch's
@@ -524,26 +495,20 @@ impl ScanInputs {
 
     /// Registers every pass on one scan, in a fixed order (the order
     /// telemetry spans and counters are pinned in). The homograph pass
-    /// reads its label skeletons from `skeletons`, which must cover
-    /// `columns`. With `mining` set, the portfolio miner's pass A — the
-    /// skeleton-LSH [`BucketIndexPass`] — is fused onto the same
-    /// traversal, registered last so the default eight passes keep their
-    /// telemetry positions; the folded index comes back from
-    /// [`ScanPlan::run_at`].
+    /// reads its label skeletons from `columns`. With `mining` set, the
+    /// portfolio miner's pass A — the skeleton-LSH [`BucketIndexPass`] —
+    /// is fused onto the same traversal, registered last so the default
+    /// eight passes keep their telemetry positions; the folded index comes
+    /// back from [`ScanPlan::run_at`].
     pub fn plan<'p>(
         &'p self,
         columns: &'p CorpusColumns,
-        skeletons: &'p SkeletonCache,
         pdns: &'p PdnsStore,
         mining: Option<&'p MiningPlan>,
     ) -> ScanPlan<'p> {
         let mut scan = ShardedScan::new();
         let handles = PlanHandles {
-            homograph: scan.register(ColumnedHomographPass::new(
-                &self.homograph,
-                columns,
-                skeletons,
-            )),
+            homograph: scan.register(ColumnedHomographPass::new(&self.homograph, columns)),
             semantic1: scan.register(Semantic1Pass::new(&self.semantic)),
             semantic2: scan.register(Semantic2Pass::new(&self.semantic)),
             tld: scan.register(TldPass::new(columns)),

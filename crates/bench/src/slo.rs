@@ -8,8 +8,13 @@
 //! * `smoke` — generous bounds on the stages every run records; CI's
 //!   trace-smoke job asserts it exits 0 at scale 50.
 //! * `tight` — a deliberately unmeetable 1 ns median bound on
-//!   `analyze.scan`; CI asserts it exits 3, proving the gate actually
+//!   `build.ecosystem`; CI asserts it exits 3, proving the gate actually
 //!   trips.
+//!
+//! Both name only stages that every build mode records (batch, streamed,
+//! mined and epochs), so a profile's verdict never depends on the mode:
+//! the fold is `analyze.scan` in a one-shot build but `analyze.epoch` in
+//! an epochs build, and a family rule covers both.
 
 use idnre_telemetry::{SloRule, SloSpec};
 
@@ -25,11 +30,13 @@ pub fn slo_profile(name: &str) -> Option<SloSpec> {
     }
 }
 
-/// Generous bounds a healthy run clears with wide margin: the three
-/// stages every build mode records (generation, the fused scan and its
-/// Table V sample crawl) must exist and finish inside ten minutes per
-/// call, and no pass shard — nor the miner's pair verification, which
-/// only a mined run records — may median above a minute.
+/// Generous bounds a healthy run clears with wide margin: generation and
+/// the content pass (which carries Table V's sample crawl, and which
+/// every fold records) must exist, and they and every analysis stage —
+/// the one-shot scan or the epoch folds, the scan inputs, the shadow
+/// rebuilds — must finish inside ten minutes per call; no pass shard —
+/// nor the miner's pair verification, which only a mined run records —
+/// may median above a minute.
 fn smoke() -> SloSpec {
     const MINUTE: u64 = 60_000_000_000;
     SloSpec::new("smoke")
@@ -39,7 +46,7 @@ fn smoke() -> SloSpec {
                 .max_nanos(10 * MINUTE),
         )
         .rule(
-            SloRule::stage("analyze.scan")
+            SloRule::stage("analyze.*")
                 .p50_max_nanos(5 * MINUTE)
                 .max_nanos(10 * MINUTE),
         )
@@ -60,11 +67,12 @@ fn smoke() -> SloSpec {
         )
 }
 
-/// A bound no real run can meet — 1 ns median on the fused scan — so the
-/// degraded path (exit 3) is exercisable on demand. Quantile-only on
-/// purpose: a hard `max` bound would escalate to exit 4.
+/// A bound no real run can meet — 1 ns median on generation, which every
+/// build mode records — so the degraded path (exit 3) is exercisable on
+/// demand. Quantile-only on purpose: a hard `max` bound would escalate to
+/// exit 4.
 fn tight() -> SloSpec {
-    SloSpec::new("tight").rule(SloRule::stage("analyze.scan").p50_max_nanos(1))
+    SloSpec::new("tight").rule(SloRule::stage("build.ecosystem").p50_max_nanos(1))
 }
 
 #[cfg(test)]
@@ -127,6 +135,39 @@ mod tests {
         assert_eq!(report.status, SloStatus::Degraded);
         assert_eq!(report.status.exit_code(), 3);
         assert!(report.violations.iter().all(|v| !v.hard));
+    }
+
+    /// An epochs build folds under `analyze.epoch`, not `analyze.scan`:
+    /// `smoke` must judge it clean, and `tight` must degrade it by its
+    /// bound, not by a stage the mode never records.
+    #[test]
+    fn profiles_judge_an_epochs_build_by_its_bounds() {
+        let config = idnre_datagen::EcosystemConfig {
+            scale: 2000,
+            attack_scale: 25,
+            threads: 2,
+            ..idnre_datagen::EcosystemConfig::default()
+        };
+        let spec = crate::RunSpec {
+            shard_size: Some(64),
+            epochs: Some(crate::EpochSpec {
+                count: 2,
+                churn_per_mille: crate::DEFAULT_CHURN_PER_MILLE,
+            }),
+            ..crate::RunSpec::default()
+        };
+        let registry = std::sync::Arc::new(Registry::new());
+        let _ = crate::ReproContext::build(&config, &spec, registry.clone());
+        let snapshot = registry.snapshot();
+
+        let report = smoke().evaluate(&snapshot);
+        assert_eq!(report.status, SloStatus::Clean, "{}", report.render_text());
+
+        let report = tight().evaluate(&snapshot);
+        assert_eq!(report.status, SloStatus::Degraded);
+        assert_eq!(report.violations.len(), 1, "{}", report.render_text());
+        assert_eq!(report.violations[0].stage, "build.ecosystem");
+        assert_eq!(report.violations[0].metric, "p50");
     }
 
     #[test]

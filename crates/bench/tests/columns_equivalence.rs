@@ -1,14 +1,22 @@
-//! Determinism of the struct-of-arrays corpus layout: building
+//! The struct-of-arrays corpus layout against its definition. Building
 //! [`CorpusColumns`] from the same corpus must yield identical symbol
-//! ids, TLD ids, language ids and verdict bits for every worker count,
-//! shard size and build mode — the interner's insertion order (and
-//! therefore every `Symbol(u32)`) is part of the deterministic contract,
-//! not an artifact of scheduling.
+//! ids, TLD ids, language ids, skeletons and verdict bits for every
+//! worker count, shard size and build mode — the interner's insertion
+//! order (and therefore every `Symbol(u32)`) is part of the deterministic
+//! contract, not an artifact of scheduling. Every cell is also held to
+//! the per-label oracle: each stored skeleton is the label's
+//! [`skeleton`], each language id the classifier's, and epoch growth
+//! equals a fresh column build of the same rows.
 
-use idnre_arena::CorpusColumns;
-use idnre_bench::passes;
-use idnre_datagen::{generate_traced, EcosystemConfig};
+use idnre_arena::{CorpusColumns, Symbol};
+use idnre_bench::epochs::grow_columns;
+use idnre_datagen::{
+    column_row, generate_traced, DaySimulator, Ecosystem, EcosystemConfig, EpochCorpus,
+    EpochDeltaKind, KeyedCorpus,
+};
+use idnre_langid::Classifier;
 use idnre_telemetry::{NoopRecorder, SpanCtx};
+use idnre_unicode::skeleton;
 
 fn config(threads: usize) -> EcosystemConfig {
     EcosystemConfig {
@@ -20,12 +28,11 @@ fn config(threads: usize) -> EcosystemConfig {
     }
 }
 
-/// One build's columns: rows emitted and interned by the generator's
-/// artifact traversal (`None` is the batch build, `Some(n)` the streamed
-/// one at `n`-record shards), then classified.
-fn build(threads: usize, shard_size: Option<usize>) -> CorpusColumns {
-    let (_, _, rows) = generate_traced(&config(threads), shard_size, &NoopRecorder, SpanCtx::NONE);
-    passes::finish_columns(rows, threads, &NoopRecorder, SpanCtx::NONE)
+/// One build's columns, as the generator's artifact traversal emits them
+/// (`None` is the batch build, `Some(n)` the streamed one at `n`-record
+/// shards), with the ecosystem and plan they came from.
+fn build(threads: usize, shard_size: Option<usize>) -> (Ecosystem, KeyedCorpus, CorpusColumns) {
+    generate_traced(&config(threads), shard_size, &NoopRecorder, SpanCtx::NONE)
 }
 
 fn assert_identical(a: &CorpusColumns, b: &CorpusColumns, what: &str) {
@@ -45,6 +52,14 @@ fn assert_identical(a: &CorpusColumns, b: &CorpusColumns, what: &str) {
         a.tlds().iter().eq(b.tlds().iter()),
         "{what}: TLD arenas diverged"
     );
+    for i in 0..a.labels().len() {
+        let sym = Symbol::from_index(i);
+        assert_eq!(
+            a.label_skeleton(sym),
+            b.label_skeleton(sym),
+            "{what}: skeleton of label {i}"
+        );
+    }
     for i in 0..a.len() {
         assert_eq!(a.sld_symbol(i), b.sld_symbol(i), "{what}: symbol at {i}");
         assert_eq!(a.tld_id(i), b.tld_id(i), "{what}: tld id at {i}");
@@ -67,23 +82,86 @@ fn assert_identical(a: &CorpusColumns, b: &CorpusColumns, what: &str) {
     }
 }
 
+/// The per-label oracle: each symbol's stored skeleton is
+/// `skeleton(label)`, absent exactly for ASCII labels, and each row's
+/// language id is the classifier's verdict on its label.
+fn assert_label_facts(columns: &CorpusColumns, what: &str) {
+    for (i, label) in columns.labels().iter().enumerate() {
+        let stored = columns.label_skeleton(Symbol::from_index(i));
+        let expected = (!label.is_ascii()).then(|| skeleton(label));
+        assert_eq!(stored, expected.as_deref(), "{what}: skeleton of {label:?}");
+    }
+    let classifier = Classifier::global();
+    for i in 0..columns.len() {
+        let label = columns.labels().resolve(columns.sld_symbol(i));
+        assert_eq!(
+            columns.lang_id(i),
+            classifier.classify(label).id(),
+            "{what}: lang id of row {i} ({label:?})"
+        );
+    }
+}
+
+/// Grows `columns` over three heavily churned epochs, as an epochs build
+/// does, and holds the result to a fresh column build of the same rows:
+/// the base records, then the appended tail, with the lagged listings'
+/// malicious bits set.
+fn assert_growth_matches_a_fresh_build(
+    eco: &Ecosystem,
+    corpus: &KeyedCorpus,
+    columns: &CorpusColumns,
+    what: &str,
+) {
+    let mut grown = columns.clone();
+    let mut overlay = EpochCorpus::new(corpus);
+    let mut simulator = DaySimulator::new(100);
+    let mut listed = Vec::new();
+    for epoch in 1..=3 {
+        let deltas = simulator.advance(&mut overlay, epoch);
+        grow_columns(&mut grown, &overlay, eco, &deltas);
+        listed.extend(
+            deltas
+                .iter()
+                .filter(|d| d.kind == EpochDeltaKind::Blacklist)
+                .map(|d| d.index as usize),
+        );
+    }
+    assert!(!overlay.appended().is_empty(), "{what}: no epoch appended");
+
+    let mut fresh = CorpusColumns::default();
+    corpus.with_idn_shard(0, corpus.idn_len() as usize, &mut |records| {
+        for reg in records {
+            fresh.push_row(column_row(reg, &eco.blacklist));
+        }
+    });
+    for reg in overlay.appended() {
+        fresh.push_row(column_row(reg, &eco.blacklist));
+    }
+    for index in listed {
+        fresh.set_malicious(index, true);
+    }
+    let what = format!("{what} grown");
+    assert_identical(&grown, &fresh, &what);
+    assert_label_facts(&grown, &what);
+}
+
 /// Same corpus → same columns, for every (threads, shard size) cell of
-/// both builds. The thread count only parallelizes the per-shard row
-/// emission and the per-distinct-label language classification; the
-/// shard size only decides which rows travel together to the sequential
-/// intern loop.
+/// both builds, and every cell's columns hold the per-label oracle. The
+/// thread count only parallelizes the per-shard row emission, label facts
+/// included; the shard size only decides which rows travel together to
+/// the sequential intern loop.
 #[test]
 fn columns_are_identical_across_threads_and_shards() {
-    let reference = build(4, None);
+    let (_, _, reference) = build(4, None);
     assert!(reference.len() > 500, "corpus too small to be meaningful");
     assert!(reference.labels().len() > 50);
     for threads in [1usize, 2, 8] {
         for shard_size in [None, Some(7usize), Some(64), Some(1024)] {
-            assert_identical(
-                &reference,
-                &build(threads, shard_size),
-                &format!("threads={threads} shard_size={shard_size:?}"),
-            );
+            let what = format!("threads={threads} shard_size={shard_size:?}");
+            let (eco, corpus, columns) = build(threads, shard_size);
+            assert_identical(&reference, &columns, &what);
+            assert_label_facts(&columns, &what);
+            assert_growth_matches_a_fresh_build(&eco, &corpus, &columns, &what);
         }
     }
 }

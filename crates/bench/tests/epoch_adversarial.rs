@@ -13,9 +13,8 @@
 use idnre_analyze::{EpochSource, EpochState, EpochStats};
 use idnre_arena::CorpusColumns;
 use idnre_bench::epochs::grow_columns;
-use idnre_bench::passes::{self, ScanInputs, ScanOutputs, ScanPlan};
+use idnre_bench::passes::{ScanInputs, ScanOutputs, ScanPlan};
 use idnre_bench::CandidateSurvey;
-use idnre_core::SkeletonCache;
 use idnre_datagen::{
     DaySimulator, DomainRegistration, Ecosystem, EcosystemConfig, EpochCorpus, EpochDeltaKind,
     KeyedCorpus,
@@ -28,21 +27,19 @@ const SHARD: usize = 64;
 const THREADS: usize = 2;
 
 /// The streamed base corpus and its columns, as an epochs build makes
-/// them: the rows come out of the artifact traversal.
+/// them: the columns come out of the artifact traversal.
 fn fixture() -> (Ecosystem, KeyedCorpus, CorpusColumns) {
     let config = EcosystemConfig {
         scale: 8000,
         threads: THREADS,
         ..EcosystemConfig::default()
     };
-    let (eco, corpus, rows) = idnre_datagen::generate_streamed(&config, SHARD, &NoopRecorder);
-    let columns = passes::finish_columns(rows, THREADS, &NoopRecorder, SpanCtx::NONE);
-    (eco, corpus, columns)
+    idnre_datagen::generate_streamed(&config, SHARD, &NoopRecorder)
 }
 
 /// Scan inputs shared across every fold of one test — the epoch
 /// contract the build also relies on: passes are rebuilt per epoch, the
-/// detectors, the Figure 6 pool and the skeleton cache are not.
+/// detectors and the Figure 6 pool are not.
 struct Engine<'e> {
     eco: &'e Ecosystem,
     inputs: ScanInputs,
@@ -57,8 +54,8 @@ impl<'e> Engine<'e> {
         }
     }
 
-    fn plan<'p>(&'p self, columns: &'p CorpusColumns, cache: &'p SkeletonCache) -> ScanPlan<'p> {
-        self.inputs.plan(columns, cache, &self.eco.pdns, None)
+    fn plan<'p>(&'p self, columns: &'p CorpusColumns) -> ScanPlan<'p> {
+        self.inputs.plan(columns, &self.eco.pdns, None)
     }
 
     fn advance(
@@ -66,27 +63,15 @@ impl<'e> Engine<'e> {
         state: &mut EpochState,
         source: &EpochSource<'_>,
         columns: &CorpusColumns,
-        cache: &SkeletonCache,
         touched: &[u64],
         recorder: &dyn Recorder,
     ) -> (ScanOutputs, EpochStats) {
-        self.plan(columns, cache).run_epoch(
-            state,
-            source,
-            THREADS,
-            touched,
-            recorder,
-            SpanCtx::ROOT,
-        )
+        self.plan(columns)
+            .run_epoch(state, source, THREADS, touched, recorder, SpanCtx::ROOT)
     }
 
-    fn rebuild(
-        &self,
-        source: &EpochSource<'_>,
-        columns: &CorpusColumns,
-        cache: &SkeletonCache,
-    ) -> ScanOutputs {
-        self.plan(columns, cache)
+    fn rebuild(&self, source: &EpochSource<'_>, columns: &CorpusColumns) -> ScanOutputs {
+        self.plan(columns)
             .run_at(source, SHARD, THREADS, &NoopRecorder, SpanCtx::NONE)
             .0
     }
@@ -124,16 +109,15 @@ fn removing_a_nonexistent_record_dirties_nothing() {
     let (eco, corpus, columns) = fixture();
     let overlay = EpochCorpus::new(&corpus);
     let engine = Engine::new(&eco);
-    let cache = SkeletonCache::build(&columns, THREADS);
     let mut state = EpochState::new(SHARD);
 
     let source = EpochSource::new(&overlay);
-    let (cold, _) = engine.advance(&mut state, &source, &columns, &cache, &[], &NoopRecorder);
+    let (cold, _) = engine.advance(&mut state, &source, &columns, &[], &NoopRecorder);
 
     // A remove of a record past the end of the index space.
     let touched = [overlay.idn_index_space() + 7];
     let registry = Registry::new();
-    let (warm, stats) = engine.advance(&mut state, &source, &columns, &cache, &touched, &registry);
+    let (warm, stats) = engine.advance(&mut state, &source, &columns, &touched, &registry);
 
     // Exact pins: the out-of-space delta maps to no shard at all.
     assert_eq!(stats.dirty, 0);
@@ -159,12 +143,11 @@ fn add_then_expire_in_one_epoch_leaves_a_stable_hole() {
     let (eco, corpus, mut columns) = fixture();
     let mut overlay = EpochCorpus::new(&corpus);
     let engine = Engine::new(&eco);
-    let mut cache = SkeletonCache::build(&columns, THREADS);
     let mut state = EpochState::new(SHARD);
 
     {
         let source = EpochSource::new(&overlay);
-        engine.advance(&mut state, &source, &columns, &cache, &[], &NoopRecorder);
+        engine.advance(&mut state, &source, &columns, &[], &NoopRecorder);
     }
 
     let template = clone_record(&overlay, 0);
@@ -176,13 +159,12 @@ fn add_then_expire_in_one_epoch_leaves_a_stable_hole() {
     // The columns still grow for the dead add: indices are immutable
     // history, and the hole keeps its row (passes never see it again).
     grow_columns(&mut columns, &overlay, &eco, &[]);
-    cache.extend_to(&columns, THREADS);
 
     // The add and the remove both touch the new index.
     let touched = [index, index];
     let registry = Registry::new();
     let source = EpochSource::new(&overlay);
-    let (warm, stats) = engine.advance(&mut state, &source, &columns, &cache, &touched, &registry);
+    let (warm, stats) = engine.advance(&mut state, &source, &columns, &touched, &registry);
 
     // Both deltas land in the one tail shard; everything else is resident.
     assert_eq!(stats.dirty, 1);
@@ -191,7 +173,7 @@ fn add_then_expire_in_one_epoch_leaves_a_stable_hole() {
     // The report sees the grown index space, not the live count.
     assert_eq!(warm.idn_len, corpus.idn_len() + 1);
 
-    let rebuild = engine.rebuild(&source, &columns, &cache);
+    let rebuild = engine.rebuild(&source, &columns);
     assert!(warm == rebuild, "hole handling diverged from a rebuild");
 }
 
@@ -200,12 +182,11 @@ fn duplicate_bulk_adds_share_the_interned_label() {
     let (eco, corpus, mut columns) = fixture();
     let mut overlay = EpochCorpus::new(&corpus);
     let engine = Engine::new(&eco);
-    let mut cache = SkeletonCache::build(&columns, THREADS);
     let mut state = EpochState::new(SHARD);
 
     {
         let source = EpochSource::new(&overlay);
-        engine.advance(&mut state, &source, &columns, &cache, &[], &NoopRecorder);
+        engine.advance(&mut state, &source, &columns, &[], &NoopRecorder);
     }
 
     let template = clone_record(&overlay, 3);
@@ -213,7 +194,6 @@ fn duplicate_bulk_adds_share_the_interned_label() {
     let first = overlay.push_add(template.clone());
     let second = overlay.push_add(template);
     grow_columns(&mut columns, &overlay, &eco, &[]);
-    cache.extend_to(&columns, THREADS);
 
     // Bulk-registered duplicates intern to the same label symbol — the
     // arena grows rows, never a second copy of the string.
@@ -227,11 +207,11 @@ fn duplicate_bulk_adds_share_the_interned_label() {
     let touched = [first, second];
     let registry = Registry::new();
     let source = EpochSource::new(&overlay);
-    let (warm, stats) = engine.advance(&mut state, &source, &columns, &cache, &touched, &registry);
+    let (warm, stats) = engine.advance(&mut state, &source, &columns, &touched, &registry);
 
     assert_eq!(stats.dirty, 1, "both adds share the tail shard");
     assert_eq!(counter(&registry, EPOCH_SHARD_COUNTERS[0]), 1);
-    let rebuild = engine.rebuild(&source, &columns, &cache);
+    let rebuild = engine.rebuild(&source, &columns);
     assert!(warm == rebuild, "duplicate adds diverged from a rebuild");
 }
 
@@ -240,14 +220,13 @@ fn lagged_blacklist_listings_straddle_epoch_boundaries() {
     let (eco, corpus, mut columns) = fixture();
     let mut overlay = EpochCorpus::new(&corpus);
     let engine = Engine::new(&eco);
-    let mut cache = SkeletonCache::build(&columns, THREADS);
     let mut state = EpochState::new(SHARD);
     // Heavy churn so every epoch schedules at least one lagged listing.
     let mut simulator = DaySimulator::new(100);
 
     {
         let source = EpochSource::new(&overlay);
-        engine.advance(&mut state, &source, &columns, &cache, &[], &NoopRecorder);
+        engine.advance(&mut state, &source, &columns, &[], &NoopRecorder);
     }
 
     let mut saw_listing = false;
@@ -268,12 +247,10 @@ fn lagged_blacklist_listings_straddle_epoch_boundaries() {
         saw_listing |= raw.iter().any(|d| d.kind == EpochDeltaKind::Blacklist);
 
         grow_columns(&mut columns, &overlay, &eco, &raw);
-        cache.extend_to(&columns, THREADS);
         let touched: Vec<u64> = raw.iter().map(|d| d.index).collect();
         let registry = Registry::new();
         let source = EpochSource::new(&overlay);
-        let (warm, stats) =
-            engine.advance(&mut state, &source, &columns, &cache, &touched, &registry);
+        let (warm, stats) = engine.advance(&mut state, &source, &columns, &touched, &registry);
 
         // The counters mirror the accounting exactly, every epoch.
         assert_eq!(counter(&registry, EPOCH_SHARD_COUNTERS[0]), stats.dirty);
@@ -283,7 +260,7 @@ fn lagged_blacklist_listings_straddle_epoch_boundaries() {
             gauge(&registry, EPOCH_RESIDENT_PARTIALS),
             stats.resident_partials
         );
-        let rebuild = engine.rebuild(&source, &columns, &cache);
+        let rebuild = engine.rebuild(&source, &columns);
         assert!(warm == rebuild, "epoch {epoch} diverged from a rebuild");
     }
     assert!(

@@ -10,12 +10,11 @@
 //! and a pinned scale-50 regression for the mined counts.
 
 use idnre_analyze::SliceSource;
-use idnre_arena::{ColumnRow, ColumnsBuilder};
+use idnre_arena::{ColumnRow, CorpusColumns};
 use idnre_bench::{mine, passes, CandidateSurvey, ReproContext, RunSpec};
-use idnre_core::SkeletonCache;
 use idnre_datagen::{generate_traced, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
-use idnre_unicode::homoglyphs_of;
+use idnre_unicode::{homoglyphs_of, skeleton};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -82,15 +81,13 @@ fn mined_report_is_byte_identical_across_threads_and_shards() {
 /// every shard size the grid uses.
 #[test]
 fn bucket_index_merge_is_associative_at_chunk_97() {
-    let (eco, _, rows) = generate_traced(&config(4), None, &NoopRecorder, SpanCtx::NONE);
+    let (eco, _, columns) = generate_traced(&config(4), None, &NoopRecorder, SpanCtx::NONE);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-    let columns = passes::finish_columns(rows, 4, &NoopRecorder, SpanCtx::NONE);
-    let skeletons = SkeletonCache::build(&columns, 4);
-    let mining_plan = mine::MiningPlan::new(&columns, &skeletons);
+    let mining_plan = mine::MiningPlan::new(&columns);
     let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
     let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
     inputs
-        .plan(&columns, &skeletons, &eco.pdns, Some(&mining_plan))
+        .plan(&columns, &eco.pdns, Some(&mining_plan))
         .check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
 }
@@ -148,16 +145,17 @@ fn scale_50_mined_counts_are_pinned() {
 }
 
 /// Builds mining columns from forged unicode SLDs under `.com`.
-fn forged_columns(slds: &[String]) -> idnre_arena::CorpusColumns {
-    let mut builder = ColumnsBuilder::new();
+fn forged_columns(slds: &[String]) -> CorpusColumns {
+    let mut columns = CorpusColumns::default();
     for sld in slds {
-        builder.push(ColumnRow {
+        columns.push_row(ColumnRow {
             sld,
             tld: "com",
+            skeleton: (!sld.is_ascii()).then(|| skeleton(sld).into()),
             ..ColumnRow::default()
         });
     }
-    builder.finish(|labels| vec![0; labels.len()])
+    columns
 }
 
 /// Applies a substitution recipe to a base label: confusable homoglyphs
@@ -204,7 +202,7 @@ proptest! {
         slds.sort();
         slds.dedup();
         let columns = forged_columns(&slds);
-        let plan = mine::MiningPlan::new(&columns, &SkeletonCache::build(&columns, 2));
+        let plan = mine::MiningPlan::new(&columns);
         let lsh = mine::verified_pairs_lsh(&columns, &plan, 2);
         let oracle = mine::verified_pairs_exhaustive(&columns, &plan, 2);
         prop_assert_eq!(lsh, oracle);

@@ -11,8 +11,8 @@
 //! many pairs as the oracle.
 
 use idnre_arena::{CorpusColumns, LabelRef};
-use idnre_bench::{mine, passes, ReproContext, RunSpec};
-use idnre_core::{HomographDetector, SkeletonCache};
+use idnre_bench::{mine, ReproContext, RunSpec};
+use idnre_core::HomographDetector;
 use idnre_datagen::EcosystemConfig;
 use idnre_render::TextBitmap;
 use idnre_telemetry::{NoopRecorder, SpanCtx};
@@ -46,10 +46,9 @@ fn fixture() -> &'static Fixture {
         };
         let ctx = ReproContext::build(&config(), &spec, Arc::new(NoopRecorder));
         // The build drops its columns after the scan; the same generator
-        // walk interns the same rows again.
-        let (_, _, rows) =
+        // walk emits the same columns again.
+        let (_, _, columns) =
             idnre_datagen::generate_traced(&config(), None, &NoopRecorder, SpanCtx::NONE);
-        let columns = passes::finish_columns(rows, THREADS, &NoopRecorder, SpanCtx::NONE);
         Fixture { ctx, columns }
     })
 }
@@ -122,7 +121,7 @@ fn skeleton_index_scores_a_fraction_of_the_oracles_brands() {
 #[test]
 fn lsh_pairs_are_a_subset_of_the_exhaustive_oracle() {
     let Fixture { ctx, columns } = fixture();
-    let plan = mine::MiningPlan::new(columns, &SkeletonCache::build(columns, THREADS));
+    let plan = mine::MiningPlan::new(columns);
     let lsh = mine::verified_pairs_lsh(columns, &plan, THREADS);
     let oracle: HashSet<(LabelRef, LabelRef)> =
         mine::verified_pairs_exhaustive(columns, &plan, THREADS)

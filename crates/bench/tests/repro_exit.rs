@@ -119,3 +119,29 @@ fn zero_scales_are_usage_errors_before_generation() {
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
 }
+
+/// Asking for help is not a usage error: `--help` and `-h` print the
+/// usage to stdout and exit 0 before generating anything, while a real
+/// usage error keeps exit 2 with the usage on stderr.
+#[test]
+fn help_prints_the_usage_to_stdout_and_exits_zero() {
+    for flag in ["--help", "-h"] {
+        let out = repro(&[flag]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {stderr}");
+        assert!(stdout.starts_with("usage: repro "), "{flag}: {stdout}");
+        assert!(stdout.contains("experiments: all "), "{flag}: {stdout}");
+        assert!(stderr.is_empty(), "{flag} wrote to stderr: {stderr}");
+    }
+    let out = repro(&["--no-such-flag"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(
+        stderr.starts_with("error: unknown flag \"--no-such-flag\"")
+            && stderr.contains("usage: repro "),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("generating ecosystem"), "{stderr}");
+}

@@ -7,7 +7,6 @@
 
 use idnre_analyze::SliceSource;
 use idnre_bench::{passes, CandidateSurvey};
-use idnre_core::SkeletonCache;
 use idnre_datagen::{generate_traced, EcosystemConfig};
 use idnre_telemetry::{NoopRecorder, Recorder, Registry, SpanCtx};
 use std::time::Instant;
@@ -25,14 +24,12 @@ fn instrumented_scan_stays_within_five_percent_of_uninstrumented() {
         threads: 4,
         ..EcosystemConfig::default()
     };
-    let (eco, _, rows) = generate_traced(&config, None, &NoopRecorder, SpanCtx::NONE);
+    let (eco, _, columns) = generate_traced(&config, None, &NoopRecorder, SpanCtx::NONE);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-    let columns = passes::finish_columns(rows, config.threads, &NoopRecorder, SpanCtx::NONE);
-    let skeletons = SkeletonCache::build(&columns, config.threads);
     let candidates = CandidateSurvey::build(&eco.brands, config.threads, &NoopRecorder);
     let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
     let scan_once = |recorder: &dyn Recorder| {
-        inputs.plan(&columns, &skeletons, &eco.pdns, None).run_at(
+        inputs.plan(&columns, &eco.pdns, None).run_at(
             &source,
             1024,
             config.threads,

@@ -7,7 +7,6 @@
 
 use idnre_analyze::{SliceSource, SCAN_SPAN};
 use idnre_bench::{passes, CandidateSurvey, FaultSetup, ReproContext, RunSpec};
-use idnre_core::SkeletonCache;
 use idnre_datagen::{generate_traced, EcosystemConfig, PEAK_RESIDENT_RECORDS};
 use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
 use std::sync::Arc;
@@ -59,13 +58,11 @@ fn streamed_report_is_byte_identical_to_batch() {
 /// synthetic ones, with a chunk size coprime to every shard size above.
 #[test]
 fn every_pass_merge_is_associative() {
-    let (eco, _, rows) = generate_traced(&config(4), None, &NoopRecorder, SpanCtx::NONE);
+    let (eco, _, columns) = generate_traced(&config(4), None, &NoopRecorder, SpanCtx::NONE);
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
-    let columns = passes::finish_columns(rows, 4, &NoopRecorder, SpanCtx::NONE);
-    let skeletons = SkeletonCache::build(&columns, 4);
     let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
     let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
-    let plan = inputs.plan(&columns, &skeletons, &eco.pdns, None);
+    let plan = inputs.plan(&columns, &eco.pdns, None);
     plan.check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
 }

@@ -115,7 +115,6 @@ fn trace_tree_has_the_documented_shape() {
     for phase in [
         "build.ecosystem",
         "report.candidates",
-        "analyze.columns",
         "analyze.inputs",
         "analyze.scan",
     ] {
@@ -124,6 +123,20 @@ fn trace_tree_has_the_documented_shape() {
             "missing top-level span {phase}"
         );
     }
+    // The generator's column emitter derives every label fact, so no
+    // column stage runs between the build and the scan inputs.
+    let mut analysis: Vec<&str> = root
+        .children
+        .iter()
+        .map(|span| span.name.as_str())
+        .filter(|name| name.starts_with("analyze."))
+        .collect();
+    analysis.sort_unstable();
+    assert_eq!(
+        analysis,
+        ["analyze.inputs", "analyze.scan"],
+        "top-level analysis spans"
+    );
     for survey in [
         "zone.ingest.lenient",
         "whois.survey",

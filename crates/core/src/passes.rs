@@ -21,12 +21,13 @@ use idnre_unicode::skeleton;
 ///
 /// The per-record path ([`HomographDetector::detect_recorded`]) runs
 /// `to_unicode` + a full [`skeleton`] fold for every domain. The corpus
-/// interns each distinct label once, so this pass hoists both out of the
-/// hot loop: it reads one skeleton per *distinct* label and one decoded
-/// suffix skeleton per TLD from a [`SkeletonCache`], and per record does
-/// only a scratch-buffer key assembly plus the index probe. Because
-/// [`skeleton`] maps characters independently (ASCII passes through
-/// untouched), `skeleton(unicode)` ==
+/// columns store one skeleton per *distinct* label, derived with the
+/// label's other facts by the generator's column emitter, so this pass
+/// hoists both out of the hot loop: it reads the label's stored skeleton
+/// and one decoded suffix skeleton per TLD ([`tld_suffix_skeletons`]), and
+/// per record does only a scratch-buffer key assembly plus the index
+/// probe. Because [`skeleton`] maps characters independently (ASCII passes
+/// through untouched), `skeleton(unicode)` ==
 /// `skeleton(sld) + skeleton(".tld")` — the assembled key matches the
 /// per-record fold byte for byte, so findings *and* counters are identical
 /// to the batch scan's (the equivalence tests below pin both).
@@ -40,99 +41,33 @@ use idnre_unicode::skeleton;
 pub struct ColumnedHomographPass<'d> {
     detector: &'d HomographDetector,
     columns: &'d CorpusColumns,
-    skeletons: &'d SkeletonCache,
+    /// Per TLD id of `columns`: its suffix skeleton.
+    tld_suffixes: Vec<String>,
 }
 
-/// The skeleton pieces [`ColumnedHomographPass`] reads, computed once per
-/// run and held outside the pass, so an epoch engine keeps them resident
-/// while passes are rebuilt every epoch.
-///
-/// Growth is **append-only**, mirroring the interner it indexes:
-/// [`SkeletonCache::extend_to`] computes skeletons only for symbols and
-/// TLD ids past the previous high-water mark, so an epoch pays skeleton
-/// cost proportional to *new distinct labels*, not corpus size.
-#[derive(Debug, Clone, Default)]
-pub struct SkeletonCache {
-    /// Per distinct label: `None` when the label is pure ASCII (nothing
-    /// to spoof), else its confusable-folded skeleton.
-    labels: Vec<Option<String>>,
-    /// Per TLD id: `skeleton(".<decoded tld>")` — the decoded form because
-    /// record display forms decode iTLDs too.
-    tlds: Vec<String>,
-}
-
-impl SkeletonCache {
-    /// Precomputes skeletons for every distinct label and TLD currently
-    /// interned in `columns`, on `threads` workers.
-    pub fn build(columns: &CorpusColumns, threads: usize) -> Self {
-        let mut cache = SkeletonCache::default();
-        cache.extend_to(columns, threads);
-        cache
-    }
-
-    /// Appends skeletons for labels and TLDs interned since the last
-    /// build/extend, on `threads` workers. Symbols below the high-water
-    /// mark are never recomputed — the interner is append-only, so their
-    /// strings (and hence skeletons) are immutable.
-    pub fn extend_to(&mut self, columns: &CorpusColumns, threads: usize) {
-        let labels: Vec<&str> = columns.labels().iter().skip(self.labels.len()).collect();
-        self.labels
-            .extend(idnre_par::par_map(&labels, threads, |label| {
-                (!label.is_ascii()).then(|| skeleton(label))
-            }));
-        let tlds = columns.tlds().iter().skip(self.tlds.len()).map(|tld| {
+/// `skeleton(".<decoded tld>")` of every TLD interned in `columns`, by
+/// TLD id: the suffix that continues a label's stored skeleton into the
+/// skeleton of its whole display form (decoded, because display forms
+/// decode iTLDs too). The homograph pass and the portfolio miner both
+/// read it; a corpus interns about a dozen TLDs.
+pub fn tld_suffix_skeletons(columns: &CorpusColumns) -> Vec<String> {
+    columns
+        .tlds()
+        .iter()
+        .map(|tld| {
             let decoded = idnre_idna::to_unicode(tld).unwrap_or_else(|_| tld.to_string());
             skeleton(&format!(".{decoded}"))
-        });
-        self.tlds.extend(tlds);
-    }
-
-    /// Distinct labels covered (the cache's high-water mark).
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
-    }
-
-    /// TLD ids covered.
-    pub fn tld_count(&self) -> usize {
-        self.tlds.len()
-    }
-
-    /// The skeleton of label symbol `i`: `None` when the label is pure
-    /// ASCII.
-    pub fn label(&self, i: usize) -> Option<&str> {
-        self.labels[i].as_deref()
-    }
-
-    /// `skeleton(".<decoded tld>")` of TLD id `id`.
-    pub fn tld_suffix(&self, id: u16) -> &str {
-        &self.tlds[usize::from(id)]
-    }
+        })
+        .collect()
 }
 
 impl<'d> ColumnedHomographPass<'d> {
-    /// Reads the skeletons of `columns`' labels and TLDs from `skeletons`,
-    /// which must cover them ([`SkeletonCache::extend_to`] after any
-    /// column growth).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache covers fewer labels or TLDs than `columns`
-    /// has interned.
-    pub fn new(
-        detector: &'d HomographDetector,
-        columns: &'d CorpusColumns,
-        skeletons: &'d SkeletonCache,
-    ) -> Self {
-        assert!(
-            skeletons.label_count() >= columns.labels().len()
-                && skeletons.tld_count() >= columns.tlds().len(),
-            "SkeletonCache is behind the interner: extend_to was not called \
-             after column growth"
-        );
+    /// Probes `columns`' rows against `detector`'s skeleton index.
+    pub fn new(detector: &'d HomographDetector, columns: &'d CorpusColumns) -> Self {
         ColumnedHomographPass {
             detector,
             columns,
-            skeletons,
+            tld_suffixes: tld_suffix_skeletons(columns),
         }
     }
 }
@@ -187,14 +122,14 @@ impl AnalysisPass for ColumnedHomographPass<'_> {
         let row = rec.index as usize;
         partial.tallies[0] += 1; // homograph.candidates
         let sym = self.columns.sld_symbol(row);
-        let Some(label_skeleton) = self.skeletons.label(sym.index()) else {
+        let Some(label_skeleton) = self.columns.label_skeleton(sym) else {
             partial.tallies[2] += 1; // homograph.skip.ascii_sld
             return;
         };
         let key = &mut partial.key_scratch;
         key.clear();
         key.push_str(label_skeleton);
-        key.push_str(self.skeletons.tld_suffix(self.columns.tld_id(row)));
+        key.push_str(&self.tld_suffixes[usize::from(self.columns.tld_id(row))]);
         let Some(bucket) = self.detector.bucket(key) else {
             partial.tallies[3] += 1; // homograph.skip.no_skeleton_match
             return;
@@ -378,17 +313,12 @@ mod tests {
         (eco, brands)
     }
 
-    fn columns_of(eco: &Ecosystem) -> idnre_arena::CorpusColumns {
-        let mut builder = idnre_arena::ColumnsBuilder::new();
+    fn columns_of(eco: &Ecosystem) -> CorpusColumns {
+        let mut columns = CorpusColumns::default();
         for reg in &eco.idn_registrations {
-            builder.push(idnre_arena::ColumnRow {
-                sld: reg.unicode.split('.').next().unwrap_or(""),
-                tld: &reg.tld,
-                malicious: reg.malicious.is_some(),
-                ..idnre_arena::ColumnRow::default()
-            });
+            columns.push_row(idnre_datagen::column_row(reg, &eco.blacklist));
         }
-        builder.finish(|labels| vec![0; labels.len()])
+        columns
     }
 
     #[test]
@@ -409,10 +339,9 @@ mod tests {
         assert!(!legacy_sem1.is_empty());
 
         let columns = columns_of(&eco);
-        let skeletons = SkeletonCache::build(&columns, 4);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         let mut scan = ShardedScan::new();
-        let h = scan.register(ColumnedHomographPass::new(&homograph, &columns, &skeletons));
+        let h = scan.register(ColumnedHomographPass::new(&homograph, &columns));
         let s1 = scan.register(Semantic1Pass::new(&semantic));
         let s2 = scan.register(Semantic2Pass::new(&semantic));
         let registry = Registry::new();
@@ -440,10 +369,9 @@ mod tests {
         let legacy_counters = legacy.snapshot().counters;
 
         let columns = columns_of(&eco);
-        let skeletons = SkeletonCache::build(&columns, 2);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         let mut scan = ShardedScan::new();
-        let _ = scan.register(ColumnedHomographPass::new(&homograph, &columns, &skeletons));
+        let _ = scan.register(ColumnedHomographPass::new(&homograph, &columns));
         let _ = scan.register(Semantic1Pass::new(&semantic));
         let streamed = Registry::new();
         let _ = scan.run_at(&source, 128, 2, &streamed, SpanCtx::NONE);
@@ -458,9 +386,8 @@ mod tests {
         let columns = columns_of(&eco);
         let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
         {
-            let skeletons = SkeletonCache::build(&columns, 4);
             let mut scan = ShardedScan::new();
-            let _ = scan.register(ColumnedHomographPass::new(&homograph, &columns, &skeletons));
+            let _ = scan.register(ColumnedHomographPass::new(&homograph, &columns));
             assert_eq!(
                 scan.merge_is_associative(&source, 97, &idnre_telemetry::NoopRecorder),
                 Ok(())
@@ -468,9 +395,8 @@ mod tests {
         }
         let mut reference = None;
         for (threads, shard_size) in [(1, 64), (2, 1024), (8, 97)] {
-            let skeletons = SkeletonCache::build(&columns, threads);
             let mut scan = ShardedScan::new();
-            let h = scan.register(ColumnedHomographPass::new(&homograph, &columns, &skeletons));
+            let h = scan.register(ColumnedHomographPass::new(&homograph, &columns));
             let mut result = scan.run_at(
                 &source,
                 shard_size,
@@ -484,34 +410,6 @@ mod tests {
                 Some(expected) => assert_eq!(&findings, expected, "threads={threads}"),
             }
         }
-    }
-
-    #[test]
-    fn skeleton_cache_covers_the_interner() {
-        let (eco, _) = corpus();
-        let columns = columns_of(&eco);
-        let cache = SkeletonCache::build(&columns, 4);
-        assert_eq!(cache.label_count(), columns.labels().len());
-        assert_eq!(cache.tld_count(), columns.tlds().len());
-        for (i, label) in columns.labels().iter().enumerate() {
-            let expected = (!label.is_ascii()).then(|| skeleton(label));
-            assert_eq!(cache.label(i), expected.as_deref(), "label {label}");
-        }
-        // Extending an up-to-date cache is a no-op, not a recompute.
-        let mut extended = cache.clone();
-        extended.extend_to(&columns, 4);
-        assert_eq!(extended.label_count(), cache.label_count());
-        assert_eq!(extended.tld_count(), cache.tld_count());
-    }
-
-    #[test]
-    #[should_panic(expected = "behind the interner")]
-    fn stale_skeleton_cache_is_rejected() {
-        let (eco, brands) = corpus();
-        let homograph = HomographDetector::new(&brands, 0.95);
-        let columns = columns_of(&eco);
-        let stale = SkeletonCache::default();
-        let _ = ColumnedHomographPass::new(&homograph, &columns, &stale);
     }
 
     #[test]

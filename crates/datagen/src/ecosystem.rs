@@ -39,7 +39,7 @@ use idnre_arena::ColumnRow;
 use idnre_blacklist::{BlacklistSet, Source};
 use idnre_certs::Certificate;
 use idnre_crawler::UsageCategory;
-use idnre_langid::Language;
+use idnre_langid::{Classifier, Language};
 use idnre_pdns::{DomainAggregate, PdnsStore, PopulationClass, TrafficModel};
 use idnre_rng::Key;
 use idnre_telemetry::{NoopRecorder, SpanCtx};
@@ -399,16 +399,21 @@ impl DerivedZones {
     }
 }
 
-/// One IDN registration's column row: its Unicode SLD label, TLD,
-/// malicious and organic bits, and per-source blacklist verdict. Shared
-/// by the artifact traversal and epoch growth, so every column build
-/// derives the same row from a record.
+/// One IDN registration's column row: its Unicode SLD label with the
+/// label's classifier language id and confusable skeleton (`None` for an
+/// ASCII label), its TLD, malicious and organic bits, and per-source
+/// blacklist verdict. The one place a label's facts are derived: the
+/// artifact traversal calls it on its workers, and epoch growth for each
+/// appended record, so every column build derives the same row from a
+/// record.
 pub fn column_row<'r>(reg: &'r DomainRegistration, blacklist: &BlacklistSet) -> ColumnRow<'r> {
-    let sld_len = reg.unicode.find('.').unwrap_or(reg.unicode.len());
+    let sld = &reg.unicode[..reg.unicode.find('.').unwrap_or(reg.unicode.len())];
     let verdict = blacklist.verdict(&reg.domain);
     ColumnRow {
-        sld: &reg.unicode[..sld_len],
+        sld,
         tld: &reg.tld,
+        lang: Classifier::global().classify(sld).id(),
+        skeleton: (!sld.is_ascii()).then(|| idnre_unicode::skeleton(sld).into()),
         malicious: reg.malicious.is_some(),
         organic: reg.language != Language::Unknown,
         vt: verdict.contains(&Source::VirusTotal),

@@ -11,9 +11,10 @@
 //! thread.
 //!
 //! [`generate_traced`] is the one implementation of stages 6–8 and of the
-//! IDN column rows. After the plan, one fused traversal regenerates each
-//! shard once and emits its WHOIS, pDNS and certificates and, for IDN
-//! shards, the interned column rows. It emits no zone records: no report
+//! IDN corpus columns. After the plan, one fused traversal regenerates
+//! each shard once and emits its WHOIS, pDNS and certificates and, for IDN
+//! shards, each record's [`column_row`] (with its label's language id and
+//! skeleton), which the calling thread interns. It emits no zone records: no report
 //! reads them, and the callers that do derive them on demand
 //! ([`crate::DerivedZones`]). The batch build
 //! ([`crate::Ecosystem::generate`]) keeps each regenerated shard in the
@@ -37,7 +38,7 @@ use crate::registration::{
     sample_malicious_creation_date, sample_registrant, themed_label, BulkTheme, DomainRegistration,
     MaliciousKind, BULK_REGISTRANTS,
 };
-use idnre_arena::{ColumnRows, ColumnsBuilder, Interner, Symbol};
+use idnre_arena::{ColumnRows, CorpusColumns, Interner, Symbol};
 use idnre_blacklist::{BlacklistSet, Source};
 use idnre_certs::Certificate;
 use idnre_langid::Language;
@@ -316,7 +317,7 @@ pub fn generate_streamed(
     config: &EcosystemConfig,
     shard_size: usize,
     recorder: &dyn Recorder,
-) -> (Ecosystem, KeyedCorpus, ColumnsBuilder) {
+) -> (Ecosystem, KeyedCorpus, CorpusColumns) {
     generate_traced(config, Some(shard_size), recorder, SpanCtx::NONE)
 }
 
@@ -326,7 +327,8 @@ pub fn generate_streamed(
 /// Then one traversal (span `datagen.stream.artifacts`) regenerates every
 /// planned record exactly once, shard by shard on the workers, and emits
 /// the stage 6–8 artifacts (WHOIS, pDNS, certificates) plus each IDN
-/// record's [`column_row`]. The calling thread applies finished
+/// record's [`column_row`], whose label facts (language id, skeleton) are
+/// thus derived on the workers. The calling thread applies finished
 /// shards in shard order while the workers run ahead, so every artifact
 /// lands in corpus order and labels intern in corpus order. Both spans
 /// are children of `parent`, at sibling indexes 0 and 1.
@@ -340,15 +342,15 @@ pub fn generate_streamed(
 ///   each one, so the registration vectors stay empty and the returned
 ///   [`KeyedCorpus`] regenerates any shard on demand.
 ///
-/// The artifacts, the column rows (ready for [`ColumnsBuilder::finish`]
-/// to classify) and the plan are byte-identical across both builds and
-/// any shard size, thread count and recorder.
+/// The artifacts, the finished [`CorpusColumns`] and the plan are
+/// byte-identical across both builds and any shard size, thread count and
+/// recorder.
 pub fn generate_traced(
     config: &EcosystemConfig,
     shard_size: Option<usize>,
     recorder: &dyn Recorder,
     parent: SpanCtx,
-) -> (Ecosystem, KeyedCorpus, ColumnsBuilder) {
+) -> (Ecosystem, KeyedCorpus, CorpusColumns) {
     let (corpus, brands, blacklist) = plan(config, recorder, parent);
 
     let mut span = recorder.span_at("datagen.stream.artifacts", parent, 1);
@@ -426,7 +428,7 @@ pub fn generate_traced(
     let mut whois = Vec::new();
     let mut pdns = PdnsStore::new();
     let mut certificates = Vec::new();
-    let mut columns = ColumnsBuilder::new();
+    let mut columns = CorpusColumns::default();
     let ahead = SHARDS_AHEAD_PER_WORKER * config.threads;
     idnre_par::par_map_ordered(&shards, config.threads, ahead, emit_shard, |shard| {
         whois.extend(shard.whois);
@@ -435,7 +437,7 @@ pub fn generate_traced(
         }
         certificates.extend(shard.certificates);
         for row in shard.rows.iter() {
-            columns.push(row);
+            columns.push_row(row);
         }
         if shard.idn {
             idn_registrations.extend(shard.records);
