@@ -359,12 +359,15 @@ mod tests {
         }
     }
 
-    fn small_corpus() -> KeyedCorpus {
-        let config = EcosystemConfig {
+    fn small_config() -> EcosystemConfig {
+        EcosystemConfig {
             scale: 200,
             ..EcosystemConfig::default()
-        };
-        generate_streamed(&config, 64, &NoopRecorder).1
+        }
+    }
+
+    fn small_corpus() -> KeyedCorpus {
+        generate_streamed(&small_config(), 64, &NoopRecorder).1
     }
 
     /// A scan over both test passes, with their handles.
@@ -418,13 +421,13 @@ mod tests {
 
     #[test]
     fn epochs_match_from_scratch_rebuilds() {
-        let base = small_corpus();
+        let (_, base, columns) = generate_streamed(&small_config(), 64, &NoopRecorder);
         let mut overlay = EpochCorpus::new(&base);
-        let mut sim = DaySimulator::new(30);
+        let mut sim = DaySimulator::new(30, &columns);
         let mut state = EpochState::new(64);
         for epoch in 0..3u64 {
             let touched: Vec<u64> = sim
-                .advance(&mut overlay, epoch)
+                .advance(&mut overlay, epoch, &columns)
                 .iter()
                 .map(|d| d.index)
                 .collect();

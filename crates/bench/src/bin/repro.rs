@@ -48,12 +48,13 @@
 //! threads` at any scale (reported as the `datagen.peak_resident_records`
 //! gauge under `--metrics`). The report bytes are identical to the batch
 //! build, with or without `--faults` and `--crawl-sched`: the faulted
-//! surveys walk the same shards. `--stream` cannot be combined with
-//! `--dump-dataset`, and `--shard-size` requires it.
+//! surveys walk the same shards. `--shard-size` requires `--stream`.
 //!
 //! `--dump-dataset PATH` writes the canonical `idnre-dataset/2` bytes of
-//! a batch build, so CI can `cmp` runs at different thread counts. The
-//! render is one top-level `dataset.render` stage (records = bytes).
+//! the run's corpus, rendered from its regenerated shards, so a batch and
+//! a `--stream` run write the same bytes and CI can `cmp` runs at
+//! different thread counts. The render is one top-level `dataset.render`
+//! stage (records = bytes).
 //!
 //! `--trace PATH` runs the pipeline under a tracing registry and writes
 //! the assembled span tree (run → build/scan → pass → shard) as Chrome
@@ -274,7 +275,6 @@ fn main() {
         shard_size: shard_size.is_some(),
         faults: faults.is_some(),
         slo: slo.is_some(),
-        dump_dataset: dump_dataset.is_some(),
         crawl_sched,
         mine_portfolios,
         epochs: epochs.is_some(),
@@ -387,7 +387,7 @@ fn main() {
 
     if let Some(path) = &dump_dataset {
         let mut span = ctx.recorder.span_at("dataset.render", SpanCtx::ROOT, 0);
-        let dataset = idnre_datagen::render_dataset(&ctx.eco);
+        let dataset = idnre_datagen::render_dataset(&ctx.eco, &ctx.corpus);
         span.add_records(dataset.len() as u64);
         drop(span);
         std::fs::write(path, &dataset).unwrap_or_else(|e| {

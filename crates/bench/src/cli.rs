@@ -20,8 +20,6 @@ pub struct CliFlags {
     pub faults: bool,
     /// `--slo PROFILE`: latency SLO gate owning the exit code.
     pub slo: bool,
-    /// `--dump-dataset PATH`: write the canonical dataset bytes.
-    pub dump_dataset: bool,
     /// `--crawl-sched`: route the crawl survey through the event-driven
     /// scheduler (timeout wheel, rate limits, breakers, shedding).
     pub crawl_sched: bool,
@@ -41,7 +39,6 @@ impl CliFlags {
             "--shard-size" => self.shard_size,
             "--faults" => self.faults,
             "--slo" => self.slo,
-            "--dump-dataset" => self.dump_dataset,
             "--crawl-sched" => self.crawl_sched,
             "--mine-portfolios" => self.mine_portfolios,
             "--epochs" => self.epochs,
@@ -55,7 +52,6 @@ impl CliFlags {
 /// message ("A cannot be combined with B"), so the flag a user is most
 /// likely to have just added goes first.
 pub const FLAG_CONFLICTS: &[(&str, &str)] = &[
-    ("--stream", "--dump-dataset"),
     ("--slo", "--faults"),
     // The faulted surveys would walk the base corpus and its base zones
     // and WHOIS records, not the final epoch's overlay; mining's
@@ -106,7 +102,6 @@ mod tests {
                 "--shard-size" => flags.shard_size = true,
                 "--faults" => flags.faults = true,
                 "--slo" => flags.slo = true,
-                "--dump-dataset" => flags.dump_dataset = true,
                 "--crawl-sched" => flags.crawl_sched = true,
                 "--mine-portfolios" => flags.mine_portfolios = true,
                 "--epochs" => flags.epochs = true,
@@ -124,13 +119,7 @@ mod tests {
 
     #[test]
     fn every_single_flag_is_valid_alone_or_with_its_requirement() {
-        for name in [
-            "--stream",
-            "--faults",
-            "--slo",
-            "--dump-dataset",
-            "--mine-portfolios",
-        ] {
+        for name in ["--stream", "--faults", "--slo", "--mine-portfolios"] {
             assert_eq!(validate_flags(&with(&[name])), Ok(()), "{name} alone");
         }
         // Mining composes with the streamed build (bounded-memory mining)
@@ -165,11 +154,6 @@ mod tests {
 
     /// One test body per conflict pair, driven off the table itself so a
     /// new entry cannot ship untested.
-    #[test]
-    fn stream_conflicts_with_dump_dataset() {
-        assert_conflict("--stream", "--dump-dataset");
-    }
-
     #[test]
     fn slo_conflicts_with_faults() {
         assert_conflict("--slo", "--faults");

@@ -45,7 +45,7 @@ pub use slo::{slo_profile, SLO_PROFILES};
 pub use whois_facts::WhoisFacts;
 
 use idnre_analyze::{EpochState, Population, RecordSource, SliceSource, StreamSource};
-use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig};
+use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig, KeyedCorpus};
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::ops::Range;
 use std::sync::Arc;
@@ -95,8 +95,12 @@ pub struct RunSpec {
 /// one fused analysis scan over it.
 pub struct ReproContext {
     /// The synthetic ecosystem (registration vectors are empty after a
-    /// streamed build; the artifacts are complete either way).
+    /// streamed build; the WHOIS and pDNS artifacts and the artifact
+    /// folds are complete either way).
     pub eco: Ecosystem,
+    /// The corpus plan both builds return: regenerates any shard of the
+    /// base corpus on demand (`--dump-dataset` walks it).
+    pub corpus: KeyedCorpus,
     /// Both detectors' findings and every corpus-derived aggregate the
     /// report generators read, folded by the one fused
     /// [`idnre_analyze::ShardedScan`] traversal.
@@ -196,7 +200,7 @@ impl ReproContext {
         let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
         drop(span);
         let mining_plan = spec.mine.then(|| mine::MiningPlan::new(&columns));
-        let plan = inputs.plan(&columns, &eco.pdns, mining_plan.as_ref());
+        let plan = inputs.plan(&columns, mining_plan.as_ref());
         let mut cold = None;
         let (outputs, index) = match spec.epochs {
             None => plan.run_at(
@@ -223,6 +227,10 @@ impl ReproContext {
                 (outputs, None)
             }
         };
+        // Figures 5 and 8 count their pDNS joins on racing report workers:
+        // registered here, after the scan's counters, the pair keeps one
+        // snapshot position.
+        recorder.preregister(&idnre_pdns::LOOKUP_COUNTERS);
         // Pass B of the miner runs over the non-singleton buckets of the
         // index pass A folded, under the same parent span.
         let mining = index.zip(mining_plan.as_ref()).map(|(index, mining_plan)| {
@@ -242,6 +250,7 @@ impl ReproContext {
             .map(|setup| robust::faulted_surveys(&view, &eco, setup, config.threads, &*recorder));
         let mut ctx = ReproContext {
             eco,
+            corpus,
             outputs,
             candidates,
             whois,
@@ -251,18 +260,18 @@ impl ReproContext {
             epochs: None,
         };
         if let (Some(epoch_spec), Some(cold)) = (spec.epochs, cold) {
-            ctx.epochs = Some(epochs::play(
-                &mut ctx, epoch_spec, &corpus, cold, columns, &inputs,
-            ));
+            ctx.epochs = Some(epochs::play(&mut ctx, epoch_spec, cold, columns, &inputs));
         }
         if spec.shard_size.is_some() {
             // Recorded last so the gauge and the counter cover every
             // stage's shard walks: the faulted surveys' or the epochs'.
-            ctx.recorder
-                .gauge_max(idnre_datagen::PEAK_RESIDENT_RECORDS, corpus.gauge().peak());
+            ctx.recorder.gauge_max(
+                idnre_datagen::PEAK_RESIDENT_RECORDS,
+                ctx.corpus.gauge().peak(),
+            );
             ctx.recorder.add(
                 idnre_datagen::SHARDS_REGENERATED,
-                corpus.shards_regenerated(),
+                ctx.corpus.shards_regenerated(),
             );
         }
         ctx
@@ -295,7 +304,7 @@ impl ReproContext {
              registration residency — peak resident records stay ≤ 4 × shard_size × \
              threads at any scale, and `--metrics` reports the peak as the \
              `datagen.peak_resident_records` gauge. The process's memory is not \
-             bounded: the WHOIS, pDNS and certificate artifacts stay resident.\n\n",
+             bounded: the WHOIS and pDNS artifacts stay resident.\n\n",
             self.eco.config.seed
         ));
         let enabled = self.recorder.enabled();

@@ -5,11 +5,14 @@
 //!
 //! Every aggregate a report table used to rescan the corpus for is folded
 //! here instead: per-TLD blacklist tallies (Table I), the language mix
-//! (Table II), the crawled content-category samples (Table V), the three
-//! passive-DNS activity populations (Figures 2–4), Type-2 semantic
-//! findings (Table X) and the registered-lookalike set (Figure 6). The
-//! partials are [`Merge`]-able and merged in shard order, so the outputs
-//! are byte-identical across thread counts and shard sizes.
+//! (Table II), the crawled content-category samples (Table V), Type-2
+//! semantic findings (Table X) and the registered-lookalike set (Figure
+//! 6). The partials are [`Merge`]-able and merged in shard order, so the
+//! outputs are byte-identical across thread counts and shard sizes. The
+//! artifact aggregates (Figures 2–4, Tables VI–VII) are folded where the
+//! generator emits the artifacts ([`idnre_datagen::Ecosystem::activity`],
+//! [`idnre_datagen::Ecosystem::certificate_tally`]), so the scan reads
+//! only the records and the corpus columns.
 
 use crate::mine::{BucketIndexPass, MiningPlan};
 use crate::robust::{sample_crawl, usage_index};
@@ -26,13 +29,8 @@ use idnre_core::{
 use idnre_crawler::UsageCategory;
 use idnre_datagen::BrandList;
 use idnre_langid::Language;
-use idnre_pdns::{ActivityAnalytics, PdnsStore};
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::collections::HashSet;
-
-/// The passive-DNS lookup counters the activity pass touches from worker
-/// threads (pre-registered before the fan-out).
-pub const PDNS_LOOKUP_COUNTERS: [&str; 2] = ["pdns.lookup.hit", "pdns.lookup.miss"];
 
 /// Table V samples this many records from the head of each population.
 pub const CONTENT_SAMPLE: u64 = 500;
@@ -53,9 +51,6 @@ pub struct ScanOutputs {
     pub language: LanguageMix,
     /// Content-category sample counts per population (Table V).
     pub content: ContentCounts,
-    /// Passive-DNS activity split into the three report populations
-    /// (Figures 2–4).
-    pub activity: PopulationActivity,
     /// Type-2 semantic findings in corpus order (Table X).
     pub semantic2: Vec<SemanticFinding>,
     /// Enumerated lookalike candidates that are actually registered
@@ -345,93 +340,6 @@ impl AnalysisPass for ContentPass {
     }
 }
 
-/// The three passive-DNS activity populations Figures 2–4 compare.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PopulationActivity {
-    /// Benign (non-blacklisted) IDN registrations.
-    pub benign: ActivityAnalytics,
-    /// Blacklisted IDN registrations.
-    pub malicious: ActivityAnalytics,
-    /// The non-IDN comparison population.
-    pub non_idn: ActivityAnalytics,
-    /// pDNS lookup hits tallied since the last per-shard flush — counter
-    /// traffic is batched into one `Recorder::add` per shard so the hot
-    /// loop never takes the registry lock per record.
-    pub unflushed_hits: u64,
-    /// pDNS lookup misses since the last per-shard flush.
-    pub unflushed_misses: u64,
-}
-
-impl Merge for PopulationActivity {
-    fn merge(mut self, later: Self) -> Self {
-        self.benign.merge(later.benign);
-        self.malicious.merge(later.malicious);
-        self.non_idn.merge(later.non_idn);
-        self.unflushed_hits += later.unflushed_hits;
-        self.unflushed_misses += later.unflushed_misses;
-        self
-    }
-}
-
-/// One passive-DNS lookup per record, folded into the population split the
-/// activity figures read (the batch pipeline repeated this traversal once
-/// per figure).
-#[derive(Debug, Clone, Copy)]
-pub struct ActivityPass<'a> {
-    pdns: &'a PdnsStore,
-}
-
-impl<'a> ActivityPass<'a> {
-    /// Looks up against `pdns`.
-    pub fn new(pdns: &'a PdnsStore) -> Self {
-        ActivityPass { pdns }
-    }
-}
-
-impl AnalysisPass for ActivityPass<'_> {
-    type Partial = PopulationActivity;
-    type Output = PopulationActivity;
-
-    fn name(&self) -> &'static str {
-        "analyze.pass.activity"
-    }
-
-    fn counters(&self) -> &'static [&'static str] {
-        &PDNS_LOOKUP_COUNTERS
-    }
-
-    fn empty(&self) -> Self::Partial {
-        PopulationActivity::default()
-    }
-
-    fn observe(&self, partial: &mut Self::Partial, rec: &Observed<'_>, _: &dyn Recorder) {
-        match self.pdns.lookup(&rec.reg.domain) {
-            Some(aggregate) => {
-                partial.unflushed_hits += 1;
-                match rec.population {
-                    Population::NonIdn => partial.non_idn.add(aggregate),
-                    Population::Idn if rec.reg.malicious.is_some() => {
-                        partial.malicious.add(aggregate);
-                    }
-                    Population::Idn => partial.benign.add(aggregate),
-                }
-            }
-            None => partial.unflushed_misses += 1,
-        }
-    }
-
-    fn shard_end(&self, partial: &mut Self::Partial, recorder: &dyn Recorder) {
-        recorder.add("pdns.lookup.hit", partial.unflushed_hits);
-        recorder.add("pdns.lookup.miss", partial.unflushed_misses);
-        partial.unflushed_hits = 0;
-        partial.unflushed_misses = 0;
-    }
-
-    fn finish(&self, partial: Self::Partial) -> Self::Output {
-        partial
-    }
-}
-
 /// Marks which enumerated homographic candidates are actually registered
 /// (Figure 6's registered/unregistered split over the whole IDN corpus).
 #[derive(Debug, Clone, Copy)]
@@ -498,12 +406,11 @@ impl ScanInputs {
     /// reads its label skeletons from `columns`. With `mining` set, the
     /// portfolio miner's pass A — the skeleton-LSH [`BucketIndexPass`] —
     /// is fused onto the same traversal, registered last so the default
-    /// eight passes keep their telemetry positions; the folded index comes
+    /// seven passes keep their telemetry positions; the folded index comes
     /// back from [`ScanPlan::run_at`].
     pub fn plan<'p>(
         &'p self,
         columns: &'p CorpusColumns,
-        pdns: &'p PdnsStore,
         mining: Option<&'p MiningPlan>,
     ) -> ScanPlan<'p> {
         let mut scan = ShardedScan::new();
@@ -514,7 +421,6 @@ impl ScanInputs {
             tld: scan.register(TldPass::new(columns)),
             language: scan.register(LanguagePass::new(columns)),
             content: scan.register(ContentPass),
-            activity: scan.register(ActivityPass::new(pdns)),
             fig6: scan.register(Fig6Pass::new(&self.fig6_pool)),
             bucket: mining.map(|plan| scan.register(BucketIndexPass::new(columns, plan))),
         };
@@ -538,7 +444,6 @@ struct PlanHandles {
     tld: PassHandle<TldBreakdown>,
     language: PassHandle<LanguageMix>,
     content: PassHandle<ContentCounts>,
-    activity: PassHandle<PopulationActivity>,
     fig6: PassHandle<HashSet<String>>,
     bucket: Option<PassHandle<BucketIndex>>,
 }
@@ -552,7 +457,6 @@ impl PlanHandles {
             tld: result.take(&self.tld),
             language: result.take(&self.language),
             content: result.take(&self.content),
-            activity: result.take(&self.activity),
             semantic2: result.take(&self.semantic2),
             fig6_registered: result.take(&self.fig6),
             idn_len: result.idn_len(),

@@ -1,9 +1,9 @@
 //! One generator per table/figure of the paper's evaluation.
 
 use crate::ReproContext;
-use idnre_certs::{CertProblem, Validator};
 use idnre_core::AbuseAnalysis;
 use idnre_crawler::UsageCategory;
+use idnre_datagen::CertificateTally;
 use idnre_langid::Language;
 use idnre_pdns::{ActivityAnalytics, PopulationClass, TrafficModel};
 use idnre_stats::plot::{bar_chart, ecdf_plot, Series};
@@ -322,7 +322,7 @@ fn ecdf_figure(
 
 /// Figure 2 — ECDF of active time (IDN vs non-IDN vs malicious).
 pub fn fig2(ctx: &ReproContext) -> String {
-    let act = &ctx.outputs.activity;
+    let act = &ctx.eco.activity;
     ecdf_figure(
         "Figure 2 — ECDF of active time",
         "60% of com IDNs active <100 days vs 40% of non-IDNs; malicious IDNs live longest (Finding 5).",
@@ -338,7 +338,7 @@ pub fn fig2(ctx: &ReproContext) -> String {
 
 /// Figure 3 — ECDF of query volume.
 pub fn fig3(ctx: &ReproContext) -> String {
-    let act = &ctx.outputs.activity;
+    let act = &ctx.eco.activity;
     ecdf_figure(
         "Figure 3 — ECDF of query volume",
         "88% of com IDNs queried <100 times vs 74% of non-IDNs; malicious IDNs draw the most traffic (Finding 6).",
@@ -355,8 +355,8 @@ pub fn fig3(ctx: &ReproContext) -> String {
 /// Figure 4 — IDNs over /24 segments.
 pub fn fig4(ctx: &ReproContext) -> String {
     // The /24 segment report is order-insensitive, so the whole-IDN view
-    // is just the benign and malicious scan partials merged back together.
-    let act = &ctx.outputs.activity;
+    // is just the benign and malicious folds merged back together.
+    let act = &ctx.eco.activity;
     let mut analytics = act.benign.clone();
     analytics.merge(act.malicious.clone());
     let report = analytics.segment_report();
@@ -433,38 +433,19 @@ pub fn table5(ctx: &ReproContext) -> String {
 
 /// Table VI — SSL certificate problems, IDN vs non-IDN.
 pub fn table6(ctx: &ReproContext) -> String {
-    let validator = Validator::with_default_roots(ctx.eco.config.snapshot.day_number());
-    let mut idn = [0u64; 4]; // expired, authority, cn, clean
-    let mut non = [0u64; 4];
-    for (domain, cert) in &ctx.eco.certificates {
-        let bucket = match validator.classify(cert, domain) {
-            Some(CertProblem::Expired) => 0,
-            Some(CertProblem::InvalidAuthority) => 1,
-            Some(CertProblem::InvalidCommonName) => 2,
-            None => 3,
-        };
-        if idnre_idna::is_idn(domain) {
-            idn[bucket] += 1;
-        } else {
-            non[bucket] += 1;
-        }
-    }
+    let tally = &ctx.eco.certificate_tally;
+    let (idn, non) = (tally.idn, tally.non_idn);
     let idn_total: u64 = idn.iter().sum();
     let non_total: u64 = non.iter().sum();
     let mut table = Table::new(
         vec!["Security Problem", "IDN", "non-IDN"],
         vec![Align::Left, Align::Right, Align::Right],
     );
-    for (i, label) in [
-        "Expired Certificate",
-        "Invalid Authority",
-        "Invalid Common Name",
-    ]
-    .iter()
-    .enumerate()
-    {
+    // The last bucket holds the clean certificates.
+    for (i, problem) in CertificateTally::BUCKETS.iter().enumerate() {
+        let Some(problem) = problem else { continue };
         table.row(vec![
-            label.to_string(),
+            problem.to_string(),
             format!(
                 "{} ({})",
                 group_thousands(idn[i]),
@@ -508,12 +489,7 @@ pub fn table6(ctx: &ReproContext) -> String {
 
 /// Table VII — top-10 shared certificate common names.
 pub fn table7(ctx: &ReproContext) -> String {
-    let mut sharing = idnre_certs::SharingAnalysis::new();
-    for (domain, cert) in &ctx.eco.certificates {
-        if idnre_idna::is_idn(domain) {
-            sharing.observe(domain, cert);
-        }
-    }
+    let sharing = &ctx.eco.certificate_tally.sharing;
     let mut table = Table::new(
         vec!["Common Name (CN)", "Volume"],
         vec![Align::Left, Align::Right],
@@ -527,7 +503,7 @@ pub fn table7(ctx: &ReproContext) -> String {
         format!(
             "{}\nIDNs sharing a mismatched certificate: {}.\n",
             table.render(),
-            group_thousands(sharing.shared_domain_count() as u64)
+            group_thousands(sharing.shared_domain_count())
         ),
     )
 }

@@ -6,7 +6,11 @@
 //! contract, not an artifact of scheduling. Every cell is also held to
 //! the per-label oracle: each stored skeleton is the label's
 //! [`skeleton`], each language id the classifier's, and epoch growth
-//! equals a fresh column build of the same rows.
+//! equals a fresh column build of the same rows. The artifact folds the
+//! same traversal emits are held to the lookup-per-record oracle in
+//! every cell too.
+
+mod common;
 
 use idnre_arena::{CorpusColumns, Symbol};
 use idnre_bench::epochs::grow_columns;
@@ -114,10 +118,10 @@ fn assert_growth_matches_a_fresh_build(
 ) {
     let mut grown = columns.clone();
     let mut overlay = EpochCorpus::new(corpus);
-    let mut simulator = DaySimulator::new(100);
+    let mut simulator = DaySimulator::new(100, columns);
     let mut listed = Vec::new();
     for epoch in 1..=3 {
-        let deltas = simulator.advance(&mut overlay, epoch);
+        let deltas = simulator.advance(&mut overlay, epoch, &grown);
         grow_columns(&mut grown, &overlay, eco, &deltas);
         listed.extend(
             deltas
@@ -161,6 +165,7 @@ fn columns_are_identical_across_threads_and_shards() {
             let (eco, corpus, columns) = build(threads, shard_size);
             assert_identical(&reference, &columns, &what);
             assert_label_facts(&columns, &what);
+            common::assert_artifact_folds(&eco, &corpus, &what);
             assert_growth_matches_a_fresh_build(&eco, &corpus, &columns, &what);
         }
     }

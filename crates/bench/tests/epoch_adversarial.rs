@@ -40,22 +40,20 @@ fn fixture() -> (Ecosystem, KeyedCorpus, CorpusColumns) {
 /// Scan inputs shared across every fold of one test — the epoch
 /// contract the build also relies on: passes are rebuilt per epoch, the
 /// detectors and the Figure 6 pool are not.
-struct Engine<'e> {
-    eco: &'e Ecosystem,
+struct Engine {
     inputs: ScanInputs,
 }
 
-impl<'e> Engine<'e> {
-    fn new(eco: &'e Ecosystem) -> Self {
+impl Engine {
+    fn new(eco: &Ecosystem) -> Self {
         let candidates = CandidateSurvey::build(&eco.brands, THREADS, &NoopRecorder);
         Engine {
-            eco,
             inputs: ScanInputs::new(&eco.brands, &candidates),
         }
     }
 
     fn plan<'p>(&'p self, columns: &'p CorpusColumns) -> ScanPlan<'p> {
-        self.inputs.plan(columns, &self.eco.pdns, None)
+        self.inputs.plan(columns, None)
     }
 
     fn advance(
@@ -222,7 +220,7 @@ fn lagged_blacklist_listings_straddle_epoch_boundaries() {
     let engine = Engine::new(&eco);
     let mut state = EpochState::new(SHARD);
     // Heavy churn so every epoch schedules at least one lagged listing.
-    let mut simulator = DaySimulator::new(100);
+    let mut simulator = DaySimulator::new(100, &columns);
 
     {
         let source = EpochSource::new(&overlay);
@@ -231,7 +229,7 @@ fn lagged_blacklist_listings_straddle_epoch_boundaries() {
 
     let mut saw_listing = false;
     for epoch in 1..=4u64 {
-        let raw = simulator.advance(&mut overlay, epoch);
+        let raw = simulator.advance(&mut overlay, epoch, &columns);
         if epoch == 1 {
             // Listings drawn this epoch are due at epoch+1 at the
             // earliest: none may fire in their own draw epoch.

@@ -87,7 +87,7 @@ fn bucket_index_merge_is_associative_at_chunk_97() {
     let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
     let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
     inputs
-        .plan(&columns, &eco.pdns, Some(&mining_plan))
+        .plan(&columns, Some(&mining_plan))
         .check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
 }

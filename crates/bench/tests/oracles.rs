@@ -10,6 +10,8 @@
 //! on any host: a path whose pruning broke stays correct but scores as
 //! many pairs as the oracle.
 
+mod common;
+
 use idnre_arena::{CorpusColumns, LabelRef};
 use idnre_bench::{mine, ReproContext, RunSpec};
 use idnre_core::HomographDetector;
@@ -173,4 +175,32 @@ fn lsh_candidates_are_a_fraction_of_the_oracles_same_cell_pairs() {
     );
     // The columns hold one row per IDN record the run scanned.
     assert_eq!(ctx.outputs.idn_len, columns.len() as u64);
+}
+
+/// The artifact folds against the lookup-per-record oracle
+/// ([`common::assert_artifact_folds`]), on corpora whose bulk
+/// registrations share domains: those records' aggregates are folded from
+/// the finished store, and must be the ones its lookup returns.
+#[test]
+fn artifact_folds_equal_the_lookup_per_record_oracle() {
+    let seed = EcosystemConfig::default().seed;
+    for (scale, seed) in [(50, seed + 1), (100, seed), (10, seed)] {
+        let config = EcosystemConfig {
+            scale,
+            seed,
+            threads: THREADS,
+            ..EcosystemConfig::default()
+        };
+        let (eco, corpus, _) = idnre_datagen::generate_streamed(&config, 4096, &NoopRecorder);
+        let mut domains = HashSet::new();
+        let mut shared = 0;
+        corpus.for_each_shard(true, &mut |records, _| {
+            shared += records
+                .iter()
+                .filter(|reg| !domains.insert(reg.domain.clone()))
+                .count();
+        });
+        assert!(shared > 0, "scale {scale}: no record shares a domain");
+        common::assert_artifact_folds(&eco, &corpus, &format!("scale {scale}, seed {seed:#x}"));
+    }
 }

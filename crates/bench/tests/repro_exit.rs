@@ -1,8 +1,9 @@
 //! The `repro` binary's exit path: it returns from `main` without
 //! dropping the built context, so these runs check from outside the
 //! process that every byte of the report still reaches stdout or the
-//! `--write` file, and that the exit code is 0; and that a zero scale or
-//! epoch count is refused before any work.
+//! `--write` file, and that the exit code is 0; that a streamed run dumps
+//! the batch run's dataset; and that a zero scale or epoch count is
+//! refused before any work.
 
 use idnre_bench::{ReproContext, RunSpec};
 use idnre_datagen::EcosystemConfig;
@@ -48,6 +49,38 @@ fn stdout_carries_the_whole_report_and_exits_zero() {
         "stdout ({} bytes) differs from the library's report ({} bytes)",
         out.stdout.len(),
         expected().len()
+    );
+}
+
+/// `--dump-dataset` renders from the corpus's regenerated shards, which
+/// both builds keep, so a `--stream` run writes the batch run's bytes.
+#[test]
+fn streamed_dump_writes_the_batch_bytes() {
+    let dump = |name: &str, extra: &[&str]| {
+        let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("repro_dump_{name}_{}.txt", std::process::id()));
+        let path_arg = path.to_str().expect("utf-8 temp path");
+        let mut args = extra.to_vec();
+        args.extend(["--dump-dataset", path_arg]);
+        let out = repro(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{name}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let bytes = std::fs::read(&path).expect("the dump is written");
+        let _ = std::fs::remove_file(&path);
+        bytes
+    };
+    let batch = dump("batch", &[]);
+    assert!(batch.starts_with(b"idnre-dataset/2\n"));
+    let streamed = dump("stream", &["--stream", "--shard-size", "64"]);
+    assert!(
+        streamed == batch,
+        "the streamed dump ({} bytes) differs from the batch dump ({} bytes)",
+        streamed.len(),
+        batch.len()
     );
 }
 

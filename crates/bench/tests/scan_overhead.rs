@@ -29,13 +29,9 @@ fn instrumented_scan_stays_within_five_percent_of_uninstrumented() {
     let candidates = CandidateSurvey::build(&eco.brands, config.threads, &NoopRecorder);
     let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
     let scan_once = |recorder: &dyn Recorder| {
-        inputs.plan(&columns, &eco.pdns, None).run_at(
-            &source,
-            1024,
-            config.threads,
-            recorder,
-            SpanCtx::NONE,
-        )
+        inputs
+            .plan(&columns, None)
+            .run_at(&source, 1024, config.threads, recorder, SpanCtx::NONE)
     };
 
     // Warm caches and allocator before anything is timed.

@@ -5,6 +5,8 @@
 //! fused corpus traversal, a bounded resident-set gauge) is checked
 //! directly rather than trusted.
 
+mod common;
+
 use idnre_analyze::{SliceSource, SCAN_SPAN};
 use idnre_bench::{passes, CandidateSurvey, FaultSetup, ReproContext, RunSpec};
 use idnre_datagen::{generate_traced, EcosystemConfig, PEAK_RESIDENT_RECORDS};
@@ -32,22 +34,26 @@ fn streamed(shard_size: usize) -> RunSpec {
 
 /// The headline guarantee: streamed report bytes equal batch report bytes
 /// across a grid of shard sizes and thread counts. Shard boundaries and
-/// scheduling must be invisible in the output.
+/// scheduling must be invisible in the output, and in every cell the
+/// artifact folds equal the lookup-per-record oracle.
 #[test]
 fn streamed_report_is_byte_identical_to_batch() {
-    let batch =
-        ReproContext::build(&config(4), &RunSpec::default(), Arc::new(NoopRecorder)).full_report();
+    let batch = ReproContext::build(&config(4), &RunSpec::default(), Arc::new(NoopRecorder));
+    common::assert_artifact_folds(&batch.eco, &batch.corpus, "batch");
+    let batch = batch.full_report();
     for threads in [1usize, 2, 8] {
         for shard_size in [64usize, 1024, 8192] {
-            let streamed = ReproContext::build(
+            let what = format!("threads={threads} shard_size={shard_size}");
+            let ctx = ReproContext::build(
                 &config(threads),
                 &streamed(shard_size),
                 Arc::new(NoopRecorder),
-            )
-            .full_report();
+            );
+            common::assert_artifact_folds(&ctx.eco, &ctx.corpus, &what);
             assert_eq!(
-                batch, streamed,
-                "streamed report diverged at threads={threads} shard_size={shard_size}"
+                batch,
+                ctx.full_report(),
+                "streamed report diverged at {what}"
             );
         }
     }
@@ -62,7 +68,7 @@ fn every_pass_merge_is_associative() {
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
     let candidates = CandidateSurvey::build(&eco.brands, 4, &NoopRecorder);
     let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
-    let plan = inputs.plan(&columns, &eco.pdns, None);
+    let plan = inputs.plan(&columns, None);
     plan.check_associative(&source, 97, &NoopRecorder)
         .unwrap_or_else(|pass| panic!("pass {pass} has a non-associative merge"));
 }
@@ -111,7 +117,7 @@ fn clean_builds_emit_no_zone_records() {
         let eco = &ctx.eco;
         assert_eq!(
             artifacts.records,
-            (eco.whois.len() + eco.pdns.len() + eco.certificates.len()) as u64,
+            eco.whois.len() as u64 + eco.pdns.len() as u64 + eco.certificate_tally.total(),
             "the traversal emitted more than WHOIS, pDNS and certificates ({spec:?})"
         );
     }

@@ -186,9 +186,9 @@ fn trace_tree_has_the_documented_shape() {
     assert!(survey.children.iter().all(|s| s.name == SURVEY_SLICE_SPAN));
 
     let scan = root.child("analyze.scan").unwrap();
-    // 3 detector passes + 5 report aggregation passes, each a group whose
+    // 3 detector passes + 4 report aggregation passes, each a group whose
     // children are the per-shard spans.
-    assert_eq!(scan.children.len(), 8, "pass groups under analyze.scan");
+    assert_eq!(scan.children.len(), 7, "pass groups under analyze.scan");
     // Shards are carved per population (IDN first, then non-IDN).
     let expected_shards =
         (ctx.outputs.idn_len.div_ceil(1024) + ctx.outputs.non_idn_len.div_ceil(1024)) as usize;
@@ -213,6 +213,6 @@ fn trace_tree_has_the_documented_shape() {
             .map(|s| s.name.clone())
             .collect::<Vec<_>>(),
     );
-    assert_eq!(passes.len(), 8);
+    assert_eq!(passes.len(), 7);
     assert_eq!(passes[0], "analyze.pass.homograph");
 }

@@ -5,11 +5,13 @@ use crate::cert::Certificate;
 use std::collections::HashMap;
 
 /// Accumulates `(domain, certificate)` observations and reports the
-/// common names most shared across mismatched domains.
-#[derive(Debug, Clone, Default)]
+/// common names most shared across mismatched domains. It keeps one count
+/// per common name, not the domains, so partial analyses of disjoint
+/// observation sets [merge](SharingAnalysis::merge).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SharingAnalysis {
     /// CN → domains serving it without being covered by it.
-    shared_by_cn: HashMap<String, Vec<String>>,
+    shared_by_cn: HashMap<String, u64>,
     observed: u64,
 }
 
@@ -20,14 +22,22 @@ impl SharingAnalysis {
     }
 
     /// Observes that `domain` served `cert`. Only mismatched pairs (the
-    /// sharing signature) are retained.
+    /// sharing signature) are counted.
     pub fn observe(&mut self, domain: &str, cert: &Certificate) {
         self.observed += 1;
         if !cert.covers(domain) {
-            self.shared_by_cn
+            *self
+                .shared_by_cn
                 .entry(display_cn(&cert.subject_cn))
-                .or_default()
-                .push(domain.to_ascii_lowercase());
+                .or_default() += 1;
+        }
+    }
+
+    /// Absorbs `other`'s observations, as if they had been observed here.
+    pub fn merge(&mut self, other: SharingAnalysis) {
+        self.observed += other.observed;
+        for (cn, count) in other.shared_by_cn {
+            *self.shared_by_cn.entry(cn).or_default() += count;
         }
     }
 
@@ -37,8 +47,8 @@ impl SharingAnalysis {
     }
 
     /// Number of domains involved in sharing.
-    pub fn shared_domain_count(&self) -> usize {
-        self.shared_by_cn.values().map(Vec::len).sum()
+    pub fn shared_domain_count(&self) -> u64 {
+        self.shared_by_cn.values().sum()
     }
 
     /// Top `k` shared common names by number of domains (Table VII).
@@ -46,19 +56,16 @@ impl SharingAnalysis {
         let mut v: Vec<(String, u64)> = self
             .shared_by_cn
             .iter()
-            .map(|(cn, domains)| (cn.clone(), domains.len() as u64))
+            .map(|(cn, &count)| (cn.clone(), count))
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v.truncate(k);
         v
     }
 
-    /// The domains sharing a given CN.
-    pub fn domains_sharing(&self, cn: &str) -> &[String] {
-        self.shared_by_cn
-            .get(&display_cn(cn))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
+    /// How many domains share a given CN.
+    pub fn sharing_count(&self, cn: &str) -> u64 {
+        self.shared_by_cn.get(&display_cn(cn)).copied().unwrap_or(0)
     }
 }
 
@@ -89,7 +96,7 @@ mod tests {
             analysis.top_shared(1),
             vec![("sedoparking.com".to_string(), 2)]
         );
-        assert_eq!(analysis.domains_sharing("sedoparking.com").len(), 2);
+        assert_eq!(analysis.sharing_count("sedoparking.com"), 2);
     }
 
     #[test]
@@ -112,5 +119,32 @@ mod tests {
         let top = analysis.top_shared(10);
         assert_eq!(top[0].0, "sedoparking.com");
         assert_eq!(top[1].0, "cafe24.com");
+    }
+
+    #[test]
+    fn merged_halves_equal_one_pass() {
+        let sedo = parked_cert();
+        let cafe = Certificate::ca_issued("*.cafe24.com", vec![], "Sectigo RSA DV", 0, 99_999);
+        let pairs = [
+            ("xn--s1.com", &sedo),
+            ("sedoparking.com", &sedo),
+            ("xn--c1.com", &cafe),
+            ("xn--s2.com", &sedo),
+        ];
+        let mut whole = SharingAnalysis::new();
+        for (domain, cert) in pairs {
+            whole.observe(domain, cert);
+        }
+        let (mut head, mut tail) = (SharingAnalysis::new(), SharingAnalysis::new());
+        for (k, (domain, cert)) in pairs.into_iter().enumerate() {
+            if k < 2 {
+                head.observe(domain, cert)
+            } else {
+                tail.observe(domain, cert)
+            }
+        }
+        head.merge(tail);
+        assert_eq!(head, whole);
+        assert_eq!(head.shared_domain_count(), 3);
     }
 }

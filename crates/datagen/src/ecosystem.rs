@@ -29,6 +29,7 @@ use crate::attacks::AttackDomain;
 use crate::brands::BrandList;
 use crate::config::{EcosystemConfig, TABLE_I};
 use crate::content;
+use crate::folds::{CertificateTally, PopulationActivity};
 use crate::hosting::HostingProfile;
 use crate::registration::{
     sample_creation_date, sample_malicious_creation_date, sample_registrant, sample_registrar,
@@ -68,8 +69,13 @@ pub struct Ecosystem {
     pub whois: Vec<WhoisRecord>,
     /// Passive-DNS aggregates.
     pub pdns: PdnsStore,
-    /// Certificates served by HTTPS-enabled domains.
-    pub certificates: Vec<(String, Certificate)>,
+    /// Figures 2–4's activity populations, folded from the pDNS
+    /// aggregates as they were emitted.
+    pub activity: PopulationActivity,
+    /// Tables VI–VII's tallies of the certificates HTTPS-enabled domains
+    /// serve, folded as they were emitted. The certificates are not kept:
+    /// [`crate::KeyedCorpus::certificates`] regenerates them.
+    pub certificate_tally: CertificateTally,
     /// The aggregated URL blacklist.
     pub blacklist: BlacklistSet,
 }
@@ -317,24 +323,21 @@ pub(crate) fn traffic_for(
     TrafficModel::for_class(class).sample_aggregate(&mut rng, &reg.domain, snapshot_day, ip)
 }
 
-/// One HTTPS host's certificate, on the stream keyed by chained corpus
-/// position `i`, so issuance is independent of every other record's HTTPS
-/// flag.
+/// The certificate an HTTPS host serves for `reg.domain`, on the stream
+/// keyed by chained corpus position `i`, so issuance is independent of
+/// every other record's HTTPS flag.
 pub(crate) fn certificate_for(
     key: Key,
     i: u64,
     reg: &DomainRegistration,
     snapshot_day: i64,
-) -> Option<(String, Certificate)> {
+) -> Option<Certificate> {
     if !reg.https {
         return None;
     }
     let hosting = reg.hosting.as_ref()?;
     let mut rng = key.record(i).rng();
-    Some((
-        reg.domain.clone(),
-        hosting.issue_certificate(&mut rng, &reg.domain, snapshot_day),
-    ))
+    Some(hosting.issue_certificate(&mut rng, &reg.domain, snapshot_day))
 }
 
 /// One registration's delegation record (`None` when its name fails the
@@ -440,7 +443,7 @@ mod tests {
         let a = Ecosystem::generate(&config);
         let b = Ecosystem::generate(&config);
         assert_eq!(a.idn_registrations, b.idn_registrations);
-        assert_eq!(a.certificates.len(), b.certificates.len());
+        assert_eq!(a.certificate_tally, b.certificate_tally);
         assert_eq!(a.blacklist, b.blacklist);
     }
 
@@ -482,7 +485,8 @@ mod tests {
             assert_eq!(one.non_idn_registrations, many.non_idn_registrations);
             assert_eq!(one.whois, many.whois);
             assert_eq!(one.blacklist, many.blacklist);
-            assert_eq!(one.certificates, many.certificates);
+            assert_eq!(one.activity, many.activity);
+            assert_eq!(one.certificate_tally, many.certificate_tally);
             let (one_zones, many_zones) = (one.derive_zones(), many.derive_zones());
             assert_eq!(one_zones, many_zones, "zones diverged at {threads} threads");
             assert_eq!(
@@ -586,7 +590,7 @@ mod tests {
         let rate = https as f64 / eco.idn_registrations.len() as f64;
         assert!((0.01..0.12).contains(&rate), "https rate {rate}");
         assert_eq!(
-            eco.certificates.len(),
+            eco.certificate_tally.total() as usize,
             eco.idn_registrations
                 .iter()
                 .chain(&eco.non_idn_registrations)

@@ -16,9 +16,11 @@
 //! - [`DaySimulator`] draws each epoch's churn from the appended
 //!   day-simulator [`StageId`]s (`EpochChurn`…`EpochBlacklistLag`) keyed
 //!   by `(seed, stage, epoch, k)`, so a delta history is a pure function
-//!   of the master seed and is byte-identical across threads, runs, and
-//!   machines. The frozen stages 1–11 are never drawn from here, so the
-//!   v2 dataset fingerprint of the underlying snapshot is untouched.
+//!   of the master seed and the base corpus, and is byte-identical across
+//!   threads, runs, and machines. The frozen stages 1–11 are never drawn
+//!   from here, so the v2 dataset fingerprint of the underlying snapshot
+//!   is untouched. A new registration never takes a domain the corpus
+//!   already holds.
 //!
 //! Deltas are deliberately **cohort-clustered** (contiguous expiry
 //! cohorts, clustered registrar migrations, tail-biased blacklisting) the
@@ -29,11 +31,12 @@ use crate::config::TABLE_I;
 use crate::ecosystem::{draw_idn_domain, finish_idn};
 use crate::labels;
 use crate::registration::{sample_registrant, DomainRegistration, MaliciousKind};
-use crate::stream::KeyedCorpus;
+use crate::stream::{KeyedCorpus, ORDINARY_ATTEMPTS};
+use idnre_arena::{CorpusColumns, Symbol};
 use idnre_rng::{Key, StageId};
 use idnre_whois::Date;
 use rand::Rng;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// What one [`EpochDelta`] did to the corpus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,22 +261,52 @@ const MAX_BLACKLIST_LAG: u64 = 2;
 /// Determinism: every draw comes from
 /// `Key::root(seed).stage(epoch_stage).derive(epoch).record(k)`, and all
 /// internal iteration is over ordered structures, so the same
-/// `(seed, churn, epoch)` always yields the same delta list.
+/// `(seed, churn, epoch)` over the same base corpus always yields the
+/// same delta list.
 #[derive(Debug)]
 pub struct DaySimulator {
     churn_per_mille: u64,
     /// Scheduled lagged listings: `(due_epoch, index)`, in draw order.
     pending_blacklist: Vec<(u64, u64)>,
+    /// The base corpus's IDN domains, as (label symbol, TLD id) pairs of
+    /// its columns.
+    base: HashSet<(Symbol, u16)>,
+    /// The ACE domains this simulator appended.
+    appended: HashSet<String>,
 }
 
 impl DaySimulator {
     /// A simulator applying roughly `churn_per_mille` ‰ of the base
     /// corpus per epoch (clamped to at least one event per category).
-    pub fn new(churn_per_mille: u64) -> Self {
+    /// `columns` are the base corpus's: no registration the simulator
+    /// appends takes a domain they hold.
+    pub fn new(churn_per_mille: u64, columns: &CorpusColumns) -> Self {
         DaySimulator {
             churn_per_mille,
             pending_blacklist: Vec::new(),
+            base: (0..columns.len())
+                .map(|i| (columns.sld_symbol(i), columns.tld_id(i)))
+                .collect(),
+            appended: HashSet::new(),
         }
+    }
+
+    /// Whether the corpus holds the drawn `(ACE, display)` domain under
+    /// `tld`: a base record, looked up in the run's `columns` by label and
+    /// TLD, or an appended one.
+    fn is_taken(
+        &self,
+        columns: &CorpusColumns,
+        (ace, unicode): &(String, String),
+        tld: &str,
+    ) -> bool {
+        let sld = &unicode[..unicode.find('.').unwrap_or(unicode.len())];
+        self.appended.contains(ace)
+            || columns
+                .labels()
+                .get(sld)
+                .zip(columns.tlds().get(tld))
+                .is_some_and(|(sym, tld)| self.base.contains(&(sym, tld.index() as u16)))
     }
 
     /// Lagged listings drawn but not yet applied (due in later epochs).
@@ -287,7 +320,14 @@ impl DaySimulator {
     /// lagged listings) into `corpus`. Returns the record-level deltas
     /// **applied this epoch** — scheduled-but-not-yet-due listings are
     /// not in the list; they appear in the epoch that applies them.
-    pub fn advance(&mut self, corpus: &mut EpochCorpus<'_>, epoch: u64) -> Vec<EpochDelta> {
+    /// `columns` are the run's (they may have grown since
+    /// [`DaySimulator::new`]); the adds look their domains up in them.
+    pub fn advance(
+        &mut self,
+        corpus: &mut EpochCorpus<'_>,
+        epoch: u64,
+        columns: &CorpusColumns,
+    ) -> Vec<EpochDelta> {
         let config = corpus.base.config();
         let root = Key::root(config.seed);
         let base_len = corpus.base_idn_len();
@@ -309,29 +349,48 @@ impl DaySimulator {
         }
         self.pending_blacklist = still_pending;
 
-        // New registrations append at the tail: ~40% of the budget.
+        // New registrations append at the tail: ~40% of the budget. A
+        // drawn domain the corpus holds grows its label by a drawn number,
+        // one rung per try, as the planner's ordinary ladder does; rung
+        // `r` draws from the attempt key's child `derive(r)`, and the
+        // record body continues on the winning rung's stream.
         let churn_key = root.stage(StageId::EpochChurn).derive(epoch);
         for k in 0..(budget * 2 / 5).max(1) {
             let record_key = churn_key.record(k);
             let mut drawn = None;
-            for attempt in 0..8u64 {
-                let mut rng = record_key.derive(attempt).rng();
+            'attempts: for attempt in 0..8u64 {
+                let attempt_key = record_key.derive(attempt);
+                let mut rng = attempt_key.rng();
                 let language = labels::sample_language(&mut rng);
-                let label = labels::generate_label(&mut rng, language);
+                let mut label = labels::generate_label(&mut rng, language);
                 let tld = TABLE_I[rng.gen_range(0..TABLE_I.len())].tld;
-                if let Some((domain, unicode)) = draw_idn_domain(&mut rng, &label, tld) {
-                    let (email, _) = sample_registrant(&mut rng, k);
-                    let mut reg =
-                        finish_idn(&mut rng, config, domain, unicode, language, tld, email);
-                    // Day-simulated names register "today": the epoch's
-                    // zone date, not the historical snapshot spread.
-                    reg.created = config.snapshot;
-                    reg.malicious = None;
-                    drawn = Some(reg);
-                    break;
+                let Some(mut domain) = draw_idn_domain(&mut rng, &label, tld) else {
+                    continue;
+                };
+                let mut rung = 0;
+                while self.is_taken(columns, &domain, tld) {
+                    rung += 1;
+                    if rung == ORDINARY_ATTEMPTS {
+                        continue 'attempts;
+                    }
+                    rng = attempt_key.derive(rung).rng();
+                    label.push_str(&rng.gen_range(2..1000u32).to_string());
+                    if let Some(grown) = draw_idn_domain(&mut rng, &label, tld) {
+                        domain = grown;
+                    }
                 }
+                let (domain, unicode) = domain;
+                let (email, _) = sample_registrant(&mut rng, k);
+                let mut reg = finish_idn(&mut rng, config, domain, unicode, language, tld, email);
+                // Day-simulated names register "today": the epoch's
+                // zone date, not the historical snapshot spread.
+                reg.created = config.snapshot;
+                reg.malicious = None;
+                drawn = Some(reg);
+                break;
             }
             if let Some(reg) = drawn {
+                self.appended.insert(reg.domain.clone());
                 let index = corpus.push_add(reg);
                 deltas.push(EpochDelta {
                     index,
@@ -424,11 +483,17 @@ mod tests {
     use idnre_telemetry::NoopRecorder;
 
     fn small_corpus() -> KeyedCorpus {
+        small_build().0
+    }
+
+    /// A small streamed build's plan and columns.
+    fn small_build() -> (KeyedCorpus, CorpusColumns) {
         let config = EcosystemConfig {
             scale: 200,
             ..EcosystemConfig::default()
         };
-        generate_streamed(&config, 64, &NoopRecorder).1
+        let (_, corpus, columns) = generate_streamed(&config, 64, &NoopRecorder);
+        (corpus, columns)
     }
 
     #[test]
@@ -491,30 +556,60 @@ mod tests {
 
     #[test]
     fn simulator_is_a_pure_function_of_seed_and_epoch() {
-        let base = small_corpus();
+        let (base, columns) = small_build();
         let run = || {
             let mut overlay = EpochCorpus::new(&base);
-            let mut sim = DaySimulator::new(20);
+            let mut sim = DaySimulator::new(20, &columns);
             (0..4u64)
-                .map(|epoch| sim.advance(&mut overlay, epoch))
+                .map(|epoch| sim.advance(&mut overlay, epoch, &columns))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
 
+    /// No appended registration takes a domain the corpus holds: neither
+    /// a base domain nor an earlier append's. The corpus is perfbench's
+    /// epochs config, whose plain draws collide hundreds of times.
+    #[test]
+    fn appended_domains_are_fresh() {
+        let config = EcosystemConfig {
+            scale: 50,
+            seed: EcosystemConfig::default().seed + 1,
+            ..EcosystemConfig::default()
+        };
+        let (_, base, columns) = generate_streamed(&config, 1024, &NoopRecorder);
+        let mut domains = HashSet::new();
+        base.with_idn_shard(0, base.idn_len() as usize, &mut |records| {
+            domains.extend(records.iter().map(|reg| reg.domain.clone()));
+        });
+        let mut overlay = EpochCorpus::new(&base);
+        let mut sim = DaySimulator::new(20, &columns);
+        for epoch in 1..=2 {
+            sim.advance(&mut overlay, epoch, &columns);
+        }
+        assert!(overlay.appended().len() > 500);
+        let repeats: Vec<&str> = overlay
+            .appended()
+            .iter()
+            .filter(|reg| !domains.insert(reg.domain.clone()))
+            .map(|reg| reg.domain.as_str())
+            .collect();
+        assert!(repeats.is_empty(), "{} repeated domains", repeats.len());
+    }
+
     #[test]
     fn blacklist_listings_lag_their_draw_epoch() {
-        let base = small_corpus();
+        let (base, columns) = small_build();
         let mut overlay = EpochCorpus::new(&base);
-        let mut sim = DaySimulator::new(20);
-        let first = sim.advance(&mut overlay, 0);
+        let mut sim = DaySimulator::new(20, &columns);
+        let first = sim.advance(&mut overlay, 0, &columns);
         assert!(
             first.iter().all(|d| d.kind != EpochDeltaKind::Blacklist),
             "epoch 0 can only schedule listings, never apply them"
         );
         assert!(sim.pending_blacklist_len() > 0, "listings were scheduled");
         let applied: Vec<EpochDelta> = (1..=1 + MAX_BLACKLIST_LAG)
-            .flat_map(|epoch| sim.advance(&mut overlay, epoch))
+            .flat_map(|epoch| sim.advance(&mut overlay, epoch, &columns))
             .filter(|d| d.kind == EpochDeltaKind::Blacklist)
             .collect();
         assert!(

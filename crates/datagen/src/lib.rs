@@ -44,6 +44,7 @@ mod content;
 pub mod dataset;
 mod ecosystem;
 pub mod epoch;
+mod folds;
 mod hosting;
 mod labels;
 mod registration;
@@ -54,8 +55,10 @@ pub use config::{EcosystemConfig, TldSpec, TABLE_I};
 pub use dataset::{dataset_fingerprint, render_dataset, DATASET_SCHEMA};
 pub use ecosystem::{column_row, DerivedZones, Ecosystem};
 pub use epoch::{DaySimulator, EpochCorpus, EpochDelta, EpochDeltaKind};
+pub use folds::{CertificateTally, PopulationActivity};
 pub use hosting::HostingProfile;
 pub use registration::{DomainRegistration, MaliciousKind};
 pub use stream::{
-    generate_streamed, generate_traced, KeyedCorpus, PEAK_RESIDENT_RECORDS, SHARDS_REGENERATED,
+    generate_streamed, generate_traced, KeyedCorpus, ServedCertificate, PEAK_RESIDENT_RECORDS,
+    SHARDS_REGENERATED,
 };

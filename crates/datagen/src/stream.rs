@@ -14,8 +14,11 @@
 //! IDN corpus columns. After the plan, one fused traversal regenerates
 //! each shard once and emits its WHOIS, pDNS and certificates and, for IDN
 //! shards, each record's [`column_row`] (with its label's language id and
-//! skeleton), which the calling thread interns. It emits no zone records: no report
-//! reads them, and the callers that do derive them on demand
+//! skeleton), which the calling thread interns. It folds the pDNS
+//! aggregates and the certificates into their report aggregates as it
+//! emits them ([`crate::PopulationActivity`], [`crate::CertificateTally`])
+//! and keeps no certificate. It emits no zone records: no report reads
+//! them, and the callers that do derive them on demand
 //! ([`crate::DerivedZones`]). The batch build
 //! ([`crate::Ecosystem::generate`]) keeps each regenerated shard in the
 //! registration vectors; the streamed build ([`generate_streamed`]) drops
@@ -33,6 +36,7 @@ use crate::ecosystem::{
     attack_registration, attack_rolls, build_non_idn, certificate_for, column_row, draw_idn_domain,
     finish_idn, traffic_for, whois_record_for, Ecosystem,
 };
+use crate::folds::{CertificateTally, PopulationActivity};
 use crate::labels;
 use crate::registration::{
     sample_malicious_creation_date, sample_registrant, themed_label, BulkTheme, DomainRegistration,
@@ -40,7 +44,7 @@ use crate::registration::{
 };
 use idnre_arena::{ColumnRows, CorpusColumns, Interner, Symbol};
 use idnre_blacklist::{BlacklistSet, Source};
-use idnre_certs::Certificate;
+use idnre_certs::{Certificate, Validator};
 use idnre_langid::Language;
 use idnre_pdns::{DomainAggregate, PdnsStore};
 use idnre_rng::{Key, StageId};
@@ -57,6 +61,10 @@ pub const PEAK_RESIDENT_RECORDS: &str = "datagen.peak_resident_records";
 /// Counter name of [`KeyedCorpus::shards_regenerated`].
 pub const SHARDS_REGENERATED: &str = "datagen.stream.shards_regenerated";
 
+/// A certificate next to the record whose host serves it, as
+/// [`KeyedCorpus::for_each_shard`] hands them out.
+pub type ServedCertificate<'r> = (&'r DomainRegistration, Certificate);
+
 /// Attack-injection channels in injection order: the blacklisted share per
 /// mille for each attack class. Homograph: paper 100/1516 ≈ 6.6%; Type-1
 /// semantic: a few of 1,497 observed malicious; Type-2: the Gree case was
@@ -67,8 +75,9 @@ const ATTACK_CHANNELS: [(MaliciousKind, u32); 3] = [
     (MaliciousKind::SemanticType2, 100),
 ];
 
-/// How many label-grow retries a colliding ordinary registration gets.
-const ORDINARY_ATTEMPTS: u64 = 4;
+/// How many draws a colliding registration gets, the first one and its
+/// label-grow retries: the ordinary ladder's, and the day simulator's.
+pub(crate) const ORDINARY_ATTEMPTS: u64 = 4;
 
 /// Records per shard of the batch build's artifact traversal. Scheduling
 /// only: the bytes do not depend on it.
@@ -100,6 +109,9 @@ pub struct KeyedCorpus {
     /// Attack ground-truth lists, indexed by [`Recipe::Attack`] recipes.
     attacks: [Vec<AttackDomain>; 3],
     idn_recipes: Vec<Recipe>,
+    /// The IDN indices whose domain another record also has, ascending:
+    /// bulk registrations, which the planner does not deduplicate.
+    shared: Vec<u64>,
     /// Stage-3 blacklist mutations: IDN corpus index → (kind, created).
     overrides: HashMap<u64, (MaliciousKind, Date)>,
     /// Per-spec non-IDN population spans: `(global start, count)`.
@@ -182,6 +194,52 @@ impl KeyedCorpus {
             .collect();
         let out = f(records);
         self.gauge.sub(len as u64);
+        out
+    }
+
+    /// Regenerates the IDN (`idn`) or non-IDN population once, in corpus
+    /// order, and calls `f` with each shard of its records and the
+    /// certificate each HTTPS host among them serves, emitted as the
+    /// artifact traversal emits it. Shard boundaries are scheduling only.
+    pub fn for_each_shard(
+        &self,
+        idn: bool,
+        f: &mut dyn FnMut(&[DomainRegistration], Vec<ServedCertificate<'_>>),
+    ) {
+        let (total, chained) = if idn {
+            (self.idn_len(), 0)
+        } else {
+            (self.non_idn_len(), self.idn_len())
+        };
+        let cert_key = Key::root(self.config.seed).stage(StageId::Certificates);
+        let snapshot_day = self.config.snapshot.day_number();
+        for (start, len) in shard_spans(total, BATCH_SHARD) {
+            self.regen_shard(idn, start, len, |records| {
+                let certificates = (chained + start..)
+                    .zip(&records)
+                    .filter_map(|(i, reg)| {
+                        certificate_for(cert_key, i, reg, snapshot_day).map(|cert| (reg, cert))
+                    })
+                    .collect();
+                f(&records, certificates);
+            });
+        }
+    }
+
+    /// Every `(domain, certificate)` pair of the corpus, in corpus order:
+    /// the certificates the artifact traversal folded into Tables VI and
+    /// VII, regenerated by [`KeyedCorpus::for_each_shard`].
+    pub fn certificates(&self) -> Vec<(String, Certificate)> {
+        let mut out = Vec::new();
+        for idn in [true, false] {
+            self.for_each_shard(idn, &mut |_, certificates| {
+                out.extend(
+                    certificates
+                        .into_iter()
+                        .map(|(reg, cert)| (reg.domain.clone(), cert)),
+                );
+            });
+        }
         out
     }
 
@@ -328,10 +386,14 @@ pub fn generate_streamed(
 /// planned record exactly once, shard by shard on the workers, and emits
 /// the stage 6–8 artifacts (WHOIS, pDNS, certificates) plus each IDN
 /// record's [`column_row`], whose label facts (language id, skeleton) are
-/// thus derived on the workers. The calling thread applies finished
-/// shards in shard order while the workers run ahead, so every artifact
-/// lands in corpus order and labels intern in corpus order. Both spans
-/// are children of `parent`, at sibling indexes 0 and 1.
+/// thus derived on the workers. Each shard folds its pDNS aggregates into
+/// Figures 2–4's populations and its certificates into Tables VI–VII's
+/// tallies. The calling thread applies finished shards in shard order
+/// while the workers run ahead, so every artifact and fold lands in
+/// corpus order and labels intern in corpus order. The few records whose
+/// domain another record shares are folded last, from the finished pDNS
+/// store, so each gets the aggregate a lookup of its domain returns. Both
+/// spans are children of `parent`, at sibling indexes 0 and 1.
 ///
 /// `shard_size` picks the build:
 ///
@@ -365,7 +427,11 @@ pub fn generate_traced(
         idn: bool,
         whois: Vec<WhoisRecord>,
         aggregates: Vec<DomainAggregate>,
-        certificates: Vec<(String, Certificate)>,
+        activity: PopulationActivity,
+        /// Records whose domain another record shares, as (domain,
+        /// malicious): folded once the store holds every aggregate.
+        deferred: Vec<(String, bool)>,
+        certificate_tally: CertificateTally,
         rows: ColumnRows,
         /// The shard's records, kept only by the batch build.
         records: Vec<DomainRegistration>,
@@ -383,9 +449,11 @@ pub fn generate_traced(
                 .map(|(start, len)| (false, start, len)),
         )
         .collect();
+    let validator = Validator::with_default_roots(snapshot_day);
     // Emission is stage-major: one loop over the shard per artifact, so
     // each artifact's heap allocations stay adjacent for the reports that
-    // later walk them.
+    // later walk them. Each artifact is folded into its report aggregate
+    // as it is emitted.
     let emit_shard = |&(idn, start, len): &(bool, u64, usize)| {
         corpus.regen_shard(idn, start, len, |records| {
             // The pDNS/certificate streams are keyed by the chained
@@ -399,12 +467,25 @@ pub fn generate_traced(
             } else {
                 Vec::new()
             };
-            let aggregates = keyed()
-                .filter_map(|(k, reg)| traffic_for(pdns_key, chained + k, reg, idn, snapshot_day))
-                .collect();
-            let certificates = keyed()
-                .filter_map(|(k, reg)| certificate_for(cert_key, chained + k, reg, snapshot_day))
-                .collect();
+            let mut aggregates = Vec::new();
+            let mut activity = PopulationActivity::default();
+            let mut deferred = Vec::new();
+            for (k, reg) in keyed() {
+                let aggregate = traffic_for(pdns_key, chained + k, reg, idn, snapshot_day);
+                let malicious = reg.malicious.is_some();
+                if idn && corpus.shared.binary_search(&(start + k)).is_ok() {
+                    deferred.push((reg.domain.clone(), malicious));
+                } else if let Some(aggregate) = &aggregate {
+                    activity.add(idn, malicious, aggregate);
+                }
+                aggregates.extend(aggregate);
+            }
+            let mut certificate_tally = CertificateTally::default();
+            for (k, reg) in keyed() {
+                if let Some(cert) = certificate_for(cert_key, chained + k, reg, snapshot_day) {
+                    certificate_tally.observe(&validator, idn, &reg.domain, &cert);
+                }
+            }
             let mut rows = ColumnRows::default();
             if idn {
                 for reg in &records {
@@ -415,7 +496,9 @@ pub fn generate_traced(
                 idn,
                 whois,
                 aggregates,
-                certificates,
+                activity,
+                deferred,
+                certificate_tally,
                 rows,
                 records: if keep { records } else { Vec::new() },
             }
@@ -427,7 +510,9 @@ pub fn generate_traced(
     let mut non_idn_registrations = Vec::with_capacity(capacity(non_idn_len));
     let mut whois = Vec::new();
     let mut pdns = PdnsStore::new();
-    let mut certificates = Vec::new();
+    let mut activity = PopulationActivity::default();
+    let mut deferred = Vec::new();
+    let mut certificate_tally = CertificateTally::default();
     let mut columns = CorpusColumns::default();
     let ahead = SHARDS_AHEAD_PER_WORKER * config.threads;
     idnre_par::par_map_ordered(&shards, config.threads, ahead, emit_shard, |shard| {
@@ -435,7 +520,9 @@ pub fn generate_traced(
         for aggregate in shard.aggregates {
             pdns.insert_aggregate(aggregate);
         }
-        certificates.extend(shard.certificates);
+        activity.merge(shard.activity);
+        deferred.extend(shard.deferred);
+        certificate_tally.merge(shard.certificate_tally);
         for row in shard.rows.iter() {
             columns.push_row(row);
         }
@@ -445,7 +532,14 @@ pub fn generate_traced(
             non_idn_registrations.extend(shard.records);
         }
     });
-    span.add_records(whois.len() as u64 + pdns.len() as u64 + certificates.len() as u64);
+    // A shared domain's records each get the aggregate the store keeps
+    // for it, the last one inserted.
+    for (domain, malicious) in deferred {
+        if let Some(aggregate) = pdns.lookup(&domain) {
+            activity.add(true, malicious, aggregate);
+        }
+    }
+    span.add_records(whois.len() as u64 + pdns.len() as u64 + certificate_tally.total());
     drop(span);
 
     let [homograph_attacks, semantic_attacks, semantic2_attacks] = corpus.attacks.clone();
@@ -459,7 +553,8 @@ pub fn generate_traced(
         semantic2_attacks,
         whois,
         pdns,
-        certificates,
+        activity,
+        certificate_tally,
         blacklist,
     };
     (eco, corpus, columns)
@@ -520,6 +615,17 @@ pub(crate) fn plan(
             tlds.push("com");
         }
     }
+    // Every later stage deduplicates against `seen`, so the bulk records
+    // whose domain repeats are the only records that share a domain.
+    let mut copies = vec![0u32; seen.len()];
+    for sym in &symbols {
+        copies[sym.index()] += 1;
+    }
+    let shared: Vec<u64> = (0u64..)
+        .zip(&symbols)
+        .filter(|(_, sym)| copies[sym.index()] > 1)
+        .map(|(i, _)| i)
+        .collect();
 
     // Stage 2: ordinary registrations per TLD (Table I volumes). The seed
     // vocabulary is finite, so plain sampling collides: rung-0 domains are
@@ -711,6 +817,7 @@ pub(crate) fn plan(
         config: config.clone(),
         attacks: [homograph_attacks, semantic_attacks, semantic2_attacks],
         idn_recipes,
+        shared,
         overrides,
         non_idn_spans,
         gauge: Arc::new(Gauge::new()),
@@ -773,7 +880,8 @@ mod tests {
         let (eco, corpus, _) = generate_streamed(&config, 128, &NoopRecorder);
         assert_eq!(eco.whois, batch.whois);
         assert_eq!(eco.blacklist, batch.blacklist);
-        assert_eq!(eco.certificates, batch.certificates);
+        assert_eq!(eco.activity, batch.activity);
+        assert_eq!(eco.certificate_tally, batch.certificate_tally);
         let (idn, non_idn) = (collect_idn(&corpus, 128), collect_non_idn(&corpus, 128));
         assert_eq!(
             DerivedZones::derive([&idn[..], &non_idn[..]]),

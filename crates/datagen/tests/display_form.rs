@@ -60,16 +60,16 @@ fn check(config: EcosystemConfig) {
     assert!(total > 0);
 
     for shard_size in [7, 64] {
-        let (_, corpus, _) = generate_streamed(&config, shard_size, &NoopRecorder);
+        let (_, corpus, columns) = generate_streamed(&config, shard_size, &NoopRecorder);
         assert_eq!(check_streamed(&corpus, shard_size), total);
         if shard_size != 64 {
             continue;
         }
         let mut overlay = EpochCorpus::new(&corpus);
-        let mut days = DaySimulator::new(20);
+        let mut days = DaySimulator::new(20, &columns);
         let mut reregistered = 0;
         for epoch in 1..=3 {
-            let deltas = days.advance(&mut overlay, epoch);
+            let deltas = days.advance(&mut overlay, epoch, &columns);
             reregistered += deltas
                 .iter()
                 .filter(|d| d.kind == EpochDeltaKind::Reregister)

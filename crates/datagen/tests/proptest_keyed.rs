@@ -6,8 +6,10 @@
 //! parallel fan-out to the exact bytes a single-threaded pass produces —
 //! not merely to "some deterministic output".
 
-use idnre_datagen::{generate_streamed, render_dataset, Ecosystem, EcosystemConfig};
-use idnre_telemetry::NoopRecorder;
+use idnre_datagen::{
+    generate_streamed, generate_traced, render_dataset, Ecosystem, EcosystemConfig,
+};
+use idnre_telemetry::{NoopRecorder, SpanCtx};
 use proptest::prelude::*;
 
 /// A configuration small enough to generate dozens of times per test run
@@ -21,6 +23,12 @@ fn config(seed: u64, threads: usize) -> EcosystemConfig {
         threads,
         ..EcosystemConfig::default()
     }
+}
+
+/// The rendered dataset of `config`'s batch build.
+fn render(config: &EcosystemConfig) -> String {
+    let (eco, corpus, _) = generate_traced(config, None, &NoopRecorder, SpanCtx::NONE);
+    render_dataset(&eco, &corpus)
 }
 
 /// A window of `len` records (at most) starting `start_frac` of the way
@@ -42,8 +50,8 @@ proptest! {
     /// across every record.
     #[test]
     fn dataset_bytes_are_thread_count_invariant(seed in 0u64..1_000_000, threads in 2usize..33) {
-        let sequential = render_dataset(&Ecosystem::generate(&config(seed, 1)));
-        let parallel = render_dataset(&Ecosystem::generate(&config(seed, threads)));
+        let sequential = render(&config(seed, 1));
+        let parallel = render(&config(seed, threads));
         prop_assert_eq!(sequential, parallel);
     }
 

@@ -10,10 +10,10 @@
 //! `experiments_pin` test in `idnre-bench` pins it.)
 
 use idnre_datagen::{
-    dataset_fingerprint, generate_streamed, render_dataset, DerivedZones, Ecosystem,
-    EcosystemConfig,
+    dataset_fingerprint, generate_streamed, generate_traced, render_dataset, DerivedZones,
+    Ecosystem, EcosystemConfig,
 };
-use idnre_telemetry::NoopRecorder;
+use idnre_telemetry::{NoopRecorder, SpanCtx};
 
 /// `idnre-dataset/2` fingerprint of `repro --scale 50` (default seed,
 /// attack scale and brand list) — the value `repro --scale 50
@@ -22,11 +22,12 @@ const SCALE50_FINGERPRINT: u64 = 0xa304_79ee_d80c_6bdf;
 
 #[test]
 fn scale50_dataset_fingerprint_is_pinned() {
-    let eco = Ecosystem::generate(&EcosystemConfig {
+    let config = EcosystemConfig {
         scale: 50,
         ..EcosystemConfig::default()
-    });
-    let rendered = render_dataset(&eco);
+    };
+    let (eco, corpus, _) = generate_traced(&config, None, &NoopRecorder, SpanCtx::NONE);
+    let rendered = render_dataset(&eco, &corpus);
     assert_eq!(
         dataset_fingerprint(&rendered),
         SCALE50_FINGERPRINT,
@@ -80,4 +81,9 @@ fn check(threads: usize) {
     assert_eq!(eco.blacklist, batch.blacklist);
     assert_eq!(eco.whois, batch.whois);
     assert_eq!(zones, batch.derive_zones());
+    // The streamed build's dump renders from its regenerated shards.
+    assert_eq!(
+        dataset_fingerprint(&render_dataset(&eco, &corpus)),
+        SCALE50_FINGERPRINT
+    );
 }

@@ -35,4 +35,4 @@ pub use aggregate::DomainAggregate;
 pub use analytics::{ActivityAnalytics, SegmentReport};
 pub use provider::{Provider, QuotaExceeded};
 pub use simulate::{PopulationClass, TrafficModel, TrafficSample};
-pub use store::PdnsStore;
+pub use store::{PdnsStore, LOOKUP_COUNTERS};

@@ -8,6 +8,9 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
+/// The hit and miss counters of [`PdnsStore::lookup_recorded`].
+pub const LOOKUP_COUNTERS: [&str; 2] = ["pdns.lookup.hit", "pdns.lookup.miss"];
+
 /// An aggregated passive-DNS database.
 ///
 /// Mirrors the provider interface the paper used: submit a domain, get back
@@ -97,18 +100,16 @@ impl PdnsStore {
         domains.into_iter().map(|d| self.lookup(d)).collect()
     }
 
-    /// [`PdnsStore::lookup`] with hit/miss counters (`pdns.lookup.hit`,
-    /// `pdns.lookup.miss`) reported to `recorder`.
+    /// [`PdnsStore::lookup`] with hit/miss counters ([`LOOKUP_COUNTERS`])
+    /// reported to `recorder`.
     pub fn lookup_recorded(
         &self,
         domain: &str,
         recorder: &dyn Recorder,
     ) -> Option<&DomainAggregate> {
         let result = self.lookup(domain);
-        recorder.incr(match result {
-            Some(_) => "pdns.lookup.hit",
-            None => "pdns.lookup.miss",
-        });
+        let [hit, miss] = LOOKUP_COUNTERS;
+        recorder.incr(if result.is_some() { hit } else { miss });
         result
     }
 

@@ -4,18 +4,23 @@
 
 use idn_reexamination::certs::Validator;
 use idn_reexamination::core::{AbuseAnalysis, HomographDetector, SemanticDetector};
-use idn_reexamination::datagen::{Ecosystem, EcosystemConfig};
+use idn_reexamination::datagen::{generate_streamed, Ecosystem, EcosystemConfig};
 use idn_reexamination::langid::Classifier;
 use idn_reexamination::pdns::ActivityAnalytics;
 use idn_reexamination::whois::analytics::RegistrationAnalytics;
 use idn_reexamination::zonefile::ZoneScanner;
+use idnre_telemetry::NoopRecorder;
 
-fn ecosystem() -> Ecosystem {
-    Ecosystem::generate(&EcosystemConfig {
+fn config() -> EcosystemConfig {
+    EcosystemConfig {
         scale: 300,
         attack_scale: 4,
         ..EcosystemConfig::default()
-    })
+    }
+}
+
+fn ecosystem() -> Ecosystem {
+    Ecosystem::generate(&config())
 }
 
 #[test]
@@ -104,11 +109,13 @@ fn finding_7_hosting_concentration() {
 
 #[test]
 fn finding_9_certificates_are_broken() {
-    let eco = ecosystem();
+    // The generator folds the certificates it emits; the corpus walk
+    // regenerates them.
+    let (eco, corpus, _) = generate_streamed(&config(), 1024, &NoopRecorder);
     let validator = Validator::with_default_roots(eco.config.snapshot.day_number());
-    let idn_certs: Vec<_> = eco
-        .certificates
-        .iter()
+    let idn_certs: Vec<_> = corpus
+        .certificates()
+        .into_iter()
         .filter(|(d, _)| idn_reexamination::idna::is_idn(d))
         .collect();
     assert!(
