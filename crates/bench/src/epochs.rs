@@ -256,6 +256,7 @@ pub(crate) fn play(
 mod tests {
     use super::*;
     use crate::RunSpec;
+    use idnre_core::AbuseAnalysis;
     use idnre_datagen::EcosystemConfig;
     use idnre_telemetry::{Recorder, Registry};
     use std::sync::Arc;
@@ -341,8 +342,12 @@ mod tests {
     /// build's table: each row's topic is that of the whole portfolio its
     /// `# IDN` counts. Figures 2–4 and Tables VI–VII read the artifact
     /// folds of the base snapshot, so they are the one-shot build's too.
-    /// Table V divides each count by the records its sample crawled,
-    /// which removed head records push below the sample size.
+    /// Tables XIII and XIV and Figures 5, 6 and 8 join the final epoch's
+    /// findings by record index, which gives what joining them by domain
+    /// against the base snapshot's stores gives: a patched record joins
+    /// its base record's artifacts, an appended one none. Table V divides
+    /// each count by the records its sample crawled, which removed head
+    /// records push below the sample size.
     #[test]
     fn heavy_churn_keeps_the_whois_tables_and_rates_table_v_over_its_crawl() {
         let cfg = EcosystemConfig {
@@ -371,6 +376,48 @@ mod tests {
         for generator in base_snapshot {
             assert_eq!(generator(&played), generator(&one_shot));
         }
+
+        let mut whois = std::collections::HashMap::new();
+        for record in played.corpus.whois_records() {
+            whois.insert(record.domain.clone(), record);
+        }
+        let pdns = played.corpus.pdns_store();
+        let (homographs, semantic1) = (&played.outputs.homographs, &played.outputs.semantic1);
+        let base = played.corpus.idn_len();
+        assert!(
+            homographs.iter().any(|f| f.index >= base) || semantic1.iter().any(|f| f.index >= base),
+            "no finding on an appended record"
+        );
+        assert_eq!(
+            crate::reports::homograph_abuse(&played),
+            AbuseAnalysis::from_homographs(
+                homographs
+                    .iter()
+                    .map(|f| (&f.finding, whois.get(&f.finding.domain))),
+                &played.eco.blacklist,
+            )
+        );
+        assert_eq!(
+            crate::reports::semantic_abuse(&played),
+            AbuseAnalysis::from_semantic(
+                semantic1
+                    .iter()
+                    .map(|f| (&f.finding, whois.get(&f.finding.domain))),
+                &played.eco.blacklist,
+            )
+        );
+        let joined = crate::reports::traffic_joined(&played, homographs, &NoopRecorder);
+        let looked_up: Vec<_> = homographs
+            .iter()
+            .map(|f| pdns.lookup(&f.finding.domain).cloned())
+            .collect();
+        assert_eq!(joined, looked_up);
+        let joined = crate::reports::traffic_joined(&played, semantic1, &NoopRecorder);
+        let looked_up: Vec<_> = semantic1
+            .iter()
+            .map(|f| pdns.lookup(&f.finding.domain).cloned())
+            .collect();
+        assert_eq!(joined, looked_up);
 
         let counts = played.outputs.content.idn;
         let crawled: u64 = counts.iter().sum();

@@ -34,7 +34,6 @@ pub mod passes;
 pub mod reports;
 pub mod robust;
 pub mod slo;
-pub mod whois_facts;
 
 pub use candidates::CandidateSurvey;
 pub use cli::{validate_flags, CliFlags, FLAG_CONFLICTS, FLAG_REQUIRES};
@@ -42,7 +41,6 @@ pub use epochs::{EpochBenchStats, EpochRun, EpochSpec, DEFAULT_CHURN_PER_MILLE};
 pub use mine::{MiningOutputs, Portfolio, PortfolioMember};
 pub use robust::{FaultSetup, IngestStats, RunHealth, SurveyStats};
 pub use slo::{slo_profile, SLO_PROFILES};
-pub use whois_facts::WhoisFacts;
 
 use idnre_analyze::{EpochState, Population, RecordSource, SliceSource, StreamSource};
 use idnre_datagen::{DomainRegistration, Ecosystem, EcosystemConfig, KeyedCorpus};
@@ -95,11 +93,12 @@ pub struct RunSpec {
 /// one fused analysis scan over it.
 pub struct ReproContext {
     /// The synthetic ecosystem (registration vectors are empty after a
-    /// streamed build; the WHOIS and pDNS artifacts and the artifact
-    /// folds are complete either way).
+    /// streamed build; the artifact folds are complete either way).
     pub eco: Ecosystem,
     /// The corpus plan both builds return: regenerates any shard of the
-    /// base corpus on demand (`--dump-dataset` walks it).
+    /// base corpus on demand (`--dump-dataset` walks it), and any base
+    /// record's WHOIS record and pDNS aggregate by index (the reports'
+    /// joins).
     pub corpus: KeyedCorpus,
     /// Both detectors' findings and every corpus-derived aggregate the
     /// report generators read, folded by the one fused
@@ -108,9 +107,6 @@ pub struct ReproContext {
     /// The Section VI-D lookalike candidates of the top brands, enumerated
     /// once for Figures 6 and 7 and the two candidate-pool extensions.
     pub candidates: CandidateSurvey,
-    /// The WHOIS aggregates of Tables I, III and IV and Figure 1, folded
-    /// once from `eco.whois`.
-    pub whois: WhoisFacts,
     /// Telemetry sink every pipeline stage and report generator records
     /// into.
     pub recorder: Arc<dyn Recorder>,
@@ -139,8 +135,8 @@ impl std::fmt::Debug for ReproContext {
 }
 
 impl ReproContext {
-    /// Generates the ecosystem, enumerates the [`CandidateSurvey`], folds
-    /// the [`WhoisFacts`], runs the fused analysis scan (both detectors,
+    /// Generates the ecosystem, enumerates the [`CandidateSurvey`], builds
+    /// the detectors, runs the fused analysis scan (both detectors,
     /// every report aggregator — Table V's sample crawl among them — and,
     /// under [`RunSpec::mine`], the miner), then, under
     /// [`RunSpec::faults`] only, the crawl and WHOIS surveys, or, under
@@ -196,7 +192,6 @@ impl ReproContext {
         let candidates = CandidateSurvey::build(&eco.brands, config.threads, &*recorder);
         // The inputs every scan plan of the run borrows.
         let span = recorder.span_at("analyze.inputs", SpanCtx::ROOT, 0);
-        let whois = WhoisFacts::build(&eco.whois, &eco.blacklist, config.threads);
         let inputs = passes::ScanInputs::new(&eco.brands, &candidates);
         drop(span);
         let mining_plan = spec.mine.then(|| mine::MiningPlan::new(&columns));
@@ -238,22 +233,20 @@ impl ReproContext {
                 &index,
                 &columns,
                 mining_plan,
-                &eco,
+                &corpus,
                 config.threads,
                 &*recorder,
                 SpanCtx::ROOT,
             )
         });
-        let health = spec
-            .faults
-            .as_ref()
-            .map(|setup| robust::faulted_surveys(&view, &eco, setup, config.threads, &*recorder));
+        let health = spec.faults.as_ref().map(|setup| {
+            robust::faulted_surveys(&view, &corpus, setup, config.threads, &*recorder)
+        });
         let mut ctx = ReproContext {
             eco,
             corpus,
             outputs,
             candidates,
-            whois,
             recorder,
             health,
             mining,
@@ -303,8 +296,12 @@ impl ReproContext {
              1:1 corpus (1,481,378 IDNs plus the 1.2M non-IDN sample) with bounded \
              registration residency — peak resident records stay ≤ 4 × shard_size × \
              threads at any scale, and `--metrics` reports the peak as the \
-             `datagen.peak_resident_records` gauge. The process's memory is not \
-             bounded: the WHOIS and pDNS artifacts stay resident.\n\n",
+             `datagen.peak_resident_records` gauge. No WHOIS, pDNS or certificate \
+             artifact stays resident either: each is folded where it is emitted, and \
+             regenerated by record index where a report joins on it. What still grows \
+             with the corpus is the plan's recipes, the interned columns and their \
+             skeletons, and the folds' tallies, the WHOIS registrant tally among \
+             them.\n\n",
             self.eco.config.seed
         ));
         let enabled = self.recorder.enabled();
@@ -439,9 +436,10 @@ mod tests {
         );
     }
 
-    /// Tables I, III and IV and Figure 1 read the run's WHOIS fold, not
-    /// the records: with the records cleared after the build they render
-    /// the same bytes.
+    /// Tables I, III and IV and Figure 1 read the run's WHOIS fold, which
+    /// the generator folded as it emitted the records: with the fold
+    /// cleared after the build they render empty tables, so no other input
+    /// feeds them.
     #[test]
     fn whois_reports_read_the_fold_not_the_records() {
         let mut ctx = small();
@@ -452,10 +450,29 @@ mod tests {
             reports::table4,
         ];
         let before: Vec<String> = generators.iter().map(|g| g(&ctx)).collect();
-        assert!(!ctx.eco.whois.is_empty());
-        ctx.eco.whois.clear();
+        assert!(ctx.eco.whois_facts.records > 0);
+        ctx.eco.whois_facts = idnre_datagen::WhoisFacts::default();
         let after: Vec<String> = generators.iter().map(|g| g(&ctx)).collect();
-        assert_eq!(before, after);
+        for (name, (before, after)) in ["table1", "fig1", "table3", "table4"]
+            .into_iter()
+            .zip(before.iter().zip(&after))
+        {
+            assert_ne!(before, after, "{name} ignores the WHOIS fold");
+        }
+        // Table I's WHOIS column falls to zero; the columns the scan
+        // folded stay.
+        let total_row = |table: &str| -> Vec<String> {
+            let row = table.lines().find(|line| line.starts_with("| Total"));
+            let cells = row.expect("a Total row").split('|').map(str::trim);
+            cells.map(String::from).collect()
+        };
+        let (before, after) = (total_row(&before[0]), total_row(&after[0]));
+        // Cells: the empty cell before the first bar, TLD, SLDs, IDNs,
+        // WHOIS, then the blacklist columns.
+        assert_eq!(after[4], "0");
+        assert_ne!(before[4], "0");
+        assert_eq!(before[..4], after[..4]);
+        assert_eq!(before[5..], after[5..]);
     }
 
     #[test]

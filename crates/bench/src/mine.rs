@@ -36,7 +36,7 @@
 use idnre_analyze::{AnalysisPass, Merge, Observed, Population};
 use idnre_arena::{BucketIndex, CorpusColumns, FnvHasher, LabelRef, Symbol};
 use idnre_core::{pair_score, tld_suffix_skeletons};
-use idnre_datagen::Ecosystem;
+use idnre_datagen::KeyedCorpus;
 use idnre_render::TextBitmap;
 use idnre_telemetry::{Recorder, SpanCtx};
 use std::collections::HashMap;
@@ -275,7 +275,7 @@ impl Portfolio {
 /// One portfolio member with its WHOIS registrant and pDNS activity.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PortfolioMember {
-    /// ACE form (the WHOIS/pDNS join key).
+    /// ACE form.
     pub domain: String,
     /// Display form.
     pub unicode: String,
@@ -382,14 +382,15 @@ pub fn verify_buckets(
 
 /// Runs pass B over `index` and assembles the full [`MiningOutputs`]:
 /// clusters the verified pairs into portfolios and joins each member
-/// against WHOIS registrants and pDNS activity. One [`PAIRS_STAGE`] span
-/// under `parent` covers the whole tail, its records the non-singleton
-/// buckets verified.
+/// against WHOIS registrants and pDNS activity, regenerated by `corpus`
+/// from the index of the member's record. One [`PAIRS_STAGE`] span under
+/// `parent` covers the whole tail, its records the non-singleton buckets
+/// verified.
 pub fn mine_portfolios(
     index: &BucketIndex,
     columns: &CorpusColumns,
     plan: &MiningPlan,
-    eco: &Ecosystem,
+    corpus: &KeyedCorpus,
     threads: usize,
     recorder: &dyn Recorder,
     parent: SpanCtx,
@@ -401,27 +402,42 @@ pub fn mine_portfolios(
     for (name, total) in MINE_COUNTERS.iter().zip(totals) {
         recorder.add(name, total);
     }
-    let registrants: HashMap<&str, &str> = eco
-        .whois
+    let portfolios = cluster(&pairs);
+    // One pass over the column rows maps each member's (label, TLD) to the
+    // index of a record with that domain: its WHOIS and pDNS join key.
+    let mut record_of: HashMap<LabelRef, u64> = portfolios
         .iter()
-        .filter_map(|record| Some((record.domain.as_str(), record.registrant_email.as_deref()?)))
+        .flatten()
+        .map(|&member| (member, 0))
         .collect();
+    for row in 0..columns.len() {
+        let member = LabelRef {
+            sld: columns.sld_symbol(row),
+            tld: columns.tld_id(row),
+        };
+        if let Some(record) = record_of.get_mut(&member) {
+            *record = row as u64;
+        }
+    }
     let member_of = |member: LabelRef| {
         let unicode = plan.unicode_of(columns, member);
         let domain = idnre_idna::to_ascii(&unicode).unwrap_or_else(|_| unicode.clone());
-        let (query_count, active_days) = match eco.pdns.lookup(&domain) {
+        let record = record_of[&member];
+        let (query_count, active_days) = match corpus.pdns_aggregate(record) {
             Some(aggregate) => (aggregate.query_count, aggregate.active_days()),
             None => (0, 0),
         };
         PortfolioMember {
-            registrant: registrants.get(domain.as_str()).map(|e| e.to_string()),
+            registrant: corpus
+                .whois_record(record)
+                .and_then(|whois| whois.registrant_email),
             domain,
             unicode,
             query_count,
             active_days,
         }
     };
-    let portfolios = cluster(&pairs)
+    let portfolios = portfolios
         .into_iter()
         .map(|members| Portfolio {
             members: members.into_iter().map(&member_of).collect(),

@@ -23,8 +23,8 @@ use idnre_analyze::{
 };
 use idnre_arena::{BucketIndex, CorpusColumns};
 use idnre_core::{
-    ColumnedHomographPass, HomographDetector, HomographFinding, Semantic1Pass, Semantic2Pass,
-    SemanticDetector, SemanticFinding,
+    ColumnedHomographPass, HomographDetector, HomographFinding, Indexed, Semantic1Pass,
+    Semantic2Pass, SemanticDetector, SemanticFinding,
 };
 use idnre_crawler::UsageCategory;
 use idnre_datagen::BrandList;
@@ -39,12 +39,13 @@ pub const CONTENT_SAMPLE: u64 = 500;
 /// report generators read from the registration corpus.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScanOutputs {
-    /// Homograph-detector findings in corpus order (Table XIII, Figures 5
-    /// and 6, the browser-exposure extension).
-    pub homographs: Vec<HomographFinding>,
-    /// Type-1 semantic findings in corpus order (Tables IX and XIV,
-    /// Figure 8).
-    pub semantic1: Vec<SemanticFinding>,
+    /// Homograph-detector findings, sorted by domain, each with its
+    /// record's IDN index (Table XIII, Figures 5 and 6, the
+    /// browser-exposure extension).
+    pub homographs: Vec<Indexed<HomographFinding>>,
+    /// Type-1 semantic findings in corpus order, each with its record's
+    /// IDN index (Tables IX and XIV, Figure 8).
+    pub semantic1: Vec<Indexed<SemanticFinding>>,
     /// Per-TLD IDN and blacklist tallies (Table I).
     pub tld: TldBreakdown,
     /// Language mix of all/malicious/organic IDNs (Table II).
@@ -438,8 +439,8 @@ pub struct ScanPlan<'p> {
 
 /// The receipts of a [`ScanPlan`]'s passes, redeemed after its fold.
 struct PlanHandles {
-    homograph: PassHandle<Vec<HomographFinding>>,
-    semantic1: PassHandle<Vec<SemanticFinding>>,
+    homograph: PassHandle<Vec<Indexed<HomographFinding>>>,
+    semantic1: PassHandle<Vec<Indexed<SemanticFinding>>>,
     semantic2: PassHandle<Vec<SemanticFinding>>,
     tld: PassHandle<TldBreakdown>,
     language: PassHandle<LanguageMix>,

@@ -1,14 +1,16 @@
 //! One generator per table/figure of the paper's evaluation.
 
 use crate::ReproContext;
-use idnre_core::AbuseAnalysis;
+use idnre_core::{AbuseAnalysis, Indexed};
 use idnre_crawler::UsageCategory;
 use idnre_datagen::CertificateTally;
 use idnre_langid::Language;
-use idnre_pdns::{ActivityAnalytics, PopulationClass, TrafficModel};
+use idnre_pdns::{ActivityAnalytics, DomainAggregate, PopulationClass, TrafficModel};
 use idnre_stats::plot::{bar_chart, ecdf_plot, Series};
 use idnre_stats::table::{Align, Table};
 use idnre_stats::{group_thousands, percent};
+use idnre_telemetry::Recorder;
+use idnre_whois::WhoisRecord;
 
 /// A table/figure generator.
 pub type Generator = fn(&ReproContext) -> String;
@@ -80,7 +82,7 @@ pub fn table1(ctx: &ReproContext) -> String {
     );
     // The per-TLD IDN and blacklist tallies come pre-folded from the fused
     // corpus scan ([`crate::passes::TldPass`]), the WHOIS split from the
-    // run's WHOIS fold ([`crate::WhoisFacts`]). A WHOIS record counts only
+    // run's WHOIS fold ([`idnre_datagen::WhoisFacts`]). A WHOIS record counts only
     // when its TLD appears in the IDN corpus, matching the batch
     // pre-pass's keying.
     let folded = &ctx.outputs.tld;
@@ -89,7 +91,7 @@ pub fn table1(ctx: &ReproContext) -> String {
         let tld = spec.tld;
         let idns = folded.idns.get(tld);
         let whois = if idns > 0 {
-            ctx.whois.records_in(tld)
+            eco.whois_facts.records_in(tld)
         } else {
             0
         };
@@ -197,7 +199,8 @@ pub fn table2(ctx: &ReproContext) -> String {
 
 /// Figure 1 — creation dates of IDNs, malicious shown separately.
 pub fn fig1(ctx: &ReproContext) -> String {
-    let (all, malicious) = (&ctx.whois.created, &ctx.whois.created_malicious);
+    let facts = &ctx.eco.whois_facts;
+    let (all, malicious) = (&facts.created, &facts.created_malicious);
     let bars_all: Vec<(String, u64)> = all.iter().map(|(y, c)| (y.to_string(), c)).collect();
     let bars_bad: Vec<(String, u64)> = malicious.iter().map(|(y, c)| (y.to_string(), c)).collect();
     let ten_years_ago = ctx.eco.config.snapshot.year - 10;
@@ -229,7 +232,7 @@ pub fn table3(ctx: &ReproContext) -> String {
         vec!["Email Account", "# IDN", "IDN Characteristics"],
         vec![Align::Left, Align::Right, Align::Left],
     );
-    for registrant in &ctx.whois.top_registrants {
+    for registrant in &ctx.eco.whois_facts.top_registrants {
         // The WHOIS fold holds A-labels; the topic is read from each
         // domain's display form, its U-label SLD.
         let unicode: Vec<String> = registrant
@@ -245,7 +248,7 @@ pub fn table3(ctx: &ReproContext) -> String {
             topic.to_string(),
         ]);
     }
-    let mass = ctx.whois.opportunistic_mass;
+    let mass = ctx.eco.whois_facts.opportunistic_mass;
     section(
         "Table III — Top 5 IDN registrants",
         "Bulk registrants (776053229@qq.com 1,562; daidesheng88@gmail.com 1,453; …) hold 29,318 (4%) opportunistic IDNs (Finding 3).",
@@ -259,7 +262,7 @@ pub fn table3(ctx: &ReproContext) -> String {
 
 /// Table IV — top-10 registrars.
 pub fn table4(ctx: &ReproContext) -> String {
-    let facts = &ctx.whois;
+    let facts = &ctx.eco.whois_facts;
     let mut table = Table::new(
         vec!["Registrar", "# IDN", "Rate"],
         vec![Align::Left, Align::Right, Align::Right],
@@ -541,7 +544,7 @@ pub fn table9(ctx: &ReproContext) -> String {
         vec!["Punycode", "Unicode", "Target"],
         vec![Align::Left, Align::Left, Align::Left],
     );
-    for finding in ctx.outputs.semantic1.iter().take(8) {
+    for Indexed { finding, .. } in ctx.outputs.semantic1.iter().take(8) {
         table.row(vec![
             finding.domain.clone(),
             finding.unicode.clone(),
@@ -657,10 +660,62 @@ pub fn table12(_ctx: &ReproContext) -> String {
     )
 }
 
+/// Each finding's WHOIS record, joined by the index of the record its pass
+/// observed it at: under `--epochs`, the base record's, as the base
+/// snapshot's WHOIS held it.
+fn whois_joined<F>(ctx: &ReproContext, findings: &[Indexed<F>]) -> Vec<Option<WhoisRecord>> {
+    findings
+        .iter()
+        .map(|f| ctx.corpus.whois_record(f.index))
+        .collect()
+}
+
+/// Table XIII's analysis: the homograph findings, each joined to its
+/// WHOIS record by record index.
+pub(crate) fn homograph_abuse(ctx: &ReproContext) -> AbuseAnalysis {
+    let findings = &ctx.outputs.homographs;
+    let whois = whois_joined(ctx, findings);
+    let joined = findings.iter().map(|f| &f.finding);
+    AbuseAnalysis::from_homographs(
+        joined.zip(whois.iter().map(Option::as_ref)),
+        &ctx.eco.blacklist,
+    )
+}
+
+/// Table XIV's analysis: the Type-1 findings, each joined to its WHOIS
+/// record by record index.
+pub(crate) fn semantic_abuse(ctx: &ReproContext) -> AbuseAnalysis {
+    let findings = &ctx.outputs.semantic1;
+    let whois = whois_joined(ctx, findings);
+    let joined = findings.iter().map(|f| &f.finding);
+    AbuseAnalysis::from_semantic(
+        joined.zip(whois.iter().map(Option::as_ref)),
+        &ctx.eco.blacklist,
+    )
+}
+
+/// Each finding's passive-DNS aggregate, joined by record index like
+/// [`whois_joined`]. Each join counts as one `pdns.lookup.hit` or
+/// `pdns.lookup.miss` on `recorder`.
+pub(crate) fn traffic_joined<F>(
+    ctx: &ReproContext,
+    findings: &[Indexed<F>],
+    recorder: &dyn Recorder,
+) -> Vec<Option<DomainAggregate>> {
+    let [hit, miss] = idnre_pdns::LOOKUP_COUNTERS;
+    findings
+        .iter()
+        .map(|f| {
+            let aggregate = ctx.corpus.pdns_aggregate(f.index);
+            recorder.incr(if aggregate.is_some() { hit } else { miss });
+            aggregate
+        })
+        .collect()
+}
+
 /// Table XIII — top brands by registered homographic IDNs.
 pub fn table13(ctx: &ReproContext) -> String {
-    let analysis =
-        AbuseAnalysis::from_homographs(&ctx.outputs.homographs, &ctx.eco.whois, &ctx.eco.blacklist);
+    let analysis = homograph_abuse(ctx);
     let mut table = Table::new(
         vec!["Domain", "# IDN", "Rate", "Protective"],
         vec![Align::Left, Align::Right, Align::Right, Align::Right],
@@ -689,19 +744,16 @@ pub fn table13(ctx: &ReproContext) -> String {
     )
 }
 
-fn attack_traffic_figure(
+fn attack_traffic_figure<F>(
     ctx: &ReproContext,
-    domains: Vec<&str>,
+    findings: &[Indexed<F>],
     title: &str,
     anchor: &str,
 ) -> String {
     let recorder = &*ctx.recorder;
-    let aggregates: Vec<_> = domains
-        .into_iter()
-        .filter_map(|domain| ctx.eco.pdns.lookup_recorded(domain, recorder))
-        .collect();
+    let aggregates = traffic_joined(ctx, findings, recorder);
     let mut analytics = ActivityAnalytics::new();
-    analytics.extend_recorded(aggregates, recorder);
+    analytics.extend_recorded(aggregates.iter().flatten(), recorder);
     let active = analytics.active_time_ecdf();
     let queries = analytics.query_volume_ecdf();
     let plot_active = Series::new("active-days", active.series(&active.log_positions(40)));
@@ -731,15 +783,9 @@ fn attack_traffic_figure(
 
 /// Figure 5 — traffic to registered homographic IDNs.
 pub fn fig5(ctx: &ReproContext) -> String {
-    let domains: Vec<&str> = ctx
-        .outputs
-        .homographs
-        .iter()
-        .map(|f| f.domain.as_str())
-        .collect();
     attack_traffic_figure(
         ctx,
-        domains,
+        &ctx.outputs.homographs,
         "Figure 5 — ECDF of active time and query volume of homographic IDNs",
         "789 active days on average, 40% above 600 days; 80% get >100 queries, 10% >1000.",
     )
@@ -771,13 +817,12 @@ pub fn fig6(ctx: &ReproContext) -> String {
             total_queries += sample.query_count;
         }
     }
-    let registered_homograph_queries: u64 = ctx
-        .outputs
-        .homographs
-        .iter()
-        .filter_map(|f| ctx.eco.pdns.lookup(&f.domain))
-        .map(|a| a.query_count)
-        .sum();
+    let registered_homograph_queries: u64 =
+        traffic_joined(ctx, &ctx.outputs.homographs, &idnre_telemetry::NoopRecorder)
+            .iter()
+            .flatten()
+            .map(|a| a.query_count)
+            .sum();
     section(
         "Figure 6 — DNS queries to registered vs unregistered homographic IDNs",
         "Queries to unregistered lookalikes exist but are a very small proportion — cross-language 'typos' are rare.",
@@ -821,8 +866,7 @@ pub fn fig7(ctx: &ReproContext) -> String {
 
 /// Table XIV — top brands by Type-1 semantic IDNs.
 pub fn table14(ctx: &ReproContext) -> String {
-    let analysis =
-        AbuseAnalysis::from_semantic(&ctx.outputs.semantic1, &ctx.eco.whois, &ctx.eco.blacklist);
+    let analysis = semantic_abuse(ctx);
     let mut table = Table::new(
         vec!["Domain", "# Type-1 IDN", "Rate", "Protective"],
         vec![Align::Left, Align::Right, Align::Right, Align::Right],
@@ -939,7 +983,7 @@ pub fn ext_bypass(ctx: &ReproContext) -> String {
             .outputs
             .homographs
             .iter()
-            .filter(|f| matches!(policy.display(&f.unicode), Rendering::Unicode(_)))
+            .filter(|f| matches!(policy.display(&f.finding.unicode), Rendering::Unicode(_)))
             .count() as u64;
         table.row(vec![
             name.to_string(),
@@ -999,15 +1043,9 @@ pub fn ext_multichar(ctx: &ReproContext) -> String {
 
 /// Figure 8 — traffic to Type-1 semantic IDNs.
 pub fn fig8(ctx: &ReproContext) -> String {
-    let domains: Vec<&str> = ctx
-        .outputs
-        .semantic1
-        .iter()
-        .map(|f| f.domain.as_str())
-        .collect();
     attack_traffic_figure(
         ctx,
-        domains,
+        &ctx.outputs.semantic1,
         "Figure 8 — ECDF of active time and query volume of semantic IDNs",
         "Type-1 IDNs average 735 active days and 1,562 queries — frequently visited, mostly 'sleeping'.",
     )

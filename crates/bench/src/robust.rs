@@ -24,7 +24,7 @@ use idnre_crawler::{
     SCHED_COUNTERS, SCHED_LATENCY_HISTOGRAM, SCHED_SLICE_SPAN, SURVEY_SLICE_RECORDS,
     SURVEY_SLICE_SPAN, USAGE_COUNTERS,
 };
-use idnre_datagen::{DerivedZones, DomainRegistration, Ecosystem};
+use idnre_datagen::{DerivedZones, DomainRegistration, KeyedCorpus};
 use idnre_fault::{ErrorBudget, FaultPlan, RetryPolicy, RunStatus, SimClock};
 use idnre_sched::{SchedConfig, SchedStats};
 use idnre_telemetry::{Recorder, SpanCtx};
@@ -375,9 +375,11 @@ fn derive_zones(view: &CorpusView<'_>, threads: usize) -> DerivedZones {
 /// runs the full retry schedule. The damage lands in one [`ErrorBudget`], whose verdict
 /// the returned [`RunHealth`] carries. Every view over the same corpus —
 /// resident or streamed, at any walk size — yields the same health.
+/// `corpus` is the plan `view` walks, which tells the WHOIS crawl which
+/// domains have a record.
 pub fn faulted_surveys(
     view: &CorpusView<'_>,
-    eco: &Ecosystem,
+    corpus: &KeyedCorpus,
     setup: &FaultSetup,
     threads: usize,
     recorder: &dyn Recorder,
@@ -385,7 +387,7 @@ pub fn faulted_surveys(
     let budget = ErrorBudget::new(setup.plan.profile().budget_per_mille);
     let (zones, zone_stats) =
         ingest_zones_faulted(view, &setup.plan, &budget, threads, recorder, SpanCtx::ROOT);
-    let whois = whois_survey(view, eco, &setup.plan, &budget, recorder, SpanCtx::ROOT);
+    let whois = whois_survey(view, corpus, &setup.plan, &budget, recorder, SpanCtx::ROOT);
     let (survey, sched) = crawl_survey(
         view,
         &zones,
@@ -413,8 +415,9 @@ pub fn faulted_surveys(
 }
 
 /// Replays the paper's WHOIS collection over the registered IDN corpus so
-/// the ≈50% coverage story is *observable*: registrations the generator
-/// covered serve well-formed responses; uncovered ones split between
+/// the ≈50% coverage story is *observable*: registrations whose domain
+/// the generator covered ([`KeyedCorpus::whois_record_of`]) serve
+/// well-formed responses; uncovered ones split between
 /// registrar blocks and unparseable dialects (the paper's two loss
 /// reasons). A slice of the covered responses arrives corrupted under
 /// `plan` — those parse failures are the fault layer's damage and feed the
@@ -427,7 +430,7 @@ pub fn faulted_surveys(
 /// and budget are identical to the batch run.
 pub(crate) fn whois_survey(
     view: &CorpusView<'_>,
-    eco: &Ecosystem,
+    corpus: &KeyedCorpus,
     plan: &FaultPlan,
     budget: &ErrorBudget,
     recorder: &dyn Recorder,
@@ -448,16 +451,17 @@ pub(crate) fn whois_survey(
     );
     crawler.add_server("blocking-registrar", ServerPolicy::blocking());
 
-    let covered: std::collections::HashSet<&str> =
-        eco.whois.iter().map(|r| r.domain.as_str()).collect();
     let mut stats = CrawlStats::default();
     let idn = 0..view.source.population_len(Population::Idn);
+    let mut index = 0u64;
     view.for_each_shard(idn, &mut |records| {
         let batch: Vec<(&str, String)> = records
             .iter()
             .map(|reg| {
                 let domain = reg.domain.as_str();
-                if covered.contains(domain) {
+                let covered = corpus.whois_record_of(index, reg).is_some();
+                index += 1;
+                if covered {
                     if plan.corrupts("whois", domain) {
                         budget.record_error(1);
                         // A mangled transfer: no parseable field survives.
@@ -736,7 +740,7 @@ fn host_model(reg: &DomainRegistration) -> (AuthBehavior, Option<Page>) {
 mod tests {
     use super::*;
     use idnre_analyze::{SliceSource, StreamSource};
-    use idnre_datagen::EcosystemConfig;
+    use idnre_datagen::{Ecosystem, EcosystemConfig};
     use idnre_telemetry::NoopRecorder;
 
     /// The faulted ingest's parallel, windowed derivation equals one

@@ -7,18 +7,27 @@ use idnre_analyze::SliceSource;
 use idnre_bench::robust::{self, FaultSetup, RunHealth};
 use idnre_bench::{CorpusView, ReproContext, RunSpec};
 use idnre_crawler::{SURVEY_SLICE_RECORDS, SURVEY_SLICE_SPAN};
-use idnre_datagen::{Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_traced, Ecosystem, EcosystemConfig, KeyedCorpus};
 use idnre_fault::{FaultPlan, FaultProfile};
-use idnre_telemetry::{NoopRecorder, Registry};
+use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
 
+/// A batch build's ecosystem and the corpus plan the WHOIS survey joins
+/// through.
+type Built = (Ecosystem, KeyedCorpus);
+
+fn generate(config: &EcosystemConfig) -> Built {
+    let (eco, corpus, _) = generate_traced(config, None, &NoopRecorder, SpanCtx::NONE);
+    (eco, corpus)
+}
+
 /// One small ecosystem shared across cases: generation dominates the cost
 /// and is independent of the fault layer under test.
-fn eco() -> &'static Ecosystem {
-    static ECO: OnceLock<Ecosystem> = OnceLock::new();
+fn eco() -> &'static Built {
+    static ECO: OnceLock<Built> = OnceLock::new();
     ECO.get_or_init(|| {
-        Ecosystem::generate(&EcosystemConfig {
+        generate(&EcosystemConfig {
             scale: 8000,
             attack_scale: 100,
             brand_count: 50,
@@ -38,16 +47,16 @@ fn multi_window_config(threads: usize) -> EcosystemConfig {
     }
 }
 
-fn multi_window_eco() -> &'static Ecosystem {
-    static ECO: OnceLock<Ecosystem> = OnceLock::new();
+fn multi_window_eco() -> &'static Built {
+    static ECO: OnceLock<Built> = OnceLock::new();
     ECO.get_or_init(|| {
-        let eco = Ecosystem::generate(&multi_window_config(4));
-        let idn = eco.idn_registrations.len();
+        let built = generate(&multi_window_config(4));
+        let idn = built.0.idn_registrations.len();
         assert!(
             (2 * SURVEY_SLICE_RECORDS..3 * SURVEY_SLICE_RECORDS).contains(&idn),
             "{idn} IDNs: the third window no longer straddles the boundary"
         );
-        eco
+        built
     })
 }
 
@@ -68,11 +77,15 @@ fn faulted_run(seed: u64, profile_index: u8, threads: usize) -> (RunHealth, Stri
     faulted_run_on(eco(), &setup, threads)
 }
 
-fn faulted_run_on(eco: &Ecosystem, setup: &FaultSetup, threads: usize) -> (RunHealth, String) {
+fn faulted_run_on(
+    (eco, corpus): &Built,
+    setup: &FaultSetup,
+    threads: usize,
+) -> (RunHealth, String) {
     let registry = Registry::new();
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
     let view = CorpusView::resident(&source);
-    let health = robust::faulted_surveys(&view, eco, setup, threads, &registry);
+    let health = robust::faulted_surveys(&view, corpus, setup, threads, &registry);
     let metrics = registry.snapshot().render_deterministic_json();
     (health, metrics)
 }

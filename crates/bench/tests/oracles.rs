@@ -15,10 +15,11 @@ mod common;
 use idnre_arena::{CorpusColumns, LabelRef};
 use idnre_bench::{mine, ReproContext, RunSpec};
 use idnre_core::HomographDetector;
-use idnre_datagen::EcosystemConfig;
+use idnre_datagen::{EcosystemConfig, KeyedCorpus};
 use idnre_render::TextBitmap;
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 use idnre_unicode::skeleton;
+use idnre_whois::WhoisRecord;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
@@ -79,8 +80,14 @@ fn run_homographs_equal_the_exhaustive_oracle() {
     let (detector, _) = detector(ctx);
     let oracle = detector.scan_exhaustive(idn_domains(ctx), THREADS);
     assert!(!oracle.is_empty(), "the corpus holds no homographs");
+    let findings: Vec<_> = ctx
+        .outputs
+        .homographs
+        .iter()
+        .map(|f| f.finding.clone())
+        .collect();
     assert_eq!(
-        ctx.outputs.homographs, oracle,
+        findings, oracle,
         "the run's indexed scan diverged from the exhaustive oracle"
     );
 }
@@ -178,11 +185,13 @@ fn lsh_candidates_are_a_fraction_of_the_oracles_same_cell_pairs() {
 }
 
 /// The artifact folds against the lookup-per-record oracle
-/// ([`common::assert_artifact_folds`]), on corpora whose bulk
-/// registrations share domains: those records' aggregates are folded from
-/// the finished store, and must be the ones its lookup returns.
+/// ([`common::assert_artifact_folds`]) and every IDN record's by-index
+/// joins against lookups by domain ([`assert_joins`]), on corpora whose
+/// bulk registrations share domains: those records' aggregates are folded,
+/// and their artifacts joined, through their domain's last record, as a
+/// store keyed by domain returns them.
 #[test]
-fn artifact_folds_equal_the_lookup_per_record_oracle() {
+fn artifact_folds_and_joins_equal_the_store_oracles() {
     let seed = EcosystemConfig::default().seed;
     for (scale, seed) in [(50, seed + 1), (100, seed), (10, seed)] {
         let config = EcosystemConfig {
@@ -201,6 +210,45 @@ fn artifact_folds_equal_the_lookup_per_record_oracle() {
                 .count();
         });
         assert!(shared > 0, "scale {scale}: no record shares a domain");
-        common::assert_artifact_folds(&eco, &corpus, &format!("scale {scale}, seed {seed:#x}"));
+        let what = format!("scale {scale}, seed {seed:#x}");
+        common::assert_artifact_folds(&eco, &corpus, &what);
+        assert_joins(&corpus, &what);
     }
+}
+
+/// The WHOIS records of [`KeyedCorpus::whois_records`] by domain, the
+/// last record of a domain winning, as a store keyed by domain holds them.
+fn whois_by_domain(corpus: &KeyedCorpus) -> HashMap<String, WhoisRecord> {
+    let mut store = HashMap::new();
+    for record in corpus.whois_records() {
+        store.insert(record.domain.clone(), record);
+    }
+    store
+}
+
+/// Asserts that every IDN record's by-index joins
+/// ([`KeyedCorpus::whois_record`], [`KeyedCorpus::pdns_aggregate`]) equal
+/// the by-domain lookups into the rebuilt stores.
+fn assert_joins(corpus: &KeyedCorpus, what: &str) {
+    let whois = whois_by_domain(corpus);
+    let pdns = corpus.pdns_store();
+    let mut index = 0u64;
+    corpus.for_each_shard(true, &mut |records, _| {
+        for reg in records {
+            assert_eq!(
+                corpus.whois_record(index).as_ref(),
+                whois.get(&reg.domain),
+                "{what}: WHOIS of record {index} ({})",
+                reg.domain
+            );
+            assert_eq!(
+                corpus.pdns_aggregate(index).as_ref(),
+                pdns.lookup(&reg.domain),
+                "{what}: pDNS of record {index} ({})",
+                reg.domain
+            );
+            index += 1;
+        }
+    });
+    assert_eq!(index, corpus.idn_len());
 }

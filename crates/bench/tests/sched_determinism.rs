@@ -8,19 +8,28 @@ use idnre_analyze::SliceSource;
 use idnre_bench::robust::{self, FaultSetup, RunHealth};
 use idnre_bench::{CorpusView, ReproContext, RunSpec};
 use idnre_crawler::SURVEY_SLICE_RECORDS;
-use idnre_datagen::{Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_traced, Ecosystem, EcosystemConfig, KeyedCorpus};
 use idnre_fault::{FaultPlan, FaultProfile, RunStatus};
 use idnre_sched::SchedConfig;
-use idnre_telemetry::Registry;
+use idnre_telemetry::{NoopRecorder, Registry, SpanCtx};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
+/// A batch build's ecosystem and the corpus plan the WHOIS survey joins
+/// through.
+type Built = (Ecosystem, KeyedCorpus);
+
+fn generate(config: &EcosystemConfig) -> Built {
+    let (eco, corpus, _) = generate_traced(config, None, &NoopRecorder, SpanCtx::NONE);
+    (eco, corpus)
+}
+
 /// One small ecosystem shared across cases: generation dominates the cost
 /// and is independent of the scheduler under test.
-fn eco() -> &'static Ecosystem {
-    static ECO: OnceLock<Ecosystem> = OnceLock::new();
+fn eco() -> &'static Built {
+    static ECO: OnceLock<Built> = OnceLock::new();
     ECO.get_or_init(|| {
-        Ecosystem::generate(&EcosystemConfig {
+        generate(&EcosystemConfig {
             scale: 8000,
             attack_scale: 100,
             brand_count: 50,
@@ -32,10 +41,10 @@ fn eco() -> &'static Ecosystem {
 /// The storm-smoke corpus: the scale the CLI exit-code contract is
 /// calibrated at (a full slice's worth of crawl domains, so breakers
 /// trip early enough in the population to shed the bulk of a storm).
-fn smoke_eco() -> &'static Ecosystem {
-    static ECO: OnceLock<Ecosystem> = OnceLock::new();
+fn smoke_eco() -> &'static Built {
+    static ECO: OnceLock<Built> = OnceLock::new();
     ECO.get_or_init(|| {
-        Ecosystem::generate(&EcosystemConfig {
+        generate(&EcosystemConfig {
             scale: 2000,
             attack_scale: 25,
             ..EcosystemConfig::default()
@@ -46,19 +55,19 @@ fn smoke_eco() -> &'static Ecosystem {
 /// Scale 1000: 5,346 records, 4,146 of them IDNs — three scheduler
 /// windows, the third straddling the IDN/non-IDN boundary. Every other
 /// input here fits one window.
-fn multi_window_eco() -> &'static Ecosystem {
-    static ECO: OnceLock<Ecosystem> = OnceLock::new();
+fn multi_window_eco() -> &'static Built {
+    static ECO: OnceLock<Built> = OnceLock::new();
     ECO.get_or_init(|| {
-        let eco = Ecosystem::generate(&EcosystemConfig {
+        let built = generate(&EcosystemConfig {
             scale: 1000,
             ..EcosystemConfig::default()
         });
-        let idn = eco.idn_registrations.len();
+        let idn = built.0.idn_registrations.len();
         assert!(
             (2 * SURVEY_SLICE_RECORDS..3 * SURVEY_SLICE_RECORDS).contains(&idn),
             "{idn} IDNs: the third window no longer straddles the boundary"
         );
-        eco
+        built
     })
 }
 
@@ -78,23 +87,23 @@ fn scheduled_run(seed: u64, profile_index: u8, threads: usize) -> (RunHealth, St
 }
 
 fn scheduled_run_on(
-    eco: &Ecosystem,
+    built: &Built,
     seed: u64,
     profile_index: u8,
     threads: usize,
 ) -> (RunHealth, String) {
     let setup = FaultSetup::from_plan(FaultPlan::new(seed, profile(profile_index)))
         .with_sched(SchedConfig::default());
-    surveys_on(eco, &setup, threads)
+    surveys_on(built, &setup, threads)
 }
 
 /// Runs the faulted surveys over `eco`'s resident corpus and returns the
 /// health verdict plus the deterministic slice of the telemetry snapshot.
-fn surveys_on(eco: &Ecosystem, setup: &FaultSetup, threads: usize) -> (RunHealth, String) {
+fn surveys_on((eco, corpus): &Built, setup: &FaultSetup, threads: usize) -> (RunHealth, String) {
     let registry = Registry::new();
     let source = SliceSource::new(&eco.idn_registrations, &eco.non_idn_registrations);
     let view = CorpusView::resident(&source);
-    let health = robust::faulted_surveys(&view, eco, setup, threads, &registry);
+    let health = robust::faulted_surveys(&view, corpus, setup, threads, &registry);
     let metrics = registry.snapshot().render_deterministic_json();
     (health, metrics)
 }
@@ -246,9 +255,9 @@ fn scheduled_reports_replay_byte_identically() {
     assert!(first.contains("**degraded**"));
 }
 
-fn sync_run(eco: &Ecosystem, seed: u64, threads: usize) -> (RunHealth, String) {
+fn sync_run(built: &Built, seed: u64, threads: usize) -> (RunHealth, String) {
     let setup = FaultSetup::from_plan(FaultPlan::new(seed, FaultProfile::storm()));
-    surveys_on(eco, &setup, threads)
+    surveys_on(built, &setup, threads)
 }
 
 /// Thread count stays invisible once the scheduled survey runs several

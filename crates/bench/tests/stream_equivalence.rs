@@ -95,7 +95,8 @@ fn full_report_traverses_the_corpus_once() {
 /// The generator emits no zone records; only the callers that read zones
 /// derive them. A clean build, batch or streamed, records no
 /// `datagen.zones.skipped` counter, and the artifact traversal's records
-/// are exactly its WHOIS, pDNS and certificate records.
+/// are exactly what its artifact stores would hold: the WHOIS records,
+/// the distinct pDNS domains and the certificates.
 #[test]
 fn clean_builds_emit_no_zone_records() {
     for spec in [RunSpec::default(), streamed(64)] {
@@ -114,10 +115,12 @@ fn clean_builds_emit_no_zone_records() {
             .iter()
             .find(|s| s.name == "datagen.stream.artifacts")
             .expect("artifact traversal span missing");
-        let eco = &ctx.eco;
+        let corpus = &ctx.corpus;
         assert_eq!(
             artifacts.records,
-            eco.whois.len() as u64 + eco.pdns.len() as u64 + eco.certificate_tally.total(),
+            corpus.whois_records().len() as u64
+                + corpus.pdns_store().len() as u64
+                + ctx.eco.certificate_tally.total(),
             "the traversal emitted more than WHOIS, pDNS and certificates ({spec:?})"
         );
     }

@@ -41,7 +41,9 @@ pub mod topic;
 
 pub use availability::{AvailabilityEnumerator, AvailabilityReport, Candidate};
 pub use homograph::{pair_score, HomographDetector, HomographFinding, HOMOGRAPH_COUNTERS};
-pub use passes::{tld_suffix_skeletons, ColumnedHomographPass, Semantic1Pass, Semantic2Pass};
+pub use passes::{
+    tld_suffix_skeletons, ColumnedHomographPass, Indexed, Semantic1Pass, Semantic2Pass,
+};
 pub use pipeline::{AbuseAnalysis, BrandAbuseRow};
 pub use registry::{SrsPolicy, SrsRejection};
 pub use semantic::{SemanticDetector, SemanticFinding, SemanticKind, SEMANTIC_COUNTERS};

@@ -4,6 +4,9 @@
 //! Each pass folds the detector's per-domain probe into a concatenated
 //! finding list; because the scan merges shard partials in shard order,
 //! the merged list is exactly the sequential corpus-order probe result.
+//! The homograph and Type-1 passes tag each finding with the index of the
+//! record they observed it at ([`Indexed`]), the key its artifacts are
+//! joined by.
 //! The legacy batch scanners ([`HomographDetector::scan_recorded`],
 //! [`SemanticDetector::scan_type1_parallel`]) remain the reference
 //! implementations — the equivalence tests below hold each pass to the
@@ -15,6 +18,17 @@ use idnre_analyze::{AnalysisPass, Merge, Observed, Population};
 use idnre_arena::CorpusColumns;
 use idnre_telemetry::Recorder;
 use idnre_unicode::skeleton;
+
+/// A finding with the [`Observed::index`] of the record its pass observed
+/// it at: the record's stable index in the IDN population, by which the
+/// reports regenerate its WHOIS record and pDNS aggregate.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Indexed<F> {
+    /// The observed record's IDN index.
+    pub index: u64,
+    /// The finding.
+    pub finding: F,
+}
 
 /// SSIM homograph detection fed from interned [`CorpusColumns`] instead of
 /// re-resolving label strings per record.
@@ -78,7 +92,7 @@ impl<'d> ColumnedHomographPass<'d> {
 /// equality, untouched by merge.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnedHomographPartial {
-    findings: Vec<HomographFinding>,
+    findings: Vec<Indexed<HomographFinding>>,
     tallies: [u64; HOMOGRAPH_COUNTERS.len()],
     key_scratch: String,
 }
@@ -101,7 +115,7 @@ impl Merge for ColumnedHomographPartial {
 
 impl AnalysisPass for ColumnedHomographPass<'_> {
     type Partial = ColumnedHomographPartial;
-    type Output = Vec<HomographFinding>;
+    type Output = Vec<Indexed<HomographFinding>>;
 
     fn name(&self) -> &'static str {
         "analyze.pass.homograph"
@@ -140,7 +154,10 @@ impl AnalysisPass for ColumnedHomographPass<'_> {
         {
             Some(finding) => {
                 partial.tallies[5] += 1; // homograph.findings
-                partial.findings.push(finding);
+                partial.findings.push(Indexed {
+                    index: rec.index,
+                    finding,
+                });
             }
             None => partial.tallies[4] += 1, // homograph.skip.below_threshold
         }
@@ -157,7 +174,7 @@ impl AnalysisPass for ColumnedHomographPass<'_> {
 
     fn finish(&self, partial: Self::Partial) -> Self::Output {
         let mut findings = partial.findings;
-        findings.sort_by(|a, b| a.domain.cmp(&b.domain));
+        findings.sort_by(|a, b| a.finding.domain.cmp(&b.finding.domain));
         findings
     }
 }
@@ -187,7 +204,7 @@ impl<'d> Semantic1Pass<'d> {
 /// shard.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Semantic1Partial {
-    findings: Vec<SemanticFinding>,
+    findings: Vec<Indexed<SemanticFinding>>,
     tallies: [u64; SEMANTIC_COUNTERS.len()],
 }
 
@@ -203,7 +220,7 @@ impl Merge for Semantic1Partial {
 
 impl AnalysisPass for Semantic1Pass<'_> {
     type Partial = Semantic1Partial;
-    type Output = Vec<SemanticFinding>;
+    type Output = Vec<Indexed<SemanticFinding>>;
 
     fn name(&self) -> &'static str {
         "analyze.pass.semantic1"
@@ -228,7 +245,10 @@ impl AnalysisPass for Semantic1Pass<'_> {
         {
             Some(finding) => {
                 partial.tallies[1] += 1; // semantic.findings
-                partial.findings.push(finding);
+                partial.findings.push(Indexed {
+                    index: rec.index,
+                    finding,
+                });
             }
             None => partial.tallies[2] += 1, // semantic.skip.no_brand_match
         }
@@ -347,8 +367,20 @@ mod tests {
         let registry = Registry::new();
         let mut result = scan.run_at(&source, 64, 4, &registry, SpanCtx::NONE);
 
-        assert_eq!(result.take(&h), legacy_homographs);
-        assert_eq!(result.take(&s1), legacy_sem1);
+        // Each finding's index is the record it was found at.
+        let (homographs, sem1) = (result.take(&h), result.take(&s1));
+        for (index, domain) in homographs
+            .iter()
+            .map(|f| (f.index, &f.finding.domain))
+            .chain(sem1.iter().map(|f| (f.index, &f.finding.domain)))
+        {
+            assert_eq!(&eco.idn_registrations[index as usize].domain, domain);
+        }
+        fn findings<F>(indexed: Vec<Indexed<F>>) -> Vec<F> {
+            indexed.into_iter().map(|f| f.finding).collect()
+        }
+        assert_eq!(findings(homographs), legacy_homographs);
+        assert_eq!(findings(sem1), legacy_sem1);
         assert_eq!(result.take(&s2), legacy_sem2);
     }
 

@@ -1,5 +1,6 @@
-//! Abuse analysis: folds detector findings, WHOIS and blacklists into the
-//! per-brand tables of Sections VI-C and VII-B (Tables XIII and XIV).
+//! Abuse analysis: folds detector findings, each joined to its WHOIS
+//! record, and the blacklists into the per-brand tables of Sections VI-C
+//! and VII-B (Tables XIII and XIV).
 
 use crate::homograph::HomographFinding;
 use crate::semantic::SemanticFinding;
@@ -19,7 +20,7 @@ pub struct BrandAbuseRow {
 }
 
 /// Aggregated abuse analysis over a finding set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AbuseAnalysis {
     per_brand: HashMap<String, BrandAbuseRow>,
     total: u64,
@@ -30,51 +31,46 @@ pub struct AbuseAnalysis {
 }
 
 impl AbuseAnalysis {
-    /// Analyzes homograph findings.
-    pub fn from_homographs(
-        findings: &[HomographFinding],
-        whois: &[WhoisRecord],
+    /// Analyzes homograph findings, each next to its domain's WHOIS record
+    /// (`None` when the domain has none).
+    pub fn from_homographs<'a>(
+        findings: impl IntoIterator<Item = (&'a HomographFinding, Option<&'a WhoisRecord>)>,
         blacklist: &BlacklistSet,
     ) -> Self {
         Self::build(
             findings
-                .iter()
-                .map(|f| (f.domain.as_str(), f.brand.as_str())),
-            whois,
+                .into_iter()
+                .map(|(f, whois)| (f.domain.as_str(), f.brand.as_str(), whois)),
             blacklist,
         )
     }
 
-    /// Analyzes semantic findings.
-    pub fn from_semantic(
-        findings: &[SemanticFinding],
-        whois: &[WhoisRecord],
+    /// Analyzes semantic findings, each next to its domain's WHOIS record
+    /// (`None` when the domain has none).
+    pub fn from_semantic<'a>(
+        findings: impl IntoIterator<Item = (&'a SemanticFinding, Option<&'a WhoisRecord>)>,
         blacklist: &BlacklistSet,
     ) -> Self {
         Self::build(
             findings
-                .iter()
-                .map(|f| (f.domain.as_str(), f.brand.as_str())),
-            whois,
+                .into_iter()
+                .map(|(f, whois)| (f.domain.as_str(), f.brand.as_str(), whois)),
             blacklist,
         )
     }
 
-    fn build<'a, I>(findings: I, whois: &[WhoisRecord], blacklist: &BlacklistSet) -> Self
+    fn build<'a, I>(findings: I, blacklist: &BlacklistSet) -> Self
     where
-        I: IntoIterator<Item = (&'a str, &'a str)>,
+        I: IntoIterator<Item = (&'a str, &'a str, Option<&'a WhoisRecord>)>,
     {
-        let whois_by_domain: HashMap<&str, &WhoisRecord> =
-            whois.iter().map(|r| (r.domain.as_str(), r)).collect();
         let mut per_brand: HashMap<String, BrandAbuseRow> = HashMap::new();
         let (mut total, mut blacklisted, mut protective_total) = (0u64, 0u64, 0u64);
         let (mut personal, mut with_whois) = (0u64, 0u64);
-        for (domain, brand) in findings {
+        for (domain, brand, record) in findings {
             total += 1;
             if blacklist.is_malicious(domain) {
                 blacklisted += 1;
             }
-            let record = whois_by_domain.get(domain);
             let protective = record
                 .map(|r| Self::is_protective(r, brand))
                 .unwrap_or(false);
@@ -181,19 +177,21 @@ mod tests {
 
     #[test]
     fn per_brand_rollup_and_protective_detection() {
-        let findings = vec![
+        let findings = [
             finding("xn--a1.com", "google.com"),
             finding("xn--a2.com", "google.com"),
             finding("xn--b1.com", "apple.com"),
         ];
-        let whois = vec![
-            whois("xn--a1.com", Some("legal@google.com")),
-            whois("xn--a2.com", Some("bulk@qq.com")),
+        let whois = [
+            Some(whois("xn--a1.com", Some("legal@google.com"))),
+            Some(whois("xn--a2.com", Some("bulk@qq.com"))),
+            None,
         ];
         let mut blacklist = BlacklistSet::new();
         blacklist.insert(Source::VirusTotal, "xn--b1.com");
 
-        let analysis = AbuseAnalysis::from_homographs(&findings, &whois, &blacklist);
+        let joined = findings.iter().zip(whois.iter().map(Option::as_ref));
+        let analysis = AbuseAnalysis::from_homographs(joined, &blacklist);
         assert_eq!(analysis.total(), 3);
         assert_eq!(analysis.blacklisted(), 1);
         assert_eq!(analysis.protective(), 1);
@@ -209,8 +207,9 @@ mod tests {
 
     #[test]
     fn missing_whois_is_not_protective() {
-        let findings = vec![finding("xn--x.com", "google.com")];
-        let analysis = AbuseAnalysis::from_homographs(&findings, &[], &BlacklistSet::new());
+        let findings = [finding("xn--x.com", "google.com")];
+        let joined = findings.iter().map(|f| (f, None));
+        let analysis = AbuseAnalysis::from_homographs(joined, &BlacklistSet::new());
         assert_eq!(analysis.protective(), 0);
         assert_eq!(analysis.with_whois(), 0);
     }
@@ -218,13 +217,14 @@ mod tests {
     #[test]
     fn works_for_semantic_findings() {
         use crate::semantic::{SemanticFinding, SemanticKind};
-        let findings = vec![SemanticFinding {
+        let findings = [SemanticFinding {
             domain: "xn--58-hk2j.com".into(),
             unicode: "58汽车.com".into(),
             brand: "58.com".into(),
             kind: SemanticKind::Type1,
         }];
-        let analysis = AbuseAnalysis::from_semantic(&findings, &[], &BlacklistSet::new());
+        let joined = findings.iter().map(|f| (f, None));
+        let analysis = AbuseAnalysis::from_semantic(joined, &BlacklistSet::new());
         assert_eq!(analysis.total(), 1);
         assert_eq!(analysis.top_brands(1)[0].brand, "58.com");
     }

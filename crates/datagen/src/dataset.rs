@@ -18,6 +18,7 @@
 
 use crate::ecosystem::{DerivedZones, Ecosystem};
 use crate::stream::KeyedCorpus;
+use idnre_pdns::PdnsStore;
 
 /// Schema tag on the first line of every rendered dataset.
 pub const DATASET_SCHEMA: &str = "idnre-dataset/2";
@@ -29,10 +30,10 @@ pub const DATASET_SCHEMA: &str = "idnre-dataset/2";
 /// order (the pDNS store) are sorted by domain. Record lines use the
 /// stable `Debug` forms of the underlying types.
 ///
-/// The registrations, the certificates and the zones come from one walk
-/// of the corpus's regenerated shards ([`KeyedCorpus::for_each_shard`],
-/// [`DerivedZones::derive`]), so a batch and a streamed build render the
-/// same bytes.
+/// The registrations, their artifacts (WHOIS, pDNS, certificates) and the
+/// zones come from one walk of the corpus's regenerated shards
+/// ([`KeyedCorpus::for_each_shard`], [`DerivedZones::derive`]), so a
+/// batch and a streamed build render the same bytes.
 pub fn render_dataset(eco: &Ecosystem, corpus: &KeyedCorpus) -> String {
     let mut out = String::new();
     let config = &eco.config;
@@ -48,6 +49,8 @@ pub fn render_dataset(eco: &Ecosystem, corpus: &KeyedCorpus) -> String {
         config.brand_count,
     ));
 
+    let mut whois = Vec::new();
+    let mut pdns = PdnsStore::new();
     let mut certificates = Vec::new();
     let mut zones = DerivedZones::derive([]);
     for (idn, name, len) in [
@@ -55,12 +58,15 @@ pub fn render_dataset(eco: &Ecosystem, corpus: &KeyedCorpus) -> String {
         (false, "non_idn_registrations", corpus.non_idn_len()),
     ] {
         section(&mut out, name, len as usize);
-        corpus.for_each_shard(idn, &mut |records, served| {
+        corpus.for_each_shard(idn, &mut |records, artifacts| {
             for reg in records {
                 out.push_str(&format!("{reg:?}\n"));
             }
+            whois.extend(artifacts.whois.iter().map(|record| format!("{record:?}\n")));
+            pdns.extend(artifacts.aggregates);
             certificates.extend(
-                served
+                artifacts
+                    .certificates
                     .into_iter()
                     .map(|(reg, cert)| format!("{} {cert:?}\n", reg.domain)),
             );
@@ -79,12 +85,12 @@ pub fn render_dataset(eco: &Ecosystem, corpus: &KeyedCorpus) -> String {
         }
     }
 
-    section(&mut out, "whois", eco.whois.len());
-    for record in &eco.whois {
-        out.push_str(&format!("{record:?}\n"));
+    section(&mut out, "whois", whois.len());
+    for line in whois {
+        out.push_str(&line);
     }
 
-    let mut aggregates: Vec<String> = eco.pdns.iter().map(|agg| format!("{agg:?}")).collect();
+    let mut aggregates: Vec<String> = pdns.iter().map(|agg| format!("{agg:?}")).collect();
     aggregates.sort_unstable();
     section(&mut out, "pdns", aggregates.len());
     for line in aggregates {

@@ -1,6 +1,7 @@
 //! Ecosystem assembly: generates registrations, WHOIS coverage,
 //! passive-DNS aggregates, certificates, blacklist feeds and the injected
-//! attack populations, and derives the zone files on demand.
+//! attack populations, and derives the zone files on demand. The
+//! artifacts are folded as they are emitted; none is kept.
 //!
 //! # Keyed generation
 //!
@@ -29,7 +30,7 @@ use crate::attacks::AttackDomain;
 use crate::brands::BrandList;
 use crate::config::{EcosystemConfig, TABLE_I};
 use crate::content;
-use crate::folds::{CertificateTally, PopulationActivity};
+use crate::folds::{CertificateTally, PopulationActivity, WhoisFacts};
 use crate::hosting::HostingProfile;
 use crate::registration::{
     sample_creation_date, sample_malicious_creation_date, sample_registrant, sample_registrar,
@@ -41,7 +42,7 @@ use idnre_blacklist::{BlacklistSet, Source};
 use idnre_certs::Certificate;
 use idnre_crawler::UsageCategory;
 use idnre_langid::{Classifier, Language};
-use idnre_pdns::{DomainAggregate, PdnsStore, PopulationClass, TrafficModel};
+use idnre_pdns::{DomainAggregate, PopulationClass, TrafficModel};
 use idnre_rng::Key;
 use idnre_telemetry::{NoopRecorder, SpanCtx};
 use idnre_whois::{WhoisDialect, WhoisRecord};
@@ -65,12 +66,16 @@ pub struct Ecosystem {
     pub semantic_attacks: Vec<AttackDomain>,
     /// Ground truth: injected Type-2 (translated-brand) semantic IDNs.
     pub semantic2_attacks: Vec<AttackDomain>,
-    /// WHOIS records (coverage-limited, like the real crawl).
-    pub whois: Vec<WhoisRecord>,
-    /// Passive-DNS aggregates.
-    pub pdns: PdnsStore,
+    /// Tables I, III and IV's and Figure 1's WHOIS facts, folded from the
+    /// WHOIS records (coverage-limited, like the real crawl) as they were
+    /// emitted. The records are not kept:
+    /// [`crate::KeyedCorpus::whois_records`] regenerates them, and
+    /// [`crate::KeyedCorpus::whois_record`] one record's by index.
+    pub whois_facts: WhoisFacts,
     /// Figures 2–4's activity populations, folded from the pDNS
-    /// aggregates as they were emitted.
+    /// aggregates as they were emitted. The aggregates are not kept:
+    /// [`crate::KeyedCorpus::pdns_store`] regenerates them, and
+    /// [`crate::KeyedCorpus::pdns_aggregate`] one record's by index.
     pub activity: PopulationActivity,
     /// Tables VI–VII's tallies of the certificates HTTPS-enabled domains
     /// serve, folded as they were emitted. The certificates are not kept:
@@ -483,7 +488,7 @@ mod tests {
             });
             assert_eq!(one.idn_registrations, many.idn_registrations);
             assert_eq!(one.non_idn_registrations, many.non_idn_registrations);
-            assert_eq!(one.whois, many.whois);
+            assert_eq!(one.whois_facts, many.whois_facts);
             assert_eq!(one.blacklist, many.blacklist);
             assert_eq!(one.activity, many.activity);
             assert_eq!(one.certificate_tally, many.certificate_tally);
@@ -565,7 +570,7 @@ mod tests {
     #[test]
     fn whois_coverage_is_partial() {
         let eco = Ecosystem::generate(&small_config());
-        let coverage = eco.whois.len() as f64 / eco.idn_registrations.len() as f64;
+        let coverage = eco.whois_facts.records as f64 / eco.idn_registrations.len() as f64;
         assert!(
             (0.25..0.75).contains(&coverage),
             "whois coverage {coverage}"
@@ -601,13 +606,20 @@ mod tests {
 
     #[test]
     fn pdns_contains_traffic_for_both_populations() {
-        let eco = Ecosystem::generate(&small_config());
-        assert!(!eco.pdns.is_empty());
+        let (eco, corpus, _) =
+            stream::generate_traced(&small_config(), None, &NoopRecorder, SpanCtx::NONE);
+        let pdns = corpus.pdns_store();
         let idn_hits = eco
             .idn_registrations
             .iter()
-            .filter(|r| eco.pdns.lookup(&r.domain).is_some())
+            .filter(|r| pdns.lookup(&r.domain).is_some())
             .count();
         assert!(idn_hits > eco.idn_registrations.len() / 4);
+        let non_idn_hits = eco
+            .non_idn_registrations
+            .iter()
+            .filter(|r| pdns.lookup(&r.domain).is_some())
+            .count();
+        assert!(non_idn_hits > 0);
     }
 }

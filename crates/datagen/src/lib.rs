@@ -55,10 +55,13 @@ pub use config::{EcosystemConfig, TldSpec, TABLE_I};
 pub use dataset::{dataset_fingerprint, render_dataset, DATASET_SCHEMA};
 pub use ecosystem::{column_row, DerivedZones, Ecosystem};
 pub use epoch::{DaySimulator, EpochCorpus, EpochDelta, EpochDeltaKind};
-pub use folds::{CertificateTally, PopulationActivity};
+pub use folds::{
+    CertificateTally, PopulationActivity, Registrant, WhoisFacts, OPPORTUNISTIC_PORTFOLIO,
+    TOP_REGISTRANTS, TOP_REGISTRARS,
+};
 pub use hosting::HostingProfile;
 pub use registration::{DomainRegistration, MaliciousKind};
 pub use stream::{
-    generate_streamed, generate_traced, KeyedCorpus, ServedCertificate, PEAK_RESIDENT_RECORDS,
-    SHARDS_REGENERATED,
+    generate_streamed, generate_traced, KeyedCorpus, ServedCertificate, ShardArtifacts,
+    PEAK_RESIDENT_RECORDS, SHARDS_REGENERATED,
 };

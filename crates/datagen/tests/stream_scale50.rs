@@ -79,7 +79,7 @@ fn check(threads: usize) {
     }
 
     assert_eq!(eco.blacklist, batch.blacklist);
-    assert_eq!(eco.whois, batch.whois);
+    assert_eq!(eco.whois_facts, batch.whois_facts);
     assert_eq!(zones, batch.derive_zones());
     // The streamed build's dump renders from its regenerated shards.
     assert_eq!(

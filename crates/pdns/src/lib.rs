@@ -27,12 +27,10 @@
 
 mod aggregate;
 mod analytics;
-mod provider;
 mod simulate;
 mod store;
 
 pub use aggregate::DomainAggregate;
 pub use analytics::{ActivityAnalytics, SegmentReport};
-pub use provider::{Provider, QuotaExceeded};
 pub use simulate::{PopulationClass, TrafficModel, TrafficSample};
 pub use store::{PdnsStore, LOOKUP_COUNTERS};

@@ -1,14 +1,14 @@
-//! The passive-DNS store: the query interface both providers expose.
+//! The passive-DNS store: the query interface a pDNS provider exposes.
 
 use crate::aggregate::DomainAggregate;
 use idnre_arena::FnvBuildHasher;
-use idnre_telemetry::Recorder;
 use std::borrow::{Borrow, Cow};
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::net::Ipv4Addr;
 
-/// The hit and miss counters of [`PdnsStore::lookup_recorded`].
+/// The hit and miss counters of a recorded passive-DNS join: one per
+/// joined domain, a hit when it has an aggregate.
 pub const LOOKUP_COUNTERS: [&str; 2] = ["pdns.lookup.hit", "pdns.lookup.miss"];
 
 /// An aggregated passive-DNS database.
@@ -98,19 +98,6 @@ impl PdnsStore {
         I: IntoIterator<Item = &'a str>,
     {
         domains.into_iter().map(|d| self.lookup(d)).collect()
-    }
-
-    /// [`PdnsStore::lookup`] with hit/miss counters ([`LOOKUP_COUNTERS`])
-    /// reported to `recorder`.
-    pub fn lookup_recorded(
-        &self,
-        domain: &str,
-        recorder: &dyn Recorder,
-    ) -> Option<&DomainAggregate> {
-        let result = self.lookup(domain);
-        let [hit, miss] = LOOKUP_COUNTERS;
-        recorder.incr(if result.is_some() { hit } else { miss });
-        result
     }
 
     /// Number of observed domains.

@@ -1,6 +1,6 @@
-//! Property-based tests for the passive-DNS store, providers and analytics.
+//! Property-based tests for the passive-DNS store and analytics.
 
-use idnre_pdns::{ActivityAnalytics, DomainAggregate, PdnsStore, Provider};
+use idnre_pdns::{ActivityAnalytics, DomainAggregate, PdnsStore};
 use proptest::prelude::*;
 
 fn aggregate() -> impl Strategy<Value = DomainAggregate> {
@@ -44,25 +44,6 @@ proptest! {
         let mut twice = merged.clone();
         twice.merge(&b);
         prop_assert_eq!(twice.len(), merged.len());
-    }
-
-    /// Provider clipping never grows a window and keeps counts positive.
-    #[test]
-    fn provider_clipping_bounds(agg in aggregate()) {
-        let mut store = PdnsStore::new();
-        let full_days = agg.active_days();
-        let full_queries = agg.query_count;
-        let domain = agg.domain.clone();
-        store.insert_aggregate(agg);
-        for provider in [Provider::dns_pai(), Provider::farsight()] {
-            if let Some(clipped) = provider.query(&store, &domain) {
-                prop_assert!(clipped.active_days() <= full_days);
-                prop_assert!(clipped.query_count <= full_queries.max(1));
-                prop_assert!(clipped.query_count >= 1);
-                prop_assert!(clipped.first_seen >= provider.window_start);
-                prop_assert!(clipped.last_seen <= provider.window_end);
-            }
-        }
     }
 
     /// Analytics ECDFs always match the number of folded aggregates and the

@@ -11,14 +11,18 @@ use idn_reexamination::pdns::ActivityAnalytics;
 use idn_reexamination::stats::{percent, TopK};
 use idn_reexamination::whois::analytics::RegistrationAnalytics;
 use idn_reexamination::zonefile::ZoneScanner;
-use idnre_datagen::{Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_traced, EcosystemConfig};
+use idnre_telemetry::{NoopRecorder, SpanCtx};
 
 fn main() {
-    let eco = Ecosystem::generate(&EcosystemConfig {
+    let config = EcosystemConfig {
         scale: 300,
         attack_scale: 5,
         ..EcosystemConfig::default()
-    });
+    };
+    // The batch build keeps the registrations; its corpus plan
+    // regenerates the WHOIS records and pDNS aggregates it folded.
+    let (eco, corpus, _) = generate_traced(&config, None, &NoopRecorder, SpanCtx::NONE);
 
     // Zone scan (Table I).
     let report = ZoneScanner::new().scan_all(&eco.derive_zones().zones);
@@ -52,7 +56,7 @@ fn main() {
 
     // Registration analytics (Tables III/IV, Finding 2-4).
     let mut registrations = RegistrationAnalytics::new();
-    registrations.extend(eco.whois.iter());
+    registrations.extend(corpus.whois_records().iter());
     println!(
         "\nregistrars: {} distinct; top-10 hold {}",
         registrations.distinct_registrars(),
@@ -67,15 +71,16 @@ fn main() {
     }
 
     // Traffic (Figures 2/3, Findings 5/6).
+    let pdns = corpus.pdns_store();
     let mut idn_traffic = ActivityAnalytics::new();
     let mut non_traffic = ActivityAnalytics::new();
     for reg in &eco.idn_registrations {
-        if let Some(agg) = eco.pdns.lookup(&reg.domain) {
+        if let Some(agg) = pdns.lookup(&reg.domain) {
             idn_traffic.add(agg);
         }
     }
     for reg in &eco.non_idn_registrations {
-        if let Some(agg) = eco.pdns.lookup(&reg.domain) {
+        if let Some(agg) = pdns.lookup(&reg.domain) {
             non_traffic.add(agg);
         }
     }

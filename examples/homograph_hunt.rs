@@ -7,7 +7,9 @@
 //! ```
 
 use idn_reexamination::core::{AbuseAnalysis, AvailabilityEnumerator, HomographDetector};
-use idn_reexamination::datagen::{Ecosystem, EcosystemConfig};
+use idn_reexamination::datagen::{generate_traced, EcosystemConfig};
+use idnre_telemetry::{NoopRecorder, SpanCtx};
+use std::collections::HashMap;
 
 fn main() {
     let config = EcosystemConfig {
@@ -16,7 +18,7 @@ fn main() {
         ..EcosystemConfig::default()
     };
     println!("generating ecosystem (scale 1:{})...", config.scale);
-    let eco = Ecosystem::generate(&config);
+    let (eco, corpus, _) = generate_traced(&config, None, &NoopRecorder, SpanCtx::NONE);
     println!(
         "  {} registered IDNs ({} injected homograph lookalikes)",
         eco.idn_registrations.len(),
@@ -26,12 +28,12 @@ fn main() {
     // Scan every registered IDN against the Alexa-style brand list.
     let brands: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
     let detector = HomographDetector::new(&brands, 0.95);
-    let corpus: Vec<&str> = eco
+    let domains: Vec<&str> = eco
         .idn_registrations
         .iter()
         .map(|r| r.domain.as_str())
         .collect();
-    let findings = detector.scan(corpus.iter().copied(), 8);
+    let findings = detector.scan(domains.iter().copied(), 8);
     println!(
         "  {} homographic IDNs detected at SSIM ≥ 0.95",
         findings.len()
@@ -44,8 +46,15 @@ fn main() {
         );
     }
 
-    // Who is being targeted, and did the brands protect themselves?
-    let analysis = AbuseAnalysis::from_homographs(&findings, &eco.whois, &eco.blacklist);
+    // Who is being targeted, and did the brands protect themselves? Each
+    // finding joins its domain's WHOIS record, regenerated from the plan.
+    let whois: HashMap<String, _> = corpus
+        .whois_records()
+        .into_iter()
+        .map(|record| (record.domain.clone(), record))
+        .collect();
+    let joined = findings.iter().map(|f| (f, whois.get(&f.domain)));
+    let analysis = AbuseAnalysis::from_homographs(joined, &eco.blacklist);
     println!("\ntop targeted brands:");
     for row in analysis.top_brands(5) {
         println!(

@@ -4,7 +4,8 @@
 
 use idn_reexamination::core::HomographDetector;
 use idn_reexamination::pdns::ActivityAnalytics;
-use idnre_datagen::{Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_traced, Ecosystem, EcosystemConfig};
+use idnre_telemetry::{NoopRecorder, SpanCtx};
 
 fn config(seed: u64) -> EcosystemConfig {
     EcosystemConfig {
@@ -21,7 +22,7 @@ fn identical_configs_reproduce_identical_findings() {
     let eco_b = Ecosystem::generate(&config(42));
     assert_eq!(eco_a.idn_registrations, eco_b.idn_registrations);
     assert_eq!(eco_a.homograph_attacks, eco_b.homograph_attacks);
-    assert_eq!(eco_a.whois, eco_b.whois);
+    assert_eq!(eco_a.whois_facts, eco_b.whois_facts);
 
     let brands: Vec<String> = eco_a.brands.iter().map(|b| b.domain()).collect();
     let detector = HomographDetector::new(&brands, 0.95);
@@ -32,23 +33,25 @@ fn identical_configs_reproduce_identical_findings() {
 
 #[test]
 fn different_seeds_shift_samples_but_keep_shapes() {
-    let eco_a = Ecosystem::generate(&config(1));
-    let eco_b = Ecosystem::generate(&config(2));
+    let build = |seed| generate_traced(&config(seed), None, &NoopRecorder, SpanCtx::NONE);
+    let (eco_a, corpus_a, _) = build(1);
+    let (eco_b, corpus_b, _) = build(2);
     assert_ne!(eco_a.idn_registrations, eco_b.idn_registrations);
 
     // The calibrated traffic gap (Finding 5) holds under both seeds.
-    for eco in [&eco_a, &eco_b] {
+    for (eco, corpus) in [(&eco_a, &corpus_a), (&eco_b, &corpus_b)] {
+        let pdns = corpus.pdns_store();
         let mut idn = ActivityAnalytics::new();
         let mut non = ActivityAnalytics::new();
         for reg in &eco.idn_registrations {
             if reg.malicious.is_none() {
-                if let Some(agg) = eco.pdns.lookup(&reg.domain) {
+                if let Some(agg) = pdns.lookup(&reg.domain) {
                     idn.add(agg);
                 }
             }
         }
         for reg in &eco.non_idn_registrations {
-            if let Some(agg) = eco.pdns.lookup(&reg.domain) {
+            if let Some(agg) = pdns.lookup(&reg.domain) {
                 non.add(agg);
             }
         }

@@ -4,12 +4,15 @@
 
 use idn_reexamination::certs::Validator;
 use idn_reexamination::core::{AbuseAnalysis, HomographDetector, SemanticDetector};
-use idn_reexamination::datagen::{generate_streamed, Ecosystem, EcosystemConfig};
+use idn_reexamination::datagen::{
+    generate_streamed, generate_traced, Ecosystem, EcosystemConfig, KeyedCorpus,
+};
 use idn_reexamination::langid::Classifier;
 use idn_reexamination::pdns::ActivityAnalytics;
 use idn_reexamination::whois::analytics::RegistrationAnalytics;
 use idn_reexamination::zonefile::ZoneScanner;
-use idnre_telemetry::NoopRecorder;
+use idnre_telemetry::{NoopRecorder, SpanCtx};
+use std::collections::HashMap;
 
 fn config() -> EcosystemConfig {
     EcosystemConfig {
@@ -21,6 +24,13 @@ fn config() -> EcosystemConfig {
 
 fn ecosystem() -> Ecosystem {
     Ecosystem::generate(&config())
+}
+
+/// A batch build of `config`, with the corpus plan that regenerates its
+/// artifacts.
+fn built(config: &EcosystemConfig) -> (Ecosystem, KeyedCorpus) {
+    let (eco, corpus, _) = generate_traced(config, None, &NoopRecorder, SpanCtx::NONE);
+    (eco, corpus)
 }
 
 #[test]
@@ -59,16 +69,17 @@ fn findings_5_and_6_traffic_gaps() {
     // The traffic models are heavy-tailed lognormals (σ ≈ 2.4 for the
     // malicious classes), so comparing *means* needs a malicious sample in
     // the high tens — generate denser than the shared fixture.
-    let eco = Ecosystem::generate(&EcosystemConfig {
+    let (eco, corpus) = built(&EcosystemConfig {
         scale: 100,
         attack_scale: 1,
         ..EcosystemConfig::default()
     });
+    let pdns = corpus.pdns_store();
     let mut idn = ActivityAnalytics::new();
     let mut non = ActivityAnalytics::new();
     let mut malicious = ActivityAnalytics::new();
     for reg in &eco.idn_registrations {
-        if let Some(agg) = eco.pdns.lookup(&reg.domain) {
+        if let Some(agg) = pdns.lookup(&reg.domain) {
             if reg.malicious.is_some() {
                 malicious.add(agg);
             } else {
@@ -77,7 +88,7 @@ fn findings_5_and_6_traffic_gaps() {
         }
     }
     for reg in &eco.non_idn_registrations {
-        if let Some(agg) = eco.pdns.lookup(&reg.domain) {
+        if let Some(agg) = pdns.lookup(&reg.domain) {
             non.add(agg);
         }
     }
@@ -91,10 +102,11 @@ fn findings_5_and_6_traffic_gaps() {
 
 #[test]
 fn finding_7_hosting_concentration() {
-    let eco = ecosystem();
+    let (eco, corpus) = built(&config());
+    let pdns = corpus.pdns_store();
     let mut analytics = ActivityAnalytics::new();
     for reg in &eco.idn_registrations {
-        if let Some(agg) = eco.pdns.lookup(&reg.domain) {
+        if let Some(agg) = pdns.lookup(&reg.domain) {
             analytics.add(agg);
         }
     }
@@ -133,9 +145,9 @@ fn finding_9_certificates_are_broken() {
 
 #[test]
 fn whois_pipeline_feeds_registrar_table() {
-    let eco = ecosystem();
+    let (_, corpus) = built(&config());
     let mut analytics = RegistrationAnalytics::new();
-    analytics.extend(eco.whois.iter());
+    analytics.extend(corpus.whois_records().iter());
     let top = analytics.top_registrars(10);
     assert!(!top.is_empty());
     // GMO leads the IDN registrar market (Table IV).
@@ -215,15 +227,22 @@ fn type2_injections_are_fully_recovered() {
 
 #[test]
 fn abuse_analysis_matches_table_xiii_shape() {
-    let eco = ecosystem();
+    let (eco, corpus) = built(&config());
     let brands: Vec<String> = eco.brands.iter().map(|b| b.domain()).collect();
-    let corpus: Vec<&str> = eco
+    let domains: Vec<&str> = eco
         .idn_registrations
         .iter()
         .map(|r| r.domain.as_str())
         .collect();
-    let findings = HomographDetector::new(&brands, 0.95).scan(corpus.iter().copied(), 4);
-    let analysis = AbuseAnalysis::from_homographs(&findings, &eco.whois, &eco.blacklist);
+    let findings = HomographDetector::new(&brands, 0.95).scan(domains.iter().copied(), 4);
+    // Each finding joins the WHOIS record of its domain.
+    let whois: HashMap<String, _> = corpus
+        .whois_records()
+        .into_iter()
+        .map(|record| (record.domain.clone(), record))
+        .collect();
+    let joined = findings.iter().map(|f| (f, whois.get(&f.domain)));
+    let analysis = AbuseAnalysis::from_homographs(joined, &eco.blacklist);
     // Google leads the homograph target table.
     let top = analysis.top_brands(3);
     assert_eq!(top[0].brand, "google.com");

@@ -5,14 +5,25 @@
 use idn_reexamination::idna::{to_ascii, to_unicode, DomainName};
 use idn_reexamination::whois::{parse_whois, Date};
 use idn_reexamination::zonefile::{parse_zone, write_zone, ZoneScanner};
-use idnre_datagen::{Ecosystem, EcosystemConfig};
+use idnre_datagen::{generate_streamed, Ecosystem, EcosystemConfig, KeyedCorpus};
+use idnre_telemetry::NoopRecorder;
 
-fn small() -> Ecosystem {
-    Ecosystem::generate(&EcosystemConfig {
+fn config() -> EcosystemConfig {
+    EcosystemConfig {
         scale: 1000,
         attack_scale: 20,
         ..EcosystemConfig::default()
-    })
+    }
+}
+
+fn small() -> Ecosystem {
+    Ecosystem::generate(&config())
+}
+
+/// The corpus plan of [`small`]'s ecosystem, which regenerates its WHOIS
+/// records and pDNS aggregates.
+fn small_corpus() -> KeyedCorpus {
+    generate_streamed(&config(), 1024, &NoopRecorder).1
 }
 
 #[test]
@@ -46,9 +57,8 @@ fn every_generated_idn_is_idna_consistent() {
 
 #[test]
 fn whois_text_round_trips_into_analytics() {
-    let eco = small();
     // Render a few records to the wire format and parse them back.
-    for record in eco.whois.iter().take(50) {
+    for record in small_corpus().whois_records().iter().take(50) {
         let raw = format!(
             "Domain Name: {}\nRegistrar: {}\n{}Creation Date: {}\nName Server: {}\n",
             record.domain.to_uppercase(),
@@ -71,9 +81,10 @@ fn whois_text_round_trips_into_analytics() {
 
 #[test]
 fn pdns_windows_respect_the_snapshot() {
-    let eco = small();
-    let snapshot_day = eco.config.snapshot.day_number();
-    for aggregate in eco.pdns.iter() {
+    let snapshot_day = config().snapshot.day_number();
+    let pdns = small_corpus().pdns_store();
+    assert!(!pdns.is_empty());
+    for aggregate in pdns.iter() {
         assert!(aggregate.first_seen >= 0);
         assert!(
             aggregate.last_seen <= snapshot_day,
@@ -90,10 +101,12 @@ fn pdns_windows_respect_the_snapshot() {
 
 #[test]
 fn whois_dates_precede_snapshot_and_expiry() {
-    let eco = small();
-    for record in &eco.whois {
+    let snapshot = config().snapshot;
+    let records = small_corpus().whois_records();
+    assert!(!records.is_empty());
+    for record in &records {
         let created = record.creation_date.expect("generator sets dates");
-        assert!(created <= eco.config.snapshot, "{}", record.domain);
+        assert!(created <= snapshot, "{}", record.domain);
         let expiry = record.expiry_date.expect("generator sets expiry");
         assert!(created < expiry);
         assert_eq!(created.days_until(expiry), 365);
